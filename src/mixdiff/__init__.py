@@ -18,6 +18,7 @@ from .elbo import (
     WeightingMode,
     is_divergence_pointwise,
     kl_divergence,
+    loss_and_grad,
     mdm_loss,
     noise_sequence,
     per_token_loss,

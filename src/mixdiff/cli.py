@@ -483,7 +483,7 @@ def main(argv=None) -> int:
     except CorpusFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except MixdiffError as exc:

@@ -11,7 +11,6 @@ and the loss path mixes in beta_t pi_t regardless.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,13 +19,13 @@ from .elbo import (
     DEFAULT_WEIGHT_CLIP,
     EXACT,
     WeightingMode,
-    loss_weight,
     kl_divergence,
+    loss_and_grad,
     noise_sequence,
     stratified_times,
 )
 from .errors import CorpusFormatError, DegenerateEvidenceError
-from .schedule import LOG_FLOOR, MixingSchedule, Vocab
+from .schedule import MixingSchedule, Vocab
 
 
 @dataclass(frozen=True)
@@ -261,54 +260,6 @@ class TrainingReport:
     steps: int
 
 
-def _example_loss_and_grad(
-    schedule: MixingSchedule,
-    t: float,
-    z_seq: np.ndarray,
-    x_seq: np.ndarray,
-    logits: np.ndarray,
-    mode: WeightingMode,
-    weight_clip: float | None,
-) -> tuple[float, np.ndarray]:
-    """Summed per-position loss and logit gradient for one noisy example.
-
-    Vectorized version of the scalar per-token loss/grad; mask logits are
-    excluded from the softmax (the table never predicts mask).
-    """
-    mask_id = schedule.vocab.mask_id
-    s = masked_softmax(logits, mask_id)
-    a = schedule.alpha(t)
-    bp = schedule.beta_pi(t)
-    q_model = a * s + bp[None, :]
-    length = len(x_seq)
-    pos = np.arange(length)
-    q_true = np.tile(bp, (length, 1))
-    q_true[pos, x_seq] += a
-    w = np.array(
-        [
-            loss_weight(schedule, t, int(z_seq[i]), int(x_seq[i]), mode, weight_clip)
-            for i in range(length)
-        ]
-    )
-    support = q_true > 0
-    log_ratio = np.zeros_like(q_true)
-    log_ratio[support] = np.log(np.maximum(q_true[support], LOG_FLOOR)) - np.log(
-        np.maximum(q_model[support], LOG_FLOOR)
-    )
-    kl = (q_true * log_ratio).sum(axis=1)
-    p_z = np.maximum(q_true[pos, z_seq], LOG_FLOOR)
-    q_z = np.maximum(q_model[pos, z_seq], LOG_FLOOR)
-    ratio = p_z / q_z
-    is_term = ratio - np.log(ratio) - 1.0
-    loss = float((w * (kl + is_term)).sum())
-
-    g_q = -q_true / q_model
-    g_q[pos, z_seq] += 1.0 / q_z - p_z / q_z**2
-    g_s = a * w[:, None] * g_q
-    grad = s * (g_s - (s * g_s).sum(axis=1, keepdims=True))
-    return loss, grad
-
-
 def table_train(
     dist: ToyDistribution,
     schedule: MixingSchedule,
@@ -338,11 +289,12 @@ def table_train(
             x_seq = xs[b]
             z_seq = noise_sequence(schedule, x_seq, t, rng)
             entry = table._entry(z_seq, t)
-            loss, grad = _example_loss_and_grad(
-                schedule, t, z_seq, x_seq, entry, mode, weight_clip
+            probs = masked_softmax(entry, schedule.vocab.mask_id)
+            w, kl, is_term, grad = loss_and_grad(
+                schedule, t, z_seq, x_seq, probs, mode, weight_clip
             )
             entry -= table.learning_rate * grad
-            step_loss += loss / dist.length
+            step_loss += float((w * (kl + is_term)).sum()) / dist.length
         avg = step_loss / batch
         if step % trajectory_every == 0 or step == steps - 1:
             trajectory.append(avg)

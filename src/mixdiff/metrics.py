@@ -40,9 +40,13 @@ def self_accuracy(
     z = np.asarray(z_seq, dtype=np.int64)
     if mask_id is not None and np.any(z == mask_id):
         raise MaskedInputError("self-accuracy requires a fully denoised sequence")
-    probs = denoiser.predict(z, t_condition)
+    return self_accuracy_from_probs(z, denoiser.predict(z, t_condition))
+
+
+def self_accuracy_from_probs(z_seq: np.ndarray, probs: np.ndarray) -> float:
+    """Fraction of positions whose token is an argmax (ties count) of its row."""
     row_max = probs.max(axis=1)
-    own = probs[np.arange(len(z)), z]
+    own = probs[np.arange(len(z_seq)), z_seq]
     return float(np.mean(own >= row_max - 1e-12))
 
 

@@ -8,13 +8,13 @@ independent of batching.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .denoiser import Denoiser
 from .errors import EmptySupportError, MaskedInputError, OrderingError
+from .metrics import self_accuracy_from_probs
 from .schedule import DEFAULT_EPS_T, MixingSchedule
 
 
@@ -195,12 +195,6 @@ class SelfCorrectResult:
     edits: int
 
 
-def _self_accuracy_from_probs(z_seq: np.ndarray, probs: np.ndarray) -> float:
-    row_max = probs.max(axis=1)
-    own = probs[np.arange(len(z_seq)), z_seq]
-    return float(np.mean(own >= row_max - 1e-12))
-
-
 def self_correct(
     z_seq,
     denoiser: Denoiser,
@@ -230,7 +224,7 @@ def self_correct(
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
         probs_raw = denoiser.predict(z, config.t_condition)
-        acc = _self_accuracy_from_probs(z, probs_raw)
+        acc = self_accuracy_from_probs(z, probs_raw)
         trajectory.append(acc)
         if acc > best_acc + 1e-15:
             best_acc = acc

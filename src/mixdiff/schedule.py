@@ -12,7 +12,7 @@ keeping the all-mask prior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -7,15 +7,12 @@ shape properties at tight tolerances.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .elbo import CLAMP, DYNAMIC, EXACT, WeightingMode, mdm_loss, per_token_loss
+from .elbo import CLAMP, DYNAMIC, EXACT, mdm_loss, per_token_loss
 from .schedule import (
     HybridSchedule,
     MaskOnlySchedule,
-    MixingSchedule,
     ScheduleParams,
     Vocab,
     make_schedule,

@@ -133,6 +133,25 @@ def test_sample_round_trip(capsys, tmp_path, dist_file):
     assert out2 == out
 
 
+def test_sample_out_directory_is_data_error(capsys, tmp_path, dist_file):
+    argv = [
+        "sample",
+        "--dist",
+        dist_file,
+        "--schedule",
+        "hybrid",
+        "--p-u",
+        "0.05",
+        "--count",
+        "4",
+        "--out",
+        str(tmp_path),
+    ]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "data error" in err
+
+
 def test_train_then_nelbo_with_table(capsys, tmp_path, dist_file, corpus_file):
     table_path = tmp_path / "table.txt"
     code, out, _ = run(
