@@ -18,7 +18,14 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from .denoiser import LogitTable, OracleDenoiser, ToyDistribution, table_train
+from .denoiser import (
+    LogitTable,
+    OracleDenoiser,
+    ToyDistribution,
+    _read_records,
+    _vocab_header,
+    table_train,
+)
 from .elbo import WeightingMode, noise_sequence, sequence_nelbo
 from .errors import CorpusFormatError, MixdiffError
 from .metrics import generative_nll, self_accuracy, tv_distance, unigram_entropy
@@ -48,7 +55,6 @@ CONFIG_KEYS = {
     "max_iters": int,
     "t_condition": float,
     "grid_size": int,
-    "pu_epsilon": float,
 }
 
 DEFAULTS = {
@@ -71,7 +77,6 @@ DEFAULTS = {
     "max_iters": 256,
     "t_condition": DEFAULT_EPS_T,
     "grid_size": 101,
-    "pu_epsilon": None,
 }
 
 
@@ -81,32 +86,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_corpus(path: str) -> tuple[Vocab, list[np.ndarray]]:
-    if path == "-":
-        lines = [ln.strip() for ln in sys.stdin if ln.strip()]
-    else:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise CorpusFormatError("empty corpus")
-    try:
-        n, length, mask_id = (int(v) for v in lines[0].split())
-    except ValueError as exc:
-        raise CorpusFormatError(f"bad header: {exc}", line=1) from exc
-    vocab = Vocab(n, mask_id)
-    seqs = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        try:
-            seq = np.array([int(v) for v in ln.split()], dtype=np.int64)
-        except ValueError as exc:
-            raise CorpusFormatError(f"bad sequence: {exc}", line=lineno) from exc
+    """Read a corpus file; `-` reads standard input."""
+
+    def sequence(head, fields):
+        vocab, length = head
+        seq = np.array([int(v) for v in fields], dtype=np.int64)
         if seq.size != length:
-            raise CorpusFormatError(
-                f"sequence has {seq.size} tokens, expected {length}", line=lineno
-            )
-        if np.any(seq < 0) or np.any(seq >= n):
-            raise CorpusFormatError("token id out of range", line=lineno)
-        seqs.append(seq)
-    return vocab, seqs
+            raise ValueError(f"sequence has {seq.size} tokens, expected {length}")
+        if np.any(seq < 0) or np.any(seq >= vocab.size):
+            raise ValueError("token id out of range")
+        return seq
+
+    return _read_records(
+        path, "corpus", _vocab_header, sequence, lambda head, seqs: (head[0], seqs)
+    )
 
 
 def write_corpus(fh, vocab: Vocab, length: int, seqs) -> None:
@@ -145,12 +138,10 @@ def resolve_config(args) -> dict:
 
 
 def build_schedule(cfg: dict, vocab: Vocab):
-    p_u = cfg["p_u"]
-    if cfg["schedule"] == "hybrid" and p_u == 0.0 and cfg.get("pu_epsilon"):
-        # study mode reproducing the tiny-nonzero uniform-noise workaround
-        p_u = cfg["pu_epsilon"]
+    if cfg["schedule"] == "mask" and cfg["p_u"] != 0.0:
+        raise ValueError(f"p_u={cfg['p_u']!r} needs --schedule hybrid")
     return make_schedule(
-        cfg["schedule"], vocab, p_u=p_u, gamma=cfg["gamma"], eps_t=cfg["eps_t"]
+        cfg["schedule"], vocab, p_u=cfg["p_u"], gamma=cfg["gamma"], eps_t=cfg["eps_t"]
     )
 
 
@@ -406,7 +397,6 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int)
         p.add_argument("--mode", choices=["exact", "clamp", "dynamic"])
         p.add_argument("--w-max", dest="w_max", type=float)
-        p.add_argument("--pu-epsilon", dest="pu_epsilon", type=float)
 
     p = sub.add_parser("noise", help="resample corpus tokens from the forward marginal")
     common(p)

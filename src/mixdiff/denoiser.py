@@ -11,6 +11,8 @@ and the loss path mixes in beta_t pi_t regardless.
 
 from __future__ import annotations
 
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,36 @@ from .errors import CorpusFormatError, DegenerateEvidenceError
 from .schedule import MixingSchedule, Vocab
 
 
+def _read_records(path: str, what: str, parse_header, parse_row, build):
+    """Read a text file of one header line and one record per line.
+
+    `-` reads standard input. Blank lines are skipped; line numbers count
+    physical lines. parse_header(fields) and parse_row(head, fields) get the
+    whitespace-separated fields of a line, and build(head, rows) makes the
+    result. A ValueError or IndexError from any of them becomes a
+    CorpusFormatError naming the line being read (the last line for build).
+    """
+    with nullcontext(sys.stdin) if path == "-" else open(path) as fh:
+        lines = [(n, ln.split()) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines:
+        raise CorpusFormatError(f"empty {what}")
+    lineno, fields = lines[0]
+    try:
+        head = parse_header(fields)
+        rows = []
+        for lineno, fields in lines[1:]:
+            rows.append(parse_row(head, fields))
+        return build(head, rows)
+    except (ValueError, IndexError) as exc:
+        raise CorpusFormatError(f"bad {what}: {exc}", line=lineno) from exc
+
+
+def _vocab_header(fields) -> tuple[Vocab, int]:
+    """The `N L mask_id` header fields."""
+    n, length, mask_id = (int(v) for v in fields)
+    return Vocab(n, mask_id), length
+
+
 @dataclass(frozen=True)
 class ToyDistribution:
     """Enumerable distribution over fixed-length sequences of non-mask tokens."""
@@ -41,17 +73,21 @@ class ToyDistribution:
             raise ValueError("sequence length must be >= 1")
         total = 0.0
         for seq, prob in self.outcomes:
-            if len(seq) != self.length:
-                raise ValueError("all outcomes must have identical length")
-            if self.vocab.mask_id in seq:
-                raise ValueError("outcomes must not contain the mask token")
-            for tok in seq:
-                self.vocab.check_token(tok)
-            if prob < 0:
-                raise ValueError("outcome probabilities must be nonnegative")
+            self._check_outcome(self.vocab, self.length, seq, prob)
             total += prob
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
+
+    @staticmethod
+    def _check_outcome(vocab: Vocab, length: int, seq, prob: float) -> None:
+        if len(seq) != length:
+            raise ValueError(f"outcome has {len(seq)} tokens, expected {length}")
+        if vocab.mask_id in seq:
+            raise ValueError("outcomes must not contain the mask token")
+        for tok in seq:
+            vocab.check_token(tok)
+        if prob < 0:
+            raise ValueError("outcome probabilities must be nonnegative")
 
     @property
     def sequences(self) -> np.ndarray:
@@ -86,28 +122,18 @@ class ToyDistribution:
 
     @classmethod
     def load(cls, path: str) -> "ToyDistribution":
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines:
-            raise CorpusFormatError("empty distribution file")
-        try:
-            n, length, mask_id = (int(v) for v in lines[0].split())
-        except ValueError as exc:
-            raise CorpusFormatError(f"bad header: {exc}", line=1) from exc
-        outcomes = []
-        for lineno, ln in enumerate(lines[1:], start=2):
-            parts = ln.split()
-            try:
-                prob = float(parts[0])
-                seq = tuple(int(v) for v in parts[1:])
-            except ValueError as exc:
-                raise CorpusFormatError(f"bad outcome: {exc}", line=lineno) from exc
-            if len(seq) != length:
-                raise CorpusFormatError(
-                    f"outcome has {len(seq)} tokens, expected {length}", line=lineno
-                )
-            outcomes.append((seq, prob))
-        return cls(Vocab(n, mask_id), length, tuple(outcomes))
+        def outcome(head, f):
+            seq, prob = tuple(int(v) for v in f[1:]), float(f[0])
+            cls._check_outcome(*head, seq, prob)
+            return seq, prob
+
+        return _read_records(
+            path,
+            "distribution file",
+            _vocab_header,
+            outcome,
+            lambda head, outcomes: cls(*head, tuple(outcomes)),
+        )
 
 
 class Denoiser:
@@ -224,33 +250,25 @@ class LogitTable(Denoiser):
 
     @classmethod
     def load(cls, path: str) -> "LogitTable":
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines:
-            raise CorpusFormatError("empty table file")
-        head = lines[0].split()
-        try:
-            n, length, mask_id, buckets = (int(v) for v in head[:4])
-            eps_t, lr = float(head[4]), float(head[5])
-        except (ValueError, IndexError) as exc:
-            raise CorpusFormatError(f"bad header: {exc}", line=1) from exc
-        table = cls(
-            Vocab(n, mask_id), length, t_buckets=buckets, eps_t=eps_t, learning_rate=lr
-        )
-        for lineno, ln in enumerate(lines[1:], start=2):
-            parts = ln.split()
-            try:
-                bucket = int(parts[0])
-                seq = tuple(int(v) for v in parts[1 : 1 + length])
-                flat = np.array([float(v) for v in parts[1 + length :]])
-            except ValueError as exc:
-                raise CorpusFormatError(f"bad entry: {exc}", line=lineno) from exc
+        def header(f):
+            vocab, length = _vocab_header(f[:3])
+            return cls(
+                vocab, length, t_buckets=int(f[3]), eps_t=float(f[4]), learning_rate=float(f[5])
+            )
+
+        def entry(table, f):
+            n, length = table.vocab.size, table.length
+            flat = np.array([float(v) for v in f[1 + length :]])
             if flat.size != length * n:
-                raise CorpusFormatError(
-                    f"entry has {flat.size} logits, expected {length * n}", line=lineno
-                )
-            table.table[(bucket, seq)] = flat.reshape(length, n)
-        return table
+                raise ValueError(f"entry has {flat.size} logits, expected {length * n}")
+            key = (int(f[0]), tuple(int(v) for v in f[1 : 1 + length]))
+            return key, flat.reshape(length, n)
+
+        def build(table, entries):
+            table.table.update(entries)
+            return table
+
+        return _read_records(path, "table file", header, entry, build)
 
 
 @dataclass(frozen=True)

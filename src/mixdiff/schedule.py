@@ -4,9 +4,10 @@ A mixing schedule is the pair (alpha_t, pi_t): a decreasing mixing rate and a
 time-varying mixing distribution. Everything else follows from them: marginals
 q_t(. | x) = alpha_t x + beta_t pi_t, conditional transitions between two
 times, the forward/backward CTMC rates, the per-token loss weights, and the
-log-SNR. Two concrete schedules are provided: mask-only interpolation and a
-hybrid schedule that mixes in a configurable amount of uniform noise while
-keeping the all-mask prior.
+log-SNR. One schedule class covers the family: a hybrid schedule that mixes
+in a configurable amount of uniform noise while keeping the all-mask prior.
+With no uniform noise (p_u = 0) it is mask-only interpolation;
+`MaskOnlySchedule` and `HybridSchedule` are factories for the two cases.
 """
 
 from __future__ import annotations
@@ -117,39 +118,46 @@ class ConditionalTransition:
 
 
 class MixingSchedule:
-    """Base class; concrete schedules define the closed-form quantities.
+    """Mask prior with a mid-trajectory bump of uniform noise.
+
+    alpha_t = (1-t)/C_t and beta_t pi_t = (t m + c_t u)/C_t with
+    c_t = B t^(gamma/2) (1-t)^(gamma/2) and C_t = 1 + c_t. The total mass on
+    the uniform component, c_t/C_t, peaks at t = 1/2 with value exactly p_u.
+    p_u = 0 is an exact analytic branch (c identically zero): mask-only
+    interpolation, alpha_t = 1 - t.
 
     All time arguments are validated against [eps_t, 1 - eps_t]; exact
     endpoints are rejected because some derived quantities are singular there.
     """
 
-    def __init__(self, vocab: Vocab, eps_t: float = DEFAULT_EPS_T):
+    def __init__(self, vocab: Vocab, params: ScheduleParams):
         self.vocab = vocab
-        self.eps_t = float(eps_t)
-        self._mask = vocab.mask_one_hot()
-        self._uniform = vocab.uniform_non_mask()
+        self.params = params
+        self.eps_t = float(params.eps_t)
+        # The constant B; zero for mask-only. Used by the dynamic loss weighting.
+        self.uniform_mix_constant = params.B
+        self._u = 1.0 / (vocab.size - 1)
 
-    # -- quantities each concrete schedule provides ---------------------------
+    def _spread(self, at_mask: float, elsewhere: float) -> np.ndarray:
+        """A length-N vector: `at_mask` at the mask id, `elsewhere` at the rest."""
+        # empty + fill costs less than half of np.full on a few entries
+        v = np.empty(self.vocab.size)
+        v.fill(elsewhere)
+        v[self.vocab.mask_id] = at_mask
+        return v
 
-    def alpha(self, t: float) -> float:
-        raise NotImplementedError
+    def _c(self, t: float) -> float:
+        b = self.uniform_mix_constant
+        if b == 0.0:
+            return 0.0
+        g = self.params.gamma
+        return b * t ** (g / 2.0) * (1.0 - t) ** (g / 2.0)
 
-    def alpha_prime(self, t: float) -> float:
-        raise NotImplementedError
-
-    def beta_pi(self, t: float) -> np.ndarray:
-        """The noise component beta_t * pi_t of the marginal."""
-        raise NotImplementedError
-
-    def rate_vector(self, t: float) -> np.ndarray:
-        """beta_t pi_t' - (alpha_t'/alpha_t) pi_t, the off-diagonal rate profile."""
-        raise NotImplementedError
-
-    # The hybrid-schedule constant; zero for mask-only. Used by the dynamic
-    # loss weighting.
-    uniform_mix_constant: float = 0.0
-
-    # -- derived quantities ----------------------------------------------------
+    def _c_prime(self, t: float) -> float:
+        if self.uniform_mix_constant == 0.0:
+            return 0.0
+        g = self.params.gamma
+        return (g / 2.0) * (1.0 - 2.0 * t) / (t * (1.0 - t)) * self._c(t)
 
     def check_time(self, t: float) -> float:
         t = float(t)
@@ -158,6 +166,38 @@ class MixingSchedule:
                 f"t={t!r} outside [{self.eps_t}, {1.0 - self.eps_t}]"
             )
         return t
+
+    def alpha(self, t: float) -> float:
+        t = self.check_time(t)
+        return (1.0 - t) / (1.0 + self._c(t))
+
+    def alpha_prime(self, t: float) -> float:
+        # d/dt of (1-t)/C: exactly -1 when c is identically zero
+        t = self.check_time(t)
+        c = self._c(t)
+        return -((1.0 + c) + (1.0 - t) * self._c_prime(t)) / (1.0 + c) ** 2
+
+    def beta_pi(self, t: float) -> np.ndarray:
+        """The noise component beta_t * pi_t of the marginal."""
+        t = self.check_time(t)
+        c = self._c(t)
+        return self._spread(t / (1.0 + c), c * self._u / (1.0 + c))
+
+    def rate_vector(self, t: float) -> np.ndarray:
+        """beta_t pi_t' - (alpha_t'/alpha_t) pi_t, the off-diagonal rate profile.
+
+        Closed form: (m + (c + (1-t) c') u) / (C (1-t)).
+        """
+        t = self.check_time(t)
+        c = self._c(t)
+        d = (1.0 + c) * (1.0 - t)
+        return self._spread(1.0 / d, (c + (1.0 - t) * self._c_prime(t)) * self._u / d)
+
+    def uniform_mass(self, t: float) -> float:
+        """Total probability of the uniform component at time t: c_t / C_t."""
+        t = self.check_time(t)
+        c = self._c(t)
+        return c / (1.0 + c)
 
     def beta(self, t: float) -> float:
         return 1.0 - self.alpha(t)
@@ -237,88 +277,14 @@ class MixingSchedule:
         return float(self.rate_vector(t)[z_t] / q[z_t])
 
 
-class MaskOnlySchedule(MixingSchedule):
-    """Linear interpolation between data and the mask token: alpha_t = 1 - t."""
-
-    uniform_mix_constant = 0.0
-
-    def alpha(self, t: float) -> float:
-        return 1.0 - self.check_time(t)
-
-    def alpha_prime(self, t: float) -> float:
-        self.check_time(t)
-        return -1.0
-
-    def beta_pi(self, t: float) -> np.ndarray:
-        return self.check_time(t) * self._mask
-
-    def pi(self, t: float) -> np.ndarray:
-        self.check_time(t)
-        return self._mask.copy()
-
-    def rate_vector(self, t: float) -> np.ndarray:
-        # pi is constant, so the rate profile is -(alpha'/alpha) pi = pi/(1-t).
-        t = self.check_time(t)
-        return self._mask / (1.0 - t)
+def MaskOnlySchedule(vocab: Vocab, eps_t: float = DEFAULT_EPS_T) -> MixingSchedule:
+    """Linear interpolation between data and the mask token: p_u = 0."""
+    return MixingSchedule(vocab, ScheduleParams(p_u=0.0, eps_t=eps_t))
 
 
-class HybridSchedule(MixingSchedule):
-    """Mask prior with a mid-trajectory bump of uniform noise.
-
-    alpha_t = (1-t)/C_t and beta_t pi_t = (t m + c_t u)/C_t with
-    c_t = B t^(gamma/2) (1-t)^(gamma/2) and C_t = 1 + c_t. The total mass on
-    the uniform component, c_t/C_t, peaks at t = 1/2 with value exactly p_u.
-    p_u = 0 is an exact analytic branch (c identically zero) that collapses to
-    the mask-only schedule.
-    """
-
-    def __init__(self, vocab: Vocab, params: ScheduleParams):
-        super().__init__(vocab, eps_t=params.eps_t)
-        self.params = params
-        self.uniform_mix_constant = params.B
-
-    def _c(self, t: float) -> float:
-        b = self.params.B
-        if b == 0.0:
-            return 0.0
-        g = self.params.gamma
-        return b * t ** (g / 2.0) * (1.0 - t) ** (g / 2.0)
-
-    def _c_prime(self, t: float) -> float:
-        if self.params.B == 0.0:
-            return 0.0
-        g = self.params.gamma
-        return (g / 2.0) * (1.0 - 2.0 * t) / (t * (1.0 - t)) * self._c(t)
-
-    def alpha(self, t: float) -> float:
-        t = self.check_time(t)
-        return (1.0 - t) / (1.0 + self._c(t))
-
-    def alpha_prime(self, t: float) -> float:
-        # closed form: alpha'/alpha = -1/(1-t) - c'/(1+c)
-        t = self.check_time(t)
-        ratio = -1.0 / (1.0 - t) - self._c_prime(t) / (1.0 + self._c(t))
-        return ratio * self.alpha(t)
-
-    def beta_pi(self, t: float) -> np.ndarray:
-        t = self.check_time(t)
-        c = self._c(t)
-        return (t * self._mask + c * self._uniform) / (1.0 + c)
-
-    def rate_vector(self, t: float) -> np.ndarray:
-        # closed form: (m + (c + (1-t) c') u) / (C (1-t))
-        t = self.check_time(t)
-        c = self._c(t)
-        cp = self._c_prime(t)
-        return (self._mask + (c + (1.0 - t) * cp) * self._uniform) / (
-            (1.0 + c) * (1.0 - t)
-        )
-
-    def uniform_mass(self, t: float) -> float:
-        """Total probability of the uniform component at time t: c_t / C_t."""
-        t = self.check_time(t)
-        c = self._c(t)
-        return c / (1.0 + c)
+def HybridSchedule(vocab: Vocab, params: ScheduleParams) -> MixingSchedule:
+    """The mixing schedule of `params`."""
+    return MixingSchedule(vocab, params)
 
 
 def make_schedule(

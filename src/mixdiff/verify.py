@@ -10,19 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .elbo import CLAMP, DYNAMIC, EXACT, mdm_loss, per_token_loss
-from .schedule import (
-    HybridSchedule,
-    MaskOnlySchedule,
-    ScheduleParams,
-    Vocab,
-    make_schedule,
-)
+from .schedule import Vocab, make_schedule
 
 
 def _schedules(n: int, p_u: float = 0.2):
     vocab = Vocab(n, n - 1)
-    yield "mask", MaskOnlySchedule(vocab)
-    yield "hybrid", HybridSchedule(vocab, ScheduleParams(p_u=p_u))
+    yield "mask", make_schedule("mask", vocab)
+    yield "hybrid", make_schedule("hybrid", vocab, p_u=p_u)
 
 
 def _rand_times(schedule, rng, size):
@@ -179,33 +173,39 @@ def check_uniform_calibration(grid=200, tol=1e-12):
 
 
 def check_pu_zero_collapse(seed=7, cases=200, n=6, tol=1e-14):
-    """Hybrid with p_u = 0 equals mask-only in every queried quantity."""
+    """Hybrid with p_u = 0 equals the mask-only closed forms in every queried
+    quantity: alpha = 1-t, alpha' = -1, beta_pi = t m, pi = m, rate = m/(1-t),
+    the marginal, alpha_ts = (1-t)/(1-s) and the weight rate[z] / q_t(z | x)."""
     rng = np.random.default_rng(seed)
-    vocab = Vocab(n, n - 1)
-    mask = MaskOnlySchedule(vocab)
-    hyb = HybridSchedule(vocab, ScheduleParams(p_u=0.0))
+    hyb = make_schedule("hybrid", Vocab(n, n - 1), p_u=0.0)
+    m = hyb.vocab.mask_one_hot()
     worst = 0.0
     for _ in range(cases):
-        s, t = np.sort(_rand_times(mask, rng, 2))
+        s, t = np.sort(_rand_times(hyb, rng, 2))
         x = int(rng.integers(n))
-        worst = max(worst, float(np.abs(mask.marginal(t, x) - hyb.marginal(t, x)).max()))
-        tm = mask.conditional_transition(s, t).matrix()
-        th = hyb.conditional_transition(s, t).matrix()
-        worst = max(worst, float(np.abs(tm - th).max()))
-        worst = max(worst, float(np.abs(mask.rate_vector(t) - hyb.rate_vector(t)).max()))
         z = int(rng.integers(n))
-        qm = mask.marginal(t, x)
-        if qm[z] > 0:
-            worst = max(
-                worst, abs(mask.elbo_weight(t, z, x) - hyb.elbo_weight(t, z, x))
-            )
+        q = t * m
+        q[x] += 1.0 - t
+        pairs = [
+            (hyb.alpha(t), 1.0 - t),
+            (hyb.alpha_prime(t), -1.0),
+            (hyb.beta_pi(t), t * m),
+            (hyb.pi(t), m),
+            (hyb.rate_vector(t), m / (1.0 - t)),
+            (hyb.marginal(t, x), q),
+            (hyb.conditional_transition(s, t).alpha_ts, (1.0 - t) / (1.0 - s)),
+        ]
+        if q[z] > 0:
+            pairs.append((hyb.elbo_weight(t, z, x), m[z] / (1.0 - t) / q[z]))
+        for got, ref in pairs:
+            worst = max(worst, float(np.abs(np.subtract(got, ref)).max()))
     return "pu_zero_collapse", worst <= tol, f"max abs difference {worst:.3e}"
 
 
 def check_mdm_equivalence(seed=8, cases=1000, n=6, rtol=1e-8):
     """Exact-weight loss under mask-only noise equals the reference MDM loss."""
     rng = np.random.default_rng(seed)
-    sched = MaskOnlySchedule(Vocab(n, n - 1))
+    sched = make_schedule("mask", Vocab(n, n - 1))
     worst = 0.0
     for _ in range(cases):
         t = float(_rand_times(sched, rng, 1)[0])

@@ -65,6 +65,36 @@ def test_bad_corpus_is_data_error(capsys, tmp_path):
     code, _, err = run(capsys, ["noise", "--corpus", str(bad), "--t", "0.5"])
     assert code == 2
     assert "line 2" in err
+    # line numbers count blank lines
+    bad.write_text("3 2 2\n\n0 zero\n")
+    code, _, err = run(capsys, ["noise", "--corpus", str(bad), "--t", "0.5"])
+    assert code == 2
+    assert "line 3" in err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("3 2 5\n0.5 0 0\n0.5 1 1\n", 1),  # mask id outside the vocab
+        ("3 2 2\n0.5 0 0\n0.5 2 2\n", 3),  # mask token in an outcome
+        ("3 2 2\n0.5 0 0\n0.4 1 1\n", 3),  # probabilities sum to 0.9
+    ],
+    ids=["mask_id_outside_vocab", "mask_in_outcome", "probs_sum_below_1"],
+)
+def test_bad_distribution_contents_are_data_errors(capsys, tmp_path, text, line):
+    path = tmp_path / "dist.txt"
+    path.write_text(text)
+    out = tmp_path / "table.txt"
+    code, _, err = run(capsys, ["train", "--dist", str(path), "--steps", "1", "--out", str(out)])
+    assert code == 2
+    assert f"data error: line {line}:" in err
+
+
+def test_p_u_needs_hybrid_schedule(capsys, dist_file):
+    code, out, err = run(capsys, ["oracle-eval", "--dist", dist_file, "--p-u", "0.2"])
+    assert code == 1
+    assert out == ""
+    assert "--schedule hybrid" in err
 
 
 def test_missing_file_is_data_error(capsys):

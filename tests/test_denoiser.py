@@ -56,6 +56,10 @@ def test_toy_distribution_load_errors(tmp_path):
     with pytest.raises(CorpusFormatError) as exc:
         ToyDistribution.load(str(path))
     assert exc.value.line == 3
+    path.write_text("3 2 2\n\n0.5 0 0\n0.5 1 1 1\n")
+    with pytest.raises(CorpusFormatError) as exc:
+        ToyDistribution.load(str(path))
+    assert exc.value.line == 4
 
 
 def test_oracle_posterior_examples(two_outcome):
@@ -139,6 +143,14 @@ def test_logit_table_load_errors(tmp_path):
     with pytest.raises(CorpusFormatError) as exc:
         LogitTable.load(str(path))
     assert exc.value.line == 2
+    path.write_text("3 2 2 8 0.0001 0.5\n\n\n0 0 0 1.0 2.0\n")
+    with pytest.raises(CorpusFormatError) as exc:
+        LogitTable.load(str(path))
+    assert exc.value.line == 4
+    path.write_text("3 2 3 8 0.0001 0.5\n")  # mask id outside the vocab
+    with pytest.raises(CorpusFormatError) as exc:
+        LogitTable.load(str(path))
+    assert exc.value.line == 1
 
 
 def test_table_train_zero_steps(two_outcome):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,15 @@ def test_self_correct_rejects_masked_input(two_outcome_oracle):
     oracle, _ = two_outcome_oracle
     with pytest.raises(MaskedInputError):
         self_correct(np.array([2, 0]), oracle, SelfCorrectConfig(), 2)
+
+
+def test_sample_batch_same_bits(two_outcome):
+    """sha256 of a hybrid oracle sample, recorded before the schedule classes
+    were folded into one."""
+    sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
+    z = ancestral_sample_batch(
+        sched, 2, OracleDenoiser(two_outcome, sched), SamplerConfig(num_steps=16, seed=3), 256
+    )
+    assert z.dtype == np.int64 and z.shape == (256, 2)
+    digest = "2df9c4c85079d2b6b2d7e08350e6250229da30b2e6d91673a8d30a0651a3c73e"
+    assert hashlib.sha256(z.tobytes()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixdiff import (
-    HybridSchedule,
     MaskOnlySchedule,
     ScheduleParams,
     Vocab,
@@ -228,20 +228,56 @@ def test_uniform_mass_peaks_at_half():
 
 
 def test_pu_zero_collapses_to_mask_only():
+    """p_u = 0 gives the mask-only closed forms bit for bit."""
     vocab = Vocab(6, 5)
-    mask = MaskOnlySchedule(vocab)
-    hyb = HybridSchedule(vocab, ScheduleParams(p_u=0.0))
+    m = vocab.mask_one_hot()
     rng = np.random.default_rng(7)
-    for _ in range(100):
-        s, t = np.sort(EPS + (1 - 2 * EPS) * rng.random(2))
-        x = int(rng.integers(6))
-        np.testing.assert_allclose(mask.marginal(t, x), hyb.marginal(t, x), atol=1e-14)
-        np.testing.assert_allclose(
-            mask.conditional_transition(s, t).matrix(),
-            hyb.conditional_transition(s, t).matrix(),
-            atol=1e-14,
-        )
-        np.testing.assert_allclose(mask.rate_vector(t), hyb.rate_vector(t), atol=1e-14)
+    for sched in (make_schedule("hybrid", vocab, p_u=0.0), MaskOnlySchedule(vocab)):
+        for _ in range(100):
+            s, t = np.sort(EPS + (1 - 2 * EPS) * rng.random(2))
+            x, z = (int(v) for v in rng.integers(6, size=2))
+            q = t * m
+            q[x] += 1.0 - t
+            assert sched.alpha(t) == 1.0 - t
+            assert sched.alpha_prime(t) == -1.0
+            assert np.array_equal(sched.beta_pi(t), t * m)
+            assert np.array_equal(sched.pi(t), m)
+            assert np.array_equal(sched.rate_vector(t), m / (1.0 - t))
+            assert np.array_equal(sched.marginal(t, x), q)
+            assert sched.conditional_transition(s, t).alpha_ts == (1.0 - t) / (1.0 - s)
+            if q[z] > 0:
+                assert sched.elbo_weight(t, z, x) == m[z] / (1.0 - t) / q[z]
+
+
+# sha256 of the hybrid closed forms on a 1001-point grid, recorded before
+# the schedule classes were folded into one
+CLOSED_FORMS_SHA256 = {
+    (0.2, 3): "9f680915e26bba7a82bbb99fa006ba5837b1fd5406ca78c172c2ae38cc07bcdf",
+    (0.2, 5): "57429594574f3b2dcfca8f57ee2b84accc2377c810e21742c413f147d74ebee4",
+    (0.01, 3): "2b6f24d258e1895cd35e5d8b533fc998f19d1237b7399dbdd35ba66b726195ee",
+    (0.01, 5): "6a83c578fcd077b8fdfb8b5b9f2aa1532c33fe16df301def4c066cb01400830a",
+}
+
+
+@pytest.mark.parametrize("p_u, n", sorted(CLOSED_FORMS_SHA256))
+def test_hybrid_closed_forms_same_bits(p_u, n):
+    sched = make_schedule("hybrid", Vocab(n, n - 1), p_u=p_u)
+    grid = np.linspace(sched.eps_t, 1.0 - sched.eps_t, 1001)
+    h = hashlib.sha256()
+    for s, t in zip(grid[:-1], grid[1:]):
+        trans = sched.conditional_transition(s, t)
+        for v in (
+            sched.alpha(t),
+            sched.beta_pi(t),
+            sched.pi(t),
+            sched.rate_vector(t),
+            sched.log_snr(t),
+            sched.uniform_mass(t),
+            trans.alpha_ts,
+            trans.beta_pi_ts,
+        ):
+            h.update(np.asarray(v, dtype=float).tobytes())
+    assert h.hexdigest() == CLOSED_FORMS_SHA256[p_u, n]
 
 
 def test_make_schedule_rejects_unknown():
