@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 invariant failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -29,33 +30,17 @@ from .denoiser import (
 from .elbo import WeightingMode, noise_sequence, sequence_nelbo
 from .errors import CorpusFormatError, MixdiffError
 from .metrics import generative_nll, self_accuracy, tv_distance, unigram_entropy
-from .sampler import SamplerConfig, SelfCorrectConfig, ancestral_sample_batch, self_correct
+from .sampler import (
+    SamplerConfig,
+    SelfCorrectConfig,
+    ancestral_sample_batch,
+    check_seed,
+    derive_seed,
+    self_correct,
+)
 from .schedule import DEFAULT_EPS_T, Vocab, make_schedule
 
 USAGE_ERROR, DATA_ERROR, INVARIANT_FAILURE = 1, 2, 3
-
-# keys accepted in a key=value config file; CLI flags override file values
-CONFIG_KEYS = {
-    "schedule": str,
-    "p_u": float,
-    "gamma": float,
-    "eps_t": float,
-    "seed": int,
-    "mode": str,
-    "w_max": float,
-    "t_buckets": int,
-    "num_mc": int,
-    "steps": int,
-    "lr": float,
-    "batch": int,
-    "count": int,
-    "temperature": float,
-    "min_p": float,
-    "patience": int,
-    "max_iters": int,
-    "t_condition": float,
-    "grid_size": int,
-}
 
 DEFAULTS = {
     "schedule": "mask",
@@ -78,6 +63,9 @@ DEFAULTS = {
     "t_condition": DEFAULT_EPS_T,
     "grid_size": 101,
 }
+
+# keys accepted in a key=value config file and their types; CLI flags override file values
+CONFIG_KEYS = {key: type(value) for key, value in DEFAULTS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,12 +122,14 @@ def resolve_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    check_seed(cfg["seed"])
     return cfg
 
 
 def build_schedule(cfg: dict, vocab: Vocab):
-    if cfg["schedule"] == "mask" and cfg["p_u"] != 0.0:
-        raise ValueError(f"p_u={cfg['p_u']!r} needs --schedule hybrid")
+    for key, mask_value in (("p_u", 0.0), ("gamma", 1.0)):
+        if cfg["schedule"] == "mask" and cfg[key] != mask_value:
+            raise ValueError(f"{key}={cfg[key]!r} needs --schedule hybrid")
     return make_schedule(
         cfg["schedule"], vocab, p_u=cfg["p_u"], gamma=cfg["gamma"], eps_t=cfg["eps_t"]
     )
@@ -156,15 +146,15 @@ def emit_json(payload: dict, cfg: dict) -> None:
     sys.stdout.write("\n")
 
 
-def load_denoiser(args, cfg, schedule_factory):
-    """Returns (denoiser, vocab, length, dist-or-None)."""
+def load_denoiser(args, cfg):
+    """Returns (denoiser, vocab, length, dist-or-None, schedule)."""
     if getattr(args, "dist", None):
         dist = ToyDistribution.load(args.dist)
-        sched = schedule_factory(dist.vocab)
+        sched = build_schedule(cfg, dist.vocab)
         return OracleDenoiser(dist, sched), dist.vocab, dist.length, dist, sched
     if getattr(args, "table", None):
         table = LogitTable.load(args.table)
-        sched = schedule_factory(table.vocab)
+        sched = build_schedule(cfg, table.vocab)
         return table, table.vocab, table.length, None, sched
     raise CorpusFormatError("either --dist or --table is required")
 
@@ -194,15 +184,13 @@ def cmd_noise(args) -> int:
 
 def cmd_nelbo(args) -> int:
     cfg = resolve_config(args)
-    denoiser, vocab, _, _, sched = load_denoiser(
-        args, cfg, lambda v: build_schedule(cfg, v)
-    )
+    denoiser, vocab, _, _, sched = load_denoiser(args, cfg)
     _, seqs = read_corpus(args.corpus)
     mode = weighting_mode(cfg)
     means, ses = [], []
     for i, seq in enumerate(seqs):
         est = sequence_nelbo(
-            sched, seq, denoiser, cfg["num_mc"], seed=cfg["seed"] ^ i, mode=mode
+            sched, seq, denoiser, cfg["num_mc"], seed=derive_seed(cfg["seed"], i), mode=mode
         )
         means.append(est.mean_per_token)
         ses.append(est.std_error)
@@ -217,9 +205,7 @@ def cmd_nelbo(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = resolve_config(args)
-    denoiser, vocab, length, dist, sched = load_denoiser(
-        args, cfg, lambda v: build_schedule(cfg, v)
-    )
+    denoiser, vocab, length, dist, sched = load_denoiser(args, cfg)
     sampler_cfg = SamplerConfig(
         num_steps=cfg["steps"],
         eps_t=cfg["eps_t"],
@@ -246,9 +232,7 @@ def cmd_sample(args) -> int:
 
 def cmd_self_correct(args) -> int:
     cfg = resolve_config(args)
-    denoiser, vocab, length, dist, sched = load_denoiser(
-        args, cfg, lambda v: build_schedule(cfg, v)
-    )
+    denoiser, vocab, length, dist, sched = load_denoiser(args, cfg)
     _, seqs = read_corpus(args.corpus)
     sc_cfg = SelfCorrectConfig(
         temperature=cfg["temperature"],
@@ -262,18 +246,8 @@ def cmd_self_correct(args) -> int:
     acc_before, acc_after = [], []
     for i, seq in enumerate(seqs):
         acc_before.append(self_accuracy(seq, denoiser, sc_cfg.t_condition, vocab.mask_id))
-        result = self_correct(
-            seq,
-            denoiser,
-            SelfCorrectConfig(
-                temperature=sc_cfg.temperature,
-                max_iters=sc_cfg.max_iters,
-                patience=sc_cfg.patience,
-                t_condition=sc_cfg.t_condition,
-                seed=sc_cfg.seed ^ i,
-            ),
-            vocab.mask_id,
-        )
+        seq_cfg = dataclasses.replace(sc_cfg, seed=derive_seed(sc_cfg.seed, i))
+        result = self_correct(seq, denoiser, seq_cfg, vocab.mask_id)
         corrected.append(result.sequence)
         edits += result.edits
         acc_after.append(
@@ -340,7 +314,7 @@ def cmd_oracle_eval(args) -> int:
             np.array(seq),
             oracle,
             cfg["num_mc"],
-            seed=cfg["seed"] ^ i,
+            seed=derive_seed(cfg["seed"], i),
             mode=mode,
         )
         nelbo_seq += prob * est.mean_per_token * dist.length

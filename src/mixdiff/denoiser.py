@@ -72,11 +72,17 @@ class ToyDistribution:
         if self.length < 1:
             raise ValueError("sequence length must be >= 1")
         total = 0.0
+        lookup = {}
         for seq, prob in self.outcomes:
             self._check_outcome(self.vocab, self.length, seq, prob)
             total += prob
+            key = tuple(seq)
+            if key in lookup:
+                raise ValueError(f"outcome {key} is listed twice")
+            lookup[key] = prob
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "_prob", lookup)
 
     @staticmethod
     def _check_outcome(vocab: Vocab, length: int, seq, prob: float) -> None:
@@ -98,11 +104,7 @@ class ToyDistribution:
         return np.array([p for _, p in self.outcomes])
 
     def prob_of(self, seq) -> float:
-        key = tuple(int(z) for z in seq)
-        for outcome, p in self.outcomes:
-            if outcome == key:
-                return p
-        return 0.0
+        return self._prob.get(tuple(int(z) for z in seq), 0.0)
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         idx = rng.choice(len(self.outcomes), size=count, p=self.probs)

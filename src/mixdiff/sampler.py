@@ -1,9 +1,11 @@
 """Reverse-process sampling and the self-correction fixed-point iteration.
 
 All categorical draws use exact inverse-CDF over double-precision cumulative
-sums, so a fixed seed reproduces outputs bit-for-bit. Batched sampling derives
-one RNG stream per sequence (seed XOR sequence index), which makes results
-independent of batching.
+sums, so a fixed seed reproduces outputs bit-for-bit. Batched sampling hashes
+(seed, row, step, position) into its uniforms, as Random123 does (Salmon et
+al., SC'11): one call draws a (B, L) block, row i depends only on (seed, i),
+so the first k rows of a batch do not depend on its size, and no two seeds
+share rows. Each reverse step builds its posterior once per distinct row.
 """
 
 from __future__ import annotations
@@ -16,6 +18,36 @@ from .denoiser import Denoiser
 from .errors import EmptySupportError, MaskedInputError, OrderingError
 from .metrics import self_accuracy_from_probs
 from .schedule import DEFAULT_EPS_T, MixingSchedule
+
+
+def counter_hash(*keys) -> np.ndarray:
+    """SplitMix64's finaliser (Steele et al., OOPSLA'14) chained over keys in
+    [0, 2**64), broadcasting. From h = 0, each key goes in as mix((h ^ key) +
+    golden), so it has passed the full-avalanche finaliser before the next."""
+    h = np.zeros(1, dtype=np.uint64)
+    for key in keys:
+        x = (h ^ np.asarray(key, dtype=np.uint64)) + np.uint64(0x9E3779B97F4A7C15)
+        x = (x ^ (x >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> 27)) * np.uint64(0x94D049BB133111EB)
+        h = x ^ (x >> 31)
+    return h
+
+
+def check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must lie in [0, 2**64)")
+
+
+def derive_seed(seed: int, index: int) -> int:
+    """The seed of stream `index` under `seed`: the 64-bit hash of the pair."""
+    return int(counter_hash(seed, index)[0])
+
+
+def counter_uniforms(seed: int, step: int, count: int, length: int) -> np.ndarray:
+    """(count, length) uniforms in [0, 1); entry (i, j) hashes (seed, i, step, j)."""
+    rows = np.arange(count, dtype=np.uint64)
+    h = counter_hash(seed, rows[:, None], step, np.arange(length, dtype=np.uint64))
+    return (h >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -33,6 +65,7 @@ class SamplerConfig:
             raise ValueError("temperature must be positive")
         if not 0.0 <= self.min_p < 1.0:
             raise ValueError("min_p must lie in [0, 1)")
+        check_seed(self.seed)
 
     def time_grid(self) -> np.ndarray:
         """t_i = eps + (1 - 2 eps) i / T for i = 0..T, strictly increasing."""
@@ -66,7 +99,7 @@ def _temper_rows(p: np.ndarray, temperature: float) -> np.ndarray:
     if temperature < 1e-9:
         # exact argmax limit; np.argmax breaks ties by lowest index
         out = np.zeros_like(p)
-        out[np.arange(p.shape[0]), p.argmax(axis=-1)] = 1.0
+        np.put_along_axis(out, p.argmax(axis=-1)[..., None], 1.0, axis=-1)
         return out
     logp = np.full_like(p, -np.inf)
     nz = p > 0
@@ -97,12 +130,31 @@ def adapt_distribution(p: np.ndarray, temperature: float = 1.0, min_p: float = 0
     return rows[0] if squeeze else rows
 
 
-def _inverse_cdf(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Exact inverse-CDF sampling along the last axis. rows must be normalized."""
+def _inverse_cdf(rows: np.ndarray, u: np.ndarray, inverse=slice(None)) -> np.ndarray:
+    """Exact inverse-CDF sampling along the last axis. rows must be normalized;
+    u[b] draws from rows[inverse[b]] (by default, from rows[b])."""
     cdf = np.cumsum(rows, axis=-1)
     cdf[..., -1] = 1.0
-    idx = (u[..., None] > cdf).sum(axis=-1)
+    idx = (u[..., None] > cdf[inverse]).sum(axis=-1)
     return np.minimum(idx, rows.shape[-1] - 1).astype(np.int64)
+
+
+def _distinct_rows(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows of z in lexicographic order, index of each row of z in them).
+
+    Rows of tokens in [0, n) are keyed as base-n numbers, a block of columns at
+    a time so that keys fit in int64, led by the index over the blocks before.
+    """
+    width = max(1, (62 - len(z).bit_length()) // (n - 1).bit_length())
+    index = np.zeros(len(z), dtype=np.int64)
+    keys = index[:1]
+    for j in range(0, z.shape[1], width):
+        block = z[:, j : j + width]
+        key = np.ravel_multi_index((index, *block.T), (len(keys),) + (n,) * block.shape[1])
+        keys, index = np.unique(key, return_inverse=True)
+    distinct = np.empty((len(keys), z.shape[1]), dtype=np.int64)
+    distinct[index] = z
+    return distinct, index
 
 
 def _denoise_step_batch(
@@ -118,7 +170,10 @@ def _denoise_step_batch(
 
     Forms the per-position posterior
     v(z_s) ~ q_{t_from|t_to}(z_t | z_s) q_{t_to}(z_s | x_theta) and samples it.
+    Rows that agree share their posterior, so the denoiser sees each distinct
+    row once and the posterior and its CDF are built once per distinct row.
     """
+    z_batch, inverse = _distinct_rows(z_batch, schedule.vocab.size)
     preds = denoiser.predict_batch(z_batch, t_from)
     preds = adapt_distribution(preds, config.temperature, config.min_p)
     trans = schedule.conditional_transition(t_to, t_from)
@@ -134,7 +189,7 @@ def _denoise_step_batch(
     totals = v.sum(axis=-1, keepdims=True)
     if np.any(totals <= 0.0):
         raise EmptySupportError("reverse-step posterior has no support")
-    return _inverse_cdf(v / totals, u)
+    return _inverse_cdf(v / totals, u, inverse)
 
 
 def denoise_step(
@@ -165,14 +220,13 @@ def ancestral_sample_batch(
 ) -> np.ndarray:
     """Sample `count` sequences from all-mask starts; returns (count, L).
 
-    Each sequence owns the RNG stream seeded with seed XOR its index, so any
-    batch split yields identical output.
+    Row i draws only the uniforms counter_uniforms gives row i under
+    config.seed, so the first k rows of a batch equal a k-row batch.
     """
-    rngs = [np.random.default_rng(config.seed ^ i) for i in range(count)]
     grid = config.time_grid()
     z = np.full((count, length), schedule.vocab.mask_id, dtype=np.int64)
     for i in range(config.num_steps, 0, -1):
-        u = np.stack([r.random(length) for r in rngs])
+        u = counter_uniforms(config.seed, i, count, length)
         z = _denoise_step_batch(
             schedule, z, float(grid[i]), float(grid[i - 1]), denoiser, config, u
         )

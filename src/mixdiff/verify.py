@@ -24,6 +24,13 @@ def _rand_times(schedule, rng, size):
     return lo + (hi - lo) * rng.random(size)
 
 
+def _rand_prediction(rng, n):
+    """A random distribution over tokens 0..n-2; the mask, n - 1, gets 0."""
+    x_theta = rng.random(n)
+    x_theta[n - 1] = 0.0
+    return x_theta / x_theta.sum()
+
+
 def check_chapman_kolmogorov(seed=0, triples=1000, sizes=(3, 8, 16), tol=1e-12):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -97,9 +104,7 @@ def check_backward_rows(seed=5, cases=100, n=6, tol=1e-10):
     worst = 0.0
     for _, sched in _schedules(n):
         for t in _rand_times(sched, rng, cases):
-            x_theta = rng.random(n)
-            x_theta[sched.vocab.mask_id] = 0.0
-            x_theta /= x_theta.sum()
+            x_theta = _rand_prediction(rng, n)
             for z_t in range(n):
                 row = sum(
                     sched.backward_rate(t, z_t, z_s, x_theta) for z_s in range(n)
@@ -121,9 +126,7 @@ def check_backward_rate_fd(seed=6, cases=50, n=5, delta=1e-6, rtol=1e-4):
         for _ in range(cases):
             t = lo + (hi - lo) * rng.random()
             s = t - delta
-            x_theta = rng.random(n)
-            x_theta[sched.vocab.mask_id] = 0.0
-            x_theta /= x_theta.sum()
+            x_theta = _rand_prediction(rng, n)
             q_t = sched.marginal_mix(t, x_theta)
             q_s = sched.marginal_mix(s, x_theta)
             trans = sched.conditional_transition(s, t)
@@ -210,9 +213,7 @@ def check_mdm_equivalence(seed=8, cases=1000, n=6, rtol=1e-8):
     for _ in range(cases):
         t = float(_rand_times(sched, rng, 1)[0])
         x = int(rng.integers(n - 1))
-        x_theta = rng.random(n)
-        x_theta[n - 1] = 0.0
-        x_theta /= x_theta.sum()
+        x_theta = _rand_prediction(rng, n)
         z_t = n - 1 if rng.random() < 0.5 else x
         full = per_token_loss(sched, t, z_t, x, x_theta, EXACT, weight_clip=None).total
         ref = mdm_loss(sched, t, z_t, x, x_theta)
@@ -228,9 +229,7 @@ def check_loss_nonnegative(seed=9, cases=2000, n=5):
             for _ in range(cases // 6):
                 t = float(_rand_times(sched, rng, 1)[0])
                 x = int(rng.integers(n - 1))
-                x_theta = rng.random(n)
-                x_theta[n - 1] = 0.0
-                x_theta /= x_theta.sum()
+                x_theta = _rand_prediction(rng, n)
                 q = sched.marginal(t, x)
                 support = np.flatnonzero(q > 0)
                 z_t = int(rng.choice(support))

@@ -97,6 +97,48 @@ def test_p_u_needs_hybrid_schedule(capsys, dist_file):
     assert "--schedule hybrid" in err
 
 
+def test_gamma_needs_hybrid_schedule(capsys, dist_file):
+    """--gamma shapes only the uniform bump, which the mask schedule lacks."""
+    code, out, err = run(capsys, ["oracle-eval", "--dist", dist_file, "--gamma", "3"])
+    assert code == 1
+    assert out == ""
+    assert "gamma=3.0 needs --schedule hybrid" in err
+    code, _, _ = run(capsys, ["oracle-eval", "--dist", dist_file, "--gamma", "1"])
+    assert code == 0
+
+
+def test_nelbo_sequence_seeds_differ_across_seeds(capsys, tmp_path, vocab3, dist_file):
+    """Sequence i draws from a stream hashed from (seed, i): with seed ^ i,
+    seed 0 and seed 1 scored a corpus of one sequence twice identically."""
+    corpus = tmp_path / "twice.txt"
+    write_corpus(corpus, vocab3, [(0, 0), (0, 0)])
+    nelbos = []
+    for seed in ("0", "1"):
+        argv = ["nelbo", "--dist", dist_file, "--corpus", str(corpus), "--num-mc", "4"]
+        code, out, _ = run(capsys, argv + ["--seed", seed])
+        assert code == 0
+        nelbos.append(json.loads(out)["nelbo"])
+    assert nelbos[0] != nelbos[1]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_range_is_usage_error(capsys, tmp_path, corpus_file, dist_file, seed):
+    """Every command checks the seed before it reads a sequence; `noise` used
+    to pass 2**64 to default_rng, and an empty corpus never reached a check."""
+    empty = tmp_path / "empty.txt"
+    empty.write_text("3 2 2\n")
+    for argv in (
+        ["noise", "--corpus", corpus_file, "--t", "0.5"],
+        ["nelbo", "--corpus", corpus_file, "--dist", dist_file],
+        ["nelbo", "--corpus", str(empty), "--dist", dist_file],
+        ["sample", "--dist", dist_file, "--count", "1", "--out", str(tmp_path / "s.txt")],
+    ):
+        code, out, err = run(capsys, argv + ["--seed", seed])
+        assert code == 1
+        assert out == ""
+        assert "seed must lie in [0, 2**64)" in err
+
+
 def test_missing_file_is_data_error(capsys):
     code, _, _ = run(capsys, ["noise", "--corpus", "/no/such/file", "--t", "0.5"])
     assert code == 2

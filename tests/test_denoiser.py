@@ -36,6 +36,25 @@ def test_toy_distribution_queries(two_outcome):
     assert abs(freq - 0.5) < 0.05
 
 
+def test_prob_of_lookup(vocab3):
+    """prob_of is a lookup built once; it takes any integer type."""
+    dist = ToyDistribution(vocab3, 2, (((0, 0), 0.2), ((1, 1), 0.8)))
+    assert dist.prob_of((0, 0)) == 0.2
+    assert dist.prob_of(np.array([1, 1])) == 0.8
+    assert dist.prob_of([1, 0]) == 0.0
+
+
+def test_toy_distribution_rejects_repeated_outcome(vocab3, tmp_path):
+    """prob_of would read one listing of a repeated outcome while sampling and
+    the oracle use both, so a repeated outcome is refused."""
+    with pytest.raises(ValueError, match="listed twice"):
+        ToyDistribution(vocab3, 2, (((0, 0), 0.2), ((1, 1), 0.5), ((0, 0), 0.3)))
+    path = tmp_path / "twice.txt"
+    path.write_text("3 2 2\n0.2 0 0\n0.5 1 1\n0.3 0 0\n")
+    with pytest.raises(CorpusFormatError, match="listed twice"):
+        ToyDistribution.load(str(path))
+
+
 def test_toy_distribution_round_trip(two_outcome, tmp_path):
     path = tmp_path / "dist.txt"
     two_outcome.save(str(path))

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixdiff import (
     OracleDenoiser,
@@ -17,7 +19,13 @@ from mixdiff import (
     self_correct,
 )
 from mixdiff.denoiser import Denoiser
-from mixdiff.errors import EmptySupportError, MaskedInputError, OrderingError
+from mixdiff.errors import (
+    DegenerateEvidenceError,
+    EmptySupportError,
+    MaskedInputError,
+    OrderingError,
+)
+from mixdiff.sampler import _denoise_step_batch, counter_hash, counter_uniforms
 
 
 def test_sampler_config_validation():
@@ -190,17 +198,111 @@ def test_ancestral_sample_deterministic(two_outcome):
 
 
 def test_ancestral_sample_batch_split_invariant(two_outcome):
-    """Row i of a batch equals a single-sequence run with seed ^ i."""
+    """The first k rows of a batch equal, bit for bit, a k-row batch."""
     sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.05)
     oracle = OracleDenoiser(two_outcome, sched)
-    batch = ancestral_sample_batch(
-        sched, 2, oracle, SamplerConfig(num_steps=16, seed=5), 4
-    )
-    for i in range(4):
-        single = ancestral_sample_batch(
-            sched, 2, oracle, SamplerConfig(num_steps=16, seed=5 ^ i), 1
-        )
-        np.testing.assert_array_equal(batch[i], single[0])
+    config = SamplerConfig(num_steps=16, seed=5)
+    batch = ancestral_sample_batch(sched, 2, oracle, config, 4)
+    for k in range(1, 4):
+        prefix = ancestral_sample_batch(sched, 2, oracle, config, k)
+        np.testing.assert_array_equal(batch[:k], prefix)
+
+
+def test_nearby_seeds_share_no_rows(five_outcome):
+    """With seed ^ i, row 0 of seed 1 was row 1 of seed 0, so seeds 0 and 1
+    gave the same multiset of 8 samples."""
+    sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.2)
+    oracle = OracleDenoiser(five_outcome, sched)
+
+    def multiset(seed):
+        config = SamplerConfig(num_steps=16, seed=seed)
+        return sorted(map(tuple, ancestral_sample_batch(sched, 3, oracle, config, 8).tolist()))
+
+    assert multiset(0) != multiset(1)
+
+
+def test_sampler_config_seed_range():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            SamplerConfig(seed=seed)
+    SamplerConfig(seed=2**64 - 1)
+    assert counter_uniforms(2**64 - 1, 1, 2, 3).shape == (2, 3)
+
+
+def test_counter_uniforms_contract():
+    block = counter_uniforms(0, 3, 1000, 8)
+    assert block.shape == (1000, 8) and block.dtype == np.float64
+    assert block.min() >= 0.0 and block.max() < 1.0
+    assert abs(block.mean() - 0.5) < 0.01
+    np.testing.assert_array_equal(block, counter_uniforms(0, 3, 1000, 8))
+    # entry (i, j) hashes (seed, i, step, j), so a smaller block is a prefix
+    np.testing.assert_array_equal(block[:370, :5], counter_uniforms(0, 3, 370, 5))
+    for i, j in ((0, 0), (1, 0), (0, 1), (999, 7)):
+        assert block[i, j] == int(counter_hash(0, i, 3, j)[0] >> np.uint64(11)) * 2.0**-53
+    # other seeds and other steps give unrelated blocks: no shared row and no
+    # correlation beyond chance (standard error 1/sqrt(8000) ~ 0.011)
+    for other in (counter_uniforms(1, 3, 1000, 8), counter_uniforms(0, 2, 1000, 8)):
+        assert not set(map(tuple, block.tolist())) & set(map(tuple, other.tolist()))
+        assert abs(np.corrcoef(block.ravel(), other.ravel())[0, 1]) < 0.05
+    # seed 1's rows are not seed 0's rows shifted by one (the seed ^ i defect)
+    assert not np.any(counter_uniforms(1, 3, 999, 8) == block[1:])
+
+
+class _Recording(Denoiser):
+    """Wraps a denoiser and keeps every batch it is asked to predict."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+
+    def predict_batch(self, z_seqs, t):
+        self.batches.append(np.array(z_seqs))
+        return self.inner.predict_batch(z_seqs, t)
+
+
+def _step_or_error(*args):
+    try:
+        return _denoise_step_batch(*args)
+    except (EmptySupportError, DegenerateEvidenceError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["mask", "hybrid"]),
+    adapt=st.sampled_from(
+        [(1.0, 0.0), (0.5, 0.0), (2.0, 0.0), (1e-12, 0.0), (1.0, 0.2), (0.7, 0.1)]
+    ),
+    times=st.tuples(st.floats(1e-3, 0.999), st.floats(1e-3, 0.999)),
+    data=st.data(),
+)
+def test_deduplicated_step_equals_rows_stepped_alone(kind, adapt, times, data):
+    """Rows that agree share one posterior; each row still draws with its own
+    uniforms, so the batch equals its rows stepped one at a time."""
+    outcomes = (((0, 1, 2), 0.5), ((1, 1, 0), 0.3), ((2, 0, 0), 0.2))
+    dist = ToyDistribution(Vocab(4, 3), 3, outcomes)
+    sched = make_schedule(kind, dist.vocab, p_u=0.2)
+    config = SamplerConfig(num_steps=1, temperature=adapt[0], min_p=adapt[1])
+    t_to, t_from = sorted(times)
+    token = st.integers(0, dist.vocab.size - 1)
+    bases = data.draw(st.lists(st.tuples(token, token, token), min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.integers(0, len(bases) - 1), min_size=1, max_size=24))
+    z = np.array([bases[k] for k in picks], dtype=np.int64)
+    u = np.random.default_rng(len(picks)).random(z.shape)
+    recorder = _Recording(OracleDenoiser(dist, sched))
+    batch = _step_or_error(sched, z, t_from, t_to, recorder, config, u)
+    alone = [
+        _step_or_error(sched, z[i : i + 1], t_from, t_to, recorder.inner, config, u[i : i + 1])
+        for i in range(len(z))
+    ]
+    assert len(recorder.batches) == 1
+    (seen,) = recorder.batches
+    assert sorted(map(tuple, seen.tolist())) == sorted(set(map(tuple, z.tolist())))
+    errors = [r for r in alone if isinstance(r, type)]
+    if errors:
+        assert batch in errors
+    else:
+        np.testing.assert_array_equal(batch, np.concatenate(alone))
 
 
 def test_ancestral_sample_two_outcome_frequencies(two_outcome):
@@ -258,12 +360,16 @@ def test_self_correct_rejects_masked_input(two_outcome_oracle):
 
 
 def test_sample_batch_same_bits(two_outcome):
-    """sha256 of a hybrid oracle sample, recorded before the schedule classes
-    were folded into one."""
+    """sha256 of a hybrid oracle sample on the counter-based stream.
+
+    Recorded when the per-row `seed ^ i` generators gave way to the hashed
+    stream, which changed every sample drawn for a given seed on purpose; the
+    old stream's digest was 2df9c4c85079d2b6b2d7e08350e6250229da30b2e6d91673a8d30a0651a3c73e.
+    """
     sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
     z = ancestral_sample_batch(
         sched, 2, OracleDenoiser(two_outcome, sched), SamplerConfig(num_steps=16, seed=3), 256
     )
     assert z.dtype == np.int64 and z.shape == (256, 2)
-    digest = "2df9c4c85079d2b6b2d7e08350e6250229da30b2e6d91673a8d30a0651a3c73e"
+    digest = "bc34a1409f940a1d95456dfd06233eb1869cd579064dfb5b26c3de7550dddafe"
     assert hashlib.sha256(z.tobytes()).hexdigest() == digest
