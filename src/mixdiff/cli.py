@@ -176,8 +176,7 @@ def cmd_noise(args) -> int:
     length = len(seqs[0]) if seqs else 0
     out = []
     for t in times:
-        for seq in seqs:
-            out.append(noise_sequence(sched, seq, sched.check_time(t), rng))
+        out.extend(noise_sequence(sched, np.array(seqs), sched.check_time(t), rng))
     write_corpus(sys.stdout, vocab, length, out)
     return 0
 

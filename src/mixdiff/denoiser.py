@@ -21,6 +21,8 @@ from .elbo import (
     DEFAULT_WEIGHT_CLIP,
     EXACT,
     WeightingMode,
+    _marginal_terms,
+    _noise,
     kl_divergence,
     loss_and_grad,
     noise_sequence,
@@ -138,6 +140,24 @@ class ToyDistribution:
         )
 
 
+def _distinct_rows(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows of z in lexicographic order, index of each row of z in them).
+
+    Rows of tokens in [0, n) are keyed as base-n numbers, a block of columns at
+    a time so that keys fit in int64, led by the index over the blocks before.
+    """
+    width = max(1, (62 - len(z).bit_length()) // (n - 1).bit_length())
+    index = np.zeros(len(z), dtype=np.int64)
+    keys = index[:1]
+    for j in range(0, z.shape[1], width):
+        block = z[:, j : j + width]
+        key = np.ravel_multi_index((index, *block.T), (len(keys),) + (n,) * block.shape[1])
+        keys, index = np.unique(key, return_inverse=True)
+    distinct = np.empty((len(keys), z.shape[1]), dtype=np.int64)
+    distinct[index] = z
+    return distinct, index
+
+
 class Denoiser:
     """Maps a noisy sequence and time to one distribution per position."""
 
@@ -145,9 +165,11 @@ class Denoiser:
         """Returns an (L, N) array of per-position distributions."""
         raise NotImplementedError
 
-    def predict_batch(self, z_seqs: np.ndarray, t: float) -> np.ndarray:
-        """(B, L) -> (B, L, N); default loops over predict."""
-        return np.stack([self.predict(z, t) for z in z_seqs])
+    def predict_batch(self, z_seqs: np.ndarray, t) -> np.ndarray:
+        """(B, L) -> (B, L, N) at one time t or at a (B,) array of times, one
+        per row; row b equals predict(z_seqs[b], t_b). The default loops."""
+        times = np.broadcast_to(t, len(z_seqs))
+        return np.stack([self.predict(z, tb) for z, tb in zip(z_seqs, times)])
 
 
 class OracleDenoiser(Denoiser):
@@ -168,13 +190,13 @@ class OracleDenoiser(Denoiser):
         rows, cols = np.meshgrid(np.arange(k), np.arange(l), indexing="ij")
         self._one_hot[rows, cols, self._outcomes] = 1.0
 
-    def _posterior(self, z_seqs: np.ndarray, t: float) -> np.ndarray:
+    def _posterior(self, z_seqs: np.ndarray, t) -> np.ndarray:
         """(B, L) noisy sequences -> (B, K) posterior over outcomes."""
-        a = self.schedule.alpha(t)
-        bp = self.schedule.beta_pi(t)
+        a, bp = _marginal_terms(self.schedule, t)
         # (B, K, L): per-token likelihood alpha * [z == x] + beta_pi[z]
         match = z_seqs[:, None, :] == self._outcomes[None, :, :]
-        lik = (a * match + bp[z_seqs][:, None, :]).prod(axis=2)
+        bp_z = np.take_along_axis(bp[:, 0], z_seqs, axis=1)
+        lik = (a * match + bp_z[:, None, :]).prod(axis=2)
         w = lik * self._priors[None, :]
         total = w.sum(axis=1)
         if np.any(total <= 0.0):
@@ -186,7 +208,7 @@ class OracleDenoiser(Denoiser):
     def predict(self, z_seq, t: float) -> np.ndarray:
         return self.predict_batch(np.asarray(z_seq, dtype=np.int64)[None, :], t)[0]
 
-    def predict_batch(self, z_seqs: np.ndarray, t: float) -> np.ndarray:
+    def predict_batch(self, z_seqs: np.ndarray, t) -> np.ndarray:
         z_seqs = np.asarray(z_seqs, dtype=np.int64)
         post = self._posterior(z_seqs, t)
         return np.einsum("bk,kln->bln", post, self._one_hot)
@@ -295,7 +317,9 @@ def table_train(
 
     Each step draws a batch of clean sequences, assigns them low-discrepancy
     times within the batch, noises them, and updates the entry keyed by
-    (bucket(t), noisy sequence).
+    (bucket(t), noisy sequence), example after example. Examples with other
+    keys never see each other's updates, so wave r, one loss_and_grad call for
+    the examples whose key occurs the r-th time, gives that result exactly.
     """
     rng = np.random.default_rng(seed)
     trajectory = []
@@ -303,19 +327,24 @@ def table_train(
     for step in range(steps):
         xs = dist.sample(rng, batch)
         times = stratified_times(batch, rng.random(), schedule.eps_t)
-        step_loss = 0.0
-        for b in range(batch):
-            t = float(times[b])
-            x_seq = xs[b]
-            z_seq = noise_sequence(schedule, x_seq, t, rng)
-            entry = table._entry(z_seq, t)
-            probs = masked_softmax(entry, schedule.vocab.mask_id)
+        zs = noise_sequence(schedule, xs, times, rng)
+        entries = [table._entry(z, t) for z, t in zip(zs, times.tolist())]
+        # _entry gives every example with the same key the same array
+        occurrence, seen = np.empty(batch, dtype=np.int64), {}
+        for b, entry in enumerate(entries):
+            occurrence[b] = seen.get(id(entry), 0)
+            seen[id(entry)] = occurrence[b] + 1
+        losses = np.empty(batch)
+        for r in range(max(seen.values(), default=0)):
+            wave = np.flatnonzero(occurrence == r)
+            probs = masked_softmax(np.stack([entries[b] for b in wave]), schedule.vocab.mask_id)
             w, kl, is_term, grad = loss_and_grad(
-                schedule, t, z_seq, x_seq, probs, mode, weight_clip
+                schedule, times[wave], zs[wave], xs[wave], probs, mode, weight_clip
             )
-            entry -= table.learning_rate * grad
-            step_loss += float((w * (kl + is_term)).sum()) / dist.length
-        avg = step_loss / batch
+            for b, update in zip(wave, table.learning_rate * grad):
+                entries[b] -= update
+            losses[wave] = (w * (kl + is_term)).sum(axis=-1)
+        avg = sum((losses / dist.length).tolist()) / batch
         if step % trajectory_every == 0 or step == steps - 1:
             trajectory.append(avg)
     return TrainingReport(
@@ -334,14 +363,12 @@ def posterior_kl_to_oracle(
     """Mean KL(oracle prediction || table prediction) over sampled (Z_t, t)."""
     rng = np.random.default_rng(seed)
     times = stratified_times(num_samples, rng.random(), schedule.eps_t)
-    total = 0.0
-    count = 0
-    for t in times:
-        x_seq = dist.sample(rng, 1)[0]
-        z_seq = noise_sequence(schedule, x_seq, float(t), rng)
-        p_oracle = oracle.predict(z_seq, float(t))
-        p_table = table.predict(z_seq, float(t))
-        for i in range(dist.length):
-            total += kl_divergence(p_oracle[i], p_table[i])
-            count += 1
-    return total / count
+    xs = np.empty((num_samples, dist.length), dtype=np.int64)
+    u = np.empty((num_samples, dist.length))
+    # Each sample's clean sequence and noise come from the one stream in turn.
+    for i in range(num_samples):
+        xs[i] = dist.sample(rng, 1)[0]
+        u[i] = rng.random(dist.length)
+    zs = _noise(schedule, xs, times, u)
+    kl = kl_divergence(oracle.predict_batch(zs, times), table.predict_batch(zs, times))
+    return sum(kl.ravel().tolist()) / kl.size

@@ -6,7 +6,8 @@ q_t(. | x_theta) = alpha_t x_theta + beta_t pi_t. The weight can be the exact
 schedule weight, a clamped version, or the dynamic scheme that keeps the
 relative weights between mask / uniform / noise-free tokens while bounding the
 maximum. `loss_and_grad` computes the loss and its logit gradient for every
-position of one noisy sequence; the per-token functions are views of it.
+position of a batch of noisy sequences, one time per row; the per-token
+functions are views of it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MixdiffError, UnsupportedStateError
-from .schedule import LOG_FLOOR, MixingSchedule
+from .schedule import LOG_FLOOR, MixingSchedule, _entrywise
 
 DEFAULT_WEIGHT_CLIP = 1e4
 
@@ -86,82 +87,77 @@ def is_divergence_pointwise(p_val, q_val) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
-def _weights(
-    schedule: MixingSchedule,
-    t: float,
-    z: np.ndarray,
-    x: np.ndarray,
-    q_true: np.ndarray,
-    mode: WeightingMode,
-    weight_clip: float | None,
-) -> np.ndarray:
-    """Per-position weight of `mode`; q_true holds the rows q_t(. | x).
-
-    The exact weight is rate_vector(t)[z] / q_t(z | x), clipped at
-    `weight_clip` (training-stability guard) unless it is None.
-    """
-    if mode.kind == "dynamic":
-        b = schedule.uniform_mix_constant
-        n = schedule.vocab.size
-        w = np.ones(len(z))
-        w[z == schedule.vocab.mask_id] += 1.0
-        w[z == x] += (b / n) * math.exp(-schedule.log_snr(t) / 2.0) - 1.0
-        return mode.w_max * w
-    q_z = q_true[np.arange(len(z)), z]
-    if (q_z <= 0.0).any():
-        i = int(np.argmax(q_z <= 0.0))
-        raise UnsupportedStateError(
-            f"token {z[i]} outside forward support of {x[i]} at t={t!r}"
-        )
-    w = schedule.rate_vector(t)[z] / q_z
-    if weight_clip is not None:
-        w = np.minimum(w, weight_clip)
-    if mode.kind == "clamp":
-        w = np.minimum(mode.w_max, w)
-    return w
+def _marginal_terms(schedule: MixingSchedule, t) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_t and beta_t pi_t shaped (B, 1, 1) and (B, 1, N) for a (B,) t,
+    (1, 1, 1) and (1, 1, N) for one time: q_t(. | x) = a * one_hot(x) + bp."""
+    a = np.reshape(schedule.alpha(t), (-1, 1, 1))
+    return a, np.reshape(schedule.beta_pi(t), (-1, 1, schedule.vocab.size))
 
 
 def loss_and_grad(
     schedule: MixingSchedule,
-    t: float,
+    t,
     z: np.ndarray,
     x: np.ndarray,
     probs: np.ndarray,
     mode: WeightingMode = EXACT,
     weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss terms and logit gradient of one noisy sequence at time t.
+    """Loss terms and logit gradient of a batch of noisy sequences.
 
-    z and x are the (L,) noisy and clean token ids, probs the (L, N) denoiser
-    prediction, a softmax of some logits. Returns (weight, kl, is_term, grad):
-    position i's loss is weight[i] * (kl[i] + is_term[i]), and grad (L, N) is
-    the gradient of the summed loss w.r.t. those logits. The weight does not
-    depend on the logits in any mode. Entries with probability 0 get gradient
-    0, so grad also holds for a softmax over a subset of entries.
+    z and x are the (B, L) noisy and clean token ids, probs the (B, L, N)
+    denoiser prediction, a softmax of some logits, and t one time for every
+    row or a (B,) array, one per row. A single sequence, z and x (L,) and
+    probs (L, N), is a batch of one row. Returns (weight, kl, is_term, grad)
+    shaped like z, z, z and probs: position i's loss is
+    weight[i] * (kl[i] + is_term[i]), and grad is the gradient of the summed
+    loss w.r.t. those logits. Each row has the bits it has alone. The weight
+    does not depend on the logits in any mode; the exact weight is
+    rate_vector(t)[z] / q_t(z | x), clipped at `weight_clip`
+    (training-stability guard) unless it is None. Entries with probability 0
+    get gradient 0, so grad also holds for a softmax over a subset of entries.
     """
-    z = np.asarray(z, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    s = np.asarray(probs, dtype=float)
-    a = schedule.alpha(t)
-    bp = schedule.beta_pi(t)
-    pos = np.arange(len(x))
-    q_true = np.repeat(bp[np.newaxis, :], len(x), axis=0)
-    q_true[pos, x] += a
+    shape = np.shape(z)
+    z, x = (np.atleast_2d(np.asarray(v, dtype=np.int64)) for v in (z, x))
+    n = schedule.vocab.size
+    s = np.asarray(probs, dtype=float).reshape(z.shape + (n,))
+    a, bp = _marginal_terms(schedule, t)
+    ix = (np.arange(len(z))[:, None], np.arange(z.shape[1]), z)
+    q_true = bp + a * (x[..., None] == np.arange(n))
+    p_z = q_true[ix]
+    if mode.kind == "dynamic":
+        b = schedule.uniform_mix_constant
+        w = np.ones(z.shape)
+        w[z == schedule.vocab.mask_id] += 1.0
+        # libm's exp per row, as for a single time
+        clean = _entrywise(lambda v: (b / n) * math.exp(-v / 2.0) - 1.0, schedule.log_snr(t))
+        w = mode.w_max * (w + np.where(z == x, np.reshape(clean, (-1, 1)), 0.0))
+    else:
+        if (p_z <= 0.0).any():
+            row, i = np.argwhere(p_z <= 0.0)[0]
+            raise UnsupportedStateError(
+                f"token {z[row, i]} outside forward support of {x[row, i]} "
+                f"at t={float(np.broadcast_to(t, len(z))[row])!r}"
+            )
+        w = np.take_along_axis(np.reshape(schedule.rate_vector(t), (-1, n)), z, axis=1) / p_z
+        if weight_clip is not None:
+            w = np.minimum(w, weight_clip)
+        if mode.kind == "clamp":
+            w = np.minimum(mode.w_max, w)
     # The floor keeps q_model > 0, so no ratio below is 0/0.
     q_model = np.maximum(a * s + bp, LOG_FLOOR)
-    w = _weights(schedule, t, z, x, q_true, mode, weight_clip)
     kl = kl_divergence(q_true, q_model)
-    p_z = np.maximum(q_true[pos, z], LOG_FLOOR)
-    q_z = q_model[pos, z]
+    p_z = np.maximum(p_z, LOG_FLOOR)
+    q_z = q_model[ix]
     is_term = is_divergence_pointwise(p_z, q_z)
 
     # q_model = alpha_t s + beta_t pi_t. d(KL)/dq_model = -q_true / q_model;
     # d(IS)/dq_model[z] = 1/q - p/q^2.
     g_q = -q_true / q_model
-    g_q[pos, z] += 1.0 / q_z - p_z / q_z**2
-    g_s = a * w[:, None] * g_q
-    grad = s * (g_s - (s * g_s).sum(axis=1, keepdims=True))
-    return w, kl, is_term, grad
+    g_q[ix] += 1.0 / q_z - p_z / q_z**2
+    g_s = a * w[..., None] * g_q
+    grad = s * (g_s - (s * g_s).sum(axis=-1, keepdims=True))
+    return w.reshape(shape), kl.reshape(shape), is_term.reshape(shape), grad.reshape(shape + (n,))
 
 
 def loss_weight(
@@ -173,9 +169,9 @@ def loss_weight(
     weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
 ) -> float:
     """The weight loss_and_grad gives one token."""
-    q_true = schedule.marginal(t, x)[np.newaxis, :]
-    z = np.array([schedule.vocab.check_token(z_t)])
-    return float(_weights(schedule, t, z, np.array([x]), q_true, mode, weight_clip)[0])
+    z_t, x = schedule.vocab.check_token(z_t), schedule.vocab.check_token(x)
+    probs = np.zeros((1, schedule.vocab.size))
+    return float(loss_and_grad(schedule, t, [z_t], [x], probs, mode, weight_clip)[0][0])
 
 
 def per_token_loss(
@@ -234,18 +230,32 @@ def stratified_times(num_mc: int, offset: float, eps_t: float) -> np.ndarray:
     return eps_t + (1.0 - 2.0 * eps_t) * (idx + offset) / num_mc
 
 
+def _inverse_cdf(rows: np.ndarray, u: np.ndarray, inverse=slice(None)) -> np.ndarray:
+    """Exact inverse-CDF sampling along the last axis. rows must be normalized;
+    u[b] draws from rows[inverse[b]] (by default, from rows[b])."""
+    cdf = np.cumsum(rows, axis=-1)
+    cdf[..., -1] = 1.0
+    idx = (u[..., None] > cdf[inverse]).sum(axis=-1)
+    return np.minimum(idx, rows.shape[-1] - 1).astype(np.int64)
+
+
+def _noise(schedule: MixingSchedule, x: np.ndarray, t, u: np.ndarray) -> np.ndarray:
+    """noise_sequence with the uniforms u, shaped like x, given."""
+    a, bp = _marginal_terms(schedule, t)
+    q = bp + a * (x[..., None] == np.arange(schedule.vocab.size))
+    return _inverse_cdf(q.reshape(x.shape + q.shape[-1:]), u)
+
+
 def noise_sequence(
-    schedule: MixingSchedule, x_seq: np.ndarray, t: float, rng: np.random.Generator
+    schedule: MixingSchedule, x_seq: np.ndarray, t, rng: np.random.Generator
 ) -> np.ndarray:
-    """Independently resample every token from its forward marginal at t."""
+    """Independently resample every token from its forward marginal at t.
+
+    x_seq is (L,) or (B, L), t one time or a (B,) array; one
+    rng.random(x_seq.shape) call draws the stream B rng.random(L) calls would.
+    """
     x_seq = np.asarray(x_seq, dtype=np.int64)
-    n = schedule.vocab.size
-    q = schedule.beta_pi(t)[np.newaxis, :].repeat(len(x_seq), axis=0)
-    q[np.arange(len(x_seq)), x_seq] += schedule.alpha(t)
-    cdf = np.cumsum(q, axis=1)
-    cdf[:, -1] = 1.0
-    u = rng.random(len(x_seq))
-    return np.minimum((u[:, None] > cdf).sum(axis=1), n - 1).astype(np.int64)
+    return _noise(schedule, x_seq, t, rng.random(x_seq.shape))
 
 
 def sequence_nelbo(
@@ -261,7 +271,7 @@ def sequence_nelbo(
 
     Times are drawn by a stratified low-discrepancy rule with a single shared
     offset; per-position noisy tokens are independent. Results are
-    deterministic for a fixed seed.
+    deterministic for a fixed seed. All draws are scored as one batch.
     """
     x_seq = np.asarray(x_seq, dtype=np.int64)
     if x_seq.size == 0:
@@ -272,14 +282,13 @@ def sequence_nelbo(
         raise ValueError("num_mc must be >= 1")
     rng = np.random.default_rng(seed)
     times = stratified_times(num_mc, rng.random(), schedule.eps_t)
-    per_sample = np.empty(num_mc)
-    for s, t in enumerate(times):
-        z_seq = noise_sequence(schedule, x_seq, t, rng)
-        w, kl, is_term, _ = loss_and_grad(
-            schedule, t, z_seq, x_seq, denoiser.predict(z_seq, t), mode, weight_clip
-        )
-        # Left-to-right sum, so an estimate does not depend on numpy's grouping.
-        per_sample[s] = sum(w * (kl + is_term)) / len(x_seq)
+    x_batch = np.broadcast_to(x_seq, (num_mc, len(x_seq)))
+    z = noise_sequence(schedule, x_batch, times, rng)
+    w, kl, is_term, _ = loss_and_grad(
+        schedule, times, z, x_batch, denoiser.predict_batch(z, times), mode, weight_clip
+    )
+    # Left-to-right sums over positions, whatever numpy's grouping.
+    per_sample = sum((w * (kl + is_term)).T) / len(x_seq)
     mean = float(per_sample.mean())
     if num_mc > 1:
         se = float(per_sample.std(ddof=1) / math.sqrt(num_mc))

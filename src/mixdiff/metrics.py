@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import Denoiser, ToyDistribution
+from .denoiser import Denoiser, ToyDistribution, _distinct_rows
 from .errors import MaskedInputError
 
 
@@ -60,12 +60,28 @@ def unigram_entropy(z_seq) -> float:
     return float(-(freq * np.log(freq)).sum())
 
 
+def _sample_rows(samples) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """(distinct samples in order of first appearance, how often each occurs,
+    the index of each sample among them)."""
+    z = np.asarray(samples, dtype=np.int64)
+    if len(z) == 0:
+        return [], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    lo = int(z.min())
+    _, index = _distinct_rows(z - lo, max(2, int(z.max()) - lo + 1))
+    _, first, counts = np.unique(index, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return [tuple(z[i].tolist()) for i in first[order]], counts[order], np.argsort(order)[index]
+
+
 def tv_distance(samples, dist: ToyDistribution) -> float:
     """Total variation between the empirical sample law and the distribution.
 
     Out-of-support samples contribute their full empirical mass.
     """
-    counts = Counter(tuple(int(z) for z in s) for s in samples)
+    rows, row_counts, _ = _sample_rows(samples)
+    # Built in order of first appearance, so the set below and the sum over
+    # it run in the same order as counting the samples one by one would.
+    counts = Counter(dict(zip(rows, row_counts.tolist())))
     n = sum(counts.values())
     if n == 0:
         raise ValueError("need at least one sample")
@@ -94,10 +110,11 @@ def generative_nll(
     -log max(p, floor), which keeps before/after comparisons on corrupted
     inputs well defined.
     """
+    rows, _, index = _sample_rows(samples)
+    probs = np.array([dist.prob_of(seq) for seq in rows])
     nlls = []
     out = 0
-    for s in samples:
-        p = dist.prob_of(s)
+    for p in probs[index].tolist():
         if p <= 0.0:
             out += 1
             if floor is not None:

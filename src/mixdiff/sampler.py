@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import Denoiser
+from .denoiser import Denoiser, _distinct_rows
+from .elbo import _inverse_cdf, _marginal_terms
 from .errors import EmptySupportError, MaskedInputError, OrderingError
 from .metrics import self_accuracy_from_probs
 from .schedule import DEFAULT_EPS_T, MixingSchedule
@@ -130,33 +131,6 @@ def adapt_distribution(p: np.ndarray, temperature: float = 1.0, min_p: float = 0
     return rows[0] if squeeze else rows
 
 
-def _inverse_cdf(rows: np.ndarray, u: np.ndarray, inverse=slice(None)) -> np.ndarray:
-    """Exact inverse-CDF sampling along the last axis. rows must be normalized;
-    u[b] draws from rows[inverse[b]] (by default, from rows[b])."""
-    cdf = np.cumsum(rows, axis=-1)
-    cdf[..., -1] = 1.0
-    idx = (u[..., None] > cdf[inverse]).sum(axis=-1)
-    return np.minimum(idx, rows.shape[-1] - 1).astype(np.int64)
-
-
-def _distinct_rows(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct rows of z in lexicographic order, index of each row of z in them).
-
-    Rows of tokens in [0, n) are keyed as base-n numbers, a block of columns at
-    a time so that keys fit in int64, led by the index over the blocks before.
-    """
-    width = max(1, (62 - len(z).bit_length()) // (n - 1).bit_length())
-    index = np.zeros(len(z), dtype=np.int64)
-    keys = index[:1]
-    for j in range(0, z.shape[1], width):
-        block = z[:, j : j + width]
-        key = np.ravel_multi_index((index, *block.T), (len(keys),) + (n,) * block.shape[1])
-        keys, index = np.unique(key, return_inverse=True)
-    distinct = np.empty((len(keys), z.shape[1]), dtype=np.int64)
-    distinct[index] = z
-    return distinct, index
-
-
 def _denoise_step_batch(
     schedule: MixingSchedule,
     z_batch: np.ndarray,
@@ -177,9 +151,8 @@ def _denoise_step_batch(
     preds = denoiser.predict_batch(z_batch, t_from)
     preds = adapt_distribution(preds, config.temperature, config.min_p)
     trans = schedule.conditional_transition(t_to, t_from)
-    a_to = schedule.alpha(t_to)
-    bp_to = schedule.beta_pi(t_to)
-    q_to = a_to * preds + bp_to[None, None, :]
+    a_to, bp_to = _marginal_terms(schedule, t_to)
+    q_to = a_to * preds + bp_to
     # v[b,l,:] = bp_ts[z_t] * q_to[b,l,:] with alpha_ts * q_to at z_s = z_t.
     v = trans.beta_pi_ts[z_batch][..., None] * q_to
     b_idx, l_idx = np.meshgrid(

@@ -28,6 +28,14 @@ DEFAULT_EPS_T = 1e-4
 LOG_FLOOR = 1e-30
 
 
+def _entrywise(fn, x):
+    """fn(x) for a float x, fn at each entry of an array x. fn uses libm's pow,
+    exp and log: numpy's vectorised ones differ in the last bit on some inputs."""
+    if isinstance(x, np.ndarray):
+        return np.array([fn(v) for v in x.tolist()])
+    return fn(x)
+
+
 @dataclass(frozen=True)
 class Vocab:
     """Vocabulary of `size` token ids with a distinguished mask token."""
@@ -128,6 +136,9 @@ class MixingSchedule:
 
     All time arguments are validated against [eps_t, 1 - eps_t]; exact
     endpoints are rejected because some derived quantities are singular there.
+    `check_time`, `alpha`, `alpha_prime`, `beta_pi`, `rate_vector`,
+    `uniform_mass` and `log_snr` also take a (B,) array of times and return
+    (B,) or (B, N) arrays whose rows have the bits of each time alone.
     """
 
     def __init__(self, vocab: Vocab, params: ScheduleParams):
@@ -138,28 +149,34 @@ class MixingSchedule:
         self.uniform_mix_constant = params.B
         self._u = 1.0 / (vocab.size - 1)
 
-    def _spread(self, at_mask: float, elsewhere: float) -> np.ndarray:
-        """A length-N vector: `at_mask` at the mask id, `elsewhere` at the rest."""
+    def _spread(self, at_mask, elsewhere) -> np.ndarray:
+        """`at_mask` at the mask id, `elsewhere` at the rest, on a new last axis."""
         # empty + fill costs less than half of np.full on a few entries
-        v = np.empty(self.vocab.size)
-        v.fill(elsewhere)
-        v[self.vocab.mask_id] = at_mask
+        v = np.empty(getattr(at_mask, "shape", ()) + (self.vocab.size,))
+        v.T[...] = elsewhere
+        v[..., self.vocab.mask_id] = at_mask
         return v
 
-    def _c(self, t: float) -> float:
+    def _c(self, t):
         b = self.uniform_mix_constant
         if b == 0.0:
-            return 0.0
-        g = self.params.gamma
-        return b * t ** (g / 2.0) * (1.0 - t) ** (g / 2.0)
+            return 0.0 * t
+        h = self.params.gamma / 2.0
+        return _entrywise(lambda v: b * v**h * (1.0 - v) ** h, t)
 
-    def _c_prime(self, t: float) -> float:
+    def _c_prime(self, t):
         if self.uniform_mix_constant == 0.0:
             return 0.0
         g = self.params.gamma
         return (g / 2.0) * (1.0 - 2.0 * t) / (t * (1.0 - t)) * self._c(t)
 
-    def check_time(self, t: float) -> float:
+    def check_time(self, t):
+        if isinstance(t, np.ndarray) and t.ndim:
+            t = np.asarray(t, dtype=float)
+            bad = ~((self.eps_t <= t) & (t <= 1.0 - self.eps_t))
+            if bad.any():
+                self.check_time(t[bad][0])
+            return t
         t = float(t)
         if not self.eps_t <= t <= 1.0 - self.eps_t:
             raise TimeRangeError(
@@ -208,9 +225,7 @@ class MixingSchedule:
 
     def log_snr(self, t: float) -> float:
         """lambda_t = log(alpha_t / (1 - alpha_t))."""
-        t = self.check_time(t)
-        a = self.alpha(t)
-        return math.log(a) - math.log1p(-a)
+        return _entrywise(lambda a: math.log(a) - math.log1p(-a), self.alpha(t))
 
     def marginal(self, t: float, x: int) -> np.ndarray:
         """q_t(. | x) = alpha_t one_hot(x) + beta_t pi_t."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -52,6 +53,29 @@ def test_noise_near_one_is_all_mask(capsys, tmp_path, vocab3):
         [int(v) for ln in out.strip().splitlines()[1:] for v in ln.split()]
     )
     assert np.mean(tokens == 2) > 0.999
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ([], "a0e8f4893594c84e2d90255a7b19b06c8a23a8bfe00c6c24d806ea042f9ea877"),
+        (
+            ["--schedule", "hybrid", "--p-u", "0.2"],
+            "74c0ede68b822b38d4acba08e288ab7e6678235720462e99bc7b96e9e9b2015a",
+        ),
+    ],
+    ids=["mask", "hybrid"],
+)
+def test_noise_grid_same_bytes(capsys, tmp_path, flags, digest):
+    """stdout sha256 recorded when the corpus was noised one sequence at a time."""
+    path = tmp_path / "c.txt"
+    seqs = [(0, 1, 2, 3), (3, 3, 3, 3), (1, 0, 2, 2), (0, 0, 0, 1), (2, 1, 0, 3)]
+    write_corpus(path, Vocab(5, 4), seqs)
+    code, out, _ = run(
+        capsys, ["noise", "--corpus", str(path), "--t-grid", "0.3,0.7", "--seed", "5", *flags]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_noise_missing_time_is_data_error(capsys, corpus_file):

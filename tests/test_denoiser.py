@@ -1,7 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mixdiff import (
+    CLAMP,
+    EXACT,
+    Denoiser,
     LogitTable,
     OracleDenoiser,
     ToyDistribution,
@@ -235,3 +240,92 @@ def test_oracle_beats_table(two_outcome):
     oracle_loss, oracle_se = stream_loss(oracle)
     table_loss, table_se = stream_loss(table)
     assert oracle_loss <= table_loss + 2 * np.hypot(oracle_se, table_se)
+
+
+# 300 steps of table_train on the two-outcome distribution, seed 12, recorded
+# when examples were trained one at a time: sha256 of the saved table, the
+# loss trajectory and posterior_kl_to_oracle of the table (500 samples, seed 1).
+# Keys repeat within a batch here, so each step runs several waves.
+TRAIN_PINS = {
+    ("mask", "clamp"): (
+        "0f36a6fdce469ced9885f83699dee78ac77cc5711d67b2c37634079a7c8aa795",
+        (0.11015296989912464, 0.10572780827821567, 0.06124919983199127,
+         0.05672717276683246, 0.05768636943334767, 0.061413482439408675,
+         0.041252864861547334),
+        0.3628849113347299,
+    ),
+    ("mask", "exact"): (
+        "c403a84159b48b54f5a1fccdabc8420376ecf1609e4042036e93cb17577da23d",
+        (0.6249007875385795, 1.1848307672156466, 0.38505861748401415,
+         0.4023414920833068, 2.6029209577060217, 0.5764991784707721,
+         0.269317913796297),
+        0.43626448096134185,
+    ),
+    ("hybrid", "clamp"): (
+        "498575b09ccec6b8c52b96177d59c2d5469a0a6b5443cdc44d64b3106e2e307f",
+        (0.20519251304778613, 0.1487723369820831, 0.12860049010693902,
+         0.11649789789668616, 0.17104020431228278, 0.05653389927992088,
+         0.13344771535670244),
+        0.027439596783681984,
+    ),
+    ("hybrid", "exact"): (
+        "139718734de90a15a0525bb5be38b82bce9838ae2d5e62d1b5b4f59de93022fd",
+        (0.5610626368905108, 0.8348290482518579, 0.26438108284858075,
+         0.3241453738342183, 0.8206938786459717, 0.29148214858280297,
+         0.7282651774780899),
+        0.1578869119224622,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", [CLAMP, EXACT], ids=lambda m: m.kind)
+@pytest.mark.parametrize("kind", ["mask", "hybrid"])
+def test_table_train_same_bits(tmp_path, two_outcome, kind, mode):
+    sched = make_schedule(kind, two_outcome.vocab, p_u=0.2)
+    table = LogitTable(two_outcome.vocab, 2)
+    report = table_train(two_outcome, sched, table, 300, mode=mode, seed=12)
+    path = tmp_path / "table.txt"
+    table.save(str(path))
+    oracle = OracleDenoiser(two_outcome, sched)
+    digest, trajectory, kl = TRAIN_PINS[kind, mode.kind]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert report.loss_trajectory == trajectory
+    assert posterior_kl_to_oracle(two_outcome, sched, oracle, table, 500, seed=1) == kl
+
+
+def test_table_train_error_types(vocab3, two_outcome):
+    """The error types of the example-by-example loop."""
+    sched = make_schedule("hybrid", vocab3, p_u=0.2)
+    for table in (LogitTable(vocab3, 3), LogitTable(Vocab(5, 4), 2)):
+        with pytest.raises(ValueError):
+            table_train(two_outcome, sched, table, 2)
+    with pytest.raises(ZeroDivisionError):
+        table_train(two_outcome, sched, LogitTable(vocab3, 2), 2, batch=0)
+
+
+class _RowsOnly(Denoiser):
+    """A denoiser that defines only predict; its prediction depends on t."""
+
+    def predict(self, z_seq, t):
+        out = np.zeros((len(z_seq), 5))
+        out[np.arange(len(z_seq)), np.asarray(z_seq) % 4] = t
+        out[:, 3] += 1.0 - t
+        return out
+
+
+def test_predict_batch_per_row_times(five_outcome):
+    sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.2)
+    table = LogitTable(five_outcome.vocab, 3, t_buckets=4)
+    table_train(five_outcome, sched, table, 20, mode=CLAMP, seed=1)
+    rng = np.random.default_rng(2)
+    z = rng.integers(0, 5, size=(30, 3))
+    z[:10] = z[0]  # repeated rows at different times
+    times = rng.uniform(sched.eps_t, 1.0 - sched.eps_t, 30)
+    for denoiser in (OracleDenoiser(five_outcome, sched), table, _RowsOnly()):
+        batched = denoiser.predict_batch(z, times)
+        assert batched.shape == (30, 3, 5)
+        for b in range(30):
+            assert batched[b].tobytes() == denoiser.predict(z[b], float(times[b])).tobytes()
+        shared = denoiser.predict_batch(z, 0.3)
+        for b in range(30):
+            assert shared[b].tobytes() == denoiser.predict(z[b], 0.3).tobytes()

@@ -28,7 +28,7 @@ from mixdiff import (
     table_train,
 )
 from mixdiff.elbo import DEFAULT_WEIGHT_CLIP, loss_weight
-from mixdiff.errors import UnsupportedStateError
+from mixdiff.errors import DegenerateEvidenceError, UnsupportedStateError
 from conftest import random_prediction
 
 
@@ -132,6 +132,17 @@ def test_noise_sequence_marginals(hybrid_sched):
     np.testing.assert_allclose(counts, [0.45, 0.05, 0.05, 0.05, 0.40], atol=0.006)
 
 
+def test_noise_sequence_batch_is_row_calls(hybrid_sched):
+    """A (B, L) batch at (B,) times draws the stream B one-row calls draw."""
+    x = np.random.default_rng(0).integers(0, 4, size=(40, 7))
+    times = np.linspace(0.01, 0.99, 40)
+    batched = noise_sequence(hybrid_sched, x, times, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    rows = [noise_sequence(hybrid_sched, xb, t, rng) for xb, t in zip(x, times.tolist())]
+    assert batched.dtype == np.int64
+    assert np.array_equal(batched, np.stack(rows))
+
+
 def test_sequence_nelbo_delta_distribution(vocab3):
     dist = ToyDistribution(vocab3, 2, (((0, 1), 1.0),))
     sched = make_schedule("hybrid", vocab3, p_u=0.2)
@@ -172,6 +183,96 @@ def test_sequence_nelbo_rejects_empty(two_outcome_oracle):
         sequence_nelbo(sched, np.array([0, 3]), oracle, 4)
     with pytest.raises(ValueError):
         sequence_nelbo(sched, np.array([0, -1]), oracle, 4)
+
+
+def test_sequence_nelbo_error_types(vocab3, two_outcome, two_outcome_oracle):
+    """The error types of the one-draw-at-a-time estimator."""
+    oracle, sched = two_outcome_oracle
+    # under pure masking, a revealed (0, 1) contradicts both outcomes
+    with pytest.raises(DegenerateEvidenceError):
+        sequence_nelbo(sched, [0, 1], oracle, 16)
+    hybrid = make_schedule("hybrid", vocab3, p_u=0.2)
+    for table in (LogitTable(vocab3, 3), LogitTable(Vocab(5, 4), 2)):
+        with pytest.raises(ValueError):
+            sequence_nelbo(hybrid, [0, 1], table, 4)
+
+
+# sequence_nelbo(num_mc=64), recorded when each draw was scored alone:
+# (mean_per_token, std_error)
+NELBO_PINS = {
+    "oracle": (0.2757226438128818, 0.08628111994147261),
+    "exact": (0.48937701303379927, 0.1568428709260162),
+    "clamp": (0.12521972924472277, 0.03576135542830279),
+    "dynamic": (0.1435379935985298, 0.03513156973556689),
+}
+
+
+def test_sequence_nelbo_same_bits(vocab3, two_outcome):
+    vocab = Vocab(5, 4)
+    dist = ToyDistribution(
+        vocab, 6, (((0,) * 6, 0.3), ((1,) * 6, 0.25), ((2,) * 6, 0.25), ((3,) * 6, 0.2))
+    )
+    sched = make_schedule("hybrid", vocab, p_u=0.2)
+    est = sequence_nelbo(sched, [1] * 6, OracleDenoiser(dist, sched), 64, seed=7)
+    assert (est.mean_per_token, est.std_error) == NELBO_PINS["oracle"]
+    sched = make_schedule("hybrid", vocab3, p_u=0.2)
+    table = LogitTable(vocab3, 2)
+    table_train(two_outcome, sched, table, 50, mode=CLAMP, seed=4)
+    for mode in (EXACT, CLAMP, DYNAMIC):
+        est = sequence_nelbo(sched, [1, 1], table, 64, seed=9, mode=mode)
+        assert (est.mean_per_token, est.std_error) == NELBO_PINS[mode.kind]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([("mask", 1.0), ("hybrid", 1.0), ("hybrid", 3.0)]),
+    st.sampled_from(
+        [EXACT, CLAMP, DYNAMIC, WeightingMode("clamp", 0.5), WeightingMode("dynamic", 2.0)]
+    ),
+    st.sampled_from([DEFAULT_WEIGHT_CLIP, 20.0, None]),
+    st.integers(1, 8),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_loss_and_grad_equals_rows(schedule, mode, clip, rows, length, shared, seed):
+    """Each row of a batch, with its own time or one shared time, has the
+    bits of a one-row call."""
+    vocab = Vocab(5, 4)
+    sched = make_schedule(schedule[0], vocab, p_u=0.2, gamma=schedule[1])
+    rng = np.random.default_rng(seed)
+    # the endpoint eps_t makes the exact weights large enough to clip
+    t = np.where(rng.random(rows) < 0.2, sched.eps_t, rng.uniform(1e-4, 1 - 1e-4, rows))
+    if shared:
+        t = np.full(rows, t[0])
+    x = rng.integers(4, size=(rows, length))
+    z = noise_sequence(sched, x, t, rng)
+    probs = np.stack(
+        [[random_prediction(rng, 5, 4) for _ in range(length)] for _ in range(rows)]
+    )
+    batched = loss_and_grad(sched, float(t[0]) if shared else t, z, x, probs, mode, clip)
+    assert [v.shape for v in batched] == [z.shape] * 3 + [probs.shape]
+    for b in range(rows):
+        alone = loss_and_grad(sched, float(t[b]), z[b], x[b], probs[b], mode, clip)
+        for got, want in zip(batched, alone):
+            assert got[b].tobytes() == want.tobytes()
+
+
+def test_batch_leaving_support_names_its_row(mask_sched):
+    """Row 2 holds the only unsupported token; the error names its token, its
+    clean token and its time, as a one-row call on row 2 does."""
+    times = np.array([0.2, 0.4, 0.6, 0.8])
+    x = np.zeros((4, 3), dtype=np.int64)
+    z = np.array([[0, 4, 0], [4, 4, 0], [0, 1, 4], [4, 0, 0]])
+    probs = np.full((4, 3, 5), 0.25)
+    probs[..., 4] = 0.0
+    with pytest.raises(UnsupportedStateError) as alone:
+        loss_and_grad(mask_sched, 0.6, z[2], x[2], probs[2])
+    with pytest.raises(UnsupportedStateError) as batched:
+        loss_and_grad(mask_sched, times, z, x, probs, CLAMP)
+    assert str(batched.value) == str(alone.value) == (
+        "token 1 outside forward support of 0 at t=0.6"
+    )
 
 
 def _fd_grad(sched, t, z_t, x, logits, mode, h=1e-5):

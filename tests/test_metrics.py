@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -96,6 +97,54 @@ def test_generative_nll(two_outcome):
     nll, out = generative_nll([(0, 0), (0, 1)], two_outcome)
     assert out == 1
     assert nll == pytest.approx(math.log(2))
+
+
+def _tv_one_by_one(samples, dist):
+    """tv_distance counting one sample at a time, the reference for the
+    distinct-row count."""
+    counts = Counter(tuple(int(z) for z in s) for s in samples)
+    n = sum(counts.values())
+    support = {seq for seq, _ in dist.outcomes}
+    total = 0.0
+    for seq in set(counts) | support:
+        total += abs(counts.get(seq, 0) / n - dist.prob_of(seq))
+    return 0.5 * total
+
+
+def _nll_one_by_one(samples, dist, floor):
+    nlls, out = [], 0
+    for s in samples:
+        p = dist.prob_of(s)
+        if p <= 0.0:
+            out += 1
+            if floor is not None:
+                nlls.append(-math.log(floor))
+        else:
+            nlls.append(-math.log(p))
+    return (float(np.mean(nlls)) if nlls else float("nan")), out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 30), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_sample_metrics_equal_one_by_one_counts(length, outcomes, distinct, seed):
+    """Bit for bit, on samples with repeated and out-of-support rows. With a
+    few dozen distinct rows the set's iteration order, and so the sum's bits,
+    depend on the order the rows go in."""
+    rng = np.random.default_rng(seed)
+    support = sorted({tuple(rng.integers(0, 4, length).tolist()) for _ in range(outcomes)})
+    weights = rng.random(len(support)) + 0.01
+    probs = (weights / weights.sum()).tolist()
+    probs[-1] = 1.0 - sum(probs[:-1])
+    dist = ToyDistribution(Vocab(5, 4), length, tuple(zip(support, probs)))
+    # the mask token (4) only ever appears out of support
+    pool = support[:3] + [tuple(rng.integers(0, 5, length).tolist()) for _ in range(distinct)]
+    samples = np.array([pool[i] for i in rng.integers(0, len(pool), 300)])
+    assert tv_distance(samples, dist) == _tv_one_by_one(samples, dist)
+    for floor in (None, 1e-30):
+        got = generative_nll(samples, dist, floor)
+        want = _nll_one_by_one(samples, dist, floor)
+        assert got[1] == want[1]
+        assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
 
 
 def test_generative_nll_delta():
