@@ -24,9 +24,10 @@ from .elbo import (
     _marginal_terms,
     _noise,
     kl_divergence,
-    loss_and_grad,
+    loss_target,
     noise_sequence,
     stratified_times,
+    target_loss_and_grad,
 )
 from .errors import CorpusFormatError, DegenerateEvidenceError
 from .schedule import MixingSchedule, Vocab
@@ -159,11 +160,13 @@ def _distinct_rows(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Denoiser:
-    """Maps a noisy sequence and time to one distribution per position."""
+    """Maps a noisy sequence and time to one distribution per position.
+    A subclass defines predict, predict_batch or both."""
 
     def predict(self, z_seq: np.ndarray, t: float) -> np.ndarray:
-        """Returns an (L, N) array of per-position distributions."""
-        raise NotImplementedError
+        """Returns an (L, N) array of per-position distributions; by default,
+        row 0 of predict_batch."""
+        return self.predict_batch(np.asarray(z_seq, dtype=np.int64)[None, :], t)[0]
 
     def predict_batch(self, z_seqs: np.ndarray, t) -> np.ndarray:
         """(B, L) -> (B, L, N) at one time t or at a (B,) array of times, one
@@ -192,7 +195,7 @@ class OracleDenoiser(Denoiser):
 
     def _posterior(self, z_seqs: np.ndarray, t) -> np.ndarray:
         """(B, L) noisy sequences -> (B, K) posterior over outcomes."""
-        a, bp = _marginal_terms(self.schedule, t)
+        a, bp = _marginal_terms(self.schedule.terms(t))
         # (B, K, L): per-token likelihood alpha * [z == x] + beta_pi[z]
         match = z_seqs[:, None, :] == self._outcomes[None, :, :]
         bp_z = np.take_along_axis(bp[:, 0], z_seqs, axis=1)
@@ -204,9 +207,6 @@ class OracleDenoiser(Denoiser):
                 "noisy sequence has zero likelihood under every outcome"
             )
         return w / total[:, None]
-
-    def predict(self, z_seq, t: float) -> np.ndarray:
-        return self.predict_batch(np.asarray(z_seq, dtype=np.int64)[None, :], t)[0]
 
     def predict_batch(self, z_seqs: np.ndarray, t) -> np.ndarray:
         z_seqs = np.asarray(z_seqs, dtype=np.int64)
@@ -243,23 +243,35 @@ class LogitTable(Denoiser):
         frac = (t - self.eps_t) / (1.0 - 2.0 * self.eps_t)
         return min(max(int(frac * self.t_buckets), 0), self.t_buckets - 1)
 
-    def logits_for(self, z_seq, t: float) -> np.ndarray:
-        key = (self.bucket(t), tuple(int(z) for z in z_seq))
-        entry = self.table.get(key)
-        if entry is None:
-            return np.zeros((self.length, self.vocab.size))
-        return entry
+    def buckets(self, t: np.ndarray) -> np.ndarray:
+        """bucket(t) at each entry of an array of times."""
+        frac = (np.asarray(t, dtype=float) - self.eps_t) / (1.0 - 2.0 * self.eps_t)
+        b = (frac * self.t_buckets).astype(np.int64)
+        return np.minimum(np.maximum(b, 0), self.t_buckets - 1)
 
-    def _entry(self, z_seq, t: float) -> np.ndarray:
-        key = (self.bucket(t), tuple(int(z) for z in z_seq))
-        entry = self.table.get(key)
-        if entry is None:
-            entry = np.zeros((self.length, self.vocab.size))
-            self.table[key] = entry
-        return entry
+    def logits_for(self, z_seqs, t, insert: bool = False) -> tuple[list, np.ndarray]:
+        """The (L, N) logits of each distinct (bucket, noisy sequence) key of a
+        (B, L) batch at one time t or a (B,) array of times, and the index of
+        each row's key in them. A miss reads zero logits; with insert, the
+        table keeps them, so every array returned is the table's own."""
+        z = np.asarray(z_seqs, dtype=np.int64)
+        keys, inverse = _distinct_rows(
+            np.column_stack([self.buckets(np.broadcast_to(t, len(z))), z]),
+            max(self.t_buckets, self.vocab.size),
+        )
+        entries = []
+        for bucket, *seq in keys.tolist():
+            entry = self.table.get(key := (bucket, tuple(seq)))
+            if entry is None:
+                entry = np.zeros((self.length, self.vocab.size))
+                if insert:
+                    self.table[key] = entry
+            entries.append(entry)
+        return entries, inverse
 
-    def predict(self, z_seq, t: float) -> np.ndarray:
-        return masked_softmax(self.logits_for(z_seq, t), self.vocab.mask_id)
+    def predict_batch(self, z_seqs: np.ndarray, t) -> np.ndarray:
+        entries, inverse = self.logits_for(z_seqs, t)
+        return masked_softmax(np.array(entries), self.vocab.mask_id)[inverse]
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -318,32 +330,42 @@ def table_train(
     Each step draws a batch of clean sequences, assigns them low-discrepancy
     times within the batch, noises them, and updates the entry keyed by
     (bucket(t), noisy sequence), example after example. Examples with other
-    keys never see each other's updates, so wave r, one loss_and_grad call for
+    keys never see each other's updates, so wave r, one loss and gradient for
     the examples whose key occurs the r-th time, gives that result exactly.
+    A step evaluates the schedule once, looks the table up once and applies
+    its waves to a gathered copy of the entries it touches.
     """
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     rng = np.random.default_rng(seed)
     trajectory = []
     avg = 0.0
     for step in range(steps):
         xs = dist.sample(rng, batch)
         times = stratified_times(batch, rng.random(), schedule.eps_t)
-        zs = noise_sequence(schedule, xs, times, rng)
-        entries = [table._entry(z, t) for z, t in zip(zs, times.tolist())]
-        # _entry gives every example with the same key the same array
-        occurrence, seen = np.empty(batch, dtype=np.int64), {}
-        for b, entry in enumerate(entries):
-            occurrence[b] = seen.get(id(entry), 0)
-            seen[id(entry)] = occurrence[b] + 1
-        losses = np.empty(batch)
-        for r in range(max(seen.values(), default=0)):
-            wave = np.flatnonzero(occurrence == r)
-            probs = masked_softmax(np.stack([entries[b] for b in wave]), schedule.vocab.mask_id)
-            w, kl, is_term, grad = loss_and_grad(
-                schedule, times[wave], zs[wave], xs[wave], probs, mode, weight_clip
-            )
-            for b, update in zip(wave, table.learning_rate * grad):
-                entries[b] -= update
-            losses[wave] = (w * (kl + is_term)).sum(axis=-1)
+        terms = schedule.terms(times)
+        zs = noise_sequence(schedule, xs, times, rng, terms)
+        target = loss_target(schedule, times, zs, xs, mode, weight_clip, terms)
+        entries, inverse = table.logits_for(zs, times, insert=True)
+        logits = np.array(entries)
+        # rank of each example among the batch's examples with its key
+        order, counts = np.argsort(inverse, kind="stable"), np.bincount(inverse)
+        occurrence = np.empty(batch, dtype=np.int64)
+        occurrence[order] = np.arange(batch) - (np.cumsum(counts) - counts)[inverse[order]]
+        # the waves in turn, each a slice of examples in batch order
+        order, edges = np.argsort(occurrence, kind="stable"), np.cumsum(np.bincount(occurrence))
+        target, keys = [v[order] for v in target], inverse[order]
+        wave_losses = np.empty(batch)
+        for wave in map(slice, [0, *edges[:-1]], edges):
+            probs = masked_softmax(logits[keys[wave]], schedule.vocab.mask_id)
+            w, kl, is_term, grad = target_loss_and_grad([v[wave] for v in target], probs)
+            logits[keys[wave]] -= table.learning_rate * grad
+            wave_losses[wave] = (w * (kl + is_term)).sum(axis=-1)
+        losses = wave_losses[np.argsort(order)]
+        for entry, row in zip(entries, logits):
+            entry[...] = row
         avg = sum((losses / dist.length).tolist()) / batch
         if step % trajectory_every == 0 or step == steps - 1:
             trajectory.append(avg)
@@ -369,6 +391,6 @@ def posterior_kl_to_oracle(
     for i in range(num_samples):
         xs[i] = dist.sample(rng, 1)[0]
         u[i] = rng.random(dist.length)
-    zs = _noise(schedule, xs, times, u)
+    zs = _noise(schedule.terms(times), xs, u)
     kl = kl_divergence(oracle.predict_batch(zs, times), table.predict_batch(zs, times))
     return sum(kl.ravel().tolist()) / kl.size

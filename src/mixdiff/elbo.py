@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MixdiffError, UnsupportedStateError
-from .schedule import LOG_FLOOR, MixingSchedule, _entrywise
+from .schedule import LOG_FLOOR, MixingSchedule, Terms, _entrywise
 
 DEFAULT_WEIGHT_CLIP = 1e4
 
@@ -87,11 +87,75 @@ def is_divergence_pointwise(p_val, q_val) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
-def _marginal_terms(schedule: MixingSchedule, t) -> tuple[np.ndarray, np.ndarray]:
-    """alpha_t and beta_t pi_t shaped (B, 1, 1) and (B, 1, N) for a (B,) t,
-    (1, 1, 1) and (1, 1, N) for one time: q_t(. | x) = a * one_hot(x) + bp."""
-    a = np.reshape(schedule.alpha(t), (-1, 1, 1))
-    return a, np.reshape(schedule.beta_pi(t), (-1, 1, schedule.vocab.size))
+def _marginal_terms(terms: Terms) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_t and beta_t pi_t of `terms` shaped (B, 1, 1) and (B, 1, N) for (B,)
+    times, (1, 1, 1) and (1, 1, N) for one: q_t(. | x) = a * one_hot(x) + bp."""
+    bp = terms.beta_pi
+    return np.reshape(terms.alpha, (-1, 1, 1)), bp.reshape(-1, 1, bp.shape[-1])
+
+
+def loss_target(
+    schedule: MixingSchedule,
+    t,
+    z: np.ndarray,
+    x: np.ndarray,
+    mode: WeightingMode = EXACT,
+    weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
+    terms: Terms | None = None,
+) -> tuple[np.ndarray, ...]:
+    """The first part of loss_and_grad, with its arguments, for (B, L) z and
+    x: alpha_t (B, 1, 1), beta_t pi_t (B, 1, N), q_t(. | x) and the one-hot
+    of z (B, L, N), q_t(z | x) floored at LOG_FLOOR and the weights (B, L);
+    under one time t, alpha_t and beta_t pi_t have one row. `terms`, if
+    given, is schedule.terms(t)."""
+    z, x = (np.atleast_2d(np.asarray(v, dtype=np.int64)) for v in (z, x))
+    n = schedule.vocab.size
+    terms = schedule.terms(t) if terms is None else terms
+    a, bp = _marginal_terms(terms)
+    q_true = bp + a * (x[..., None] == np.arange(n))
+    at_z = z[..., None] == np.arange(n)
+    p_z = q_true[at_z].reshape(z.shape)
+    if mode.kind == "dynamic":
+        b = schedule.uniform_mix_constant
+        w = np.ones(z.shape)
+        w[z == schedule.vocab.mask_id] += 1.0
+        # libm's exp per row, as for a single time
+        clean = _entrywise(lambda v: (b / n) * math.exp(-v / 2.0) - 1.0, terms.log_snr)
+        w = mode.w_max * (w + np.where(z == x, np.reshape(clean, (-1, 1)), 0.0))
+    else:
+        if (p_z <= 0.0).any():
+            row, i = np.argwhere(p_z <= 0.0)[0]
+            raise UnsupportedStateError(
+                f"token {z[row, i]} outside forward support of {x[row, i]} "
+                f"at t={float(np.broadcast_to(t, len(z))[row])!r}"
+            )
+        w = np.take_along_axis(np.reshape(terms.rate, (-1, n)), z, axis=1) / p_z
+        if weight_clip is not None:
+            w = np.minimum(w, weight_clip)
+        if mode.kind == "clamp":
+            w = np.minimum(mode.w_max, w)
+    return a, bp, q_true, at_z, np.maximum(p_z, LOG_FLOOR), w
+
+
+def target_loss_and_grad(target: tuple, probs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The second part of loss_and_grad: (weight, kl, is_term, grad) of the
+    (B, L, N) prediction probs against loss_target's `target`, or against
+    the same rows of each of its parts (under (B,) times)."""
+    a, bp, q_true, at_z, p_z, w = target
+    s = np.asarray(probs, dtype=float).reshape(q_true.shape)
+    # The floor keeps q_model > 0, so no ratio below is 0/0.
+    q_model = np.maximum(a * s + bp, LOG_FLOOR)
+    kl = kl_divergence(q_true, q_model)
+    q_z = q_model[at_z].reshape(p_z.shape)
+    is_term = is_divergence_pointwise(p_z, q_z)
+
+    # q_model = alpha_t s + beta_t pi_t. d(KL)/dq_model = -q_true / q_model;
+    # d(IS)/dq_model[z] = 1/q - p/q^2.
+    g_q = -q_true / q_model
+    g_q[at_z] += (1.0 / q_z - p_z / q_z**2).ravel()
+    g_s = a * w[..., None] * g_q
+    grad = s * (g_s - (s * g_s).sum(axis=-1, keepdims=True))
+    return w, kl, is_term, grad
 
 
 def loss_and_grad(
@@ -116,48 +180,13 @@ def loss_and_grad(
     rate_vector(t)[z] / q_t(z | x), clipped at `weight_clip`
     (training-stability guard) unless it is None. Entries with probability 0
     get gradient 0, so grad also holds for a softmax over a subset of entries.
+    loss_target computes what does not depend on probs, once for rows that
+    target_loss_and_grad then scores in parts.
     """
     shape = np.shape(z)
-    z, x = (np.atleast_2d(np.asarray(v, dtype=np.int64)) for v in (z, x))
-    n = schedule.vocab.size
-    s = np.asarray(probs, dtype=float).reshape(z.shape + (n,))
-    a, bp = _marginal_terms(schedule, t)
-    ix = (np.arange(len(z))[:, None], np.arange(z.shape[1]), z)
-    q_true = bp + a * (x[..., None] == np.arange(n))
-    p_z = q_true[ix]
-    if mode.kind == "dynamic":
-        b = schedule.uniform_mix_constant
-        w = np.ones(z.shape)
-        w[z == schedule.vocab.mask_id] += 1.0
-        # libm's exp per row, as for a single time
-        clean = _entrywise(lambda v: (b / n) * math.exp(-v / 2.0) - 1.0, schedule.log_snr(t))
-        w = mode.w_max * (w + np.where(z == x, np.reshape(clean, (-1, 1)), 0.0))
-    else:
-        if (p_z <= 0.0).any():
-            row, i = np.argwhere(p_z <= 0.0)[0]
-            raise UnsupportedStateError(
-                f"token {z[row, i]} outside forward support of {x[row, i]} "
-                f"at t={float(np.broadcast_to(t, len(z))[row])!r}"
-            )
-        w = np.take_along_axis(np.reshape(schedule.rate_vector(t), (-1, n)), z, axis=1) / p_z
-        if weight_clip is not None:
-            w = np.minimum(w, weight_clip)
-        if mode.kind == "clamp":
-            w = np.minimum(mode.w_max, w)
-    # The floor keeps q_model > 0, so no ratio below is 0/0.
-    q_model = np.maximum(a * s + bp, LOG_FLOOR)
-    kl = kl_divergence(q_true, q_model)
-    p_z = np.maximum(p_z, LOG_FLOOR)
-    q_z = q_model[ix]
-    is_term = is_divergence_pointwise(p_z, q_z)
-
-    # q_model = alpha_t s + beta_t pi_t. d(KL)/dq_model = -q_true / q_model;
-    # d(IS)/dq_model[z] = 1/q - p/q^2.
-    g_q = -q_true / q_model
-    g_q[ix] += 1.0 / q_z - p_z / q_z**2
-    g_s = a * w[..., None] * g_q
-    grad = s * (g_s - (s * g_s).sum(axis=-1, keepdims=True))
-    return w.reshape(shape), kl.reshape(shape), is_term.reshape(shape), grad.reshape(shape + (n,))
+    target = loss_target(schedule, t, z, x, mode, weight_clip)
+    w, kl, is_term, grad = target_loss_and_grad(target, probs)
+    return w.reshape(shape), kl.reshape(shape), is_term.reshape(shape), grad.reshape(shape + (-1,))
 
 
 def loss_weight(
@@ -218,7 +247,6 @@ def mdm_loss(
     """
     if z_t != schedule.vocab.mask_id:
         return 0.0
-    t = schedule.check_time(t)
     a = schedule.alpha(t)
     ap = schedule.alpha_prime(t)
     return float(ap / (1.0 - a) * math.log(max(x_theta[x], LOG_FLOOR)))
@@ -239,23 +267,30 @@ def _inverse_cdf(rows: np.ndarray, u: np.ndarray, inverse=slice(None)) -> np.nda
     return np.minimum(idx, rows.shape[-1] - 1).astype(np.int64)
 
 
-def _noise(schedule: MixingSchedule, x: np.ndarray, t, u: np.ndarray) -> np.ndarray:
-    """noise_sequence with the uniforms u, shaped like x, given."""
-    a, bp = _marginal_terms(schedule, t)
-    q = bp + a * (x[..., None] == np.arange(schedule.vocab.size))
+def _noise(terms: Terms, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """noise_sequence with the closed forms and the uniforms u, shaped like x, given."""
+    a, bp = _marginal_terms(terms)
+    q = bp + a * (x[..., None] == np.arange(bp.shape[-1]))
     return _inverse_cdf(q.reshape(x.shape + q.shape[-1:]), u)
 
 
 def noise_sequence(
-    schedule: MixingSchedule, x_seq: np.ndarray, t, rng: np.random.Generator
+    schedule: MixingSchedule,
+    x_seq: np.ndarray,
+    t,
+    rng: np.random.Generator,
+    terms: Terms | None = None,
 ) -> np.ndarray:
     """Independently resample every token from its forward marginal at t.
 
     x_seq is (L,) or (B, L), t one time or a (B,) array; one
     rng.random(x_seq.shape) call draws the stream B rng.random(L) calls would.
+    `terms`, if given, is schedule.terms(t), so that a batch's noise and loss
+    share it.
     """
     x_seq = np.asarray(x_seq, dtype=np.int64)
-    return _noise(schedule, x_seq, t, rng.random(x_seq.shape))
+    terms = schedule.terms(t) if terms is None else terms
+    return _noise(terms, x_seq, rng.random(x_seq.shape))
 
 
 def sequence_nelbo(

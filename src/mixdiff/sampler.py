@@ -151,7 +151,7 @@ def _denoise_step_batch(
     preds = denoiser.predict_batch(z_batch, t_from)
     preds = adapt_distribution(preds, config.temperature, config.min_p)
     trans = schedule.conditional_transition(t_to, t_from)
-    a_to, bp_to = _marginal_terms(schedule, t_to)
+    a_to, bp_to = _marginal_terms(schedule.terms(t_to))
     q_to = a_to * preds + bp_to
     # v[b,l,:] = bp_ts[z_t] * q_to[b,l,:] with alpha_ts * q_to at z_s = z_t.
     v = trans.beta_pi_ts[z_batch][..., None] * q_to

@@ -136,7 +136,7 @@ class MixingSchedule:
 
     All time arguments are validated against [eps_t, 1 - eps_t]; exact
     endpoints are rejected because some derived quantities are singular there.
-    `check_time`, `alpha`, `alpha_prime`, `beta_pi`, `rate_vector`,
+    `check_time`, `terms`, `alpha`, `alpha_prime`, `beta_pi`, `rate_vector`,
     `uniform_mass` and `log_snr` also take a (B,) array of times and return
     (B,) or (B, N) arrays whose rows have the bits of each time alone.
     """
@@ -164,11 +164,11 @@ class MixingSchedule:
         h = self.params.gamma / 2.0
         return _entrywise(lambda v: b * v**h * (1.0 - v) ** h, t)
 
-    def _c_prime(self, t):
+    def _c_prime(self, t, c):
+        """dc/dt given c = _c(t)."""
         if self.uniform_mix_constant == 0.0:
             return 0.0
-        g = self.params.gamma
-        return (g / 2.0) * (1.0 - 2.0 * t) / (t * (1.0 - t)) * self._c(t)
+        return (self.params.gamma / 2.0) * (1.0 - 2.0 * t) / (t * (1.0 - t)) * c
 
     def check_time(self, t):
         if isinstance(t, np.ndarray) and t.ndim:
@@ -184,31 +184,27 @@ class MixingSchedule:
             )
         return t
 
+    def terms(self, t) -> Terms:
+        """alpha_t, beta_t pi_t, the rate vector and log_snr at t, all from
+        one evaluation of c_t: the other closed forms at t are views of it."""
+        return Terms(self, t)
+
     def alpha(self, t: float) -> float:
-        t = self.check_time(t)
-        return (1.0 - t) / (1.0 + self._c(t))
+        return self.terms(t).alpha
 
     def alpha_prime(self, t: float) -> float:
         # d/dt of (1-t)/C: exactly -1 when c is identically zero
         t = self.check_time(t)
         c = self._c(t)
-        return -((1.0 + c) + (1.0 - t) * self._c_prime(t)) / (1.0 + c) ** 2
+        return -((1.0 + c) + (1.0 - t) * self._c_prime(t, c)) / (1.0 + c) ** 2
 
     def beta_pi(self, t: float) -> np.ndarray:
         """The noise component beta_t * pi_t of the marginal."""
-        t = self.check_time(t)
-        c = self._c(t)
-        return self._spread(t / (1.0 + c), c * self._u / (1.0 + c))
+        return self.terms(t).beta_pi
 
     def rate_vector(self, t: float) -> np.ndarray:
-        """beta_t pi_t' - (alpha_t'/alpha_t) pi_t, the off-diagonal rate profile.
-
-        Closed form: (m + (c + (1-t) c') u) / (C (1-t)).
-        """
-        t = self.check_time(t)
-        c = self._c(t)
-        d = (1.0 + c) * (1.0 - t)
-        return self._spread(1.0 / d, (c + (1.0 - t) * self._c_prime(t)) * self._u / d)
+        """beta_t pi_t' - (alpha_t'/alpha_t) pi_t, the off-diagonal rate profile."""
+        return self.terms(t).rate
 
     def uniform_mass(self, t: float) -> float:
         """Total probability of the uniform component at time t: c_t / C_t."""
@@ -216,53 +212,44 @@ class MixingSchedule:
         c = self._c(t)
         return c / (1.0 + c)
 
-    def beta(self, t: float) -> float:
-        return 1.0 - self.alpha(t)
-
     def pi(self, t: float) -> np.ndarray:
         bp = self.beta_pi(t)
         return bp / bp.sum()
 
     def log_snr(self, t: float) -> float:
         """lambda_t = log(alpha_t / (1 - alpha_t))."""
-        return _entrywise(lambda a: math.log(a) - math.log1p(-a), self.alpha(t))
+        return self.terms(t).log_snr
 
     def marginal(self, t: float, x: int) -> np.ndarray:
         """q_t(. | x) = alpha_t one_hot(x) + beta_t pi_t."""
-        t = self.check_time(t)
-        x = self.vocab.check_token(x)
-        q = self.beta_pi(t).copy()
-        q[x] += self.alpha(t)
+        terms = self.terms(t)
+        q = terms.beta_pi
+        q[self.vocab.check_token(x)] += terms.alpha
         return q
 
     def marginal_mix(self, t: float, x_theta: np.ndarray) -> np.ndarray:
         """q_t(. | x_theta): marginal with the one-hot replaced by a distribution."""
-        t = self.check_time(t)
-        return self.alpha(t) * np.asarray(x_theta, dtype=float) + self.beta_pi(t)
+        terms = self.terms(t)
+        return terms.alpha * np.asarray(x_theta, dtype=float) + terms.beta_pi
 
     def conditional_transition(self, s: float, t: float) -> ConditionalTransition:
         s = self.check_time(s)
         t = self.check_time(t)
         if s > t:
             raise OrderingError(f"need s <= t, got s={s!r} > t={t!r}")
-        a_ts = self.alpha(t) / self.alpha(s)
-        bp_ts = self.beta_pi(t) - a_ts * self.beta_pi(s)
+        at_s, at_t = self.terms(s), self.terms(t)
+        a_ts = at_t.alpha / at_s.alpha
+        bp_ts = at_t.beta_pi - a_ts * at_s.beta_pi
         return ConditionalTransition(alpha_ts=a_ts, beta_pi_ts=bp_ts)
 
     def forward_rate(self, t: float, z_from: int, z_to: int) -> float:
         """CTMC generator entry R_t(z_from, z_to)."""
-        t = self.check_time(t)
-        z_from = self.vocab.check_token(z_from)
-        z_to = self.vocab.check_token(z_to)
-        r = self.rate_vector(t)[z_to]
-        if z_from == z_to:
-            r += self.alpha_prime(t) / self.alpha(t)
-        return float(r)
+        return float(self.forward_rate_row(t, z_from)[self.vocab.check_token(z_to)])
 
     def forward_rate_row(self, t: float, z_from: int) -> np.ndarray:
-        t = self.check_time(t)
-        row = self.rate_vector(t).copy()
-        row[self.vocab.check_token(z_from)] += self.alpha_prime(t) / self.alpha(t)
+        terms = self.terms(t)
+        row = terms.rate
+        row[self.vocab.check_token(z_from)] += self.alpha_prime(t) / terms.alpha
         return row
 
     def backward_rate(self, t: float, z_t: int, z_s: int, x_theta: np.ndarray) -> float:
@@ -290,6 +277,32 @@ class MixingSchedule:
                 f"token {z_t} outside forward support of {x} at t={t!r}"
             )
         return float(self.rate_vector(t)[z_t] / q[z_t])
+
+
+class Terms:
+    """The closed forms at one time, or at (B,) times along a leading axis,
+    from one evaluation of c_t: alpha_t = (1-t)/C and the noise component
+    beta_t pi_t of the marginal; the rate vector and log_snr are computed
+    from them when read."""
+
+    def __init__(self, schedule: MixingSchedule, t):
+        self._schedule, self._t = schedule, schedule.check_time(t)
+        c = self._c = schedule._c(self._t)
+        self.alpha = (1.0 - self._t) / (1.0 + c)
+        self.beta_pi = schedule._spread(self._t / (1.0 + c), c * schedule._u / (1.0 + c))
+
+    @property
+    def rate(self) -> np.ndarray:
+        """beta_t pi_t' - (alpha_t'/alpha_t) pi_t, the off-diagonal rate
+        profile: (m + (c + (1-t) c') u) / (C (1-t))."""
+        s, t, c = self._schedule, self._t, self._c
+        d = (1.0 + c) * (1.0 - t)
+        return s._spread(1.0 / d, (c + (1.0 - t) * s._c_prime(t, c)) * s._u / d)
+
+    @property
+    def log_snr(self) -> float | np.ndarray:
+        """lambda_t = log(alpha_t / (1 - alpha_t))."""
+        return _entrywise(lambda a: math.log(a) - math.log1p(-a), self.alpha)
 
 
 def MaskOnlySchedule(vocab: Vocab, eps_t: float = DEFAULT_EPS_T) -> MixingSchedule:

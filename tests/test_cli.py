@@ -114,6 +114,16 @@ def test_bad_distribution_contents_are_data_errors(capsys, tmp_path, text, line)
     assert f"data error: line {line}:" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--batch", "0"), ("--steps", "-3")])
+def test_train_bad_batch_or_steps_is_usage_error(capsys, tmp_path, dist_file, flag, value):
+    out = tmp_path / "table.txt"
+    code, stdout, err = run(capsys, ["train", "--dist", dist_file, flag, value, "--out", str(out)])
+    assert code == 1
+    assert stdout == ""
+    assert f"usage error: {flag[2:]} must be" in err
+    assert not out.exists()
+
+
 def test_p_u_needs_hybrid_schedule(capsys, dist_file):
     code, out, err = run(capsys, ["oracle-eval", "--dist", dist_file, "--p-u", "0.2"])
     assert code == 1

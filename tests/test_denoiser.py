@@ -1,10 +1,14 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixdiff import (
     CLAMP,
+    DYNAMIC,
     EXACT,
     Denoiser,
     LogitTable,
@@ -18,6 +22,7 @@ from mixdiff import (
 )
 from mixdiff.denoiser import masked_softmax, posterior_kl_to_oracle
 from mixdiff.errors import CorpusFormatError, DegenerateEvidenceError
+from mixdiff.schedule import MixingSchedule
 
 
 def test_toy_distribution_validation(vocab3):
@@ -141,6 +146,26 @@ def test_logit_table_buckets(vocab3):
     assert table.bucket(1e-4) == 0
     assert table.bucket(1 - 1e-4) == 7
     assert table.bucket(0.5) == 4
+
+
+@given(
+    t_buckets=st.integers(1, 100),
+    eps_t=st.floats(1e-6, 0.49),
+    fracs=st.lists(st.floats(0.0, 1.0), max_size=20),
+)
+def test_buckets_equal_bucket(t_buckets, eps_t, fracs):
+    """The array bucket equals the scalar one at eps_t, at 1 - eps_t, on both
+    sides of every bucket edge and at drawn times."""
+    table = LogitTable(Vocab(3, 2), 2, t_buckets=t_buckets, eps_t=eps_t)
+    edges = eps_t + (1.0 - 2.0 * eps_t) * np.arange(t_buckets + 1) / t_buckets
+    times = np.concatenate([
+        [eps_t, 1.0 - eps_t],
+        edges,
+        np.nextafter(edges, 0.0),
+        np.nextafter(edges, 1.0),
+        eps_t + (1.0 - 2.0 * eps_t) * np.array(fracs),
+    ])
+    assert table.buckets(times).tolist() == [table.bucket(t) for t in times.tolist()]
 
 
 def test_logit_table_round_trip(vocab3, tmp_path):
@@ -299,8 +324,29 @@ def test_table_train_error_types(vocab3, two_outcome):
     for table in (LogitTable(vocab3, 3), LogitTable(Vocab(5, 4), 2)):
         with pytest.raises(ValueError):
             table_train(two_outcome, sched, table, 2)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="batch"):
         table_train(two_outcome, sched, LogitTable(vocab3, 2), 2, batch=0)
+
+
+@pytest.mark.parametrize("kwargs", [{"batch": 0}, {"batch": -1}, {"steps": -3}])
+def test_table_train_names_bad_arguments(two_outcome, kwargs):
+    sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
+    table = LogitTable(two_outcome.vocab, 2)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        table_train(two_outcome, sched, table, **{"steps": 2, **kwargs})
+    assert not table.table
+
+
+@pytest.mark.parametrize("mode", [CLAMP, EXACT, DYNAMIC], ids=lambda m: m.kind)
+def test_table_train_evaluates_schedule_once_per_step(two_outcome, mode):
+    """One c_t evaluation serves a step's noise and the loss of all its waves."""
+    sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
+    table = LogitTable(two_outcome.vocab, 2)
+    with mock.patch.object(
+        MixingSchedule, "_c", autospec=True, side_effect=MixingSchedule._c
+    ) as c:
+        table_train(two_outcome, sched, table, 20, mode=mode, seed=3)
+    assert 0 < c.call_count <= 20
 
 
 class _RowsOnly(Denoiser):

@@ -309,6 +309,38 @@ def test_array_closed_forms_equal_scalar_ones(p_u, gamma):
         assert batched.tobytes() == one_by_one.tobytes(), name
 
 
+def _closed_forms(sched, t):
+    """Reference alpha, beta_pi, rate_vector and log_snr at one time, each
+    closed form on its own with libm's pow; for p_u > 0."""
+    n, h = sched.vocab.size, sched.params.gamma / 2.0
+    c = sched.uniform_mix_constant * t**h * (1.0 - t) ** h
+    c_prime = h * (1.0 - 2.0 * t) / (t * (1.0 - t)) * c
+    alpha = (1.0 - t) / (1.0 + c)
+    d = (1.0 + c) * (1.0 - t)
+    beta_pi = np.full(n, c * (1.0 / (n - 1)) / (1.0 + c))
+    beta_pi[sched.vocab.mask_id] = t / (1.0 + c)
+    rate = np.full(n, (c + (1.0 - t) * c_prime) * (1.0 / (n - 1)) / d)
+    rate[sched.vocab.mask_id] = 1.0 / d
+    return alpha, beta_pi, rate, math.log(alpha) - math.log1p(-alpha)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.0])
+@pytest.mark.parametrize("p_u", [0.2, 0.01])
+def test_terms_equal_closed_forms(p_u, gamma):
+    """terms(t) on 1001 times has the bits of alpha, beta_pi, rate_vector and
+    log_snr, and of each closed form computed alone at each time."""
+    sched = make_schedule("hybrid", Vocab(5, 4), p_u=p_u, gamma=gamma)
+    grid = np.linspace(sched.eps_t, 1.0 - sched.eps_t, 1001)
+    terms = sched.terms(grid)
+    batched = (terms.alpha, terms.beta_pi, terms.rate, terms.log_snr)
+    methods = (sched.alpha, sched.beta_pi, sched.rate_vector, sched.log_snr)
+    alone = [np.array(v) for v in zip(*(_closed_forms(sched, t) for t in grid.tolist()))]
+    names = ("alpha", "beta_pi", "rate", "log_snr")
+    for name, got, method, want in zip(names, batched, methods, alone):
+        assert got.tobytes() == method(grid).tobytes(), name
+        assert got.tobytes() == want.tobytes(), name
+
+
 def test_make_schedule_rejects_unknown():
     with pytest.raises(ValueError):
         make_schedule("linear", Vocab(3, 2))
