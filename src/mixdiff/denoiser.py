@@ -11,6 +11,7 @@ and the loss path mixes in beta_t pi_t regardless.
 
 from __future__ import annotations
 
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -146,17 +147,28 @@ def _distinct_rows(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Rows of tokens in [0, n) are keyed as base-n numbers, a block of columns at
     a time so that keys fit in int64, led by the index over the blocks before.
+    A block whose key space is at most 8 times the batch (about where the two
+    cost the same) marks its keys and ranks them by a cumulative sum; a larger
+    one sorts them.
     """
     width = max(1, (62 - len(z).bit_length()) // (n - 1).bit_length())
     index = np.zeros(len(z), dtype=np.int64)
-    keys = index[:1]
+    count = min(len(z), 1)
     for j in range(0, z.shape[1], width):
         block = z[:, j : j + width]
-        key = np.ravel_multi_index((index, *block.T), (len(keys),) + (n,) * block.shape[1])
-        keys, index = np.unique(key, return_inverse=True)
-    distinct = np.empty((len(keys), z.shape[1]), dtype=np.int64)
-    distinct[index] = z
-    return distinct, index
+        shape = (count,) + (n,) * block.shape[1]
+        key = np.ravel_multi_index((index, *block.T), shape)
+        if 0 < (space := math.prod(shape)) <= 8 * len(z):
+            seen = np.zeros(space, dtype=bool)
+            seen[key] = True
+            rank = np.cumsum(seen) - 1
+            index, count = rank[key], int(rank[-1]) + 1
+        else:
+            keys, index = np.unique(key, return_inverse=True)
+            count = len(keys)
+    first = np.empty(count, dtype=np.int64)
+    first[index] = np.arange(len(z))
+    return z[first], index
 
 
 class Denoiser:

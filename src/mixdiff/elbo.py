@@ -258,13 +258,17 @@ def stratified_times(num_mc: int, offset: float, eps_t: float) -> np.ndarray:
     return eps_t + (1.0 - 2.0 * eps_t) * (idx + offset) / num_mc
 
 
-def _inverse_cdf(rows: np.ndarray, u: np.ndarray, inverse=slice(None)) -> np.ndarray:
+def _inverse_cdf(rows: np.ndarray, u: np.ndarray, inverse=None) -> np.ndarray:
     """Exact inverse-CDF sampling along the last axis. rows must be normalized;
-    u[b] draws from rows[inverse[b]] (by default, from rows[b])."""
-    cdf = np.cumsum(rows, axis=-1)
-    cdf[..., -1] = 1.0
-    idx = (u[..., None] > cdf[inverse]).sum(axis=-1)
-    return np.minimum(idx, rows.shape[-1] - 1).astype(np.int64)
+    u[b] draws from rows[inverse[b]] (by default, from rows[b]). The draw is
+    the count of CDF entries below u, over all but the last, since u < 1.
+    With inverse, the CDF is built token-major once per row and gathered;
+    without, the last-axis compare is cheaper on the small arrays of
+    self-correction."""
+    if inverse is None:
+        return (u[..., None] > np.cumsum(rows, axis=-1)[..., :-1]).sum(axis=-1)
+    cdf = np.cumsum(np.moveaxis(rows, -1, 0)[:-1], axis=0)
+    return (u > cdf.take(inverse, axis=1)).sum(axis=0)
 
 
 def _noise(terms: Terms, x: np.ndarray, u: np.ndarray) -> np.ndarray:

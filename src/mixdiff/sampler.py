@@ -5,7 +5,8 @@ sums, so a fixed seed reproduces outputs bit-for-bit. Batched sampling hashes
 (seed, row, step, position) into its uniforms, as Random123 does (Salmon et
 al., SC'11): one call draws a (B, L) block, row i depends only on (seed, i),
 so the first k rows of a batch do not depend on its size, and no two seeds
-share rows. Each reverse step builds its posterior once per distinct row.
+share rows. Each reverse step builds its posterior and its CDF once per
+distinct row, and draws every row with one gather of that CDF.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
+        if not 0.0 < self.eps_t < 0.5:
+            raise ValueError("eps_t must lie in (0, 0.5)")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if not 0.0 <= self.min_p < 1.0:
@@ -83,10 +86,13 @@ class SelfCorrectConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        check_seed(self.seed)
 
 
 def _temper_rows(p: np.ndarray, temperature: float) -> np.ndarray:
@@ -196,6 +202,8 @@ def ancestral_sample_batch(
     Row i draws only the uniforms counter_uniforms gives row i under
     config.seed, so the first k rows of a batch equal a k-row batch.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     grid = config.time_grid()
     z = np.full((count, length), schedule.vocab.mask_id, dtype=np.int64)
     for i in range(config.num_steps, 0, -1):

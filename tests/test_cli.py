@@ -258,6 +258,17 @@ def test_sample_out_directory_is_data_error(capsys, tmp_path, dist_file):
     assert "data error" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_sample_bad_count_is_usage_error(capsys, tmp_path, dist_file, count):
+    out = tmp_path / "samples.txt"
+    argv = ["sample", "--dist", dist_file, "--count", count, "--out", str(out)]
+    code, stdout, err = run(capsys, argv)
+    assert code == 1
+    assert stdout == ""
+    assert err == "usage error: count must be >= 1\n"
+    assert not out.exists()
+
+
 def test_train_then_nelbo_with_table(capsys, tmp_path, dist_file, corpus_file):
     table_path = tmp_path / "table.txt"
     code, out, _ = run(
@@ -404,3 +415,13 @@ def test_verify_command(capsys):
     assert payload["passed"] is True
     assert len(payload["checks"]) == 15
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_self_correct_zero_iterations_is_usage_error(capsys, tmp_path, dist_file, corpus_file):
+    out = tmp_path / "fixed.txt"
+    argv = ["self-correct", "--corpus", corpus_file, "--dist", dist_file]
+    code, stdout, err = run(capsys, argv + ["--max-iters", "0", "--out", str(out)])
+    assert code == 1
+    assert stdout == ""
+    assert "usage error: max_iters must be >= 1" in err
+    assert not out.exists()

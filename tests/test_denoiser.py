@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixdiff import (
@@ -20,7 +20,7 @@ from mixdiff import (
     sequence_nelbo,
     table_train,
 )
-from mixdiff.denoiser import masked_softmax, posterior_kl_to_oracle
+from mixdiff.denoiser import _distinct_rows, masked_softmax, posterior_kl_to_oracle
 from mixdiff.errors import CorpusFormatError, DegenerateEvidenceError
 from mixdiff.schedule import MixingSchedule
 
@@ -375,3 +375,29 @@ def test_predict_batch_per_row_times(five_outcome):
         shared = denoiser.predict_batch(z, 0.3)
         for b in range(30):
             assert shared[b].tobytes() == denoiser.predict(z[b], 0.3).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 5, 9]),
+    length=st.sampled_from([1, 2, 3, 7, 36, 40, 56]),
+    rows=st.integers(1, 3000),
+    pool=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=5, length=3, rows=20000, pool=125, seed=1)  # key space 125: marks
+@example(n=8, length=3, rows=64, pool=8, seed=2)  # key space 512 <= 8 * rows: marks
+@example(n=8, length=3, rows=63, pool=8, seed=2)  # key space 512 > 8 * rows: sorts
+@example(n=5, length=40, rows=2000, pool=8, seed=3)  # blocks of 17, 17, 6: all sort
+@example(n=5, length=36, rows=2000, pool=8, seed=3)  # blocks of 17, 17, 2: sort, sort, marks
+@example(n=2, length=56, rows=300, pool=5, seed=4)  # blocks of 53, 3: sort, marks
+@example(n=2, length=3, rows=8, pool=8, seed=5)  # key space 8: marks
+def test_distinct_rows_equal_unique(n, length, rows, pool, seed):
+    """Equal to np.unique over rows, on both sides of the marks/sort choice."""
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, n, (pool, length))[rng.integers(0, pool, rows)]
+    distinct, index = _distinct_rows(z, n)
+    expect, expect_index = np.unique(z, axis=0, return_inverse=True)
+    assert distinct.dtype == np.int64 and index.dtype == np.int64
+    np.testing.assert_array_equal(distinct, expect)
+    np.testing.assert_array_equal(index, expect_index.reshape(-1))

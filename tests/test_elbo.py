@@ -27,7 +27,7 @@ from mixdiff import (
     stratified_times,
     table_train,
 )
-from mixdiff.elbo import DEFAULT_WEIGHT_CLIP, loss_weight
+from mixdiff.elbo import DEFAULT_WEIGHT_CLIP, _inverse_cdf, loss_weight
 from mixdiff.errors import DegenerateEvidenceError, UnsupportedStateError
 from conftest import random_prediction
 
@@ -433,3 +433,40 @@ def test_same_seed_same_output(tmp_path, two_outcome, kind, mode):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     assert report.loss_trajectory == trajectory
     assert nelbos == expected_nelbos
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    length=st.integers(1, 4),
+    rows=st.integers(1, 6),
+    draws=st.integers(1, 40),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inverse_cdf_counts_cdf_entries_below_u(n, length, rows, draws, zero_frac, seed):
+    """Each draw is the count of u > cdf[k] over k < N - 1, with the CDF summed
+    left to right, whether the draws gather shared rows or own theirs; u may
+    sit exactly on a CDF entry, and tokens may have probability zero."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((rows, length, n)) * (rng.random((rows, length, n)) >= zero_frac)
+    p[..., rng.integers(n)] += 0.5
+    p /= p.sum(axis=-1, keepdims=True)
+    inverse = rng.integers(0, rows, draws)
+    u = rng.random((draws, length))
+    expect = np.zeros((draws, length), dtype=np.int64)
+    for b in range(draws):
+        for l in range(length):
+            cdf = np.zeros(n - 1)
+            total = 0.0
+            for k in range(n - 1):
+                total += float(p[inverse[b], l, k])
+                cdf[k] = total
+            if rng.random() < 0.5 and cdf[-1] < 1.0:
+                u[b, l] = cdf[rng.integers(n - 1)]
+            expect[b, l] = int((u[b, l] > cdf).sum())
+    shared = _inverse_cdf(p, u, inverse)
+    own = _inverse_cdf(p[inverse], u)
+    assert shared.dtype == np.int64 and own.dtype == np.int64
+    np.testing.assert_array_equal(shared, expect)
+    np.testing.assert_array_equal(own, expect)

@@ -35,6 +35,9 @@ def test_sampler_config_validation():
         SamplerConfig(temperature=0.0)
     with pytest.raises(ValueError):
         SamplerConfig(min_p=1.0)
+    for eps_t in (0.0, 0.5, 0.7, -1e-4):
+        with pytest.raises(ValueError, match="eps_t"):
+            SamplerConfig(eps_t=eps_t)
     grid = SamplerConfig(num_steps=16).time_grid()
     assert len(grid) == 17
     assert np.all(np.diff(grid) > 0)
@@ -321,6 +324,12 @@ def test_self_correct_config_validation():
         SelfCorrectConfig(patience=0)
     with pytest.raises(ValueError):
         SelfCorrectConfig(temperature=0.0)
+    for max_iters in (0, -1):
+        with pytest.raises(ValueError, match="max_iters"):
+            SelfCorrectConfig(max_iters=max_iters)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            SelfCorrectConfig(seed=seed)
 
 
 def test_self_correct_fixed_point(two_outcome):
@@ -359,7 +368,7 @@ def test_self_correct_rejects_masked_input(two_outcome_oracle):
         self_correct(np.array([2, 0]), oracle, SelfCorrectConfig(), 2)
 
 
-def test_sample_batch_same_bits(two_outcome):
+def test_sample_batch_same_bits(two_outcome, five_outcome):
     """sha256 of a hybrid oracle sample on the counter-based stream.
 
     Recorded when the per-row `seed ^ i` generators gave way to the hashed
@@ -373,3 +382,25 @@ def test_sample_batch_same_bits(two_outcome):
     assert z.dtype == np.int64 and z.shape == (256, 2)
     digest = "bc34a1409f940a1d95456dfd06233eb1869cd579064dfb5b26c3de7550dddafe"
     assert hashlib.sha256(z.tobytes()).hexdigest() == digest
+
+    # Criterion 9's size, where a step keys its rows by marking the key space
+    # rather than sorting; recorded before that keying and the token-major draw.
+    sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.01)
+    z = ancestral_sample_batch(
+        sched, 3, OracleDenoiser(five_outcome, sched), SamplerConfig(num_steps=8, seed=4), 20000
+    )
+    assert z.dtype == np.int64 and z.shape == (20000, 3)
+    digest = "b2c7a559e1489e65f155202787f1c9d994e8bb2e7de05c206c7e5aad5d540a3c"
+    assert hashlib.sha256(z.tobytes()).hexdigest() == digest
+
+
+class _Untouchable(Denoiser):
+    def predict_batch(self, z_seqs, t):
+        raise AssertionError("the denoiser must not be called")
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_batch_needs_a_row(two_outcome, count):
+    sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        ancestral_sample_batch(sched, 2, _Untouchable(), SamplerConfig(), count)
