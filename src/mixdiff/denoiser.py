@@ -26,9 +26,10 @@ from .elbo import (
     _noise,
     kl_divergence,
     loss_target,
-    noise_sequence,
+    model_marginal,
     stratified_times,
-    target_loss_and_grad,
+    target_grad,
+    target_loss,
 )
 from .errors import CorpusFormatError, DegenerateEvidenceError
 from .schedule import MixingSchedule, Vocab
@@ -251,6 +252,16 @@ class LogitTable(Denoiser):
     learning_rate: float = 0.5
     table: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.t_buckets < 1:
+            raise ValueError(f"t_buckets must be >= 1, got {self.t_buckets}")
+        if not 0.0 < self.eps_t < 0.5:
+            raise ValueError(f"eps_t must lie in (0, 0.5), got {self.eps_t!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate!r}"
+            )
+
     def bucket(self, t: float) -> int:
         frac = (t - self.eps_t) / (1.0 - 2.0 * self.eps_t)
         return min(max(int(frac * self.t_buckets), 0), self.t_buckets - 1)
@@ -326,6 +337,11 @@ class TrainingReport:
     steps: int
 
 
+# Examples per block of table_train: what one block holds bounds the memory
+# of a call, whatever its number of steps.
+TRAIN_BLOCK = 4096
+
+
 def table_train(
     dist: ToyDistribution,
     schedule: MixingSchedule,
@@ -342,47 +358,70 @@ def table_train(
     Each step draws a batch of clean sequences, assigns them low-discrepancy
     times within the batch, noises them, and updates the entry keyed by
     (bucket(t), noisy sequence), example after example. Examples with other
-    keys never see each other's updates, so wave r, one loss and gradient for
-    the examples whose key occurs the r-th time, gives that result exactly.
-    A step evaluates the schedule once, looks the table up once and applies
-    its waves to a gathered copy of the entries it touches.
+    keys never see each other's updates, and nothing but the updates reads
+    the table, so the call runs in blocks of steps, TRAIN_BLOCK examples or
+    one step each: a block makes its draws step by step as a step alone
+    would, evaluates the schedule, noises, weighs and looks the table up
+    once for all its examples, and then applies wave r, one gradient for the
+    examples whose key occurs the r-th time in the block, in turn. That gives
+    the example-by-example result exactly. The loss values are computed
+    afterwards, from each example's saved prediction, only for the steps the
+    trajectory records (every trajectory_every-th and the last). If a block
+    raises, the table holds the updates of the blocks before it.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if trajectory_every < 1:
+        raise ValueError(f"trajectory_every must be >= 1, got {trajectory_every}")
+    if (table.vocab, table.length) != (dist.vocab, dist.length):
+        raise ValueError(
+            f"table of length {table.length} over {table.vocab} does not fit the "
+            f"distribution of length {dist.length} over {dist.vocab}"
+        )
     rng = np.random.default_rng(seed)
+    per_block = max(1, TRAIN_BLOCK // batch)
     trajectory = []
-    avg = 0.0
-    for step in range(steps):
-        xs = dist.sample(rng, batch)
-        times = stratified_times(batch, rng.random(), schedule.eps_t)
+    for first in range(0, steps, per_block):
+        block = range(first, min(first + per_block, steps))
+        xs, offsets, u = zip(
+            *[(dist.sample(rng, batch), rng.random(), rng.random((batch, dist.length)))
+              for _ in block]
+        )
+        xs = np.concatenate(xs)
+        times = stratified_times(batch, np.array(offsets)[:, None], schedule.eps_t).ravel()
         terms = schedule.terms(times)
-        zs = noise_sequence(schedule, xs, times, rng, terms)
+        zs = _noise(terms, xs, np.concatenate(u))
         target = loss_target(schedule, times, zs, xs, mode, weight_clip, terms)
         entries, inverse = table.logits_for(zs, times, insert=True)
         logits = np.array(entries)
-        # rank of each example among the batch's examples with its key
+        # rank of each example among the block's examples with its key
         order, counts = np.argsort(inverse, kind="stable"), np.bincount(inverse)
-        occurrence = np.empty(batch, dtype=np.int64)
-        occurrence[order] = np.arange(batch) - (np.cumsum(counts) - counts)[inverse[order]]
-        # the waves in turn, each a slice of examples in batch order
+        occurrence = np.empty(len(xs), dtype=np.int64)
+        occurrence[order] = np.arange(len(xs)) - (np.cumsum(counts) - counts)[inverse[order]]
+        # the waves in turn, each a slice of examples in block order
         order, edges = np.argsort(occurrence, kind="stable"), np.cumsum(np.bincount(occurrence))
         target, keys = [v[order] for v in target], inverse[order]
-        wave_losses = np.empty(batch)
+        probs = np.empty(target[2].shape)
         for wave in map(slice, [0, *edges[:-1]], edges):
-            probs = masked_softmax(logits[keys[wave]], schedule.vocab.mask_id)
-            w, kl, is_term, grad = target_loss_and_grad([v[wave] for v in target], probs)
-            logits[keys[wave]] -= table.learning_rate * grad
-            wave_losses[wave] = (w * (kl + is_term)).sum(axis=-1)
-        losses = wave_losses[np.argsort(order)]
+            part, k = [v[wave] for v in target], keys[wave]
+            probs[wave] = p = masked_softmax(logits[k], schedule.vocab.mask_id)
+            logits[k] -= table.learning_rate * target_grad(part, model_marginal(part, p))
         for entry, row in zip(entries, logits):
             entry[...] = row
-        avg = sum((losses / dist.length).tolist()) / batch
-        if step % trajectory_every == 0 or step == steps - 1:
-            trajectory.append(avg)
+        recorded = [s - first for s in block if s % trajectory_every == 0 or s == steps - 1]
+        if recorded:
+            rows = (np.array(recorded)[:, None] * batch + np.arange(batch)).ravel()
+            at = np.argsort(order)[rows]
+            part = [v[at] for v in target]
+            w, kl, is_term = target_loss(part, model_marginal(part, probs[at]))
+            losses = (w * (kl + is_term)).sum(axis=-1).reshape(len(recorded), batch)
+            trajectory += [sum(row.tolist()) / batch for row in losses / dist.length]
     return TrainingReport(
-        final_avg_loss=avg, loss_trajectory=tuple(trajectory), steps=steps
+        final_avg_loss=trajectory[-1] if steps else 0.0,
+        loss_trajectory=tuple(trajectory),
+        steps=steps,
     )
 
 

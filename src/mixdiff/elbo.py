@@ -137,25 +137,36 @@ def loss_target(
     return a, bp, q_true, at_z, np.maximum(p_z, LOG_FLOOR), w
 
 
-def target_loss_and_grad(target: tuple, probs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The second part of loss_and_grad: (weight, kl, is_term, grad) of the
-    (B, L, N) prediction probs against loss_target's `target`, or against
-    the same rows of each of its parts (under (B,) times)."""
-    a, bp, q_true, at_z, p_z, w = target
+def model_marginal(target: tuple, probs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What target_loss and target_grad need of the (B, L, N) prediction
+    probs, scored against loss_target's `target` or against the same rows
+    of each of its parts (under (B,) times): probs, the model marginal
+    q_t(. | x_theta) = alpha_t probs + beta_t pi_t floored at LOG_FLOOR,
+    and its entry at z."""
+    a, bp, q_true, at_z, p_z, _ = target
     s = np.asarray(probs, dtype=float).reshape(q_true.shape)
     # The floor keeps q_model > 0, so no ratio below is 0/0.
     q_model = np.maximum(a * s + bp, LOG_FLOOR)
-    kl = kl_divergence(q_true, q_model)
-    q_z = q_model[at_z].reshape(p_z.shape)
-    is_term = is_divergence_pointwise(p_z, q_z)
+    return s, q_model, q_model[at_z].reshape(p_z.shape)
 
+
+def target_loss(target: tuple, model: tuple) -> tuple[np.ndarray, ...]:
+    """The loss terms of loss_and_grad: (weight, kl, is_term)."""
+    _, _, q_true, _, p_z, w = target
+    _, q_model, q_z = model
+    return w, kl_divergence(q_true, q_model), is_divergence_pointwise(p_z, q_z)
+
+
+def target_grad(target: tuple, model: tuple) -> np.ndarray:
+    """The logit gradient of loss_and_grad."""
+    a, _, q_true, at_z, p_z, w = target
+    s, q_model, q_z = model
     # q_model = alpha_t s + beta_t pi_t. d(KL)/dq_model = -q_true / q_model;
     # d(IS)/dq_model[z] = 1/q - p/q^2.
     g_q = -q_true / q_model
     g_q[at_z] += (1.0 / q_z - p_z / q_z**2).ravel()
     g_s = a * w[..., None] * g_q
-    grad = s * (g_s - (s * g_s).sum(axis=-1, keepdims=True))
-    return w, kl, is_term, grad
+    return s * (g_s - (s * g_s).sum(axis=-1, keepdims=True))
 
 
 def loss_and_grad(
@@ -180,12 +191,15 @@ def loss_and_grad(
     rate_vector(t)[z] / q_t(z | x), clipped at `weight_clip`
     (training-stability guard) unless it is None. Entries with probability 0
     get gradient 0, so grad also holds for a softmax over a subset of entries.
-    loss_target computes what does not depend on probs, once for rows that
-    target_loss_and_grad then scores in parts.
+    It is the composition of its parts: loss_target computes what does not
+    depend on probs, once for rows that model_marginal, target_loss and
+    target_grad then score, together or in parts.
     """
     shape = np.shape(z)
     target = loss_target(schedule, t, z, x, mode, weight_clip)
-    w, kl, is_term, grad = target_loss_and_grad(target, probs)
+    model = model_marginal(target, probs)
+    w, kl, is_term = target_loss(target, model)
+    grad = target_grad(target, model)
     return w.reshape(shape), kl.reshape(shape), is_term.reshape(shape), grad.reshape(shape + (-1,))
 
 
@@ -261,14 +275,15 @@ def stratified_times(num_mc: int, offset: float, eps_t: float) -> np.ndarray:
 def _inverse_cdf(rows: np.ndarray, u: np.ndarray, inverse=None) -> np.ndarray:
     """Exact inverse-CDF sampling along the last axis. rows must be normalized;
     u[b] draws from rows[inverse[b]] (by default, from rows[b]). The draw is
-    the count of CDF entries below u, over all but the last, since u < 1.
-    With inverse, the CDF is built token-major once per row and gathered;
-    without, the last-axis compare is cheaper on the small arrays of
-    self-correction."""
+    the count of CDF entries at or below u, over all but the last, since
+    u < 1: a token of probability zero repeats the entry before it, so u on
+    that entry (u = 0 included) passes it by. With inverse, the CDF is built
+    token-major once per row and gathered; without, the last-axis compare is
+    cheaper on the small arrays of self-correction."""
     if inverse is None:
-        return (u[..., None] > np.cumsum(rows, axis=-1)[..., :-1]).sum(axis=-1)
+        return (np.cumsum(rows, axis=-1)[..., :-1] <= u[..., None]).sum(axis=-1)
     cdf = np.cumsum(np.moveaxis(rows, -1, 0)[:-1], axis=0)
-    return (u > cdf.take(inverse, axis=1)).sum(axis=0)
+    return (cdf.take(inverse, axis=1) <= u).sum(axis=0)
 
 
 def _noise(terms: Terms, x: np.ndarray, u: np.ndarray) -> np.ndarray:

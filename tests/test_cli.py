@@ -124,6 +124,38 @@ def test_train_bad_batch_or_steps_is_usage_error(capsys, tmp_path, dist_file, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, match",
+    [
+        ("--lr", "nan", "learning_rate must be finite and > 0"),
+        ("--lr", "inf", "learning_rate must be finite and > 0"),
+        ("--lr", "-1", "learning_rate must be finite and > 0"),
+        ("--lr", "0", "learning_rate must be finite and > 0"),
+        ("--t-buckets", "0", "t_buckets must be >= 1"),
+        ("--t-buckets", "-2", "t_buckets must be >= 1"),
+    ],
+)
+def test_train_bad_table_parameter_is_usage_error(capsys, tmp_path, dist_file, flag, value, match):
+    out = tmp_path / "table.txt"
+    code, stdout, err = run(capsys, ["train", "--dist", dist_file, flag, value, "--out", str(out)])
+    assert code == 1
+    assert stdout == ""
+    assert f"usage error: {match}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "header", ["3 2 2 0 0.0001 0.5", "3 2 2 8 0.5 0.5", "3 2 2 8 0.0001 nan", "3 2 2 8 0.0001 -1"]
+)
+def test_table_file_with_bad_parameters_is_data_error(capsys, tmp_path, corpus_file, header):
+    path = tmp_path / "table.txt"
+    path.write_text(header + "\n")
+    code, stdout, err = run(capsys, ["nelbo", "--corpus", corpus_file, "--table", str(path)])
+    assert code == 2
+    assert stdout == ""
+    assert "data error: line 1:" in err
+
+
 def test_p_u_needs_hybrid_schedule(capsys, dist_file):
     code, out, err = run(capsys, ["oracle-eval", "--dist", dist_file, "--p-u", "0.2"])
     assert code == 1

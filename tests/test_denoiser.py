@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,13 @@ from mixdiff import (
     sequence_nelbo,
     table_train,
 )
-from mixdiff.denoiser import _distinct_rows, masked_softmax, posterior_kl_to_oracle
+from mixdiff.denoiser import (
+    TRAIN_BLOCK,
+    _distinct_rows,
+    masked_softmax,
+    posterior_kl_to_oracle,
+)
+from mixdiff.elbo import loss_and_grad, noise_sequence, stratified_times
 from mixdiff.errors import CorpusFormatError, DegenerateEvidenceError
 from mixdiff.schedule import MixingSchedule
 
@@ -267,10 +274,12 @@ def test_oracle_beats_table(two_outcome):
     assert oracle_loss <= table_loss + 2 * np.hypot(oracle_se, table_se)
 
 
-# 300 steps of table_train on the two-outcome distribution, seed 12, recorded
-# when examples were trained one at a time: sha256 of the saved table, the
-# loss trajectory and posterior_kl_to_oracle of the table (500 samples, seed 1).
-# Keys repeat within a batch here, so each step runs several waves.
+# 300 steps of table_train on the two-outcome distribution, seed 12: sha256 of
+# the saved table, the loss trajectory and posterior_kl_to_oracle of the table
+# (500 samples, seed 1). The clamp and exact entries were recorded when
+# examples were trained one at a time, the dynamic ones when each step ran
+# its own waves. Keys repeat within a batch here, so each step runs several
+# waves, and the 300 steps cross a block boundary.
 TRAIN_PINS = {
     ("mask", "clamp"): (
         "0f36a6fdce469ced9885f83699dee78ac77cc5711d67b2c37634079a7c8aa795",
@@ -300,10 +309,24 @@ TRAIN_PINS = {
          0.7282651774780899),
         0.1578869119224622,
     ),
+    ("mask", "dynamic"): (
+        "70a77ec390157eaa7d9b734615f3193a9b1c92b1ee77ffcc8040567e5ce3f966",
+        (0.21506964491453587, 0.2140571378855088, 0.12521217623774908,
+         0.10832647225106672, 0.11271679886247048, 0.13130345069006272,
+         0.07767508263914152),
+        0.3793667965564617,
+    ),
+    ("hybrid", "dynamic"): (
+        "a5ceb72c1da42bdfedaa91c56b1e3e60ea4ee6189e76bb9696142dd9aca9317c",
+        (0.18595476616300957, 0.15429687866010305, 0.11266949459074115,
+         0.12355177356085828, 0.13918265055833706, 0.08302855001877506,
+         0.14051940202627883),
+        0.10163636695892932,
+    ),
 }
 
 
-@pytest.mark.parametrize("mode", [CLAMP, EXACT], ids=lambda m: m.kind)
+@pytest.mark.parametrize("mode", [CLAMP, EXACT, DYNAMIC], ids=lambda m: m.kind)
 @pytest.mark.parametrize("kind", ["mask", "hybrid"])
 def test_table_train_same_bits(tmp_path, two_outcome, kind, mode):
     sched = make_schedule(kind, two_outcome.vocab, p_u=0.2)
@@ -319,16 +342,131 @@ def test_table_train_same_bits(tmp_path, two_outcome, kind, mode):
 
 
 def test_table_train_error_types(vocab3, two_outcome):
-    """The error types of the example-by-example loop."""
+    """A table that does not fit the distribution is a named ValueError,
+    raised before any draw, and the table keeps no entry."""
     sched = make_schedule("hybrid", vocab3, p_u=0.2)
     for table in (LogitTable(vocab3, 3), LogitTable(Vocab(5, 4), 2)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not fit the distribution"):
             table_train(two_outcome, sched, table, 2)
+        assert not table.table
     with pytest.raises(ValueError, match="batch"):
         table_train(two_outcome, sched, LogitTable(vocab3, 2), 2, batch=0)
 
 
-@pytest.mark.parametrize("kwargs", [{"batch": 0}, {"batch": -1}, {"steps": -3}])
+def test_table_train_long_call_same_bits_in_bounded_memory(tmp_path, two_outcome):
+    """Criterion 8's call, 2000 steps of 64 examples, crosses 32 blocks. Its
+    saved table was recorded when each step ran its own waves. Its peak
+    traced allocation stays near one block's: 1.8 MiB measured, against
+    41 MiB for the call as one block."""
+    sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
+    table = LogitTable(two_outcome.vocab, 2)
+    tracemalloc.start()
+    try:
+        report = table_train(two_outcome, sched, table, 2000, batch=64, mode=CLAMP, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert report.final_avg_loss == 0.11315930853604395
+    path = tmp_path / "table.txt"
+    table.save(str(path))
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "266e103f972ad824840f6c45436ab582369fe0832971a9bef324f742fdec2c55"
+    )
+
+
+def _train_one_at_a_time(dist, schedule, table, steps, batch, mode, seed, trajectory_every):
+    """table_train's reference: each example noised alone, then one
+    loss_and_grad and one update of its entry, example after example."""
+    rng = np.random.default_rng(seed)
+    trajectory, avg = [], 0.0
+    for step in range(steps):
+        xs = dist.sample(rng, batch)
+        times = stratified_times(batch, rng.random(), schedule.eps_t).tolist()
+        losses = np.empty(batch)
+        for i, (x, t) in enumerate(zip(xs, times)):
+            z = noise_sequence(schedule, x, t, rng)
+            entry = table.table.setdefault(
+                (table.bucket(t), tuple(z.tolist())), np.zeros((dist.length, dist.vocab.size))
+            )
+            probs = masked_softmax(entry, dist.vocab.mask_id)
+            w, kl, is_term, grad = loss_and_grad(schedule, t, z, x, probs, mode)
+            entry -= table.learning_rate * grad
+            losses[i] = (w * (kl + is_term)).sum()
+        avg = sum((losses / dist.length).tolist()) / batch
+        if step % trajectory_every == 0 or step == steps - 1:
+            trajectory.append(avg)
+    return tuple(trajectory), avg
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    which=st.sampled_from(["two", "five"]),
+    kind=st.sampled_from(["mask", "hybrid"]),
+    mode=st.sampled_from([EXACT, CLAMP, DYNAMIC]),
+    steps=st.integers(0, 4),
+    batch=st.integers(1, 40),
+    t_buckets=st.integers(1, 8),
+    learning_rate=st.sampled_from([0.1, 0.5, 2.0]),
+    trajectory_every=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# blocks of TRAIN_BLOCK // 64 steps and 2 steps, the last recorded step in the second
+@example(which="two", kind="hybrid", mode=CLAMP, steps=TRAIN_BLOCK // 64 + 2, batch=64,
+         t_buckets=8, learning_rate=0.5, trajectory_every=50, seed=7)
+def test_table_train_equals_one_example_at_a_time(
+    which, kind, mode, steps, batch, t_buckets, learning_rate, trajectory_every, seed
+):
+    """The blocks and their waves give the bits of the example-by-example loop:
+    every entry, the trajectory and the final loss."""
+    vocab = Vocab(3, 2) if which == "two" else Vocab(5, 4)
+    dist = (
+        ToyDistribution(vocab, 2, (((0, 0), 0.5), ((1, 1), 0.5)))
+        if which == "two"
+        else ToyDistribution(
+            vocab, 3, (((0, 1, 2), 0.3), ((1, 2, 3), 0.25), ((2, 3, 0), 0.2),
+                       ((3, 0, 1), 0.15), ((0, 0, 0), 0.1))
+        )
+    )
+    sched = make_schedule(kind, vocab, p_u=0.2)
+    tables = [
+        LogitTable(vocab, dist.length, t_buckets=t_buckets, learning_rate=learning_rate)
+        for _ in range(2)
+    ]
+    report = table_train(
+        dist, sched, tables[0], steps, batch, mode, seed, trajectory_every=trajectory_every
+    )
+    expect = _train_one_at_a_time(
+        dist, sched, tables[1], steps, batch, mode, seed, trajectory_every
+    )
+    assert (report.loss_trajectory, report.final_avg_loss) == expect
+    assert sorted(tables[0].table) == sorted(tables[1].table)
+    for key, entry in tables[1].table.items():
+        assert tables[0].table[key].tobytes() == entry.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"t_buckets": 0}, "t_buckets must be >= 1"),
+        ({"eps_t": 0.0}, "eps_t must lie in"),
+        ({"eps_t": 0.5}, "eps_t must lie in"),
+        ({"eps_t": float("nan")}, "eps_t must lie in"),
+        ({"learning_rate": 0.0}, "learning_rate must be finite and > 0"),
+        ({"learning_rate": -1.0}, "learning_rate must be finite and > 0"),
+        ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0"),
+    ],
+)
+def test_logit_table_validates_parameters(vocab3, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        LogitTable(vocab3, 2, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"batch": 0}, {"batch": -1}, {"steps": -3}, {"trajectory_every": 0}]
+)
 def test_table_train_names_bad_arguments(two_outcome, kwargs):
     sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
     table = LogitTable(two_outcome.vocab, 2)

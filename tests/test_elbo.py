@@ -435,6 +435,15 @@ def test_same_seed_same_output(tmp_path, two_outcome, kind, mode):
     assert nelbos == expected_nelbos
 
 
+@pytest.mark.parametrize("inverse", [None, np.array([0])], ids=["own", "shared"])
+def test_inverse_cdf_skips_zero_probability_token_at_u_zero(inverse):
+    """u = 0 sits on the CDF entry 0 of a leading zero-probability token, which
+    a draw must never return; rng.random and counter_uniforms can give 0."""
+    assert _inverse_cdf(np.array([[0.0, 1.0]]), np.array([0.0]), inverse).tolist() == [1]
+    rows = np.array([[[0.0, 0.0, 0.5, 0.5]]])
+    assert _inverse_cdf(rows, np.zeros((1, 1)), inverse).tolist() == [[2]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(2, 6),
@@ -445,7 +454,7 @@ def test_same_seed_same_output(tmp_path, two_outcome, kind, mode):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_inverse_cdf_counts_cdf_entries_below_u(n, length, rows, draws, zero_frac, seed):
-    """Each draw is the count of u > cdf[k] over k < N - 1, with the CDF summed
+    """Each draw is the count of cdf[k] <= u over k < N - 1, with the CDF summed
     left to right, whether the draws gather shared rows or own theirs; u may
     sit exactly on a CDF entry, and tokens may have probability zero."""
     rng = np.random.default_rng(seed)
@@ -464,7 +473,7 @@ def test_inverse_cdf_counts_cdf_entries_below_u(n, length, rows, draws, zero_fra
                 cdf[k] = total
             if rng.random() < 0.5 and cdf[-1] < 1.0:
                 u[b, l] = cdf[rng.integers(n - 1)]
-            expect[b, l] = int((u[b, l] > cdf).sum())
+            expect[b, l] = int((cdf <= u[b, l]).sum())
     shared = _inverse_cdf(p, u, inverse)
     own = _inverse_cdf(p[inverse], u)
     assert shared.dtype == np.int64 and own.dtype == np.int64
