@@ -85,9 +85,12 @@ def read_corpus(path: str) -> tuple[Vocab, list[np.ndarray]]:
             raise ValueError("token id out of range")
         return seq
 
-    return _read_records(
-        path, "corpus", _vocab_header, sequence, lambda head, seqs: (head[0], seqs)
-    )
+    def corpus(head, seqs):
+        if not seqs:
+            raise ValueError("corpus has no sequences")
+        return head[0], seqs
+
+    return _read_records(path, "corpus", _vocab_header, sequence, corpus)
 
 
 def write_corpus(fh, vocab: Vocab, length: int, seqs) -> None:
@@ -173,11 +176,9 @@ def cmd_noise(args) -> int:
     if any(t is None for t in times):
         raise CorpusFormatError("provide --t or --t-grid")
     rng = np.random.default_rng(cfg["seed"])
-    length = len(seqs[0]) if seqs else 0
-    out = []
-    for t in times:
-        out.extend(noise_sequence(sched, np.array(seqs), sched.check_time(t), rng))
-    write_corpus(sys.stdout, vocab, length, out)
+    # sequence j at time i is row i * len(seqs) + j: the draws of one call per time in turn
+    out = noise_sequence(sched, np.tile(seqs, (len(times), 1)), np.repeat(times, len(seqs)), rng)
+    write_corpus(sys.stdout, vocab, len(seqs[0]), out)
     return 0
 
 
@@ -338,22 +339,12 @@ def cmd_weights_csv(args) -> int:
     n = args.vocab_size
     vocab = Vocab(n, n - 1)
     sched = build_schedule(cfg, vocab)
-    x = 0
-    uniform_token = 1  # a non-mask token different from x; requires N >= 3
+    grid = np.linspace(sched.eps_t, 1.0 - sched.eps_t, cfg["grid_size"])
+    # given x = 0: the mask, a non-mask token other than x (N >= 3) and x
+    w = sched.elbo_weights(grid, 0)[:, [vocab.mask_id, 1, 0]]
     sys.stdout.write("t,w_mask,w_uniform,w_clean,log_snr\n")
-    for t in np.linspace(sched.eps_t, 1.0 - sched.eps_t, cfg["grid_size"]):
-        t = float(t)
-
-        def weight(z):
-            q = sched.marginal(t, x)
-            if q[z] <= 0.0:
-                return 0.0
-            return sched.elbo_weight(t, z, x)
-
-        sys.stdout.write(
-            f"{t!r},{weight(vocab.mask_id)!r},{weight(uniform_token)!r},"
-            f"{weight(x)!r},{sched.log_snr(t)!r}\n"
-        )
+    for row in np.column_stack([grid, w, sched.log_snr(grid)]).tolist():
+        sys.stdout.write(",".join(map(repr, row)) + "\n")
     return 0
 
 

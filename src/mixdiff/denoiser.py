@@ -263,11 +263,10 @@ class LogitTable(Denoiser):
             )
 
     def bucket(self, t: float) -> int:
-        frac = (t - self.eps_t) / (1.0 - 2.0 * self.eps_t)
-        return min(max(int(frac * self.t_buckets), 0), self.t_buckets - 1)
+        return int(self.buckets(t))
 
     def buckets(self, t: np.ndarray) -> np.ndarray:
-        """bucket(t) at each entry of an array of times."""
+        """The time bucket of each entry of an array of times."""
         frac = (np.asarray(t, dtype=float) - self.eps_t) / (1.0 - 2.0 * self.eps_t)
         b = (frac * self.t_buckets).astype(np.int64)
         return np.minimum(np.maximum(b, 0), self.t_buckets - 1)
@@ -436,12 +435,8 @@ def posterior_kl_to_oracle(
     """Mean KL(oracle prediction || table prediction) over sampled (Z_t, t)."""
     rng = np.random.default_rng(seed)
     times = stratified_times(num_samples, rng.random(), schedule.eps_t)
-    xs = np.empty((num_samples, dist.length), dtype=np.int64)
-    u = np.empty((num_samples, dist.length))
     # Each sample's clean sequence and noise come from the one stream in turn.
-    for i in range(num_samples):
-        xs[i] = dist.sample(rng, 1)[0]
-        u[i] = rng.random(dist.length)
-    zs = _noise(schedule.terms(times), xs, u)
+    xs, u = zip(*[(dist.sample(rng, 1)[0], rng.random(dist.length)) for _ in range(num_samples)])
+    zs = _noise(schedule.terms(times), np.array(xs), np.array(u))
     kl = kl_divergence(oracle.predict_batch(zs, times), table.predict_batch(zs, times))
     return sum(kl.ravel().tolist()) / kl.size

@@ -203,6 +203,13 @@ def loss_and_grad(
     return w.reshape(shape), kl.reshape(shape), is_term.reshape(shape), grad.reshape(shape + (-1,))
 
 
+def _one_token(schedule, t, z_t, x, probs, mode, weight_clip) -> tuple:
+    """loss_and_grad of one token: the floats weight, kl and is_term, and the (N,) gradient."""
+    z_t, x = schedule.vocab.check_token(z_t), schedule.vocab.check_token(x)
+    w, kl, is_term, grad = loss_and_grad(schedule, t, [z_t], [x], [probs], mode, weight_clip)
+    return float(w[0]), float(kl[0]), float(is_term[0]), grad[0]
+
+
 def loss_weight(
     schedule: MixingSchedule,
     t: float,
@@ -212,9 +219,7 @@ def loss_weight(
     weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
 ) -> float:
     """The weight loss_and_grad gives one token."""
-    z_t, x = schedule.vocab.check_token(z_t), schedule.vocab.check_token(x)
-    probs = np.zeros((1, schedule.vocab.size))
-    return float(loss_and_grad(schedule, t, [z_t], [x], probs, mode, weight_clip)[0][0])
+    return _one_token(schedule, t, z_t, x, np.zeros(schedule.vocab.size), mode, weight_clip)[0]
 
 
 def per_token_loss(
@@ -227,12 +232,7 @@ def per_token_loss(
     weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
 ) -> LossBreakdown:
     """The loss terms loss_and_grad gives one token."""
-    z_t, x = schedule.vocab.check_token(z_t), schedule.vocab.check_token(x)
-    probs = np.asarray(x_theta, dtype=float)[np.newaxis, :]
-    w, kl, is_term, _ = loss_and_grad(
-        schedule, t, [z_t], [x], probs, mode, weight_clip
-    )
-    return LossBreakdown(weight=float(w[0]), kl=float(kl[0]), is_term=float(is_term[0]))
+    return LossBreakdown(*_one_token(schedule, t, z_t, x, x_theta, mode, weight_clip)[:3])
 
 
 def per_token_loss_grad(
@@ -245,25 +245,21 @@ def per_token_loss_grad(
     weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
 ) -> np.ndarray:
     """Gradient of per_token_loss(..., softmax(logits), ...).total w.r.t. logits."""
-    z_t, x = schedule.vocab.check_token(z_t), schedule.vocab.check_token(x)
     logits = np.asarray(logits, dtype=float)
     e = np.exp(logits - logits.max())
-    probs = (e / e.sum())[np.newaxis, :]
-    return loss_and_grad(schedule, t, [z_t], [x], probs, mode, weight_clip)[3][0]
+    return _one_token(schedule, t, z_t, x, e / e.sum(), mode, weight_clip)[3]
 
 
-def mdm_loss(
-    schedule: MixingSchedule, t: float, z_t: int, x: int, x_theta: np.ndarray
-) -> float:
-    """Masked-diffusion reference loss: (alpha'/(1-alpha)) delta_{z_t,m} log x_theta[x].
+def mdm_loss(schedule: MixingSchedule, t, z_t, x, x_theta: np.ndarray) -> float | np.ndarray:
+    """Masked-diffusion reference loss: (alpha'/(1-alpha)) delta_{z_t,m} log x_theta[x],
+    of one token or, for (B,) t, z_t and x and (B, N) x_theta, of each row.
 
     Only meaningful for mask-only noise; nonnegative since alpha' < 0.
     """
-    if z_t != schedule.vocab.mask_id:
-        return 0.0
-    a = schedule.alpha(t)
-    ap = schedule.alpha_prime(t)
-    return float(ap / (1.0 - a) * math.log(max(x_theta[x], LOG_FLOOR)))
+    terms = schedule.terms(t)
+    p = np.take_along_axis(np.asarray(x_theta, dtype=float), np.expand_dims(x, -1), -1)[..., 0]
+    loss = terms.alpha_prime / (1.0 - terms.alpha) * _entrywise(math.log, np.maximum(p, LOG_FLOOR))
+    return np.where(np.equal(z_t, schedule.vocab.mask_id), loss, 0.0)[()]
 
 
 def stratified_times(num_mc: int, offset: float, eps_t: float) -> np.ndarray:

@@ -108,21 +108,19 @@ class ScheduleParams:
 
 @dataclass(frozen=True)
 class ConditionalTransition:
-    """Markov kernel from time s to t: Q_{t|s} = alpha_ts I + beta_pi_ts 1^T."""
+    """Markov kernel from time s to t: Q_{t|s} = alpha_ts I + beta_pi_ts 1^T, one per (B,) time."""
 
-    alpha_ts: float
+    alpha_ts: float | np.ndarray
     beta_pi_ts: np.ndarray
 
     def matrix(self) -> np.ndarray:
-        n = self.beta_pi_ts.shape[0]
-        return self.alpha_ts * np.eye(n) + np.outer(self.beta_pi_ts, np.ones(n))
+        """Q_{t|s}[z_t, z_s], (N, N) or (B, N, N); its columns sum to one."""
+        eye = np.eye(self.beta_pi_ts.shape[-1])
+        return np.multiply.outer(self.alpha_ts, eye) + self.beta_pi_ts[..., None]
 
     def prob(self, z_t: int, z_s: int) -> float:
         """q_{t|s}(z_t | z_s)."""
-        p = self.beta_pi_ts[z_t]
-        if z_t == z_s:
-            p += self.alpha_ts
-        return float(p)
+        return float(self.matrix()[z_t, z_s])
 
 
 class MixingSchedule:
@@ -136,9 +134,10 @@ class MixingSchedule:
 
     All time arguments are validated against [eps_t, 1 - eps_t]; exact
     endpoints are rejected because some derived quantities are singular there.
-    `check_time`, `terms`, `alpha`, `alpha_prime`, `beta_pi`, `rate_vector`,
-    `uniform_mass` and `log_snr` also take a (B,) array of times and return
-    (B,) or (B, N) arrays whose rows have the bits of each time alone.
+    `check_time`, `terms` and the closed forms also take a (B,) array of
+    times and return arrays with a leading (B,) axis whose rows have the bits
+    of each time alone, except the scalar entries `forward_rate`,
+    `backward_rate` and `elbo_weight`.
     """
 
     def __init__(self, vocab: Vocab, params: ScheduleParams):
@@ -193,10 +192,7 @@ class MixingSchedule:
         return self.terms(t).alpha
 
     def alpha_prime(self, t: float) -> float:
-        # d/dt of (1-t)/C: exactly -1 when c is identically zero
-        t = self.check_time(t)
-        c = self._c(t)
-        return -((1.0 + c) + (1.0 - t) * self._c_prime(t, c)) / (1.0 + c) ** 2
+        return self.terms(t).alpha_prime
 
     def beta_pi(self, t: float) -> np.ndarray:
         """The noise component beta_t * pi_t of the marginal."""
@@ -208,13 +204,12 @@ class MixingSchedule:
 
     def uniform_mass(self, t: float) -> float:
         """Total probability of the uniform component at time t: c_t / C_t."""
-        t = self.check_time(t)
-        c = self._c(t)
+        c = self._c(self.check_time(t))
         return c / (1.0 + c)
 
     def pi(self, t: float) -> np.ndarray:
         bp = self.beta_pi(t)
-        return bp / bp.sum()
+        return bp / bp.sum(axis=-1, keepdims=True)
 
     def log_snr(self, t: float) -> float:
         """lambda_t = log(alpha_t / (1 - alpha_t))."""
@@ -222,74 +217,86 @@ class MixingSchedule:
 
     def marginal(self, t: float, x: int) -> np.ndarray:
         """q_t(. | x) = alpha_t one_hot(x) + beta_t pi_t."""
-        terms = self.terms(t)
-        q = terms.beta_pi
-        q[self.vocab.check_token(x)] += terms.alpha
-        return q
+        return self.marginal_mix(t, np.eye(self.vocab.size)[self.vocab.check_token(x)])
 
     def marginal_mix(self, t: float, x_theta: np.ndarray) -> np.ndarray:
         """q_t(. | x_theta): marginal with the one-hot replaced by a distribution."""
         terms = self.terms(t)
-        return terms.alpha * np.asarray(x_theta, dtype=float) + terms.beta_pi
+        return np.expand_dims(terms.alpha, -1) * np.asarray(x_theta, dtype=float) + terms.beta_pi
 
     def conditional_transition(self, s: float, t: float) -> ConditionalTransition:
-        s = self.check_time(s)
-        t = self.check_time(t)
-        if s > t:
-            raise OrderingError(f"need s <= t, got s={s!r} > t={t!r}")
         at_s, at_t = self.terms(s), self.terms(t)
+        later = at_s._t > at_t._t
+        if later is True or isinstance(later, np.ndarray) and later.any():
+            s, t = (np.broadcast_to(v._t, np.shape(later))[later].item(0) for v in (at_s, at_t))
+            raise OrderingError(f"need s <= t, got s={s!r} > t={t!r}")
         a_ts = at_t.alpha / at_s.alpha
-        bp_ts = at_t.beta_pi - a_ts * at_s.beta_pi
-        return ConditionalTransition(alpha_ts=a_ts, beta_pi_ts=bp_ts)
+        return ConditionalTransition(a_ts, at_t.beta_pi - (a_ts * at_s.beta_pi.T).T)
+
+    def generator(self, t) -> np.ndarray:
+        """The CTMC generator R_t, (N, N) or (B, N, N): row z_from is
+        rate_vector(t) + (alpha_t'/alpha_t) one_hot(z_from), and sums to zero."""
+        terms = self.terms(t)
+        ratio = terms.alpha_prime / terms.alpha
+        return terms.rate[..., None, :] + np.multiply.outer(ratio, np.eye(self.vocab.size))
+
+    def backward_generator(self, t, x_theta: np.ndarray) -> np.ndarray:
+        """The denoising-chain generator given the prediction x_theta, (N, N) or (B, N, N):
+        R_t(z_s, z_t) q_t(z_s | x_theta) / q_t(z_t | x_theta) at [z_t, z_s] off the diagonal,
+        rows summing to zero; rows where q_t(z_t | x_theta) = 0 are not finite."""
+        q = self.marginal_mix(t, x_theta)
+        # R_t(z, z_t) at [z_t, z]; contiguous, so each row's dot product has its bits alone
+        rates_in = np.ascontiguousarray(self.generator(t).mT)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            flow_in = (rates_in[..., None, :] @ q[..., None, :, None])[..., 0, 0]
+            back = rates_in * (q[..., None, :] / q[..., :, None])
+            return back - (flow_in / q)[..., None] * np.eye(self.vocab.size)
 
     def forward_rate(self, t: float, z_from: int, z_to: int) -> float:
         """CTMC generator entry R_t(z_from, z_to)."""
         return float(self.forward_rate_row(t, z_from)[self.vocab.check_token(z_to)])
 
     def forward_rate_row(self, t: float, z_from: int) -> np.ndarray:
-        terms = self.terms(t)
-        row = terms.rate
-        row[self.vocab.check_token(z_from)] += self.alpha_prime(t) / terms.alpha
-        return row
+        return self.generator(t)[..., self.vocab.check_token(z_from), :]
 
     def backward_rate(self, t: float, z_t: int, z_s: int, x_theta: np.ndarray) -> float:
         """Denoising-chain generator entry, conditioned on the model prediction."""
-        t = self.check_time(t)
-        z_t = self.vocab.check_token(z_t)
-        z_s = self.vocab.check_token(z_s)
-        q = self.marginal_mix(t, x_theta)
-        if q[z_t] <= 0.0:
+        if self.marginal_mix(t, x_theta)[self.vocab.check_token(z_t)] <= 0.0:
             raise DegenerateStateError(f"q_t({z_t} | x_theta) is zero")
-        if z_s != z_t:
-            return self.forward_rate(t, z_s, z_t) * float(q[z_s] / q[z_t])
-        rates_in = np.array(
-            [self.forward_rate(t, z, z_t) for z in range(self.vocab.size)]
-        )
-        return self.forward_rate(t, z_t, z_t) - float(rates_in @ q / q[z_t])
+        return float(self.backward_generator(t, x_theta)[z_t, self.vocab.check_token(z_s)])
+
+    def elbo_weights(self, t, x: int) -> np.ndarray:
+        """w_t(z, x) = rate_vector(t)[z] / q_t(z | x) at each token z; 0.0 where q_t(z | x) = 0."""
+        q = self.marginal(t, x)
+        return np.divide(self.rate_vector(t), q, out=np.zeros_like(q), where=q > 0.0)
 
     def elbo_weight(self, t: float, z_t: int, x: int) -> float:
         """w_t(z_t, x) = rate_vector(t)[z_t] / q_t(z_t | x)."""
         t = self.check_time(t)
-        z_t = self.vocab.check_token(z_t)
-        q = self.marginal(t, x)
-        if q[z_t] <= 0.0:
+        if self.marginal(t, x)[self.vocab.check_token(z_t)] <= 0.0:
             raise UnsupportedStateError(
                 f"token {z_t} outside forward support of {x} at t={t!r}"
             )
-        return float(self.rate_vector(t)[z_t] / q[z_t])
+        return float(self.elbo_weights(t, x)[z_t])
 
 
 class Terms:
     """The closed forms at one time, or at (B,) times along a leading axis,
     from one evaluation of c_t: alpha_t = (1-t)/C and the noise component
-    beta_t pi_t of the marginal; the rate vector and log_snr are computed
-    from them when read."""
+    beta_t pi_t of the marginal; alpha_t', the rate vector and log_snr are
+    computed from them when read."""
 
     def __init__(self, schedule: MixingSchedule, t):
         self._schedule, self._t = schedule, schedule.check_time(t)
         c = self._c = schedule._c(self._t)
         self.alpha = (1.0 - self._t) / (1.0 + c)
         self.beta_pi = schedule._spread(self._t / (1.0 + c), c * schedule._u / (1.0 + c))
+
+    @property
+    def alpha_prime(self) -> float | np.ndarray:
+        """d alpha_t/dt = -(C + (1-t) c') / C^2, exactly -1 when c is 0; C^2 by libm's pow."""
+        s, t, c = self._schedule, self._t, self._c
+        return -((1.0 + c) + (1.0 - t) * s._c_prime(t, c)) / _entrywise(lambda v: v**2, 1.0 + c)
 
     @property
     def rate(self) -> np.ndarray:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elbo import CLAMP, DYNAMIC, EXACT, mdm_loss, per_token_loss
+from .elbo import CLAMP, DYNAMIC, EXACT, loss_and_grad, loss_target, mdm_loss
 from .schedule import Vocab, make_schedule
 
 
-def _schedules(n: int, p_u: float = 0.2):
+def _schedules(n: int):
     vocab = Vocab(n, n - 1)
-    yield "mask", make_schedule("mask", vocab)
-    yield "hybrid", make_schedule("hybrid", vocab, p_u=p_u)
+    return make_schedule("mask", vocab), make_schedule("hybrid", vocab, p_u=0.2)
 
 
 def _rand_times(schedule, rng, size):
@@ -31,30 +30,52 @@ def _rand_prediction(rng, n):
     return x_theta / x_theta.sum()
 
 
+def _columns(draws):
+    """Per-case draws, one tuple per case in turn, as one array per quantity."""
+    return [np.array(v) for v in zip(*draws)]
+
+
+def _loss_cases(sched, rng, cases, n, random_prediction=True):
+    """Per case, drawn in turn: a time t, a clean non-mask token x, a random prediction (else
+    one_hot(x)) and z from the support of q_t(. | x), the same at every t in [eps_t, 1 - eps_t]."""
+    support = sched.marginal_mix(0.5, np.eye(n)) > 0.0
+    return _columns(
+        (_rand_times(sched, rng, 1)[0], x := rng.integers(n - 1),
+         _rand_prediction(rng, n) if random_prediction else np.eye(n)[x],
+         rng.choice(np.flatnonzero(support[x])))
+        for _ in range(cases)
+    )
+
+
+def _losses(sched, t, x, x_theta, z, *options):
+    """Per row, the loss w * (kl + is_term), kl and is_term that loss_and_grad
+    gives token z; options are its mode and weight_clip."""
+    w, kl, is_term, _ = loss_and_grad(sched, t, z[:, None], x[:, None], x_theta[:, None], *options)
+    return (w * (kl + is_term))[:, 0], kl[:, 0], is_term[:, 0]
+
+
 def check_chapman_kolmogorov(seed=0, triples=1000, sizes=(3, 8, 16), tol=1e-12):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in sizes:
-        for _, sched in _schedules(n):
-            times = np.sort(_rand_times(sched, rng, (triples // len(sizes), 3)), axis=1)
-            for r, s, t in times:
-                q_sr = sched.conditional_transition(r, s).matrix()
-                q_ts = sched.conditional_transition(s, t).matrix()
-                q_tr = sched.conditional_transition(r, t).matrix()
-                worst = max(worst, float(np.abs(q_ts @ q_sr - q_tr).max()))
+        for sched in _schedules(n):
+            r, s, t = np.sort(_rand_times(sched, rng, (triples // len(sizes), 3)), axis=1).T
+            trans = sched.conditional_transition
+            q_sr, q_ts, q_tr = trans(r, s).matrix(), trans(s, t).matrix(), trans(r, t).matrix()
+            worst = max(worst, float(np.abs(q_ts @ q_sr - q_tr).max()))
     return "chapman_kolmogorov", worst <= tol, f"max abs error {worst:.3e}"
 
 
 def check_marginal_consistency(seed=1, cases=500, n=8, tol=1e-12):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _, sched in _schedules(n):
-        for _ in range(cases):
-            s, t = np.sort(_rand_times(sched, rng, 2))
-            x = int(rng.integers(n))
-            q = sched.conditional_transition(s, t).matrix()
-            err = np.abs(q @ sched.marginal(s, x) - sched.marginal(t, x)).max()
-            worst = max(worst, float(err))
+    for sched in _schedules(n):
+        st, x = _columns(
+            (np.sort(_rand_times(sched, rng, 2)), rng.integers(n)) for _ in range(cases)
+        )
+        (s, t), one_hot = st.T, np.eye(n)[x]
+        q = sched.conditional_transition(s, t).matrix() @ sched.marginal_mix(s, one_hot)[..., None]
+        worst = max(worst, float(np.abs(q[..., 0] - sched.marginal_mix(t, one_hot)).max()))
     return "marginal_consistency", worst <= tol, f"max abs error {worst:.3e}"
 
 
@@ -62,12 +83,11 @@ def check_column_stochasticity(seed=2, cases=200, n=6, tol=1e-12):
     rng = np.random.default_rng(seed)
     ok = True
     worst = 0.0
-    for _, sched in _schedules(n):
-        for _ in range(cases):
-            s, t = np.sort(_rand_times(sched, rng, 2))
-            q = sched.conditional_transition(s, t).matrix()
-            worst = max(worst, float(np.abs(q.sum(axis=0) - 1.0).max()))
-            ok = ok and bool(np.all(q >= -tol))
+    for sched in _schedules(n):
+        s, t = np.sort(_rand_times(sched, rng, (cases, 2)), axis=1).T
+        q = sched.conditional_transition(s, t).matrix()
+        worst = max(worst, float(np.abs(q.sum(axis=-2) - 1.0).max()))
+        ok = ok and bool(np.all(q >= -tol))
     return "column_stochasticity", ok and worst <= tol, f"max column-sum error {worst:.3e}"
 
 
@@ -75,41 +95,31 @@ def check_forward_rate_fd(seed=3, cases=200, n=6, delta=1e-6, rtol=1e-4):
     """Central finite differences of q_{t+d|t} match the generator."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _, sched in _schedules(n):
-        lo, hi = 0.01, 0.99
-        for _ in range(cases):
-            t = lo + (hi - lo) * rng.random()
-            q_plus = sched.conditional_transition(t, t + delta).matrix()
-            fd = (q_plus - np.eye(n)) / delta
-            for z_from in range(n):
-                for z_to in range(n):
-                    r = sched.forward_rate(t, z_from, z_to)
-                    scale = max(abs(r), 1.0)
-                    worst = max(worst, abs(fd[z_to, z_from] - r) / scale)
+    for sched in _schedules(n):
+        t = 0.01 + (0.99 - 0.01) * rng.random(cases)
+        fd = (sched.conditional_transition(t, t + delta).matrix() - np.eye(n)) / delta
+        r = sched.generator(t)
+        worst = max(worst, float((np.abs(fd.mT - r) / np.maximum(np.abs(r), 1.0)).max()))
     return "forward_rate_fd", worst <= rtol, f"max rel error {worst:.3e}"
 
 
 def check_generator_rows(seed=4, cases=300, n=8, tol=1e-10):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _, sched in _schedules(n):
-        for t in _rand_times(sched, rng, cases):
-            for z_from in range(n):
-                worst = max(worst, abs(sched.forward_rate_row(t, z_from).sum()))
+    for sched in _schedules(n):
+        rows = sched.generator(_rand_times(sched, rng, cases)).sum(axis=-1)
+        worst = max(worst, float(np.abs(rows).max()))
     return "generator_rows_sum_zero", worst <= tol, f"max abs row sum {worst:.3e}"
 
 
 def check_backward_rows(seed=5, cases=100, n=6, tol=1e-10):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _, sched in _schedules(n):
-        for t in _rand_times(sched, rng, cases):
-            x_theta = _rand_prediction(rng, n)
-            for z_t in range(n):
-                row = sum(
-                    sched.backward_rate(t, z_t, z_s, x_theta) for z_s in range(n)
-                )
-                worst = max(worst, abs(row))
+    for sched in _schedules(n):
+        t = _rand_times(sched, rng, cases)
+        x_theta = np.array([_rand_prediction(rng, n) for _ in range(cases)])
+        rows = sched.backward_generator(t, x_theta).sum(axis=-1)
+        worst = max(worst, float(np.abs(rows).max()))
     return "backward_rows_sum_zero", worst <= tol, f"max abs row sum {worst:.3e}"
 
 
@@ -121,42 +131,29 @@ def check_backward_rate_fd(seed=6, cases=50, n=5, delta=1e-6, rtol=1e-4):
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _, sched in _schedules(n):
-        lo, hi = 0.01, 0.99
-        for _ in range(cases):
-            t = lo + (hi - lo) * rng.random()
-            s = t - delta
-            x_theta = _rand_prediction(rng, n)
-            q_t = sched.marginal_mix(t, x_theta)
-            q_s = sched.marginal_mix(s, x_theta)
-            trans = sched.conditional_transition(s, t)
-            for z_t in range(n):
-                if q_t[z_t] <= 0:
-                    continue
-                kernel = np.array(
-                    [trans.prob(z_t, z_s) * q_s[z_s] / q_t[z_t] for z_s in range(n)]
-                )
-                for z_s in range(n):
-                    rate = sched.backward_rate(t, z_t, z_s, x_theta)
-                    pred = (1.0 if z_s == z_t else 0.0) + rate * delta
-                    scale = max(abs(rate) * delta, delta)
-                    worst = max(worst, abs(kernel[z_s] - pred) / scale)
+    for sched in _schedules(n):
+        t, x_theta = _columns(
+            (0.01 + (0.99 - 0.01) * rng.random(), _rand_prediction(rng, n)) for _ in range(cases)
+        )
+        q_t, q_s = sched.marginal_mix(t, x_theta), sched.marginal_mix(t - delta, x_theta)
+        # kernel[z_t, z_s]; every q_t(z_t | x_theta) > 0, as x_theta > 0 off the mask
+        trans = sched.conditional_transition(t - delta, t).matrix()
+        kernel = trans * q_s[:, None] / q_t[..., None]
+        rate = sched.backward_generator(t, x_theta)
+        scale = np.maximum(np.abs(rate) * delta, delta)
+        worst = max(worst, float((np.abs(kernel - (np.eye(n) + rate * delta)) / scale).max()))
     return "backward_rate_fd", worst <= rtol, f"max scaled error {worst:.3e}"
 
 
 def check_weight_expectation(grid=100, n=5, tol=1e-10):
     """Enumerated E_{z_t ~ q_t(.|x)}[w_t(z_t, x)] = -alpha'/alpha."""
     worst = 0.0
-    for _, sched in _schedules(n):
-        x = 0
+    for sched in _schedules(n):
         times = np.linspace(sched.eps_t, 1.0 - sched.eps_t, grid)
-        for t in times:
-            q = sched.marginal(t, x)
-            mean_w = sum(
-                q[z] * sched.elbo_weight(t, z, x) for z in range(n) if q[z] > 0
-            )
-            target = -sched.alpha_prime(t) / sched.alpha(t)
-            worst = max(worst, abs(mean_w - target) / max(abs(target), 1.0))
+        mean_w = (sched.marginal(times, 0) * sched.elbo_weights(times, 0)).sum(axis=-1)
+        target = -sched.alpha_prime(times) / sched.alpha(times)
+        err = np.abs(mean_w - target) / np.maximum(np.abs(target), 1.0)
+        worst = max(worst, float(err.max()))
     return "weight_expectation", worst <= tol, f"max rel error {worst:.3e}"
 
 
@@ -168,8 +165,7 @@ def check_uniform_calibration(grid=200, tol=1e-12):
         sched = make_schedule("hybrid", Vocab(5, 4), p_u=p_u)
         peak = sched.uniform_mass(0.5)
         ok = ok and abs(peak - p_u) <= tol
-        ts = np.linspace(sched.eps_t, 1.0 - sched.eps_t, grid)
-        masses = np.array([sched.uniform_mass(t) for t in ts])
+        masses = sched.uniform_mass(np.linspace(sched.eps_t, 1.0 - sched.eps_t, grid))
         ok = ok and bool(np.all(masses <= peak + tol))
         detail.append(f"p_u={p_u}: peak {peak!r}")
     return "uniform_calibration", ok, "; ".join(detail)
@@ -182,26 +178,25 @@ def check_pu_zero_collapse(seed=7, cases=200, n=6, tol=1e-14):
     rng = np.random.default_rng(seed)
     hyb = make_schedule("hybrid", Vocab(n, n - 1), p_u=0.0)
     m = hyb.vocab.mask_one_hot()
-    worst = 0.0
-    for _ in range(cases):
-        s, t = np.sort(_rand_times(hyb, rng, 2))
-        x = int(rng.integers(n))
-        z = int(rng.integers(n))
-        q = t * m
-        q[x] += 1.0 - t
-        pairs = [
-            (hyb.alpha(t), 1.0 - t),
-            (hyb.alpha_prime(t), -1.0),
-            (hyb.beta_pi(t), t * m),
-            (hyb.pi(t), m),
-            (hyb.rate_vector(t), m / (1.0 - t)),
-            (hyb.marginal(t, x), q),
-            (hyb.conditional_transition(s, t).alpha_ts, (1.0 - t) / (1.0 - s)),
-        ]
-        if q[z] > 0:
-            pairs.append((hyb.elbo_weight(t, z, x), m[z] / (1.0 - t) / q[z]))
-        for got, ref in pairs:
-            worst = max(worst, float(np.abs(np.subtract(got, ref)).max()))
+    st, x, z = _columns(
+        (np.sort(_rand_times(hyb, rng, 2)), rng.integers(n), rng.integers(n)) for _ in range(cases)
+    )
+    (s, t), rows = st.T, np.arange(cases)
+    q = t[:, None] * m
+    q[rows, x] += 1.0 - t
+    on = q[rows, z] > 0
+    w = loss_target(hyb, t[on], z[on, None], x[on, None], EXACT, None)[-1][:, 0]
+    pairs = [
+        (hyb.alpha(t), 1.0 - t),
+        (hyb.alpha_prime(t), -1.0),
+        (hyb.beta_pi(t), t[:, None] * m),
+        (hyb.pi(t), m),
+        (hyb.rate_vector(t), m / (1.0 - t[:, None])),
+        (hyb.marginal_mix(t, np.eye(n)[x]), q),
+        (hyb.conditional_transition(s, t).alpha_ts, (1.0 - t) / (1.0 - s)),
+        (w, m[z[on]] / (1.0 - t[on]) / q[rows, z][on]),
+    ]
+    worst = max(float(np.abs(np.subtract(got, ref)).max()) for got, ref in pairs)
     return "pu_zero_collapse", worst <= tol, f"max abs difference {worst:.3e}"
 
 
@@ -209,32 +204,25 @@ def check_mdm_equivalence(seed=8, cases=1000, n=6, rtol=1e-8):
     """Exact-weight loss under mask-only noise equals the reference MDM loss."""
     rng = np.random.default_rng(seed)
     sched = make_schedule("mask", Vocab(n, n - 1))
-    worst = 0.0
-    for _ in range(cases):
-        t = float(_rand_times(sched, rng, 1)[0])
-        x = int(rng.integers(n - 1))
-        x_theta = _rand_prediction(rng, n)
-        z_t = n - 1 if rng.random() < 0.5 else x
-        full = per_token_loss(sched, t, z_t, x, x_theta, EXACT, weight_clip=None).total
-        ref = mdm_loss(sched, t, z_t, x, x_theta)
-        worst = max(worst, abs(full - ref) / max(abs(ref), 1e-12))
+    t, x, x_theta, coin = _columns(
+        (_rand_times(sched, rng, 1)[0], rng.integers(n - 1), _rand_prediction(rng, n),
+         rng.random())
+        for _ in range(cases)
+    )
+    z_t = np.where(coin < 0.5, n - 1, x)
+    total = _losses(sched, t, x, x_theta, z_t, EXACT, None)[0]
+    ref = mdm_loss(sched, t, z_t, x, x_theta)
+    worst = float((np.abs(total - ref) / np.maximum(np.abs(ref), 1e-12)).max())
     return "mdm_equivalence", worst <= rtol, f"max rel error {worst:.3e}"
 
 
 def check_loss_nonnegative(seed=9, cases=2000, n=5):
     rng = np.random.default_rng(seed)
     ok = True
-    for _, sched in _schedules(n):
+    for sched in _schedules(n):
         for mode in (EXACT, CLAMP, DYNAMIC):
-            for _ in range(cases // 6):
-                t = float(_rand_times(sched, rng, 1)[0])
-                x = int(rng.integers(n - 1))
-                x_theta = _rand_prediction(rng, n)
-                q = sched.marginal(t, x)
-                support = np.flatnonzero(q > 0)
-                z_t = int(rng.choice(support))
-                loss = per_token_loss(sched, t, z_t, x, x_theta, mode)
-                ok = ok and loss.total >= 0.0 and loss.kl >= 0.0 and loss.is_term >= 0.0
+            losses = _losses(sched, *_loss_cases(sched, rng, cases // 6, n), mode)
+            ok = ok and bool(np.all(np.array(losses) >= 0.0))
     return "loss_nonnegative", ok, "all sampled losses nonnegative"
 
 
@@ -242,32 +230,23 @@ def check_global_minimum(seed=10, cases=200, n=5, tol=1e-12):
     """Loss vanishes when the prediction is the one-hot truth."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _, sched in _schedules(n):
-        for _ in range(cases):
-            t = float(_rand_times(sched, rng, 1)[0])
-            x = int(rng.integers(n - 1))
-            x_theta = np.zeros(n)
-            x_theta[x] = 1.0
-            q = sched.marginal(t, x)
-            z_t = int(rng.choice(np.flatnonzero(q > 0)))
-            worst = max(worst, per_token_loss(sched, t, z_t, x, x_theta).total)
+    for sched in _schedules(n):
+        total = _losses(sched, *_loss_cases(sched, rng, cases, n, random_prediction=False))[0]
+        worst = max(worst, float(total.max()))
     return "global_minimum_zero", worst <= tol, f"max loss {worst:.3e}"
 
 
 def check_weight_blowup(n=5):
     """Mask-token weight at the clamp boundary dwarfs its midpoint value."""
     sched = make_schedule("hybrid", Vocab(n, n - 1), p_u=0.2)
-    w_eps = sched.elbo_weight(sched.eps_t, n - 1, 0)
-    w_mid = sched.elbo_weight(0.5, n - 1, 0)
-    ratio = w_eps / w_mid
+    ratio = sched.elbo_weight(sched.eps_t, n - 1, 0) / sched.elbo_weight(0.5, n - 1, 0)
     return "weight_blowup", ratio > 100.0, f"w_mask(eps)/w_mask(0.5) = {ratio:.1f}"
 
 
 def check_log_snr_monotone(grid=1000, n=5):
     ok = True
-    for _, sched in _schedules(n):
-        ts = np.linspace(sched.eps_t, 1.0 - sched.eps_t, grid)
-        lam = np.array([sched.log_snr(t) for t in ts])
+    for sched in _schedules(n):
+        lam = sched.log_snr(np.linspace(sched.eps_t, 1.0 - sched.eps_t, grid))
         ok = ok and bool(np.all(np.diff(lam) < 0))
     return "log_snr_monotone", ok, "strictly decreasing on the grid"
 

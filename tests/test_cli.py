@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from mixdiff import ToyDistribution, Vocab
 from mixdiff.cli import main
+from mixdiff.schedule import Terms
 
 
 def run(capsys, argv):
@@ -94,6 +96,25 @@ def test_bad_corpus_is_data_error(capsys, tmp_path):
     code, _, err = run(capsys, ["noise", "--corpus", str(bad), "--t", "0.5"])
     assert code == 2
     assert "line 3" in err
+
+
+@pytest.mark.parametrize("command", ["nelbo", "self-correct", "noise"])
+def test_corpus_without_sequences_is_data_error(capsys, tmp_path, dist_file, command):
+    """A corpus of only its header line is a data error: no traceback, no NaN
+    in the JSON, and no --out file."""
+    empty = tmp_path / "empty.txt"
+    empty.write_text("3 2 2\n")
+    out = tmp_path / "out.txt"
+    argv = {
+        "nelbo": ["--dist", dist_file],
+        "self-correct": ["--dist", dist_file, "--out", str(out)],
+        "noise": ["--t", "0.5"],
+    }[command]
+    code, stdout, err = run(capsys, [command, "--corpus", str(empty)] + argv)
+    assert code == 2
+    assert stdout == ""
+    assert "corpus has no sequences" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -407,6 +428,10 @@ def test_weights_csv(capsys):
     assert mid[1] == pytest.approx(2.0)
     assert mid[2] == pytest.approx(2.0 / 9.0, abs=1e-4)
     assert mid[3] == pytest.approx(math.log(2 / 3), abs=1e-9)
+    # sha256 recorded when each cell was evaluated on its own
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ad129466477ef33037addb60f813fe245891e06594915a7dcb653d66d0f3e186"
+    )
 
 
 def test_weights_csv_mask_only_zero_columns(capsys):
@@ -447,6 +472,21 @@ def test_verify_command(capsys):
     assert payload["passed"] is True
     assert len(payload["checks"]) == 15
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_verify_fails_when_a_closed_form_is_off(capsys):
+    """With alpha_t' 0.1% too large, so that the generator's diagonal
+    alpha_t'/alpha_t is too, verify exits 3 and names the checks that see it."""
+    alpha_prime = Terms.alpha_prime.fget
+    off = property(lambda terms: 1.001 * alpha_prime(terms))
+    with mock.patch.object(Terms, "alpha_prime", off):
+        code, out, _ = run(capsys, ["verify"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    failed = {c["name"] for c in payload["checks"] if not c["passed"]}
+    assert {"forward_rate_fd", "generator_rows_sum_zero"} <= failed
+    assert "chapman_kolmogorov" not in failed
 
 
 def test_self_correct_zero_iterations_is_usage_error(capsys, tmp_path, dist_file, corpus_file):

@@ -102,6 +102,7 @@ def test_clamp_caps_weight(hybrid_sched):
 
 def test_mdm_equivalence_random(mask_sched):
     rng = np.random.default_rng(0)
+    cases, refs = [], []
     for _ in range(300):
         t = 1e-4 + (1 - 2e-4) * rng.random()
         x = int(rng.integers(4))
@@ -110,6 +111,11 @@ def test_mdm_equivalence_random(mask_sched):
         total = per_token_loss(mask_sched, t, z_t, x, x_theta, EXACT, weight_clip=None).total
         ref = mdm_loss(mask_sched, t, z_t, x, x_theta)
         assert abs(total - ref) <= 1e-8 * max(abs(ref), 1e-12)
+        cases.append((t, z_t, x, x_theta))
+        refs.append(ref)
+    # (B,) rows give each case's own bits
+    batched = mdm_loss(mask_sched, *(np.array(v) for v in zip(*cases)))
+    assert batched.tobytes() == np.array(refs).tobytes()
 
 
 def test_mdm_loss_zero_off_mask(mask_sched):

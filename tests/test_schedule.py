@@ -107,6 +107,8 @@ def test_mask_only_transition_hand_values(mask_sched):
 def test_transition_ordering_error(mask_sched):
     with pytest.raises(OrderingError):
         mask_sched.conditional_transition(0.6, 0.4)
+    with pytest.raises(OrderingError, match=r"s=0\.6 > t=0\.4"):
+        mask_sched.conditional_transition(np.array([0.1, 0.6]), np.array([0.2, 0.4]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,6 +293,15 @@ def test_hybrid_closed_forms_same_bits(p_u, n):
     assert h.hexdigest() == CLOSED_FORMS_SHA256[p_u, n]
 
 
+# Times at which C_t^2 by numpy's square and by libm's pow differ in the last bit.
+SQUARE_TIMES = {
+    (0.2, 1.0): [0.004589102, 0.009668086, 0.04444113],
+    (0.2, 3.0): [0.022355548, 0.049930032, 0.050869844000000004],
+    (0.01, 1.0): [0.019366146, 0.036002818, 0.036372744000000005],
+    (0.01, 3.0): [0.039222174000000005, 0.056688680000000005, 0.058828252000000004],
+}
+
+
 @pytest.mark.parametrize("gamma", [1.0, 3.0])
 @pytest.mark.parametrize("p_u", [0.2, 0.01])
 def test_array_closed_forms_equal_scalar_ones(p_u, gamma):
@@ -299,12 +310,31 @@ def test_array_closed_forms_equal_scalar_ones(p_u, gamma):
     this grid, so the bump c_t must be computed per time."""
     sched = make_schedule("hybrid", Vocab(5, 4), p_u=p_u, gamma=gamma)
     grid = np.linspace(sched.eps_t, 1.0 - sched.eps_t, 1001)
-    for name in (
-        "check_time", "alpha", "alpha_prime", "beta_pi", "rate_vector", "uniform_mass", "log_snr"
-    ):
-        method = getattr(sched, name)
-        one_by_one = np.array([method(float(t)) for t in grid])
-        batched = method(grid)
+    grid = np.concatenate([grid, SQUARE_TIMES[p_u, gamma]])
+    forms = {
+        name: getattr(sched, name)
+        for name in (
+            "check_time", "alpha", "alpha_prime", "beta_pi", "rate_vector", "uniform_mass",
+            "log_snr", "pi", "generator",
+        )
+    }
+    x_theta = np.array([0.1, 0.2, 0.3, 0.4, 0.0])
+
+    def transition(t):
+        # from halfway between eps_t and t, so that s <= t
+        return sched.conditional_transition(sched.eps_t + (t - sched.eps_t) / 2.0, t)
+
+    forms.update(
+        alpha_ts=lambda t: transition(t).alpha_ts,
+        beta_pi_ts=lambda t: transition(t).beta_pi_ts,
+        transition_matrix=lambda t: transition(t).matrix(),
+        marginal=lambda t: sched.marginal(t, 2),
+        marginal_mix=lambda t: sched.marginal_mix(t, x_theta),
+        backward_generator=lambda t: sched.backward_generator(t, x_theta),
+    )
+    for name, form in forms.items():
+        one_by_one = np.array([form(float(t)) for t in grid])
+        batched = form(grid)
         assert batched.shape == one_by_one.shape, name
         assert batched.tobytes() == one_by_one.tobytes(), name
 
