@@ -16,6 +16,7 @@ from .elbo import (
     LossBreakdown,
     NelboEstimate,
     WeightingMode,
+    corpus_nelbo,
     is_divergence_pointwise,
     kl_divergence,
     loss_and_grad,
@@ -42,6 +43,7 @@ from .sampler import (
     ancestral_sample_batch,
     denoise_step,
     self_correct,
+    self_correct_batch,
 )
 from .schedule import (
     ConditionalTransition,

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 invariant failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -27,7 +26,7 @@ from .denoiser import (
     _vocab_header,
     table_train,
 )
-from .elbo import WeightingMode, noise_sequence, sequence_nelbo
+from .elbo import WeightingMode, corpus_nelbo, noise_sequence
 from .errors import CorpusFormatError, MixdiffError
 from .metrics import generative_nll, self_accuracy, tv_distance, unigram_entropy
 from .sampler import (
@@ -35,8 +34,8 @@ from .sampler import (
     SelfCorrectConfig,
     ancestral_sample_batch,
     check_seed,
-    derive_seed,
-    self_correct,
+    derive_seeds,
+    self_correct_batch,
 )
 from .schedule import DEFAULT_EPS_T, Vocab, make_schedule
 
@@ -91,6 +90,18 @@ def read_corpus(path: str) -> tuple[Vocab, list[np.ndarray]]:
         return head[0], seqs
 
     return _read_records(path, "corpus", _vocab_header, sequence, corpus)
+
+
+def read_fitting_corpus(path: str, vocab: Vocab, length: int) -> np.ndarray:
+    """The (S, L) sequences of a corpus whose header matches the denoiser's
+    vocabulary and sequence length; a mismatch is a data error."""
+    corpus_vocab, seqs = read_corpus(path)
+    if (corpus_vocab, len(seqs[0])) != (vocab, length):
+        raise CorpusFormatError(
+            f"corpus of length {len(seqs[0])} over {corpus_vocab} does not fit the "
+            f"denoiser of length {length} over {vocab}"
+        )
+    return np.array(seqs)
 
 
 def write_corpus(fh, vocab: Vocab, length: int, seqs) -> None:
@@ -184,18 +195,12 @@ def cmd_noise(args) -> int:
 
 def cmd_nelbo(args) -> int:
     cfg = resolve_config(args)
-    denoiser, vocab, _, _, sched = load_denoiser(args, cfg)
-    _, seqs = read_corpus(args.corpus)
-    mode = weighting_mode(cfg)
-    means, ses = [], []
-    for i, seq in enumerate(seqs):
-        est = sequence_nelbo(
-            sched, seq, denoiser, cfg["num_mc"], seed=derive_seed(cfg["seed"], i), mode=mode
-        )
-        means.append(est.mean_per_token)
-        ses.append(est.std_error)
-    mean = float(np.mean(means))
-    se = float(math.sqrt(sum(s**2 for s in ses)) / len(ses))
+    denoiser, vocab, length, _, sched = load_denoiser(args, cfg)
+    seqs = read_fitting_corpus(args.corpus, vocab, length)
+    seeds = derive_seeds(cfg["seed"], len(seqs))
+    ests = corpus_nelbo(sched, seqs, denoiser, cfg["num_mc"], seeds, weighting_mode(cfg))
+    mean = float(np.mean([est.mean_per_token for est in ests]))
+    se = float(math.sqrt(sum(est.std_error**2 for est in ests)) / len(ests))
     emit_json(
         {"nelbo": mean, "ppl": math.exp(mean), "std_error": se, "sequences": len(seqs)},
         cfg,
@@ -218,7 +223,7 @@ def cmd_sample(args) -> int:
         write_corpus(fh, vocab, length, samples)
     payload = {
         "sample_count": int(len(samples)),
-        "unigram_entropy": float(np.mean([unigram_entropy(s) for s in samples])),
+        "unigram_entropy": float(np.mean(unigram_entropy(samples))),
         "mask_fraction": float(np.mean(samples == vocab.mask_id)),
     }
     if dist is not None:
@@ -233,30 +238,22 @@ def cmd_sample(args) -> int:
 def cmd_self_correct(args) -> int:
     cfg = resolve_config(args)
     denoiser, vocab, length, dist, sched = load_denoiser(args, cfg)
-    _, seqs = read_corpus(args.corpus)
+    seqs = read_fitting_corpus(args.corpus, vocab, length)
     sc_cfg = SelfCorrectConfig(
         temperature=cfg["temperature"],
         max_iters=cfg["max_iters"],
         patience=cfg["patience"],
         t_condition=cfg["t_condition"],
-        seed=cfg["seed"],
     )
-    corrected = []
-    edits = 0
-    acc_before, acc_after = [], []
-    for i, seq in enumerate(seqs):
-        acc_before.append(self_accuracy(seq, denoiser, sc_cfg.t_condition, vocab.mask_id))
-        seq_cfg = dataclasses.replace(sc_cfg, seed=derive_seed(sc_cfg.seed, i))
-        result = self_correct(seq, denoiser, seq_cfg, vocab.mask_id)
-        corrected.append(result.sequence)
-        edits += result.edits
-        acc_after.append(
-            self_accuracy(result.sequence, denoiser, sc_cfg.t_condition, vocab.mask_id)
-        )
+    acc_before = self_accuracy(seqs, denoiser, sc_cfg.t_condition, vocab.mask_id)
+    seeds = derive_seeds(cfg["seed"], len(seqs))
+    results = self_correct_batch(seqs, denoiser, sc_cfg, vocab.mask_id, seeds)
+    corrected = np.array([result.sequence for result in results])
+    acc_after = self_accuracy(corrected, denoiser, sc_cfg.t_condition, vocab.mask_id)
     with open(args.out, "w") as fh:
         write_corpus(fh, vocab, length, corrected)
     payload = {
-        "edits": edits,
+        "edits": sum(result.edits for result in results),
         "self_accuracy_before": float(np.mean(acc_before)),
         "self_accuracy_after": float(np.mean(acc_after)),
     }
@@ -303,21 +300,12 @@ def cmd_train(args) -> int:
 
 def cmd_oracle_eval(args) -> int:
     cfg = resolve_config(args)
-    dist = ToyDistribution.load(args.dist)
-    sched = build_schedule(cfg, dist.vocab)
-    oracle = OracleDenoiser(dist, sched)
-    mode = weighting_mode(cfg)
-    nelbo_seq = 0.0
-    for i, (seq, prob) in enumerate(dist.outcomes):
-        est = sequence_nelbo(
-            sched,
-            np.array(seq),
-            oracle,
-            cfg["num_mc"],
-            seed=derive_seed(cfg["seed"], i),
-            mode=mode,
-        )
-        nelbo_seq += prob * est.mean_per_token * dist.length
+    oracle, _, _, dist, sched = load_denoiser(args, cfg)
+    seeds = derive_seeds(cfg["seed"], len(dist.outcomes))
+    ests = corpus_nelbo(sched, dist.sequences, oracle, cfg["num_mc"], seeds, weighting_mode(cfg))
+    nelbo_seq = sum(
+        p * est.mean_per_token * dist.length for (_, p), est in zip(dist.outcomes, ests)
+    )
     exact = dist.entropy()
     emit_json(
         {"oracle_nelbo": nelbo_seq, "exact_nll": exact, "gap": nelbo_seq - exact}, cfg
@@ -348,84 +336,48 @@ def cmd_weights_csv(args) -> int:
     return 0
 
 
+# The flags of every command, then per command its function, its help and
+# its own flags, where a trailing "!" marks a required one. A flag takes a
+# value of its FLAG_OPTIONS type, else of its DEFAULTS type, else text.
+COMMON_FLAGS = "config schedule p-u gamma eps-t seed mode w-max"
+COMMANDS = {
+    "noise": (cmd_noise, "resample corpus tokens from the forward marginal", "corpus! t t-grid"),
+    "nelbo": (cmd_nelbo, "Monte Carlo NELBO of a corpus", "corpus! dist table num-mc"),
+    "sample": (
+        cmd_sample,
+        "ancestral sampling from an all-mask start",
+        "dist table count steps temperature min-p out!",
+    ),
+    "self-correct": (
+        cmd_self_correct,
+        "fixed-point token resampling",
+        "corpus! dist table temperature patience max-iters t-condition out!",
+    ),
+    "train": (cmd_train, "train the tabular denoiser", "dist! steps lr batch t-buckets out!"),
+    "oracle-eval": (cmd_oracle_eval, "oracle NELBO vs exact NLL", "dist! num-mc"),
+    "verify": (cmd_verify, "run all invariant suites", ""),
+    "weights-csv": (cmd_weights_csv, "export loss-weight curves", "vocab-size grid-size"),
+}
+FLAG_OPTIONS = {
+    "config": {"help": "key=value config file"},
+    "schedule": {"choices": ["mask", "hybrid"]},
+    "mode": {"choices": ["exact", "clamp", "dynamic"]},
+    "t": {"type": float},
+    "vocab_size": {"type": int, "default": 5},
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="mixdiff", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--schedule", choices=["mask", "hybrid"])
-        p.add_argument("--p-u", dest="p_u", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--eps-t", dest="eps_t", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--mode", choices=["exact", "clamp", "dynamic"])
-        p.add_argument("--w-max", dest="w_max", type=float)
-
-    p = sub.add_parser("noise", help="resample corpus tokens from the forward marginal")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--t", type=float)
-    p.add_argument("--t-grid", dest="t_grid")
-    p.set_defaults(func=cmd_noise)
-
-    p = sub.add_parser("nelbo", help="Monte Carlo NELBO of a corpus")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--dist")
-    p.add_argument("--table")
-    p.add_argument("--num-mc", dest="num_mc", type=int)
-    p.set_defaults(func=cmd_nelbo)
-
-    p = sub.add_parser("sample", help="ancestral sampling from an all-mask start")
-    common(p)
-    p.add_argument("--dist")
-    p.add_argument("--table")
-    p.add_argument("--count", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--min-p", dest="min_p", type=float)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("self-correct", help="fixed-point token resampling")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--dist")
-    p.add_argument("--table")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--t-condition", dest="t_condition", type=float)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_self_correct)
-
-    p = sub.add_parser("train", help="train the tabular denoiser")
-    common(p)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", dest="lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--t-buckets", dest="t_buckets", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("oracle-eval", help="oracle NELBO vs exact NLL")
-    common(p)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--num-mc", dest="num_mc", type=int)
-    p.set_defaults(func=cmd_oracle_eval)
-
-    p = sub.add_parser("verify", help="run all invariant suites")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("weights-csv", help="export loss-weight curves")
-    common(p)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=5)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.set_defaults(func=cmd_weights_csv)
-
+    for command, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in f"{COMMON_FLAGS} {flags}".split():
+            name = flag.rstrip("!")
+            dest = name.replace("-", "_")
+            options = FLAG_OPTIONS.get(dest, {"type": CONFIG_KEYS.get(dest, str)})
+            p.add_argument("--" + name, dest=dest, required=flag != name, **options)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -434,10 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CorpusFormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except OSError as exc:
+    except (CorpusFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except MixdiffError as exc:

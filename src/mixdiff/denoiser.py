@@ -211,7 +211,7 @@ class OracleDenoiser(Denoiser):
         a, bp = _marginal_terms(self.schedule.terms(t))
         # (B, K, L): per-token likelihood alpha * [z == x] + beta_pi[z]
         match = z_seqs[:, None, :] == self._outcomes[None, :, :]
-        bp_z = np.take_along_axis(bp[:, 0], z_seqs, axis=1)
+        bp_z = bp[:, 0][np.arange(len(bp))[:, None], z_seqs]
         lik = (a * match + bp_z[:, None, :]).prod(axis=2)
         w = lik * self._priors[None, :]
         total = w.sum(axis=1)

@@ -308,6 +308,61 @@ def noise_sequence(
     return _noise(terms, x_seq, rng.random(x_seq.shape))
 
 
+# Draws per block of corpus_nelbo: what one block holds bounds the memory of
+# a call, whatever the size of its corpus.
+NELBO_BLOCK = 4096
+
+
+def corpus_nelbo(
+    schedule: MixingSchedule,
+    x_seqs,
+    denoiser,
+    num_mc: int,
+    seeds,
+    mode: WeightingMode = EXACT,
+    weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
+) -> list[NelboEstimate]:
+    """Monte Carlo estimate of the per-token NELBO of each row of an (S, L) corpus.
+
+    Row i draws its time offset and then its (num_mc, L) uniforms from
+    default_rng(seeds[i]): its num_mc times follow a stratified
+    low-discrepancy rule with that one offset, and per-position noisy tokens
+    are independent. The rows are noised, predicted and scored in blocks of
+    about NELBO_BLOCK draws (one row at least), and each row's estimate has
+    the bits it has alone.
+    """
+    x_seqs = np.asarray(x_seqs, dtype=np.int64)
+    n, length = schedule.vocab.size, x_seqs.shape[1]
+    if length == 0:
+        raise MixdiffError("cannot estimate the NELBO of an empty sequence")
+    if (bad := (x_seqs < 0) | (x_seqs >= n)).any():
+        raise ValueError(f"token id {x_seqs[bad][0]} outside [0, {n})")
+    if num_mc < 1:
+        raise ValueError("num_mc must be >= 1")
+    if len(seeds) != len(x_seqs):
+        raise ValueError(f"{len(seeds)} seeds for {len(x_seqs)} sequences")
+    per_block = max(1, NELBO_BLOCK // num_mc)
+    estimates = []
+    for first in range(0, len(x_seqs), per_block):
+        x = np.repeat(x_seqs[first : first + per_block], num_mc, axis=0)
+        rngs = map(np.random.default_rng, seeds[first : first + per_block])
+        offsets, u = zip(*[(rng.random(), rng.random((num_mc, length))) for rng in rngs])
+        times = stratified_times(num_mc, np.array(offsets)[:, None], schedule.eps_t).ravel()
+        terms = schedule.terms(times)
+        z = _noise(terms, x, np.concatenate(u))
+        target = loss_target(schedule, times, z, x, mode, weight_clip, terms)
+        probs = denoiser.predict_batch(z, times)
+        w, kl, is_term = target_loss(target, model_marginal(target, probs))
+        loss = (w * (kl + is_term)).reshape(len(offsets), num_mc, length)
+        # Left-to-right sums over positions, whatever numpy's grouping.
+        per_sample = sum(np.moveaxis(loss, -1, 0)) / length
+        # One draw has standard error 0: ddof=0 on it gives exactly that.
+        se = per_sample.std(axis=1, ddof=min(1, num_mc - 1)) / math.sqrt(num_mc)
+        means = per_sample.mean(axis=1).tolist()
+        estimates += map(NelboEstimate, means, se.tolist(), [num_mc] * len(means))
+    return estimates
+
+
 def sequence_nelbo(
     schedule: MixingSchedule,
     x_seq,
@@ -317,31 +372,6 @@ def sequence_nelbo(
     mode: WeightingMode = EXACT,
     weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
 ) -> NelboEstimate:
-    """Monte Carlo estimate of the per-token NELBO of one sequence.
-
-    Times are drawn by a stratified low-discrepancy rule with a single shared
-    offset; per-position noisy tokens are independent. Results are
-    deterministic for a fixed seed. All draws are scored as one batch.
-    """
-    x_seq = np.asarray(x_seq, dtype=np.int64)
-    if x_seq.size == 0:
-        raise MixdiffError("cannot estimate the NELBO of an empty sequence")
-    for x in x_seq:
-        schedule.vocab.check_token(x)
-    if num_mc < 1:
-        raise ValueError("num_mc must be >= 1")
-    rng = np.random.default_rng(seed)
-    times = stratified_times(num_mc, rng.random(), schedule.eps_t)
-    x_batch = np.broadcast_to(x_seq, (num_mc, len(x_seq)))
-    z = noise_sequence(schedule, x_batch, times, rng)
-    w, kl, is_term, _ = loss_and_grad(
-        schedule, times, z, x_batch, denoiser.predict_batch(z, times), mode, weight_clip
-    )
-    # Left-to-right sums over positions, whatever numpy's grouping.
-    per_sample = sum((w * (kl + is_term)).T) / len(x_seq)
-    mean = float(per_sample.mean())
-    if num_mc > 1:
-        se = float(per_sample.std(ddof=1) / math.sqrt(num_mc))
-    else:
-        se = 0.0
-    return NelboEstimate(mean_per_token=mean, std_error=se, num_mc_samples=num_mc)
+    """corpus_nelbo of the one sequence x_seq, drawing from default_rng(seed)."""
+    x_seqs = np.asarray(x_seq)[None]
+    return corpus_nelbo(schedule, x_seqs, denoiser, num_mc, [seed], mode, weight_clip)[0]

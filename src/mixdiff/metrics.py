@@ -32,32 +32,43 @@ class MetricsReport:
 
 def self_accuracy(
     z_seq, denoiser: Denoiser, t_condition: float, mask_id: int | None = None
-) -> float:
-    """Fraction of positions whose token is an argmax of the raw prediction.
+) -> float | np.ndarray:
+    """Fraction of positions whose token is an argmax of the raw prediction:
+    a float for an (L,) sequence, an (S,) array for the rows of an (S, L)
+    corpus, from one predict_batch.
 
     Ties count as correct. Pass mask_id to reject partially denoised input.
     """
     z = np.asarray(z_seq, dtype=np.int64)
     if mask_id is not None and np.any(z == mask_id):
         raise MaskedInputError("self-accuracy requires a fully denoised sequence")
-    return self_accuracy_from_probs(z, denoiser.predict(z, t_condition))
+    probs = denoiser.predict_batch(z.reshape(-1, z.shape[-1]), t_condition)
+    acc = self_accuracy_from_probs(z, probs.reshape(z.shape + probs.shape[-1:]))
+    return float(acc) if z.ndim == 1 else acc
 
 
-def self_accuracy_from_probs(z_seq: np.ndarray, probs: np.ndarray) -> float:
-    """Fraction of positions whose token is an argmax (ties count) of its row."""
-    row_max = probs.max(axis=1)
-    own = probs[np.arange(len(z_seq)), z_seq]
-    return float(np.mean(own >= row_max - 1e-12))
+def _probs_at(probs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """probs[..., i, z[..., i]]: the entry at each token of z of its row of probs."""
+    return probs.reshape(-1, probs.shape[-1])[np.arange(z.size), z.ravel()].reshape(z.shape)
 
 
-def unigram_entropy(z_seq) -> float:
-    """Shannon entropy (nats) of within-sequence token frequencies."""
+def self_accuracy_from_probs(z_seq: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Fraction of positions whose token is an argmax (ties count) of its row, over the
+    last axis of z_seq: a count over the length, np.mean's bits without its overhead."""
+    return (_probs_at(probs, z_seq) >= probs.max(axis=-1) - 1e-12).sum(axis=-1) / z_seq.shape[-1]
+
+
+def unigram_entropy(z_seq) -> float | np.ndarray:
+    """Shannon entropy (nats) of within-sequence token frequencies: a float
+    for an (L,) sequence, an (S,) array for the rows of (S, L) samples, each
+    distinct row computed once."""
     z = np.asarray(z_seq, dtype=np.int64)
     if z.size == 0:
         raise ValueError("sequence must be nonempty")
-    _, counts = np.unique(z, return_counts=True)
-    freq = counts / counts.sum()
-    return float(-(freq * np.log(freq)).sum())
+    rows, _, index = _sample_rows(z.reshape(-1, z.shape[-1]))
+    freqs = [np.unique(row, return_counts=True)[1] / len(row) for row in rows]
+    entropy = np.array([-(freq * np.log(freq)).sum() for freq in freqs])[index]
+    return float(entropy[0]) if z.ndim == 1 else entropy
 
 
 def _sample_rows(samples) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
@@ -111,15 +122,12 @@ def generative_nll(
     inputs well defined.
     """
     rows, _, index = _sample_rows(samples)
-    probs = np.array([dist.prob_of(seq) for seq in rows])
-    nlls = []
-    out = 0
-    for p in probs[index].tolist():
-        if p <= 0.0:
-            out += 1
-            if floor is not None:
-                nlls.append(-math.log(floor))
-        else:
-            nlls.append(-math.log(p))
-    mean = float(np.mean(nlls)) if nlls else float("nan")
-    return mean, out
+    probs = [dist.prob_of(seq) for seq in rows]
+    # One libm log per distinct row, gathered in sample order.
+    fill = math.nan if floor is None else -math.log(floor)
+    nlls = np.array([-math.log(p) if p > 0.0 else fill for p in probs])[index]
+    inside = np.array(probs)[index] > 0.0
+    if floor is None:
+        nlls = nlls[inside]
+    mean = float(np.mean(nlls)) if nlls.size else float("nan")
+    return mean, int(np.count_nonzero(~inside))

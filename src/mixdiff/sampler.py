@@ -18,7 +18,7 @@ import numpy as np
 from .denoiser import Denoiser, _distinct_rows
 from .elbo import _inverse_cdf, _marginal_terms
 from .errors import EmptySupportError, MaskedInputError, OrderingError
-from .metrics import self_accuracy_from_probs
+from .metrics import _probs_at, self_accuracy_from_probs
 from .schedule import DEFAULT_EPS_T, MixingSchedule
 
 
@@ -40,9 +40,9 @@ def check_seed(seed: int) -> None:
         raise ValueError("seed must lie in [0, 2**64)")
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """The seed of stream `index` under `seed`: the 64-bit hash of the pair."""
-    return int(counter_hash(seed, index)[0])
+def derive_seeds(seed: int, count: int) -> list[int]:
+    """The seeds of streams 0..count-1 under `seed`: seed i is the 64-bit hash of (seed, i)."""
+    return counter_hash(seed, np.arange(count, dtype=np.uint64)).tolist()
 
 
 def counter_uniforms(seed: int, step: int, count: int, length: int) -> np.ndarray:
@@ -95,28 +95,26 @@ class SelfCorrectConfig:
         check_seed(self.seed)
 
 
-def _temper_rows(p: np.ndarray, temperature: float) -> np.ndarray:
-    """Raise each row to power 1/tau via log-probabilities, then renormalize.
+def adapt_distribution(p: np.ndarray, temperature: float = 1.0, min_p: float = 0.0) -> np.ndarray:
+    """Temperature then min-p cutoff over the last axis, each followed by renormalization.
 
-    Zero entries stay zero. As tau -> 0 this approaches one-hot at the argmax
+    Tempering raises each row to power 1/tau via log-probabilities. Zero
+    entries stay zero. As tau -> 0 this approaches one-hot at the argmax
     (lowest index on ties), which falls out of the arithmetic directly.
     """
-    if temperature == 1.0:
-        return p
+    p = np.asarray(p, dtype=float)
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
     if temperature < 1e-9:
         # exact argmax limit; np.argmax breaks ties by lowest index
-        out = np.zeros_like(p)
-        np.put_along_axis(out, p.argmax(axis=-1)[..., None], 1.0, axis=-1)
-        return out
-    logp = np.full_like(p, -np.inf)
-    nz = p > 0
-    logp[nz] = np.log(p[nz]) / temperature
-    logp -= logp.max(axis=-1, keepdims=True)
-    e = np.exp(logp)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _min_p_rows(p: np.ndarray, min_p: float) -> np.ndarray:
+        p = np.eye(p.shape[-1])[p.argmax(axis=-1)]
+    elif temperature != 1.0:
+        logp = np.full_like(p, -np.inf)
+        nz = p > 0
+        logp[nz] = np.log(p[nz]) / temperature
+        logp -= logp.max(axis=-1, keepdims=True)
+        e = np.exp(logp)
+        p = e / e.sum(axis=-1, keepdims=True)
     if min_p == 0.0:
         return p
     out = np.where(p >= min_p, p, 0.0)
@@ -124,17 +122,6 @@ def _min_p_rows(p: np.ndarray, min_p: float) -> np.ndarray:
     if np.any(totals <= 0.0):
         raise EmptySupportError(f"min_p={min_p} removed all probability mass")
     return out / totals
-
-
-def adapt_distribution(p: np.ndarray, temperature: float = 1.0, min_p: float = 0.0) -> np.ndarray:
-    """Temperature then min-p cutoff, each followed by renormalization."""
-    p = np.asarray(p, dtype=float)
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    squeeze = p.ndim == 1
-    rows = p[None, :] if squeeze else p
-    rows = _min_p_rows(_temper_rows(rows, temperature), min_p)
-    return rows[0] if squeeze else rows
 
 
 def _denoise_step_batch(
@@ -230,59 +217,81 @@ class SelfCorrectResult:
     edits: int
 
 
+# Rows per block of self_correct_batch: what one block holds bounds the
+# memory of a call, whatever the size of its corpus.
+CORRECT_BLOCK = 256
+
+
+def self_correct_batch(
+    z_seqs, denoiser: Denoiser, config: SelfCorrectConfig, mask_id: int, seeds
+) -> list[SelfCorrectResult]:
+    """Fixed-point token resampling of each row of an (S, L) corpus: commit
+    one disagreeing token per iteration.
+
+    Each iteration queries the denoiser at t_condition, tempers the
+    predictions, resamples every position, and commits only the disagreeing
+    token with the highest tempered probability (lowest index on ties).
+    A row stops on convergence (no disagreements), max_iters, or `patience`
+    iterations without a self-accuracy improvement, and returns the best
+    state seen, which also absorbs oscillation between equally good states.
+    Row i draws from default_rng(seeds[i]), not from config.seed, and gets
+    the result it gets alone. The rows run in lockstep, in blocks of
+    CORRECT_BLOCK, with one predict_batch per iteration over the rows of a
+    block still active.
+    """
+    z_seqs = np.asarray(z_seqs, dtype=np.int64)
+    if np.any(z_seqs == mask_id):
+        raise MaskedInputError("self-correction requires a fully denoised sequence")
+    if len(seeds) != len(z_seqs):
+        raise ValueError(f"{len(seeds)} seeds for {len(z_seqs)} sequences")
+    results = [None] * len(z_seqs)
+    for first in range(0, len(z_seqs), CORRECT_BLOCK):
+        # The state of the block's active rows, re-indexed only when some stop.
+        z = z_seqs[first : first + CORRECT_BLOCK].copy()
+        rows, best_z, best_acc = np.arange(first, first + len(z)), z.copy(), np.full(len(z), -1.0)
+        stall, edits = np.zeros((2, len(z)), dtype=np.int64)
+        rngs = [np.random.default_rng(seed) for seed in seeds[first : first + CORRECT_BLOCK]]
+        trajectories = [[] for _ in rngs]
+        for it in range(1, config.max_iters + 1):
+            probs = denoiser.predict_batch(z, config.t_condition)
+            acc = self_accuracy_from_probs(z, probs)
+            for trajectory, a in zip(trajectories, acc.tolist()):
+                trajectory.append(a)
+            better = acc > best_acc + 1e-15
+            np.copyto(best_acc, acc, where=better)
+            np.copyto(best_z, z, where=better[:, None])
+            stall = np.where(better, 0, stall + 1)
+            tempered = adapt_distribution(probs, config.temperature)
+            proposal = _inverse_cdf(tempered, np.array([rng.random(z.shape[1]) for rng in rngs]))
+            disagree = proposal != z
+            converged = ~disagree.any(axis=1)
+            stop = converged | (stall >= config.patience)
+            go = np.flatnonzero(~stop)
+            j = np.where(disagree, _probs_at(tempered, proposal), -1.0).argmax(axis=1)[go]
+            z[go, j] = proposal[go, j]
+            edits[go] += 1
+            if len(go) == len(z) and it < config.max_iters:
+                continue
+            stop |= it == config.max_iters
+            for i in np.flatnonzero(stop).tolist():
+                results[rows[i]] = SelfCorrectResult(
+                    best_z[i].copy(), it, tuple(trajectories[i]), bool(converged[i]), int(edits[i])
+                )
+            if stop.all():
+                break
+            keep = ~stop
+            z, best_z, best_acc, stall, edits, rows = (
+                v[keep] for v in (z, best_z, best_acc, stall, edits, rows)
+            )
+            rngs, trajectories = ([v for v, k in zip(vs, keep) if k] for vs in (rngs, trajectories))
+    return results
+
+
 def self_correct(
     z_seq,
     denoiser: Denoiser,
     config: SelfCorrectConfig,
     mask_id: int,
 ) -> SelfCorrectResult:
-    """Fixed-point token resampling: commit one disagreeing token per iteration.
-
-    Each iteration queries the denoiser at t_condition, tempers the
-    predictions, resamples every position, and commits only the disagreeing
-    token with the highest tempered probability (lowest index on ties).
-    Stops on convergence (no disagreements), max_iters, or `patience`
-    iterations without a self-accuracy improvement; returns the best state
-    seen, which also absorbs oscillation between equally good states.
-    """
-    z = np.asarray(z_seq, dtype=np.int64).copy()
-    if np.any(z == mask_id):
-        raise MaskedInputError("self-correction requires a fully denoised sequence")
-    rng = np.random.default_rng(config.seed)
-    length = len(z)
-    trajectory = []
-    best_acc = -1.0
-    best_z = z.copy()
-    stall = 0
-    edits = 0
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iters + 1):
-        probs_raw = denoiser.predict(z, config.t_condition)
-        acc = self_accuracy_from_probs(z, probs_raw)
-        trajectory.append(acc)
-        if acc > best_acc + 1e-15:
-            best_acc = acc
-            best_z = z.copy()
-            stall = 0
-        else:
-            stall += 1
-        tempered = adapt_distribution(probs_raw, config.temperature)
-        proposal = _inverse_cdf(tempered, rng.random(length))
-        disagree = np.flatnonzero(proposal != z)
-        if disagree.size == 0:
-            converged = True
-            break
-        if stall >= config.patience:
-            break
-        scores = tempered[disagree, proposal[disagree]]
-        j = disagree[int(np.argmax(scores))]
-        z[j] = proposal[j]
-        edits += 1
-    return SelfCorrectResult(
-        sequence=best_z,
-        iterations=iterations,
-        self_accuracy_trajectory=tuple(trajectory),
-        converged=converged,
-        edits=edits,
-    )
+    """self_correct_batch of the one sequence z_seq, drawing from default_rng(config.seed)."""
+    return self_correct_batch(np.asarray(z_seq)[None], denoiser, config, mask_id, [config.seed])[0]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,15 @@ def random_prediction(rng, n, mask_id):
     p = rng.random(n)
     p[mask_id] = 0.0
     return p / p.sum()
+
+
+def transient_peak(fn) -> int:
+    """Peak traced memory of fn() above what its result keeps."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - current

@@ -497,3 +497,163 @@ def test_self_correct_zero_iterations_is_usage_error(capsys, tmp_path, dist_file
     assert stdout == ""
     assert "usage error: max_iters must be >= 1" in err
     assert not out.exists()
+
+
+# The pinned corpus commands run on the five-outcome distribution over
+# Vocab(5, 4), a logit table trained on it, and two corpora: outcomes only
+# (the mask schedule's oracle accepts no other evidence) and outcomes with
+# corrupted tokens.
+PIN_VOCAB = Vocab(5, 4)
+PIN_OUTCOMES = ((0, 1, 2), (1, 2, 3), (2, 3, 0), (3, 0, 1), (0, 0, 0))
+PIN_CLEAN = [(0, 1, 2), (1, 2, 3), (2, 3, 0), (3, 0, 1), (0, 0, 0), (1, 2, 3), (0, 0, 0)]
+PIN_NOISY = [
+    (0, 1, 3), (1, 1, 3), (2, 3, 0), (3, 0, 0), (0, 0, 1),
+    (2, 2, 2), (1, 2, 3), (3, 3, 0), (0, 1, 2), (1, 0, 0),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    from mixdiff import LogitTable, make_schedule, table_train
+
+    root = tmp_path_factory.mktemp("pinned")
+    dist = ToyDistribution(PIN_VOCAB, 3, tuple(zip(PIN_OUTCOMES, (0.3, 0.25, 0.2, 0.15, 0.1))))
+    dist.save(str(root / "dist.txt"))
+    table = LogitTable(PIN_VOCAB, 3)
+    table_train(dist, make_schedule("hybrid", PIN_VOCAB, p_u=0.2), table, 200, seed=3)
+    table.save(str(root / "table.txt"))
+    write_corpus(root / "clean.txt", PIN_VOCAB, PIN_CLEAN)
+    write_corpus(root / "noisy.txt", PIN_VOCAB, PIN_NOISY)
+    return root
+
+
+HYBRID = ["--schedule", "hybrid", "--p-u", "0.2"]
+# a prediction unsure enough that rows stop by patience and by max_iters
+UNSURE = ["--temperature", "1", "--t-condition", "0.6"]
+# (command, denoiser, corpus, flags): sha256 of stdout and of the --out file,
+# recorded when the commands scored and corrected one sequence per call.
+CORPUS_COMMAND_PINS = {
+    ("nelbo", "dist", "clean", ()): (
+        "899c97d88d98d1d685a23334ebc8dc3be0d4a6ffb4bdfc20f73f3dc328e93fa6",
+        None,
+    ),
+    ("nelbo", "table", "noisy", ()): (
+        "90a6f6ffdf869a2ac8141c01b58d250b555d0c2239ff5bd3bea5830ad3467a2f",
+        None,
+    ),
+    ("nelbo", "dist", "noisy", (*HYBRID,)): (
+        "30fff46d1118db1e2e5aad37edf239e19e2785f094b3a80dd2c61f0ecdda53b7",
+        None,
+    ),
+    ("nelbo", "table", "noisy", (*HYBRID,)): (
+        "95ae5cc4f5bf6d87c17860aca4f73dfcdf4365f68407b42388f6ef5767cb6c0d",
+        None,
+    ),
+    ("nelbo", "table", "noisy", (*HYBRID, "--mode", "clamp")): (
+        "5d6062367a5684e63e8001f343022c81c1e3358d67a510f247d596ff527e6dbf",
+        None,
+    ),
+    ("self-correct", "dist", "clean", ()): (
+        "c819c5cafaf5e756d6034d56b87797324fde44313d5680163213176f7e77a27d",
+        "8d2a7e0542cf29cc910c5d9aa8f14f3fdac12d54a6c798eb344b828d236d6f6d",
+    ),
+    ("self-correct", "table", "noisy", ("--patience", "3", *UNSURE)): (
+        "94d1edd936e23e5c26c34556b80f80841610a31cba1c6fe601fa038a1608e9d3",
+        "a3c9efea122aff7ec8fc4721ccfa36048460eab0e398f7ad0cd3bd3469e6eb50",
+    ),
+    ("self-correct", "dist", "noisy", (*HYBRID,)): (
+        "b655e7dffc5d4b3f5067cc37b650dd0e6bcef48641333c7226c9eb4214ff36b8",
+        "c001b0d7b25b3d00b81e29ce4a040121b0d58787bf01f22bce64d70df31e25ea",
+    ),
+    ("self-correct", "table", "noisy", (*HYBRID, "--max-iters", "5", *UNSURE)): (
+        "d67b28a97ff0e8d6b76dbd60f564b2b10134f4d96d6e1d0a243e8d307b89c458",
+        "a3c9efea122aff7ec8fc4721ccfa36048460eab0e398f7ad0cd3bd3469e6eb50",
+    ),
+    ("oracle-eval", "dist", None, ()): (
+        "5f91fcbdaeaedba73257e00e6ccb383c9edb039b6a8f5cab5f358c9d4149f50d",
+        None,
+    ),
+    ("oracle-eval", "dist", None, (*HYBRID,)): (
+        "863f53bfd578c52c1dc581a9db5bb6a56ecf7178102cbe9df2f16697d004e888",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(CORPUS_COMMAND_PINS), ids=lambda c: " ".join(v for v in (*c[:3], *c[3]) if v)
+)
+def test_corpus_commands_same_bytes(capsys, tmp_path, pinned_inputs, case):
+    command, denoiser, corpus, flags = case
+    argv = [command, f"--{denoiser}", str(pinned_inputs / f"{denoiser}.txt"), "--seed", "11"]
+    argv += ["--temperature", "0.1"] if command == "self-correct" else ["--num-mc", "16"]
+    if corpus is not None:
+        argv += ["--corpus", str(pinned_inputs / f"{corpus}.txt")]
+    out = tmp_path / "out.txt"
+    if command == "self-correct":
+        argv += ["--out", str(out)]
+    code, stdout, err = run(capsys, argv + list(flags))
+    assert code == 0, err
+    got = (
+        hashlib.sha256(stdout.encode()).hexdigest(),
+        hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None,
+    )
+    assert got == CORPUS_COMMAND_PINS[case]
+
+
+def _misfit_argv(tmp_path, dist_file, command, denoiser, corpus_text):
+    """argv of `command` on a corpus file of corpus_text against the two-outcome
+    distribution over Vocab(3, 2), or an empty table of that vocabulary, of length 2."""
+    from mixdiff import LogitTable
+
+    table = tmp_path / "table.txt"
+    LogitTable(Vocab(3, 2), 2).save(str(table))
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(corpus_text)
+    argv = [command, "--corpus", str(corpus)]
+    argv += ["--dist", dist_file] if denoiser == "dist" else ["--table", str(table)]
+    return argv + (["--out", str(tmp_path / "out.txt")] if command == "self-correct" else [])
+
+
+@pytest.mark.parametrize("command", ["nelbo", "self-correct"])
+@pytest.mark.parametrize("denoiser", ["dist", "table"])
+@pytest.mark.parametrize(
+    "corpus_text, named",
+    [
+        ("4 2 3\n0 3\n", "length 2 over Vocab(size=4, mask_id=3)"),
+        ("3 3 2\n0 1 0\n1 1 1\n", "length 3 over Vocab(size=3, mask_id=2)"),
+    ],
+    ids=["vocab", "length"],
+)
+def test_corpus_that_does_not_fit_the_denoiser_is_data_error(
+    capsys, tmp_path, dist_file, command, denoiser, corpus_text, named
+):
+    """A corpus header must match the denoiser's vocabulary and length: a
+    larger vocabulary used to end in an IndexError traceback (self-correct)
+    or a usage error (nelbo), a longer sequence in numpy's broadcast error."""
+    argv = _misfit_argv(tmp_path, dist_file, command, denoiser, corpus_text)
+    code, stdout, err = run(capsys, argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("data error: corpus of ")
+    assert named in err
+    assert "denoiser of length 2 over Vocab(size=3, mask_id=2)" in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_corpus_that_does_not_fit_exits_without_traceback(tmp_path, dist_file):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mixdiff
+
+    argv = _misfit_argv(tmp_path, dist_file, "self-correct", "dist", "4 2 3\n0 3\n")
+    env = {"PYTHONPATH": str(Path(mixdiff.__file__).parents[1]), "PATH": ""}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixdiff.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "does not fit the denoiser" in proc.stderr
+    assert not (tmp_path / "out.txt").exists()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mixdiff import (
     ToyDistribution,
     Vocab,
     WeightingMode,
+    corpus_nelbo,
     is_divergence_pointwise,
     kl_divergence,
     loss_and_grad,
@@ -29,7 +31,7 @@ from mixdiff import (
 )
 from mixdiff.elbo import DEFAULT_WEIGHT_CLIP, _inverse_cdf, loss_weight
 from mixdiff.errors import DegenerateEvidenceError, UnsupportedStateError
-from conftest import random_prediction
+from conftest import random_prediction, transient_peak
 
 
 def test_kl_hand_values():
@@ -485,3 +487,85 @@ def test_inverse_cdf_counts_cdf_entries_below_u(n, length, rows, draws, zero_fra
     assert shared.dtype == np.int64 and own.dtype == np.int64
     np.testing.assert_array_equal(shared, expect)
     np.testing.assert_array_equal(own, expect)
+
+
+def _nelbo_alone(schedule, x_seq, denoiser, num_mc, seed, mode):
+    """sequence_nelbo's reference, as it was before corpus_nelbo: one
+    sequence, its noise drawn by noise_sequence and scored by loss_and_grad."""
+    x_seq = np.asarray(x_seq, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    times = stratified_times(num_mc, rng.random(), schedule.eps_t)
+    x_batch = np.broadcast_to(x_seq, (num_mc, len(x_seq)))
+    z = noise_sequence(schedule, x_batch, times, rng)
+    w, kl, is_term, _ = loss_and_grad(
+        schedule, times, z, x_batch, denoiser.predict_batch(z, times), mode
+    )
+    per_sample = sum((w * (kl + is_term)).T) / len(x_seq)
+    se = float(per_sample.std(ddof=1) / math.sqrt(num_mc)) if num_mc > 1 else 0.0
+    return float(per_sample.mean()), se
+
+
+_CORPUS_VOCAB = Vocab(5, 4)
+_CORPUS_DIST = ToyDistribution(
+    _CORPUS_VOCAB, 3, (((0, 1, 2), 0.4), ((1, 2, 3), 0.3), ((3, 3, 0), 0.2), ((0, 0, 0), 0.1))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["mask", "hybrid"]),
+    st.sampled_from(["oracle", "table"]),
+    st.sampled_from([EXACT, CLAMP, DYNAMIC]),
+    st.sampled_from([1, 2, 7, 64]),
+    st.integers(1, 9),
+    st.sampled_from([1, 16, 4096]),
+    st.integers(0, 2**32 - 1),
+)
+def test_corpus_nelbo_rows_are_rows_alone(kind, denoiser, mode, num_mc, rows, block, seed):
+    """Row i of corpus_nelbo(X) equals corpus_nelbo(X[i:i+1]) and the
+    one-sequence estimator it replaced, bit for bit, whatever the block size."""
+    rng = np.random.default_rng(seed)
+    sched = make_schedule(kind, _CORPUS_VOCAB, p_u=0.2 if kind == "hybrid" else 0.0)
+    if denoiser == "oracle":
+        model = OracleDenoiser(_CORPUS_DIST, sched)
+        # the mask schedule's oracle accepts the outcomes only
+        x = _CORPUS_DIST.sample(rng, rows)
+        if kind == "hybrid":
+            x = np.where(rng.random(x.shape) < 0.3, rng.integers(0, 4, x.shape), x)
+    else:
+        model = LogitTable(_CORPUS_VOCAB, 3)
+        table_train(_CORPUS_DIST, sched, model, 20, batch=16, seed=seed % 7)
+        x = rng.integers(0, 5, (rows, 3))
+    seeds = rng.integers(0, 2**63, rows).tolist()
+    with mock.patch("mixdiff.elbo.NELBO_BLOCK", block):
+        ests = corpus_nelbo(sched, x, model, num_mc, seeds, mode)
+    assert len(ests) == rows
+    for i, est in enumerate(ests):
+        (alone,) = corpus_nelbo(sched, x[i : i + 1], model, num_mc, seeds[i : i + 1], mode)
+        assert est == alone
+        assert est.num_mc_samples == num_mc
+        assert (est.mean_per_token, est.std_error) == _nelbo_alone(
+            sched, x[i], model, num_mc, seeds[i], mode
+        )
+
+
+def test_corpus_nelbo_rejects_bad_input(two_outcome_oracle):
+    oracle, sched = two_outcome_oracle
+    with pytest.raises(ValueError, match="2 seeds for 1 sequences"):
+        corpus_nelbo(sched, [[0, 0]], oracle, 4, [1, 2])
+    with pytest.raises(ValueError, match="token id 3 outside"):
+        corpus_nelbo(sched, [[0, 0], [0, 3]], oracle, 4, [1, 2])
+    assert corpus_nelbo(sched, np.zeros((0, 2)), oracle, 4, []) == []
+
+
+def test_corpus_nelbo_memory_does_not_grow_with_the_corpus():
+    """Blocks bound the (draws, L, N) loss arrays and the per-row generators:
+    ten times the corpus stays within 1.5 times the working memory."""
+    sched = make_schedule("mask", _CORPUS_VOCAB)
+    oracle = OracleDenoiser(_CORPUS_DIST, sched)
+    peaks = []
+    for rows in (400, 4000):
+        x = _CORPUS_DIST.sample(np.random.default_rng(rows), rows)
+        seeds = list(range(rows))
+        peaks.append(transient_peak(lambda: corpus_nelbo(sched, x, oracle, 16, seeds)))
+    assert peaks[1] <= 1.5 * peaks[0]

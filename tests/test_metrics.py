@@ -56,6 +56,31 @@ def test_unigram_entropy():
         unigram_entropy([])
 
 
+def _entropy_alone(z_seq):
+    """unigram_entropy's reference: one sequence."""
+    _, counts = np.unique(np.asarray(z_seq), return_counts=True)
+    freq = counts / counts.sum()
+    return float(-(freq * np.log(freq)).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(2, 12), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_corpus_metrics_are_row_metrics(length, n, rows, seed):
+    """unigram_entropy and self_accuracy of (S, L) samples give each row the
+    bits of the one-sequence definitions, with repeated rows among them."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, n, (max(1, rows // 3), length))
+    z = pool[rng.integers(0, len(pool), rows)]
+    entropy = unigram_entropy(z)
+    assert entropy.shape == (rows,)
+    assert entropy.tolist() == [_entropy_alone(row) for row in z]
+    assert entropy.tolist() == [unigram_entropy(row) for row in z]
+    target = rng.integers(0, 3, length)
+    acc = self_accuracy(z % 3, _OneHot(target), 0.5)
+    assert acc.tolist() == [float(np.mean(row == target)) for row in z % 3]
+    assert acc.tolist() == [self_accuracy(row, _OneHot(target), 0.5) for row in z % 3]
+
+
 def test_unigram_entropy_bounded_by_log_length():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -140,7 +165,7 @@ def test_sample_metrics_equal_one_by_one_counts(length, outcomes, distinct, seed
     pool = support[:3] + [tuple(rng.integers(0, 5, length).tolist()) for _ in range(distinct)]
     samples = np.array([pool[i] for i in rng.integers(0, len(pool), 300)])
     assert tv_distance(samples, dist) == _tv_one_by_one(samples, dist)
-    for floor in (None, 1e-30):
+    for floor in (None, 1e-30, 0.05):
         got = generative_nll(samples, dist, floor)
         want = _nll_one_by_one(samples, dist, floor)
         assert got[1] == want[1]

@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mixdiff import (
     denoise_step,
     make_schedule,
     self_correct,
+    self_correct_batch,
 )
 from mixdiff.denoiser import Denoiser
 from mixdiff.errors import (
@@ -25,7 +27,15 @@ from mixdiff.errors import (
     MaskedInputError,
     OrderingError,
 )
-from mixdiff.sampler import _denoise_step_batch, counter_hash, counter_uniforms
+from mixdiff.elbo import _inverse_cdf
+from mixdiff.sampler import (
+    SelfCorrectResult,
+    _denoise_step_batch,
+    counter_hash,
+    counter_uniforms,
+    derive_seeds,
+)
+from conftest import transient_peak
 
 
 def test_sampler_config_validation():
@@ -404,3 +414,128 @@ def test_sample_batch_needs_a_row(two_outcome, count):
     sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
     with pytest.raises(ValueError, match="count must be >= 1"):
         ancestral_sample_batch(sched, 2, _Untouchable(), SamplerConfig(), count)
+
+
+def _self_correct_alone(z_seq, denoiser, config, mask_id):
+    """self_correct's reference, as it was before self_correct_batch: one
+    sequence, one predict per iteration."""
+    z = np.asarray(z_seq, dtype=np.int64).copy()
+    rng = np.random.default_rng(config.seed)
+    trajectory, best_acc, best_z, stall, edits, converged = [], -1.0, z.copy(), 0, 0, False
+    for iterations in range(1, config.max_iters + 1):
+        probs = denoiser.predict(z, config.t_condition)
+        own = probs[np.arange(len(z)), z]
+        acc = float(np.mean(own >= probs.max(axis=1) - 1e-12))
+        trajectory.append(acc)
+        if acc > best_acc + 1e-15:
+            best_acc, best_z, stall = acc, z.copy(), 0
+        else:
+            stall += 1
+        tempered = adapt_distribution(probs, config.temperature)
+        proposal = _inverse_cdf(tempered, rng.random(len(z)))
+        disagree = np.flatnonzero(proposal != z)
+        if disagree.size == 0:
+            converged = True
+            break
+        if stall >= config.patience:
+            break
+        j = disagree[int(np.argmax(tempered[disagree, proposal[disagree]]))]
+        z[j] = proposal[j]
+        edits += 1
+    return SelfCorrectResult(best_z, iterations, tuple(trajectory), converged, edits)
+
+
+def _same_result(a, b):
+    return (
+        a.sequence.dtype == b.sequence.dtype
+        and a.sequence.tobytes() == b.sequence.tobytes()
+        and (a.iterations, a.self_accuracy_trajectory, a.converged, a.edits)
+        == (b.iterations, b.self_accuracy_trajectory, b.converged, b.edits)
+    )
+
+
+_SC_VOCAB = Vocab(5, 4)
+_SC_DIST = ToyDistribution(
+    _SC_VOCAB, 6, (((0,) * 6, 0.3), ((1,) * 6, 0.25), ((2,) * 6, 0.25), ((3,) * 6, 0.2))
+)
+_SC_ORACLE = OracleDenoiser(_SC_DIST, make_schedule("hybrid", _SC_VOCAB, p_u=0.2))
+
+
+def _stop_reason(result, config):
+    if result.converged:
+        return "converged"
+    return "max_iters" if result.iterations == config.max_iters else "patience"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([0.1, 1.0, 3.0]),
+    st.sampled_from([1e-4, 0.9]),
+    st.integers(1, 4),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from([1, 3, 256]),
+    st.integers(0, 2**32 - 1),
+)
+def test_self_correct_batch_rows_are_rows_alone(
+    temperature, t_condition, patience, max_iters, rows, block, seed
+):
+    """Row b of self_correct_batch(Z) equals self_correct of that row alone and
+    the one-sequence loop it replaced, for every stop reason and block size."""
+    rng = np.random.default_rng(seed)
+    clean = _SC_DIST.sample(rng, rows)
+    z = np.where(rng.random(clean.shape) < 0.3, rng.integers(0, 4, clean.shape), clean)
+    seeds = rng.integers(0, 2**63, rows).tolist()
+    config = SelfCorrectConfig(temperature, max_iters, patience, t_condition)
+    with mock.patch("mixdiff.sampler.CORRECT_BLOCK", block):
+        results = self_correct_batch(z, _SC_ORACLE, config, 4, seeds)
+    assert len(results) == rows
+    for b, result in enumerate(results):
+        row_config = SelfCorrectConfig(temperature, max_iters, patience, t_condition, seeds[b])
+        assert _same_result(result, self_correct(z[b], _SC_ORACLE, row_config, 4))
+        assert _same_result(result, _self_correct_alone(z[b], _SC_ORACLE, row_config, 4))
+
+
+def test_self_correct_batch_stops_each_row_for_its_own_reason():
+    """One batch whose rows stop by converging, by patience and by max_iters,
+    each with the result it gets alone."""
+    rng = np.random.default_rng(3)
+    z = np.where(rng.random((40, 6)) < 0.3, rng.integers(0, 4, (40, 6)), _SC_DIST.sample(rng, 40))
+    config = SelfCorrectConfig(temperature=3.0, max_iters=6, patience=3, t_condition=0.9)
+    seeds = derive_seeds(17, 40)
+    results = self_correct_batch(z, _SC_ORACLE, config, 4, seeds)
+    assert {_stop_reason(r, config) for r in results} == {"converged", "patience", "max_iters"}
+    for b, result in enumerate(results):
+        alone = _self_correct_alone(z[b], _SC_ORACLE, SelfCorrectConfig(3.0, 6, 3, 0.9, seeds[b]), 4)
+        assert _same_result(result, alone)
+
+
+def test_self_correct_batch_rejects_bad_input():
+    config = SelfCorrectConfig()
+    with pytest.raises(ValueError, match="1 seeds for 2 sequences"):
+        self_correct_batch(np.zeros((2, 6), dtype=np.int64), _SC_ORACLE, config, 4, [0])
+    with pytest.raises(MaskedInputError):
+        self_correct_batch([[0] * 6, [0, 4, 0, 0, 0, 0]], _SC_ORACLE, config, 4, [0, 1])
+
+
+def test_self_correct_batch_memory_does_not_grow_with_the_corpus():
+    """Blocks bound the prediction arrays, the state and the per-row
+    generators: ten times the corpus stays within 1.5 times the working memory."""
+    config = SelfCorrectConfig(temperature=0.1)
+    peaks = []
+    for rows in (400, 4000):
+        rng = np.random.default_rng(rows)
+        clean = _SC_DIST.sample(rng, rows)
+        z = np.where(rng.random(clean.shape) < 0.2, rng.integers(0, 4, clean.shape), clean)
+        seeds = derive_seeds(rows, rows)
+        peaks.append(transient_peak(lambda: self_correct_batch(z, _SC_ORACLE, config, 4, seeds)))
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_derive_seeds_hash_the_row_index():
+    """Seed i is the hash of (seed, i), whatever the count."""
+    for seed in (0, 5, 2**64 - 1):
+        seeds = derive_seeds(seed, 300)
+        assert seeds == [int(counter_hash(seed, i)[0]) for i in range(300)]
+        assert derive_seeds(seed, 7) == seeds[:7]
+        assert all(isinstance(s, int) for s in seeds)
