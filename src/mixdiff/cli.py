@@ -28,7 +28,7 @@ from .denoiser import (
 )
 from .elbo import WeightingMode, corpus_nelbo, noise_sequence
 from .errors import CorpusFormatError, MixdiffError
-from .metrics import generative_nll, self_accuracy, tv_distance, unigram_entropy
+from .metrics import generative_nll, tv_distance, unigram_entropy
 from .sampler import (
     SamplerConfig,
     SelfCorrectConfig,
@@ -245,17 +245,17 @@ def cmd_self_correct(args) -> int:
         patience=cfg["patience"],
         t_condition=cfg["t_condition"],
     )
-    acc_before = self_accuracy(seqs, denoiser, sc_cfg.t_condition, vocab.mask_id)
     seeds = derive_seeds(cfg["seed"], len(seqs))
     results = self_correct_batch(seqs, denoiser, sc_cfg, vocab.mask_id, seeds)
     corrected = np.array([result.sequence for result in results])
-    acc_after = self_accuracy(corrected, denoiser, sc_cfg.t_condition, vocab.mask_id)
     with open(args.out, "w") as fh:
         write_corpus(fh, vocab, length, corrected)
+    # a row's first self-accuracy is its input's, and its best is its output's
+    accs = [result.self_accuracy_trajectory for result in results]
     payload = {
         "edits": sum(result.edits for result in results),
-        "self_accuracy_before": float(np.mean(acc_before)),
-        "self_accuracy_after": float(np.mean(acc_after)),
+        "self_accuracy_before": float(np.mean([acc[0] for acc in accs])),
+        "self_accuracy_after": float(np.mean([max(acc) for acc in accs])),
     }
     if dist is not None:
         floor = 1e-30

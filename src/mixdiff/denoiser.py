@@ -146,27 +146,31 @@ class ToyDistribution:
 def _distinct_rows(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(distinct rows of z in lexicographic order, index of each row of z in them).
 
-    Rows of tokens in [0, n) are keyed as base-n numbers, a block of columns at
-    a time so that keys fit in int64, led by the index over the blocks before.
-    A block whose key space is at most 8 times the batch (about where the two
-    cost the same) marks its keys and ranks them by a cumulative sum; a larger
-    one sorts them.
+    Rows of tokens in [0, n) are keyed as base-n numbers by Horner's rule down
+    the columns, a block of columns at a time so that keys fit in int64, led by
+    the index over the blocks before. A block whose key space is at most 8 times
+    the batch (about where the two cost the same) marks its keys, a larger one
+    sorts them. A single block's distinct keys decode to the distinct rows.
     """
     width = max(1, (62 - len(z).bit_length()) // (n - 1).bit_length())
-    index = np.zeros(len(z), dtype=np.int64)
-    count = min(len(z), 1)
+    index, count = np.zeros(len(z), dtype=np.int64), min(len(z), 1)
     for j in range(0, z.shape[1], width):
-        block = z[:, j : j + width]
-        shape = (count,) + (n,) * block.shape[1]
-        key = np.ravel_multi_index((index, *block.T), shape)
-        if 0 < (space := math.prod(shape)) <= 8 * len(z):
+        cols = z.T[j : j + width]
+        key = index * n + cols[0] if j else np.array(cols[0], dtype=np.int64)
+        for col in cols[1:]:
+            key *= n
+            key += col
+        if 0 < (space := count * n ** len(cols)) <= 8 * len(z):
             seen = np.zeros(space, dtype=bool)
             seen[key] = True
-            rank = np.cumsum(seen) - 1
-            index, count = rank[key], int(rank[-1]) + 1
+            keys, rank = np.flatnonzero(seen), np.empty(space, dtype=np.int64)
+            rank[keys] = np.arange(len(keys))
+            index, count = rank[key], len(keys)
         else:
             keys, index = np.unique(key, return_inverse=True)
             count = len(keys)
+    if 0 < z.shape[1] <= width:
+        return keys[:, None] // n ** np.arange(z.shape[1] - 1, -1, -1) % n, index
     first = np.empty(count, dtype=np.int64)
     first[index] = np.arange(len(z))
     return z[first], index
@@ -201,10 +205,7 @@ class OracleDenoiser(Denoiser):
         self.schedule = schedule
         self._outcomes = dist.sequences
         self._priors = dist.probs
-        k, l = self._outcomes.shape
-        self._one_hot = np.zeros((k, l, dist.vocab.size))
-        rows, cols = np.meshgrid(np.arange(k), np.arange(l), indexing="ij")
-        self._one_hot[rows, cols, self._outcomes] = 1.0
+        self._one_hot = (self._outcomes[..., None] == np.arange(dist.vocab.size)).astype(float)
 
     def _posterior(self, z_seqs: np.ndarray, t) -> np.ndarray:
         """(B, L) noisy sequences -> (B, K) posterior over outcomes."""
@@ -223,6 +224,8 @@ class OracleDenoiser(Denoiser):
 
     def predict_batch(self, z_seqs: np.ndarray, t) -> np.ndarray:
         z_seqs = np.asarray(z_seqs, dtype=np.int64)
+        if (width := z_seqs.shape[-1]) != self.dist.length:
+            raise ValueError(f"batch of length {width} for an oracle of length {self.dist.length}")
         post = self._posterior(z_seqs, t)
         return np.einsum("bk,kln->bln", post, self._one_hot)
 
@@ -277,6 +280,10 @@ class LogitTable(Denoiser):
         each row's key in them. A miss reads zero logits; with insert, the
         table keeps them, so every array returned is the table's own."""
         z = np.asarray(z_seqs, dtype=np.int64)
+        if (width := z.shape[-1]) != self.length:
+            raise ValueError(f"batch of length {width} for a table of length {self.length}")
+        if z.size and not 0 <= z.min() <= z.max() < self.vocab.size:
+            raise ValueError(f"token ids must lie in [0, {self.vocab.size})")
         keys, inverse = _distinct_rows(
             np.column_stack([self.buckets(np.broadcast_to(t, len(z))), z]),
             max(self.t_buckets, self.vocab.size),

@@ -273,13 +273,15 @@ def _inverse_cdf(rows: np.ndarray, u: np.ndarray, inverse=None) -> np.ndarray:
     u[b] draws from rows[inverse[b]] (by default, from rows[b]). The draw is
     the count of CDF entries at or below u, over all but the last, since
     u < 1: a token of probability zero repeats the entry before it, so u on
-    that entry (u = 0 included) passes it by. With inverse, the CDF is built
-    token-major once per row and gathered; without, the last-axis compare is
-    cheaper on the small arrays of self-correction."""
+    that entry (u = 0 included) passes it by. With inverse, the (N - 1, L, D)
+    CDF is gathered along its last axis, compared with u.T and counted in the
+    smallest integer type that holds N - 1, stride-1 for column-major u. Without,
+    the last-axis compare is cheaper on the small arrays of self-correction."""
     if inverse is None:
         return (np.cumsum(rows, axis=-1)[..., :-1] <= u[..., None]).sum(axis=-1)
-    cdf = np.cumsum(np.moveaxis(rows, -1, 0)[:-1], axis=0)
-    return (cdf.take(inverse, axis=1) <= u).sum(axis=0)
+    cdf = np.ascontiguousarray(np.cumsum(rows[..., :-1], axis=-1).T)
+    count = (cdf.take(inverse, axis=-1) <= u.T).sum(axis=0, dtype=np.min_scalar_type(cdf.shape[0]))
+    return count.astype(np.int64).T
 
 
 def _noise(terms: Terms, x: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -3,10 +3,11 @@
 All categorical draws use exact inverse-CDF over double-precision cumulative
 sums, so a fixed seed reproduces outputs bit-for-bit. Batched sampling hashes
 (seed, row, step, position) into its uniforms, as Random123 does (Salmon et
-al., SC'11): one call draws a (B, L) block, row i depends only on (seed, i),
-so the first k rows of a batch do not depend on its size, and no two seeds
-share rows. Each reverse step builds its posterior and its CDF once per
-distinct row, and draws every row with one gather of that CDF.
+al., SC'11): row i depends only on (seed, i), so the first k rows of a batch
+do not depend on its size, and no two seeds share rows. A call hashes each
+(seed, row) once and each step continues that chain, the batch held
+column-major so that every per-row pass is stride-1. Each reverse step builds
+its posterior and CDF once per distinct row and draws every row by one gather.
 """
 
 from __future__ import annotations
@@ -22,16 +23,25 @@ from .metrics import _probs_at, self_accuracy_from_probs
 from .schedule import DEFAULT_EPS_T, MixingSchedule
 
 
+def _mix(x: np.ndarray) -> np.ndarray:
+    """x <- SplitMix64's finaliser (Steele et al., OOPSLA'14) of x + golden, in
+    place on a uint64 array: one link of counter_hash's chain."""
+    x += np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> 30
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> 27
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> 31
+    return x
+
+
 def counter_hash(*keys) -> np.ndarray:
-    """SplitMix64's finaliser (Steele et al., OOPSLA'14) chained over keys in
-    [0, 2**64), broadcasting. From h = 0, each key goes in as mix((h ^ key) +
-    golden), so it has passed the full-avalanche finaliser before the next."""
+    """SplitMix64's finaliser chained over keys in [0, 2**64), broadcasting.
+    From h = 0, each key goes in as mix((h ^ key) + golden), so it has passed
+    the full-avalanche finaliser before the next."""
     h = np.zeros(1, dtype=np.uint64)
     for key in keys:
-        x = (h ^ np.asarray(key, dtype=np.uint64)) + np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> 27)) * np.uint64(0x94D049BB133111EB)
-        h = x ^ (x >> 31)
+        h = _mix(h ^ np.asarray(key, dtype=np.uint64))
     return h
 
 
@@ -45,11 +55,17 @@ def derive_seeds(seed: int, count: int) -> list[int]:
     return counter_hash(seed, np.arange(count, dtype=np.uint64)).tolist()
 
 
+def _step_uniforms(rows: np.ndarray, step: int, length: int) -> np.ndarray:
+    """(length, B) uniforms in [0, 1) of one step, given the (B,) hashes
+    rows[i] = counter_hash(seed, i): entry (j, i) hashes (seed, i, step, j)."""
+    h = _mix(_mix(rows ^ np.uint64(step)) ^ np.arange(length, dtype=np.uint64)[:, None])
+    h >>= 11
+    return h * 2.0**-53
+
+
 def counter_uniforms(seed: int, step: int, count: int, length: int) -> np.ndarray:
     """(count, length) uniforms in [0, 1); entry (i, j) hashes (seed, i, step, j)."""
-    rows = np.arange(count, dtype=np.uint64)
-    h = counter_hash(seed, rows[:, None], step, np.arange(length, dtype=np.uint64))
-    return (h >> 11) * 2.0**-53
+    return _step_uniforms(counter_hash(seed, np.arange(count, dtype=np.uint64)), step, length).T
 
 
 @dataclass(frozen=True)
@@ -72,9 +88,10 @@ class SamplerConfig:
         check_seed(self.seed)
 
     def time_grid(self) -> np.ndarray:
-        """t_i = eps + (1 - 2 eps) i / T for i = 0..T, strictly increasing."""
+        """t_i = eps + (1 - 2 eps) i / T for i = 0..T, strictly increasing, <= 1 - eps."""
         i = np.arange(self.num_steps + 1, dtype=float)
-        return self.eps_t + (1.0 - 2.0 * self.eps_t) * i / self.num_steps
+        t = self.eps_t + (1.0 - 2.0 * self.eps_t) * i / self.num_steps
+        return np.minimum(t, 1.0 - self.eps_t)
 
 
 @dataclass(frozen=True)
@@ -133,7 +150,8 @@ def _denoise_step_batch(
     config: SamplerConfig,
     u: np.ndarray,
 ) -> np.ndarray:
-    """One reverse step for a (B, L) batch given pre-drawn uniforms (B, L).
+    """One reverse step for a (B, L) batch given pre-drawn uniforms (B, L),
+    each in either memory order; the draws are returned column-major.
 
     Forms the per-position posterior
     v(z_s) ~ q_{t_from|t_to}(z_t | z_s) q_{t_to}(z_s | x_theta) and samples it.
@@ -148,10 +166,7 @@ def _denoise_step_batch(
     q_to = a_to * preds + bp_to
     # v[b,l,:] = bp_ts[z_t] * q_to[b,l,:] with alpha_ts * q_to at z_s = z_t.
     v = trans.beta_pi_ts[z_batch][..., None] * q_to
-    b_idx, l_idx = np.meshgrid(
-        np.arange(z_batch.shape[0]), np.arange(z_batch.shape[1]), indexing="ij"
-    )
-    v[b_idx, l_idx, z_batch] += trans.alpha_ts * q_to[b_idx, l_idx, z_batch]
+    v += trans.alpha_ts * q_to * (z_batch[..., None] == np.arange(q_to.shape[-1]))
     totals = v.sum(axis=-1, keepdims=True)
     if np.any(totals <= 0.0):
         raise EmptySupportError("reverse-step posterior has no support")
@@ -171,6 +186,8 @@ def denoise_step(
     if t_to > t_from:
         raise OrderingError(f"need t_to <= t_from, got {t_to!r} > {t_from!r}")
     z_seq = np.asarray(z_seq, dtype=np.int64)
+    for tok in z_seq.tolist():
+        schedule.vocab.check_token(tok)
     u = rng.random(len(z_seq))
     return _denoise_step_batch(
         schedule, z_seq[None, :], t_from, t_to, denoiser, config, u[None, :]
@@ -187,18 +204,22 @@ def ancestral_sample_batch(
     """Sample `count` sequences from all-mask starts; returns (count, L).
 
     Row i draws only the uniforms counter_uniforms gives row i under
-    config.seed, so the first k rows of a batch equal a k-row batch.
+    config.seed, so the first k rows of a batch equal a k-row batch. The
+    batch is held column-major between steps and returned C-contiguous.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if length < 1:
+        raise ValueError("length must be >= 1")
     grid = config.time_grid()
-    z = np.full((count, length), schedule.vocab.mask_id, dtype=np.int64)
+    rows = counter_hash(config.seed, np.arange(count, dtype=np.uint64))
+    z = np.full((length, count), schedule.vocab.mask_id, dtype=np.int64).T
     for i in range(config.num_steps, 0, -1):
-        u = counter_uniforms(config.seed, i, count, length)
+        u = _step_uniforms(rows, i, length).T
         z = _denoise_step_batch(
             schedule, z, float(grid[i]), float(grid[i - 1]), denoiser, config, u
         )
-    return z
+    return np.ascontiguousarray(z)
 
 
 def ancestral_sample(

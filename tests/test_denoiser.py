@@ -148,6 +148,47 @@ def test_logit_table_miss_is_uniform(vocab3):
     np.testing.assert_allclose(pred, [[0.5, 0.5, 0.0]] * 2, atol=1e-12)
 
 
+def test_logit_table_batch_of_other_length_is_named_error(vocab3):
+    table = LogitTable(vocab3, 2)
+    with pytest.raises(ValueError, match="batch of length 3 for a table of length 2"):
+        table.predict_batch(np.zeros((4, 3), dtype=np.int64), 0.3)
+    with pytest.raises(ValueError, match="batch of length 1 for a table of length 2"):
+        table.logits_for(np.zeros((4, 1), dtype=np.int64), 0.3)
+
+
+@pytest.mark.parametrize("token", [-1, 3, 7, 8])
+def test_logit_table_rejects_tokens_outside_the_vocabulary(vocab3, token):
+    """Tokens key the table as base-8 digits here (8 buckets); an id outside
+    [0, 3) would alias another row's key, so it is a named error."""
+    table = LogitTable(vocab3, 2, t_buckets=8)
+    with pytest.raises(ValueError, match=r"token ids must lie in \[0, 3\)"):
+        table.predict_batch(np.array([[0, 1], [1, token]]), 0.3)
+    assert not table.table
+
+
+def test_oracle_batch_of_other_length_is_named_error(five_outcome):
+    oracle = OracleDenoiser(five_outcome, make_schedule("hybrid", five_outcome.vocab, p_u=0.2))
+    with pytest.raises(ValueError, match="batch of length 4 for an oracle of length 3"):
+        oracle.predict_batch(np.zeros((2, 4), dtype=np.int64), 0.5)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=DegenerateEvidenceError,
+    reason="the product of 1000 per-token likelihoods underflows to 0 (ROADMAP item 2)",
+)
+def test_oracle_posterior_of_a_long_sequence():
+    vocab = Vocab(5, 4)
+    rng = np.random.default_rng(0)
+    outcomes = tuple((tuple(rng.integers(0, 4, 1000).tolist()), 0.5) for _ in range(2))
+    dist = ToyDistribution(vocab, 1000, outcomes)
+    sched = make_schedule("hybrid", vocab, p_u=0.2)
+    z = noise_sequence(sched, dist.sequences[0], 0.3, np.random.default_rng(1))
+    pred = OracleDenoiser(dist, sched).predict_batch(z[None], 0.3)
+    assert np.all(np.isfinite(pred))
+    np.testing.assert_allclose(pred.sum(axis=-1), 1.0)
+
+
 def test_logit_table_buckets(vocab3):
     table = LogitTable(vocab3, 2, t_buckets=8, eps_t=1e-4)
     assert table.bucket(1e-4) == 0
@@ -531,11 +572,13 @@ def test_predict_batch_per_row_times(five_outcome):
 @example(n=2, length=56, rows=300, pool=5, seed=4)  # blocks of 53, 3: sort, marks
 @example(n=2, length=3, rows=8, pool=8, seed=5)  # key space 8: marks
 def test_distinct_rows_equal_unique(n, length, rows, pool, seed):
-    """Equal to np.unique over rows, on both sides of the marks/sort choice."""
+    """Equal to np.unique over rows, on both sides of the marks/sort choice,
+    in one block or several, for row-major and column-major z."""
     rng = np.random.default_rng(seed)
     z = rng.integers(0, n, (pool, length))[rng.integers(0, pool, rows)]
-    distinct, index = _distinct_rows(z, n)
     expect, expect_index = np.unique(z, axis=0, return_inverse=True)
-    assert distinct.dtype == np.int64 and index.dtype == np.int64
-    np.testing.assert_array_equal(distinct, expect)
-    np.testing.assert_array_equal(index, expect_index.reshape(-1))
+    for order in "CF":
+        distinct, index = _distinct_rows(np.asarray(z, order=order), n)
+        assert distinct.dtype == np.int64 and index.dtype == np.int64
+        np.testing.assert_array_equal(distinct, expect)
+        np.testing.assert_array_equal(index, expect_index.reshape(-1))

@@ -489,6 +489,36 @@ def test_inverse_cdf_counts_cdf_entries_below_u(n, length, rows, draws, zero_fra
     np.testing.assert_array_equal(own, expect)
 
 
+def test_inverse_cdf_same_draws_for_either_order_of_u():
+    """The shared-row draw reads u through its transpose; a row-major u and a
+    column-major one give the same draws, which equal the own-row draws."""
+    rng = np.random.default_rng(11)
+    p = rng.random((7, 3, 5))
+    p /= p.sum(axis=-1, keepdims=True)
+    inverse = rng.integers(0, 7, 500)
+    u = rng.random((500, 3))
+    by_rows = _inverse_cdf(p, np.ascontiguousarray(u), inverse)
+    by_columns = _inverse_cdf(p, np.asfortranarray(u), inverse)
+    assert by_rows.dtype == by_columns.dtype == np.int64
+    np.testing.assert_array_equal(by_rows, by_columns)
+    np.testing.assert_array_equal(by_rows, _inverse_cdf(p[inverse], u))
+
+
+@pytest.mark.parametrize("n", [130, 256, 257, 300])
+def test_inverse_cdf_draws_token_ids_past_a_byte(n):
+    """The shared-row draw counts in a small integer type; with all the mass
+    on ids >= 128, every draw lands there, up to N - 1 (an int8 count would
+    wrap past 127, a uint8 one past 255)."""
+    p = np.zeros((2, 1, n))
+    p[..., 128:] = 1.0 / (n - 128)
+    u = np.concatenate([np.linspace(0.0, 1.0 - 2.0**-53, 999), [1.0 - 2.0**-53]])[:, None]
+    inverse = np.arange(len(u)) % 2
+    draws = _inverse_cdf(p, u, inverse)
+    assert draws.dtype == np.int64
+    assert draws.min() == 128 and draws.max() == n - 1
+    np.testing.assert_array_equal(draws, _inverse_cdf(p[inverse], u))
+
+
 def _nelbo_alone(schedule, x_seq, denoiser, num_mc, seed, mode):
     """sequence_nelbo's reference, as it was before corpus_nelbo: one
     sequence, its noise drawn by noise_sequence and scored by loss_and_grad."""

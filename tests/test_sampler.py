@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixdiff import (
@@ -53,6 +53,18 @@ def test_sampler_config_validation():
     assert np.all(np.diff(grid) > 0)
     assert grid[0] == pytest.approx(1e-4)
     assert grid[-1] == pytest.approx(1 - 1e-4)
+
+
+def test_time_grid_ends_inside_the_schedule_range(five_outcome):
+    """eps + (1 - 2 eps) T / T rounds above 1 - eps at T = 5, so a 5-step
+    sample raised TimeRangeError at its first step."""
+    for steps in range(1, 300):
+        grid = SamplerConfig(num_steps=steps).time_grid()
+        assert grid[-1] <= 1.0 - 1e-4 and grid[-1] == pytest.approx(1.0 - 1e-4)
+        assert np.all(np.diff(grid) > 0)
+    sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.2)
+    z = ancestral_sample_batch(sched, 3, OracleDenoiser(five_outcome, sched), SamplerConfig(5), 4)
+    assert z.shape == (4, 3)
 
 
 def test_adapt_distribution_identity():
@@ -261,6 +273,41 @@ def test_counter_uniforms_contract():
     assert not np.any(counter_uniforms(1, 3, 999, 8) == block[1:])
 
 
+def _splitmix_chain(*keys) -> int:
+    """counter_hash's reference in pure Python: SplitMix64's finaliser chained
+    over the keys, each going in as mix((h ^ key) + golden), on ints masked
+    to 64 bits."""
+    mask, h = 2**64 - 1, 0
+    for key in keys:
+        x = ((h ^ key) + 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        h = x ^ (x >> 31)
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    step=st.integers(0, 2**64 - 1),
+    count=st.integers(1, 5),
+    length=st.integers(1, 4),
+)
+@example(seed=2**64 - 1, step=1, count=3, length=2)
+@example(seed=0, step=0, count=1, length=1)
+def test_counter_streams_match_splitmix_reference(seed, step, count, length):
+    """counter_hash and counter_uniforms, whose rows are hashed once and whose
+    steps continue the chain in place, equal the chain computed key by key."""
+    assert int(counter_hash(seed)[0]) == _splitmix_chain(seed)
+    block = counter_uniforms(seed, step, count, length)
+    assert block.shape == (count, length) and block.dtype == np.float64
+    for i in range(count):
+        for j in range(length):
+            h = _splitmix_chain(seed, i, step, j)
+            assert int(counter_hash(seed, i, step, j)[0]) == h
+            assert block[i, j] == (h >> 11) * 2.0**-53
+
+
 class _Recording(Denoiser):
     """Wraps a denoiser and keeps every batch it is asked to predict."""
 
@@ -414,6 +461,70 @@ def test_sample_batch_needs_a_row(two_outcome, count):
     sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
     with pytest.raises(ValueError, match="count must be >= 1"):
         ancestral_sample_batch(sched, 2, _Untouchable(), SamplerConfig(), count)
+
+
+def test_sample_batch_needs_a_position(two_outcome):
+    sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        ancestral_sample_batch(sched, 0, _Untouchable(), SamplerConfig(), 4)
+
+
+def test_sample_batch_of_other_length_than_the_oracle_is_named_error(five_outcome):
+    sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.2)
+    oracle = OracleDenoiser(five_outcome, sched)
+    with pytest.raises(ValueError, match="batch of length 4 for an oracle of length 3"):
+        ancestral_sample_batch(sched, 4, oracle, SamplerConfig(num_steps=2), 8)
+
+
+@pytest.mark.parametrize("token", [-1, 5, 25])
+def test_denoise_step_rejects_tokens_outside_the_vocabulary(five_outcome, token):
+    sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.2)
+    with pytest.raises(ValueError, match="outside"):
+        denoise_step(
+            sched, [0, token, 1], 0.5, 0.4, _Untouchable(), SamplerConfig(),
+            np.random.default_rng(0),
+        )
+
+
+_FIVE = ToyDistribution(
+    Vocab(5, 4),
+    3,
+    (((0, 1, 2), 0.3), ((1, 2, 3), 0.25), ((2, 3, 0), 0.2), ((3, 0, 1), 0.15), ((0, 0, 0), 0.1)),
+)
+
+
+def _sample_batch_loop(schedule, length, denoiser, config, count):
+    """ancestral_sample_batch's reference, as it was before the row hash was
+    hoisted out of the steps: a row-major batch, and counter_uniforms and
+    _denoise_step_batch at every step."""
+    grid = config.time_grid()
+    z = np.full((count, length), schedule.vocab.mask_id, dtype=np.int64)
+    for i in range(config.num_steps, 0, -1):
+        u = np.ascontiguousarray(counter_uniforms(config.seed, i, count, length))
+        z = _denoise_step_batch(
+            schedule, z, float(grid[i]), float(grid[i - 1]), denoiser, config, u
+        )
+    return z
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    count=st.integers(1, 400),
+    steps=st.integers(1, 12),
+    p_u=st.sampled_from([0.01, 0.2]),
+)
+@example(seed=2**64 - 1, count=20, steps=3, p_u=0.2)  # 125 keys <= 8 * 20: marks
+@example(seed=7, count=15, steps=3, p_u=0.2)  # 125 keys > 8 * 15: sorts
+def test_sample_batch_equals_step_loop(seed, count, steps, p_u):
+    """The position-major chain draws the same bits as the step loop, and
+    returns a C-contiguous int64 array."""
+    sched = make_schedule("hybrid", _FIVE.vocab, p_u=p_u)
+    oracle = OracleDenoiser(_FIVE, sched)
+    config = SamplerConfig(num_steps=steps, seed=seed)
+    z = ancestral_sample_batch(sched, 3, oracle, config, count)
+    assert z.dtype == np.int64 and z.flags.c_contiguous and z.shape == (count, 3)
+    np.testing.assert_array_equal(z, _sample_batch_loop(sched, 3, oracle, config, count))
 
 
 def _self_correct_alone(z_seq, denoiser, config, mask_id):
