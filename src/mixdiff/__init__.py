@@ -28,7 +28,6 @@ from .elbo import (
     stratified_times,
 )
 from .metrics import (
-    MetricsReport,
     generative_nll,
     self_accuracy,
     tv_distance,

@@ -291,7 +291,7 @@ def cmd_train(args) -> int:
             "final_avg_loss": report.final_avg_loss,
             "loss_trajectory": list(report.loss_trajectory),
             "steps": report.steps,
-            "table_entries": len(table.table),
+            "table_entries": len(table.keys),
         },
         cfg,
     )

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -176,6 +177,14 @@ def _distinct_rows(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return z[first], index
 
 
+def _check_batch(z: np.ndarray, length: int, vocab: Vocab, what: str) -> None:
+    """Named errors for a batch of another width or with a token id outside [0, N)."""
+    if (width := z.shape[-1]) != length:
+        raise ValueError(f"batch of length {width} for {what} of length {length}")
+    if z.size and not 0 <= z.min() <= z.max() < vocab.size:
+        raise ValueError(f"token ids must lie in [0, {vocab.size})")
+
+
 class Denoiser:
     """Maps a noisy sequence and time to one distribution per position.
     A subclass defines predict, predict_batch or both."""
@@ -224,10 +233,8 @@ class OracleDenoiser(Denoiser):
 
     def predict_batch(self, z_seqs: np.ndarray, t) -> np.ndarray:
         z_seqs = np.asarray(z_seqs, dtype=np.int64)
-        if (width := z_seqs.shape[-1]) != self.dist.length:
-            raise ValueError(f"batch of length {width} for an oracle of length {self.dist.length}")
-        post = self._posterior(z_seqs, t)
-        return np.einsum("bk,kln->bln", post, self._one_hot)
+        _check_batch(z_seqs, self.dist.length, self.dist.vocab, "an oracle")
+        return np.einsum("bk,kln->bln", self._posterior(z_seqs, t), self._one_hot)
 
 
 def masked_softmax(logits: np.ndarray, mask_id: int) -> np.ndarray:
@@ -240,12 +247,14 @@ def masked_softmax(logits: np.ndarray, mask_id: int) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-@dataclass
+@dataclass(eq=False)
 class LogitTable(Denoiser):
     """Tabular denoiser: logits keyed by (time bucket, full noisy sequence).
 
-    Lookup misses return zero logits, i.e. a uniform prediction over non-mask
-    tokens. Time buckets are equal-width on [eps, 1 - eps].
+    `keys` holds the (E, 1 + L) distinct (bucket, *tokens) rows in lexicographic
+    order and `logits` their (E, L, N) logits. Lookup misses return zero
+    logits, i.e. a uniform prediction over non-mask tokens. Time buckets are
+    equal-width on [eps, 1 - eps].
     """
 
     vocab: Vocab
@@ -253,7 +262,6 @@ class LogitTable(Denoiser):
     t_buckets: int = 8
     eps_t: float = 1e-4
     learning_rate: float = 0.5
-    table: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.t_buckets < 1:
@@ -264,6 +272,14 @@ class LogitTable(Denoiser):
             raise ValueError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate!r}"
             )
+        self.keys = np.empty((0, 1 + self.length), dtype=np.int64)
+        self.logits = np.empty((0, self.length, self.vocab.size))
+
+    @property
+    def table(self) -> MappingProxyType:
+        """(bucket, tokens) -> that entry's (L, N) logits, read-only, as of now."""
+        keys = ((b, tuple(seq)) for b, *seq in self.keys.tolist())
+        return MappingProxyType(dict(zip(keys, self.logits)))
 
     def bucket(self, t: float) -> int:
         return int(self.buckets(t))
@@ -274,33 +290,33 @@ class LogitTable(Denoiser):
         b = (frac * self.t_buckets).astype(np.int64)
         return np.minimum(np.maximum(b, 0), self.t_buckets - 1)
 
-    def logits_for(self, z_seqs, t, insert: bool = False) -> tuple[list, np.ndarray]:
-        """The (L, N) logits of each distinct (bucket, noisy sequence) key of a
-        (B, L) batch at one time t or a (B,) array of times, and the index of
-        each row's key in them. A miss reads zero logits; with insert, the
-        table keeps them, so every array returned is the table's own."""
+    def logits_for(self, z_seqs, t, insert: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The entry of each distinct (bucket, noisy sequence) key of a (B, L)
+        batch at one time t or a (B,) array of times, -1 for a miss, and the
+        index of each row's key in them. With insert, the table adopts the
+        missed keys with zero logits, so no entry is -1."""
         z = np.asarray(z_seqs, dtype=np.int64)
-        if (width := z.shape[-1]) != self.length:
-            raise ValueError(f"batch of length {width} for a table of length {self.length}")
-        if z.size and not 0 <= z.min() <= z.max() < self.vocab.size:
-            raise ValueError(f"token ids must lie in [0, {self.vocab.size})")
-        keys, inverse = _distinct_rows(
-            np.column_stack([self.buckets(np.broadcast_to(t, len(z))), z]),
-            max(self.t_buckets, self.vocab.size),
+        _check_batch(z, self.length, self.vocab, "a table")
+        base = max(self.t_buckets, self.vocab.size)
+        asked, inverse = _distinct_rows(
+            np.column_stack([self.buckets(np.broadcast_to(t, len(z))), z]), base
         )
-        entries = []
-        for bucket, *seq in keys.tolist():
-            entry = self.table.get(key := (bucket, tuple(seq)))
-            if entry is None:
-                entry = np.zeros((self.length, self.vocab.size))
-                if insert:
-                    self.table[key] = entry
-            entries.append(entry)
-        return entries, inverse
+        merged, where = _distinct_rows(np.concatenate([self.keys, asked]), base)
+        old, entries = np.split(where, [len(self.keys)])
+        if insert and len(merged) > len(old):
+            logits = np.zeros((len(merged), self.length, self.vocab.size))
+            logits[old] = self.logits
+            self.keys, self.logits = merged, logits
+            return entries, inverse
+        entry = np.full(len(merged), -1)
+        entry[old] = np.arange(len(old))
+        return entry[entries], inverse
 
     def predict_batch(self, z_seqs: np.ndarray, t) -> np.ndarray:
         entries, inverse = self.logits_for(z_seqs, t)
-        return masked_softmax(np.array(entries), self.vocab.mask_id)[inverse]
+        logits = np.zeros((len(entries), self.length, self.vocab.size))
+        logits[entries >= 0] = self.logits[entries[entries >= 0]]
+        return masked_softmax(logits, self.vocab.mask_id)[inverse]
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -308,10 +324,9 @@ class LogitTable(Denoiser):
                 f"{self.vocab.size} {self.length} {self.vocab.mask_id} "
                 f"{self.t_buckets} {self.eps_t!r} {self.learning_rate!r}\n"
             )
-            for (bucket, seq), logits in sorted(self.table.items()):
-                seq_txt = " ".join(str(z) for z in seq)
-                flat = " ".join(repr(float(v)) for v in logits.ravel())
-                fh.write(f"{bucket} {seq_txt} {flat}\n")
+            logits = self.logits.reshape(len(self.keys), self.length * self.vocab.size)
+            for key, flat in zip(self.keys.tolist(), logits.tolist()):
+                fh.write(" ".join([*map(str, key), *map(repr, flat)]) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "LogitTable":
@@ -323,14 +338,21 @@ class LogitTable(Denoiser):
 
         def entry(table, f):
             n, length = table.vocab.size, table.length
-            flat = np.array([float(v) for v in f[1 + length :]])
-            if flat.size != length * n:
-                raise ValueError(f"entry has {flat.size} logits, expected {length * n}")
-            key = (int(f[0]), tuple(int(v) for v in f[1 : 1 + length]))
-            return key, flat.reshape(length, n)
+            flat = [float(v) for v in f[1 + length :]]
+            if len(flat) != length * n:
+                raise ValueError(f"entry has {len(flat)} logits, expected {length * n}")
+            if not 0 <= (bucket := int(f[0])) < table.t_buckets:
+                raise ValueError(f"time bucket {bucket} outside [0, {table.t_buckets})")
+            return [bucket, *(table.vocab.check_token(int(v)) for v in f[1 : 1 + length])], flat
 
         def build(table, entries):
-            table.table.update(entries)
+            length, n = table.length, table.vocab.size
+            rows = np.array([key for key, _ in entries], dtype=np.int64).reshape(-1, 1 + length)
+            keys, index = _distinct_rows(rows, max(table.t_buckets, n))
+            if len(keys) < len(rows):
+                raise ValueError(f"key {keys[np.bincount(index).argmax()].tolist()} is repeated")
+            table.keys, table.logits = keys, np.empty((len(keys), length, n))
+            table.logits[index] = np.reshape([flat for _, flat in entries], (-1, length, n))
             return table
 
         return _read_records(path, "table file", header, entry, build)
@@ -367,13 +389,15 @@ def table_train(
     keys never see each other's updates, and nothing but the updates reads
     the table, so the call runs in blocks of steps, TRAIN_BLOCK examples or
     one step each: a block makes its draws step by step as a step alone
-    would, evaluates the schedule, noises, weighs and looks the table up
-    once for all its examples, and then applies wave r, one gradient for the
-    examples whose key occurs the r-th time in the block, in turn. That gives
-    the example-by-example result exactly. The loss values are computed
-    afterwards, from each example's saved prediction, only for the steps the
-    trajectory records (every trajectory_every-th and the last). If a block
-    raises, the table holds the updates of the blocks before it.
+    would, evaluates the schedule, noises, weighs and keys (inserting) once for
+    all its examples, and then applies wave r, one gradient for the examples
+    whose key occurs the r-th time in the block, in turn, in place on rows of
+    table.logits, distinct within a wave. That gives the example-by-example
+    result exactly. The loss values are computed afterwards, from each
+    example's saved prediction, only for the steps the trajectory records
+    (every trajectory_every-th and the last). A block raises only in
+    loss_target or logits_for, before its first update, so then the table
+    holds the updates of the blocks before it.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
@@ -401,21 +425,18 @@ def table_train(
         zs = _noise(terms, xs, np.concatenate(u))
         target = loss_target(schedule, times, zs, xs, mode, weight_clip, terms)
         entries, inverse = table.logits_for(zs, times, insert=True)
-        logits = np.array(entries)
         # rank of each example among the block's examples with its key
         order, counts = np.argsort(inverse, kind="stable"), np.bincount(inverse)
         occurrence = np.empty(len(xs), dtype=np.int64)
         occurrence[order] = np.arange(len(xs)) - (np.cumsum(counts) - counts)[inverse[order]]
         # the waves in turn, each a slice of examples in block order
         order, edges = np.argsort(occurrence, kind="stable"), np.cumsum(np.bincount(occurrence))
-        target, keys = [v[order] for v in target], inverse[order]
+        target, keys = [v[order] for v in target], entries[inverse[order]]
         probs = np.empty(target[2].shape)
         for wave in map(slice, [0, *edges[:-1]], edges):
             part, k = [v[wave] for v in target], keys[wave]
-            probs[wave] = p = masked_softmax(logits[k], schedule.vocab.mask_id)
-            logits[k] -= table.learning_rate * target_grad(part, model_marginal(part, p))
-        for entry, row in zip(entries, logits):
-            entry[...] = row
+            probs[wave] = p = masked_softmax(table.logits[k], schedule.vocab.mask_id)
+            table.logits[k] -= table.learning_rate * target_grad(part, model_marginal(part, p))
         recorded = [s - first for s in block if s % trajectory_every == 0 or s == steps - 1]
         if recorded:
             rows = (np.array(recorded)[:, None] * batch + np.arange(batch)).ravel()

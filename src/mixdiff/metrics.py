@@ -9,25 +9,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from .denoiser import Denoiser, ToyDistribution, _distinct_rows
 from .errors import MaskedInputError
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    self_accuracy: float | None = None
-    unigram_entropy: float | None = None
-    generative_nll: float | None = None
-    out_of_support: int | None = None
-    tv_distance: float | None = None
-    sample_count: int = 0
-
-    def as_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
 def self_accuracy(

@@ -211,6 +211,8 @@ def ancestral_sample_batch(
         raise ValueError("count must be >= 1")
     if length < 1:
         raise ValueError("length must be >= 1")
+    if config.eps_t < schedule.eps_t:
+        raise ValueError(f"sampler eps_t {config.eps_t!r} < schedule eps_t {schedule.eps_t!r}")
     grid = config.time_grid()
     rows = counter_hash(config.seed, np.arange(count, dtype=np.uint64))
     z = np.full((length, count), schedule.vocab.mask_id, dtype=np.int64).T

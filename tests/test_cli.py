@@ -135,6 +135,19 @@ def test_bad_distribution_contents_are_data_errors(capsys, tmp_path, text, line)
     assert f"data error: line {line}:" in err
 
 
+def test_table_file_with_a_key_outside_the_table_is_data_error(capsys, tmp_path):
+    """A table entry with a token outside the vocabulary used to load and
+    score silently; `nelbo --table` exits 2 naming its line."""
+    table = tmp_path / "table.txt"
+    table.write_text("3 2 2 8 0.0001 0.5\n0 0 7 0.0 1.0 2.0 3.0 4.0 5.0\n")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("3 2 2\n0 1\n")
+    code, stdout, err = run(capsys, ["nelbo", "--table", str(table), "--corpus", str(corpus)])
+    assert code == 2
+    assert stdout == ""
+    assert "data error: line 2:" in err and "token id 7 outside [0, 3)" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--batch", "0"), ("--steps", "-3")])
 def test_train_bad_batch_or_steps_is_usage_error(capsys, tmp_path, dist_file, flag, value):
     out = tmp_path / "table.txt"

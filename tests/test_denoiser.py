@@ -217,18 +217,123 @@ def test_buckets_equal_bucket(t_buckets, eps_t, fracs):
 
 
 def test_logit_table_round_trip(vocab3, tmp_path):
+    """Entries inserted by a lookup and written through the logits array load
+    back with the same keys and bits."""
     table = LogitTable(vocab3, 2)
-    rng = np.random.default_rng(8)
-    table.table[(0, (2, 2))] = rng.normal(size=(2, 3))
-    table.table[(5, (0, 2))] = rng.normal(size=(2, 3))
+    table.logits_for(np.array([[0, 2], [2, 2]]), np.array([0.7, 1e-4]), insert=True)
+    table.logits[...] = np.random.default_rng(8).normal(size=(2, 2, 3))
     path = tmp_path / "table.txt"
     table.save(str(path))
     loaded = LogitTable.load(str(path))
     assert loaded.vocab == table.vocab
     assert loaded.t_buckets == table.t_buckets
-    assert set(loaded.table) == set(table.table)
+    assert set(loaded.table) == {(0, (2, 2)), (5, (0, 2))}
+    assert loaded.keys.tolist() == table.keys.tolist() == [[0, 2, 2], [5, 0, 2]]
+    assert loaded.logits.tobytes() == table.logits.tobytes()
     for key in table.table:
         np.testing.assert_array_equal(loaded.table[key], table.table[key])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([3, 5, 9]),
+    length=st.sampled_from([1, 2, 3, 30]),
+    t_buckets=st.integers(1, 9),
+    calls=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 40), st.integers(0, 2**32 - 1)), max_size=6
+    ),
+)
+@example(n=3, length=2, t_buckets=8, calls=[(True, 0, 0), (False, 5, 1), (True, 9, 2)])
+def test_logit_table_equals_a_dict(n, length, t_buckets, calls):
+    """Lookups and inserts against a plain dict of (bucket, tokens) -> logits:
+    hits read their entry, misses zero logits or -1, inserts adopt zero
+    logits; the keys stay sorted and distinct, predict_batch never grows the
+    table, and the entries view refuses assignment. Rows come from a small
+    pool at a few times, so calls hit each other's keys."""
+    vocab = Vocab(n, n - 1)
+    table, ref, zeros = LogitTable(vocab, length, t_buckets=t_buckets), {}, np.zeros((length, n))
+    pool = np.random.default_rng(n * length).integers(0, n, (6, length))
+    for insert, rows, seed in calls:
+        rng = np.random.default_rng(seed)
+        z = pool[rng.integers(0, len(pool), rows)]
+        times = rng.choice([1e-4, 0.3, 0.31, 0.9], rows)
+        keys = [(table.bucket(t), tuple(row)) for t, row in zip(times.tolist(), z.tolist())]
+        before = table.keys.copy()
+        pred = table.predict_batch(z, times)
+        assert table.keys.tobytes() == before.tobytes()
+        for b, key in enumerate(keys):
+            expect = masked_softmax(ref.get(key, zeros), vocab.mask_id)
+            assert pred[b].tobytes() == expect.tobytes()
+        entries, inverse = table.logits_for(z, times, insert=insert)
+        for key, entry in zip(keys, entries[inverse].tolist()):
+            if key in ref or insert:
+                assert table.keys[entry].tolist() == [key[0], *key[1]]
+                assert table.logits[entry].tobytes() == ref.get(key, zeros).tobytes()
+            else:
+                assert entry == -1
+        if insert:  # fresh logits for the batch's keys, in the table and the reference
+            table.logits[entries] = rng.normal(size=(len(entries), length, n))
+            ref.update((key, table.logits[e].copy()) for key, e in zip(keys, entries[inverse]))
+        rows_now = [tuple(row) for row in table.keys.tolist()]
+        assert rows_now == sorted(set(rows_now))
+        assert set(table.table) == set(ref)
+        for key, logits in ref.items():
+            assert table.table[key].tobytes() == logits.tobytes()
+    with pytest.raises(TypeError):
+        table.table[(0, (0,) * length)] = np.ones((length, n))
+    assert len(table.table) == len(ref)
+
+
+@pytest.mark.parametrize("token", [-1, 5])
+@pytest.mark.parametrize("kind", ["oracle", "table"])
+def test_denoisers_reject_tokens_outside_the_vocabulary(five_outcome, kind, token):
+    """An id outside [0, N) used to read -1 as the oracle's mask or end in an
+    IndexError; both denoisers name it, the table keeping no entry."""
+    sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.2)
+    if kind == "oracle":
+        denoiser = OracleDenoiser(five_outcome, sched)
+    else:
+        denoiser = LogitTable(five_outcome.vocab, 3)
+    with pytest.raises(ValueError, match=r"token ids must lie in \[0, 5\)"):
+        denoiser.predict_batch(np.array([[0, 1, 2], [0, token, 2]]), 0.5)
+    with pytest.raises(ValueError, match=r"token ids must lie in \[0, 5\)"):
+        denoiser.predict(np.array([0, token, 2]), 0.5)
+    assert kind == "oracle" or not denoiser.table
+
+
+HEADER = "3 2 2 8 0.0001 0.5\n"
+LOGITS = " 0.0 1.0 2.0 3.0 4.0 5.0\n"
+
+
+@pytest.mark.parametrize(
+    "body, line, named",
+    [
+        ("-1 0 0" + LOGITS, 2, r"time bucket -1 outside \[0, 8\)"),
+        ("0 0 0" + LOGITS + "8 0 0" + LOGITS, 3, r"time bucket 8 outside \[0, 8\)"),
+        ("9 0 0" + LOGITS, 2, r"time bucket 9 outside \[0, 8\)"),
+        ("0 0 7" + LOGITS, 2, r"token id 7 outside \[0, 3\)"),
+        ("0 -1 0" + LOGITS, 2, r"token id -1 outside \[0, 3\)"),
+        ("3 0 1" + LOGITS + "0 0 0" + LOGITS + "3 0 1" + LOGITS, 4, r"key \[3, 0, 1\] is repeated"),
+    ],
+    ids=["bucket -1", "bucket 8", "bucket 9", "token 7", "token -1", "twice"],
+)
+def test_logit_table_load_refuses_keys_outside_the_table(tmp_path, body, line, named):
+    """A key digit outside its range would alias another key, and a key listed
+    twice used to keep its last copy: each is a data error on its line (the
+    last line for a repeat)."""
+    path = tmp_path / "table.txt"
+    path.write_text(HEADER + body)
+    with pytest.raises(CorpusFormatError, match=named) as exc:
+        LogitTable.load(str(path))
+    assert exc.value.line == line
+
+
+def test_logit_table_load_of_no_entries(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text(HEADER)
+    table = LogitTable.load(str(path))
+    assert table.keys.shape == (0, 3) and table.logits.shape == (0, 2, 3)
+    assert table.predict(np.array([0, 1]), 0.3).tolist() == [[0.5, 0.5, 0.0]] * 2
 
 
 def test_logit_table_load_errors(tmp_path):
@@ -419,16 +524,18 @@ def test_table_train_long_call_same_bits_in_bounded_memory(tmp_path, two_outcome
 
 def _train_one_at_a_time(dist, schedule, table, steps, batch, mode, seed, trajectory_every):
     """table_train's reference: each example noised alone, then one
-    loss_and_grad and one update of its entry, example after example."""
+    loss_and_grad and one update of its entry, example after example. The
+    entries live in a dict of its own, returned after the trajectory and the
+    final loss; the table gives only its buckets and learning rate."""
     rng = np.random.default_rng(seed)
-    trajectory, avg = [], 0.0
+    trajectory, avg, entries = [], 0.0, {}
     for step in range(steps):
         xs = dist.sample(rng, batch)
         times = stratified_times(batch, rng.random(), schedule.eps_t).tolist()
         losses = np.empty(batch)
         for i, (x, t) in enumerate(zip(xs, times)):
             z = noise_sequence(schedule, x, t, rng)
-            entry = table.table.setdefault(
+            entry = entries.setdefault(
                 (table.bucket(t), tuple(z.tolist())), np.zeros((dist.length, dist.vocab.size))
             )
             probs = masked_softmax(entry, dist.vocab.mask_id)
@@ -438,7 +545,7 @@ def _train_one_at_a_time(dist, schedule, table, steps, batch, mode, seed, trajec
         avg = sum((losses / dist.length).tolist()) / batch
         if step % trajectory_every == 0 or step == steps - 1:
             trajectory.append(avg)
-    return tuple(trajectory), avg
+    return tuple(trajectory), avg, entries
 
 
 @settings(max_examples=40, deadline=None)
@@ -478,12 +585,12 @@ def test_table_train_equals_one_example_at_a_time(
     report = table_train(
         dist, sched, tables[0], steps, batch, mode, seed, trajectory_every=trajectory_every
     )
-    expect = _train_one_at_a_time(
+    *expect, entries = _train_one_at_a_time(
         dist, sched, tables[1], steps, batch, mode, seed, trajectory_every
     )
-    assert (report.loss_trajectory, report.final_avg_loss) == expect
-    assert sorted(tables[0].table) == sorted(tables[1].table)
-    for key, entry in tables[1].table.items():
+    assert [report.loss_trajectory, report.final_avg_loss] == expect
+    assert sorted(tables[0].table) == sorted(entries)
+    for key, entry in entries.items():
         assert tables[0].table[key].tobytes() == entry.tobytes()
 
 

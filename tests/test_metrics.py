@@ -16,7 +16,7 @@ from mixdiff import (
     tv_distance,
     unigram_entropy,
 )
-from mixdiff.metrics import MetricsReport, tv_distance_exact
+from mixdiff.metrics import tv_distance_exact
 from mixdiff.denoiser import Denoiser
 from mixdiff.errors import MaskedInputError
 
@@ -183,10 +183,3 @@ def test_generative_nll_floor(two_outcome):
     nll, out = generative_nll([(0, 1)], two_outcome, floor=1e-30)
     assert out == 1
     assert nll == pytest.approx(-math.log(1e-30))
-
-
-def test_metrics_report_as_dict():
-    report = MetricsReport(self_accuracy=0.9, sample_count=4)
-    d = report.as_dict()
-    assert d["self_accuracy"] == 0.9
-    assert "tv_distance" not in d

@@ -469,6 +469,18 @@ def test_sample_batch_needs_a_position(two_outcome):
         ancestral_sample_batch(sched, 0, _Untouchable(), SamplerConfig(), 4)
 
 
+def test_sample_batch_eps_below_the_schedule_is_named_error(two_outcome):
+    """A time grid that leaves the schedule's range used to end in a
+    TimeRangeError at the first step; it is a ValueError naming both eps_t,
+    raised before the denoiser is called. The schedule's own eps_t is fine."""
+    sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
+    with pytest.raises(ValueError, match=r"sampler eps_t 1e-05 < schedule eps_t 0\.0001"):
+        ancestral_sample_batch(sched, 2, _Untouchable(), SamplerConfig(num_steps=4, eps_t=1e-5), 4)
+    oracle = OracleDenoiser(two_outcome, sched)
+    z = ancestral_sample_batch(sched, 2, oracle, SamplerConfig(num_steps=4, eps_t=sched.eps_t), 4)
+    assert z.shape == (4, 2)
+
+
 def test_sample_batch_of_other_length_than_the_oracle_is_named_error(five_outcome):
     sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.2)
     oracle = OracleDenoiser(five_outcome, sched)
