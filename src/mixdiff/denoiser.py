@@ -113,8 +113,15 @@ class ToyDistribution:
         return self._prob.get(tuple(int(z) for z in seq), 0.0)
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-        idx = rng.choice(len(self.outcomes), size=count, p=self.probs)
-        return self.sequences[idx]
+        """(count, L) outcomes: what rng.choice(K, count, p=probs) draws, from its stream."""
+        return self.outcomes_at(rng.random(count))
+
+    def outcomes_at(self, u: np.ndarray) -> np.ndarray:
+        """The outcome each uniform of u selects, u.shape + (L,), by the
+        inverse CDF rng.choice uses: outcomes of probability zero never."""
+        cdf = self.probs.cumsum()
+        cdf /= cdf[-1]
+        return self.sequences[cdf.searchsorted(u, side="right")]
 
     def entropy(self) -> float:
         """Exact expected NLL in nats per sequence."""
@@ -239,12 +246,12 @@ class OracleDenoiser(Denoiser):
 
 def masked_softmax(logits: np.ndarray, mask_id: int) -> np.ndarray:
     """Row-wise softmax over non-mask entries; mask gets probability zero."""
-    logits = np.asarray(logits, dtype=float)
-    work = logits.copy()
+    work = np.array(logits, dtype=float)
     work[..., mask_id] = -np.inf
-    work -= work.max(axis=-1, keepdims=True)
-    e = np.exp(work)
-    return e / e.sum(axis=-1, keepdims=True)
+    work -= np.maximum.reduce(work, axis=-1, keepdims=True)
+    np.exp(work, out=work)
+    work /= np.add.reduce(work, axis=-1, keepdims=True)
+    return work
 
 
 @dataclass(eq=False)
@@ -388,11 +395,13 @@ def table_train(
     (bucket(t), noisy sequence), example after example. Examples with other
     keys never see each other's updates, and nothing but the updates reads
     the table, so the call runs in blocks of steps, TRAIN_BLOCK examples or
-    one step each: a block makes its draws step by step as a step alone
-    would, evaluates the schedule, noises, weighs and keys (inserting) once for
-    all its examples, and then applies wave r, one gradient for the examples
-    whose key occurs the r-th time in the block, in turn, in place on rows of
-    table.logits, distinct within a wave. That gives the example-by-example
+    one step each. A block draws the stream its steps would draw one by one
+    in one call, evaluates the schedule, noises, weighs and keys (inserting)
+    once for all its examples, and gathers its distinct keys' entries into
+    one work array, ranked by falling count. Wave r, one gradient for the
+    examples whose key occurs the r-th time in the block, then updates a
+    prefix of that array in place, the waves in turn, and one scatter writes
+    it back to table.logits. That gives the example-by-example
     result exactly. The loss values are computed afterwards, from each
     example's saved prediction, only for the steps the trajectory records
     (every trajectory_every-th and the last). A block raises only in
@@ -411,32 +420,33 @@ def table_train(
             f"distribution of length {dist.length} over {dist.vocab}"
         )
     rng = np.random.default_rng(seed)
-    per_block = max(1, TRAIN_BLOCK // batch)
+    per_block, length = max(1, TRAIN_BLOCK // batch), dist.length
     trajectory = []
     for first in range(0, steps, per_block):
         block = range(first, min(first + per_block, steps))
-        xs, offsets, u = zip(
-            *[(dist.sample(rng, batch), rng.random(), rng.random((batch, dist.length)))
-              for _ in block]
-        )
-        xs = np.concatenate(xs)
-        times = stratified_times(batch, np.array(offsets)[:, None], schedule.eps_t).ravel()
+        # each step's stream: its outcomes' uniforms, its time offset, its noise
+        u = rng.random((len(block), batch * (1 + length) + 1))
+        xs = dist.outcomes_at(u[:, :batch]).reshape(-1, length)
+        times = stratified_times(batch, u[:, batch, None], schedule.eps_t).ravel()
         terms = schedule.terms(times)
-        zs = _noise(terms, xs, np.concatenate(u))
+        zs = _noise(terms, xs, u[:, batch + 1 :].reshape(-1, length))
         target = loss_target(schedule, times, zs, xs, mode, weight_clip, terms)
         entries, inverse = table.logits_for(zs, times, insert=True)
         # rank of each example among the block's examples with its key
         order, counts = np.argsort(inverse, kind="stable"), np.bincount(inverse)
         occurrence = np.empty(len(xs), dtype=np.int64)
         occurrence[order] = np.arange(len(xs)) - (np.cumsum(counts) - counts)[inverse[order]]
-        # the waves in turn, each a slice of examples in block order
-        order, edges = np.argsort(occurrence, kind="stable"), np.cumsum(np.bincount(occurrence))
-        target, keys = [v[order] for v in target], entries[inverse[order]]
+        # keys ranked by falling count: wave r, by rank, updates a prefix of work
+        by_count = np.argsort(-counts, kind="stable")
+        order = np.argsort(occurrence * len(counts) + np.argsort(by_count)[inverse])
+        edges = np.cumsum(np.bincount(occurrence))
+        target, work = [v[order] for v in target], table.logits[entries[by_count]]
         probs = np.empty(target[2].shape)
         for wave in map(slice, [0, *edges[:-1]], edges):
-            part, k = [v[wave] for v in target], keys[wave]
-            probs[wave] = p = masked_softmax(table.logits[k], schedule.vocab.mask_id)
-            table.logits[k] -= table.learning_rate * target_grad(part, model_marginal(part, p))
+            part, prefix = [v[wave] for v in target], work[: wave.stop - wave.start]
+            probs[wave] = p = masked_softmax(prefix, schedule.vocab.mask_id)
+            prefix -= table.learning_rate * target_grad(part, model_marginal(part, p))
+        table.logits[entries[by_count]] = work
         recorded = [s - first for s in block if s % trajectory_every == 0 or s == steps - 1]
         if recorded:
             rows = (np.array(recorded)[:, None] * batch + np.arange(batch)).ravel()
@@ -444,7 +454,7 @@ def table_train(
             part = [v[at] for v in target]
             w, kl, is_term = target_loss(part, model_marginal(part, probs[at]))
             losses = (w * (kl + is_term)).sum(axis=-1).reshape(len(recorded), batch)
-            trajectory += [sum(row.tolist()) / batch for row in losses / dist.length]
+            trajectory += [sum(row.tolist()) / batch for row in losses / length]
     return TrainingReport(
         final_avg_loss=trajectory[-1] if steps else 0.0,
         loss_trajectory=tuple(trajectory),
@@ -461,10 +471,12 @@ def posterior_kl_to_oracle(
     seed: int = 1,
 ) -> float:
     """Mean KL(oracle prediction || table prediction) over sampled (Z_t, t)."""
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     rng = np.random.default_rng(seed)
     times = stratified_times(num_samples, rng.random(), schedule.eps_t)
     # Each sample's clean sequence and noise come from the one stream in turn.
-    xs, u = zip(*[(dist.sample(rng, 1)[0], rng.random(dist.length)) for _ in range(num_samples)])
-    zs = _noise(schedule.terms(times), np.array(xs), np.array(u))
+    u = rng.random((num_samples, 1 + dist.length))
+    zs = _noise(schedule.terms(times), dist.outcomes_at(u[:, 0]), u[:, 1:])
     kl = kl_divergence(oracle.predict_batch(zs, times), table.predict_batch(zs, times))
     return sum(kl.ravel().tolist()) / kl.size

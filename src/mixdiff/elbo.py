@@ -105,9 +105,9 @@ def loss_target(
 ) -> tuple[np.ndarray, ...]:
     """The first part of loss_and_grad, with its arguments, for (B, L) z and
     x: alpha_t (B, 1, 1), beta_t pi_t (B, 1, N), q_t(. | x) and the one-hot
-    of z (B, L, N), q_t(z | x) floored at LOG_FLOOR and the weights (B, L);
-    under one time t, alpha_t and beta_t pi_t have one row. `terms`, if
-    given, is schedule.terms(t)."""
+    of z (B, L, N), q_t(z | x) floored at LOG_FLOOR, the weights (B, L) and
+    alpha_t times the weights (B, L, 1); under one time t, alpha_t and
+    beta_t pi_t have one row. `terms`, if given, is schedule.terms(t)."""
     z, x = (np.atleast_2d(np.asarray(v, dtype=np.int64)) for v in (z, x))
     n = schedule.vocab.size
     terms = schedule.terms(t) if terms is None else terms
@@ -134,7 +134,7 @@ def loss_target(
             w = np.minimum(w, weight_clip)
         if mode.kind == "clamp":
             w = np.minimum(mode.w_max, w)
-    return a, bp, q_true, at_z, np.maximum(p_z, LOG_FLOOR), w
+    return a, bp, q_true, at_z, np.maximum(p_z, LOG_FLOOR), w, a * w[..., None]
 
 
 def model_marginal(target: tuple, probs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -143,7 +143,7 @@ def model_marginal(target: tuple, probs: np.ndarray) -> tuple[np.ndarray, ...]:
     of each of its parts (under (B,) times): probs, the model marginal
     q_t(. | x_theta) = alpha_t probs + beta_t pi_t floored at LOG_FLOOR,
     and its entry at z."""
-    a, bp, q_true, at_z, p_z, _ = target
+    a, bp, q_true, at_z, p_z, *_ = target
     s = np.asarray(probs, dtype=float).reshape(q_true.shape)
     # The floor keeps q_model > 0, so no ratio below is 0/0.
     q_model = np.maximum(a * s + bp, LOG_FLOOR)
@@ -152,21 +152,21 @@ def model_marginal(target: tuple, probs: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def target_loss(target: tuple, model: tuple) -> tuple[np.ndarray, ...]:
     """The loss terms of loss_and_grad: (weight, kl, is_term)."""
-    _, _, q_true, _, p_z, w = target
+    _, _, q_true, _, p_z, w, _ = target
     _, q_model, q_z = model
     return w, kl_divergence(q_true, q_model), is_divergence_pointwise(p_z, q_z)
 
 
 def target_grad(target: tuple, model: tuple) -> np.ndarray:
     """The logit gradient of loss_and_grad."""
-    a, _, q_true, at_z, p_z, w = target
+    _, _, q_true, at_z, p_z, _, aw = target
     s, q_model, q_z = model
     # q_model = alpha_t s + beta_t pi_t. d(KL)/dq_model = -q_true / q_model;
-    # d(IS)/dq_model[z] = 1/q - p/q^2.
-    g_q = -q_true / q_model
-    g_q[at_z] += (1.0 / q_z - p_z / q_z**2).ravel()
-    g_s = a * w[..., None] * g_q
-    return s * (g_s - (s * g_s).sum(axis=-1, keepdims=True))
+    # d(IS)/dq_model[z] = 1/q - p/q^2; d/ds is alpha_t w d/dq_model.
+    g = -q_true / q_model
+    g[at_z] += (1.0 / q_z - p_z / q_z**2).ravel()
+    g *= aw
+    return s * (g - np.add.reduce(s * g, axis=-1, keepdims=True))
 
 
 def loss_and_grad(
@@ -334,6 +334,8 @@ def corpus_nelbo(
     the bits it has alone.
     """
     x_seqs = np.asarray(x_seqs, dtype=np.int64)
+    if x_seqs.ndim != 2:
+        raise ValueError(f"corpus must be (S, L), got shape {x_seqs.shape}")
     n, length = schedule.vocab.size, x_seqs.shape[1]
     if length == 0:
         raise MixdiffError("cannot estimate the NELBO of an empty sequence")

@@ -185,7 +185,7 @@ def check_pu_zero_collapse(seed=7, cases=200, n=6, tol=1e-14):
     q = t[:, None] * m
     q[rows, x] += 1.0 - t
     on = q[rows, z] > 0
-    w = loss_target(hyb, t[on], z[on, None], x[on, None], EXACT, None)[-1][:, 0]
+    w = loss_target(hyb, t[on], z[on, None], x[on, None], EXACT, None)[5][:, 0]
     pairs = [
         (hyb.alpha(t), 1.0 - t),
         (hyb.alpha_prime(t), -1.0),

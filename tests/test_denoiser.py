@@ -53,6 +53,26 @@ def test_toy_distribution_queries(two_outcome):
     assert abs(freq - 0.5) < 0.05
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 4), min_size=1, max_size=9).filter(any),
+    count=st.integers(0, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(weights=[0, 3, 0, 1, 0], count=0, seed=0)
+def test_sample_is_generator_choice(weights, count, seed):
+    """sample draws what Generator.choice draws, zero-probability outcomes and
+    no draw at all included, and leaves the generator where choice leaves it."""
+    outcomes = [(i // 3, i % 3) for i in range(len(weights))]
+    probs = [w / sum(weights) for w in weights]
+    dist = ToyDistribution(Vocab(4, 3), 2, tuple(zip(outcomes, probs)))
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = dist.sample(ours, count)
+    assert drawn.shape == (count, 2)
+    assert drawn.tolist() == dist.sequences[ref.choice(len(weights), count, p=dist.probs)].tolist()
+    assert ours.random() == ref.random()
+
+
 def test_prob_of_lookup(vocab3):
     """prob_of is a lookup built once; it takes any integer type."""
     dist = ToyDistribution(vocab3, 2, (((0, 0), 0.2), ((1, 1), 0.8)))
@@ -379,6 +399,14 @@ def test_table_train_reduces_kl(two_outcome):
     assert report.loss_trajectory[-1] < report.loss_trajectory[0]
 
 
+@pytest.mark.parametrize("num_samples", [0, -3])
+def test_posterior_kl_names_too_few_samples(two_outcome, num_samples):
+    sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
+    oracle, table = OracleDenoiser(two_outcome, sched), LogitTable(two_outcome.vocab, 2)
+    with pytest.raises(ValueError, match="num_samples must be >= 1"):
+        posterior_kl_to_oracle(two_outcome, sched, oracle, table, num_samples)
+
+
 def test_table_train_mask_only_near_oracle(two_outcome):
     """Clamped training on the pure masking schedule gets within 10% of the oracle loss."""
     sched = make_schedule("mask", two_outcome.vocab)
@@ -563,6 +591,9 @@ def _train_one_at_a_time(dist, schedule, table, steps, batch, mode, seed, trajec
 # blocks of TRAIN_BLOCK // 64 steps and 2 steps, the last recorded step in the second
 @example(which="two", kind="hybrid", mode=CLAMP, steps=TRAIN_BLOCK // 64 + 2, batch=64,
          t_buckets=8, learning_rate=0.5, trajectory_every=50, seed=7)
+# 7 keys: 56 waves, three keys tied at 16 examples
+@example(which="two", kind="mask", mode=CLAMP, steps=4, batch=40,
+         t_buckets=1, learning_rate=0.5, trajectory_every=1, seed=4)
 def test_table_train_equals_one_example_at_a_time(
     which, kind, mode, steps, batch, t_buckets, learning_rate, trajectory_every, seed
 ):

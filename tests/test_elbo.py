@@ -585,6 +585,9 @@ def test_corpus_nelbo_rejects_bad_input(two_outcome_oracle):
         corpus_nelbo(sched, [[0, 0]], oracle, 4, [1, 2])
     with pytest.raises(ValueError, match="token id 3 outside"):
         corpus_nelbo(sched, [[0, 0], [0, 3]], oracle, 4, [1, 2])
+    for corpus in ([], [0, 0]):
+        with pytest.raises(ValueError, match=r"corpus must be \(S, L\), got shape \(\d+,\)"):
+            corpus_nelbo(sched, corpus, oracle, 4, [])
     assert corpus_nelbo(sched, np.zeros((0, 2)), oracle, 4, []) == []
 
 
