@@ -86,7 +86,7 @@ class ToyDistribution:
             if key in lookup:
                 raise ValueError(f"outcome {key} is listed twice")
             lookup[key] = prob
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "_prob", lookup)
 
@@ -98,8 +98,8 @@ class ToyDistribution:
             raise ValueError("outcomes must not contain the mask token")
         for tok in seq:
             vocab.check_token(tok)
-        if prob < 0:
-            raise ValueError("outcome probabilities must be nonnegative")
+        if not prob >= 0:
+            raise ValueError(f"outcome probabilities must be nonnegative, got {prob!r}")
 
     @property
     def sequences(self) -> np.ndarray:
@@ -188,7 +188,7 @@ def _check_batch(z: np.ndarray, length: int, vocab: Vocab, what: str) -> None:
     """Named errors for a batch of another width or with a token id outside [0, N)."""
     if (width := z.shape[-1]) != length:
         raise ValueError(f"batch of length {width} for {what} of length {length}")
-    if z.size and not 0 <= z.min() <= z.max() < vocab.size:
+    if z.size and not 0 <= np.minimum.reduce(z, None) <= np.maximum.reduce(z, None) < vocab.size:
         raise ValueError(f"token ids must lie in [0, {vocab.size})")
 
 
@@ -228,11 +228,11 @@ class OracleDenoiser(Denoiser):
         a, bp = _marginal_terms(self.schedule.terms(t))
         # (B, K, L): per-token likelihood alpha * [z == x] + beta_pi[z]
         match = z_seqs[:, None, :] == self._outcomes[None, :, :]
-        bp_z = bp[:, 0][np.arange(len(bp))[:, None], z_seqs]
-        lik = (a * match + bp_z[:, None, :]).prod(axis=2)
+        bp_z = bp[:, 0][np.arange(len(bp))[:, None], z_seqs][:, None, :]
+        lik = np.multiply.reduce(np.where(match, a + bp_z, bp_z), axis=2)
         w = lik * self._priors[None, :]
-        total = w.sum(axis=1)
-        if np.any(total <= 0.0):
+        total = np.add.reduce(w, axis=1)
+        if np.logical_or.reduce(total <= 0.0):
             raise DegenerateEvidenceError(
                 "noisy sequence has zero likelihood under every outcome"
             )
@@ -428,9 +428,8 @@ def table_train(
         u = rng.random((len(block), batch * (1 + length) + 1))
         xs = dist.outcomes_at(u[:, :batch]).reshape(-1, length)
         times = stratified_times(batch, u[:, batch, None], schedule.eps_t).ravel()
-        terms = schedule.terms(times)
-        zs = _noise(terms, xs, u[:, batch + 1 :].reshape(-1, length))
-        target = loss_target(schedule, times, zs, xs, mode, weight_clip, terms)
+        zs = _noise(schedule.terms(times), xs, u[:, batch + 1 :].reshape(-1, length))
+        target = loss_target(schedule, times, zs, xs, mode, weight_clip)
         entries, inverse = table.logits_for(zs, times, insert=True)
         # rank of each example among the block's examples with its key
         order, counts = np.argsort(inverse, kind="stable"), np.bincount(inverse)

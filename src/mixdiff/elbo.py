@@ -33,8 +33,8 @@ class WeightingMode:
     def __post_init__(self):
         if self.kind not in ("exact", "clamp", "dynamic"):
             raise ValueError(f"unknown weighting kind {self.kind!r}")
-        if self.w_max <= 0:
-            raise ValueError("w_max must be positive")
+        if not (math.isfinite(self.w_max) and self.w_max > 0):
+            raise ValueError(f"w_max must be finite and > 0, got {self.w_max!r}")
 
 
 EXACT = WeightingMode("exact")
@@ -72,7 +72,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     log_ratio = np.log(np.maximum(p, LOG_FLOOR)) - np.log(np.maximum(q, LOG_FLOOR))
-    kl = (p * log_ratio).sum(axis=-1)
+    kl = np.add.reduce(p * log_ratio, axis=-1)
     return float(kl) if kl.ndim == 0 else kl
 
 
@@ -80,7 +80,7 @@ def is_divergence_pointwise(p_val, q_val) -> float | np.ndarray:
     """Elementwise Itakura-Saito divergence p/q - log(p/q) - 1."""
     p = np.asarray(p_val, dtype=float)
     q = np.asarray(q_val, dtype=float)
-    if (p <= 0).any() or (q <= 0).any():
+    if np.logical_or.reduce(p <= 0, axis=None) or np.logical_or.reduce(q <= 0, axis=None):
         raise ValueError("pointwise IS divergence needs positive arguments")
     r = p / q
     d = r - np.log(r) - 1.0
@@ -101,16 +101,15 @@ def loss_target(
     x: np.ndarray,
     mode: WeightingMode = EXACT,
     weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
-    terms: Terms | None = None,
 ) -> tuple[np.ndarray, ...]:
     """The first part of loss_and_grad, with its arguments, for (B, L) z and
     x: alpha_t (B, 1, 1), beta_t pi_t (B, 1, N), q_t(. | x) and the one-hot
     of z (B, L, N), q_t(z | x) floored at LOG_FLOOR, the weights (B, L) and
     alpha_t times the weights (B, L, 1); under one time t, alpha_t and
-    beta_t pi_t have one row. `terms`, if given, is schedule.terms(t)."""
+    beta_t pi_t have one row."""
     z, x = (np.atleast_2d(np.asarray(v, dtype=np.int64)) for v in (z, x))
     n = schedule.vocab.size
-    terms = schedule.terms(t) if terms is None else terms
+    terms = schedule.terms(t)
     a, bp = _marginal_terms(terms)
     q_true = bp + a * (x[..., None] == np.arange(n))
     at_z = z[..., None] == np.arange(n)
@@ -123,13 +122,13 @@ def loss_target(
         clean = _entrywise(lambda v: (b / n) * math.exp(-v / 2.0) - 1.0, terms.log_snr)
         w = mode.w_max * (w + np.where(z == x, np.reshape(clean, (-1, 1)), 0.0))
     else:
-        if (p_z <= 0.0).any():
+        if np.logical_or.reduce(p_z <= 0.0, axis=None):
             row, i = np.argwhere(p_z <= 0.0)[0]
             raise UnsupportedStateError(
                 f"token {z[row, i]} outside forward support of {x[row, i]} "
                 f"at t={float(np.broadcast_to(t, len(z))[row])!r}"
             )
-        w = np.take_along_axis(np.reshape(terms.rate, (-1, n)), z, axis=1) / p_z
+        w = np.reshape(terms.rate, (-1, n))[np.arange(len(a))[:, None], z] / p_z
         if weight_clip is not None:
             w = np.minimum(w, weight_clip)
         if mode.kind == "clamp":
@@ -278,9 +277,10 @@ def _inverse_cdf(rows: np.ndarray, u: np.ndarray, inverse=None) -> np.ndarray:
     smallest integer type that holds N - 1, stride-1 for column-major u. Without,
     the last-axis compare is cheaper on the small arrays of self-correction."""
     if inverse is None:
-        return (np.cumsum(rows, axis=-1)[..., :-1] <= u[..., None]).sum(axis=-1)
-    cdf = np.ascontiguousarray(np.cumsum(rows[..., :-1], axis=-1).T)
-    count = (cdf.take(inverse, axis=-1) <= u.T).sum(axis=0, dtype=np.min_scalar_type(cdf.shape[0]))
+        return np.add.reduce(np.add.accumulate(rows, axis=-1)[..., :-1] <= u[..., None], axis=-1)
+    cdf = np.ascontiguousarray(np.add.accumulate(rows[..., :-1], axis=-1).T)
+    below = cdf.take(inverse, axis=-1) <= u.T
+    count = np.add.reduce(below, axis=0, dtype=np.min_scalar_type(cdf.shape[0]))
     return count.astype(np.int64).T
 
 
@@ -296,18 +296,14 @@ def noise_sequence(
     x_seq: np.ndarray,
     t,
     rng: np.random.Generator,
-    terms: Terms | None = None,
 ) -> np.ndarray:
     """Independently resample every token from its forward marginal at t.
 
     x_seq is (L,) or (B, L), t one time or a (B,) array; one
     rng.random(x_seq.shape) call draws the stream B rng.random(L) calls would.
-    `terms`, if given, is schedule.terms(t), so that a batch's noise and loss
-    share it.
     """
     x_seq = np.asarray(x_seq, dtype=np.int64)
-    terms = schedule.terms(t) if terms is None else terms
-    return _noise(terms, x_seq, rng.random(x_seq.shape))
+    return _noise(schedule.terms(t), x_seq, rng.random(x_seq.shape))
 
 
 # Draws per block of corpus_nelbo: what one block holds bounds the memory of
@@ -339,7 +335,7 @@ def corpus_nelbo(
     n, length = schedule.vocab.size, x_seqs.shape[1]
     if length == 0:
         raise MixdiffError("cannot estimate the NELBO of an empty sequence")
-    if (bad := (x_seqs < 0) | (x_seqs >= n)).any():
+    if np.logical_or.reduce(bad := (x_seqs < 0) | (x_seqs >= n), axis=None):
         raise ValueError(f"token id {x_seqs[bad][0]} outside [0, {n})")
     if num_mc < 1:
         raise ValueError("num_mc must be >= 1")
@@ -348,22 +344,22 @@ def corpus_nelbo(
     per_block = max(1, NELBO_BLOCK // num_mc)
     estimates = []
     for first in range(0, len(x_seqs), per_block):
-        x = np.repeat(x_seqs[first : first + per_block], num_mc, axis=0)
+        x = x_seqs[first : first + per_block].repeat(num_mc, axis=0)
         rngs = map(np.random.default_rng, seeds[first : first + per_block])
         offsets, u = zip(*[(rng.random(), rng.random((num_mc, length))) for rng in rngs])
         times = stratified_times(num_mc, np.array(offsets)[:, None], schedule.eps_t).ravel()
-        terms = schedule.terms(times)
-        z = _noise(terms, x, np.concatenate(u))
-        target = loss_target(schedule, times, z, x, mode, weight_clip, terms)
+        z = _noise(schedule.terms(times), x, np.concatenate(u))
+        target = loss_target(schedule, times, z, x, mode, weight_clip)
         probs = denoiser.predict_batch(z, times)
         w, kl, is_term = target_loss(target, model_marginal(target, probs))
         loss = (w * (kl + is_term)).reshape(len(offsets), num_mc, length)
         # Left-to-right sums over positions, whatever numpy's grouping.
-        per_sample = sum(np.moveaxis(loss, -1, 0)) / length
-        # One draw has standard error 0: ddof=0 on it gives exactly that.
-        se = per_sample.std(axis=1, ddof=min(1, num_mc - 1)) / math.sqrt(num_mc)
-        means = per_sample.mean(axis=1).tolist()
-        estimates += map(NelboEstimate, means, se.tolist(), [num_mc] * len(means))
+        per_sample = sum(loss.transpose(2, 0, 1)) / length
+        # np.mean and np.std's steps from one sum; ddof=0 on one draw gives se 0.
+        mean = np.add.reduce(per_sample, axis=1, keepdims=True) / num_mc
+        var = np.add.reduce(np.square(per_sample - mean), axis=1) / max(1, num_mc - 1)
+        se = (np.sqrt(var) / math.sqrt(num_mc)).tolist()
+        estimates += map(NelboEstimate, mean[:, 0].tolist(), se, [num_mc] * len(se))
     return estimates
 
 

@@ -26,7 +26,7 @@ def self_accuracy(
     Ties count as correct. Pass mask_id to reject partially denoised input.
     """
     z = np.asarray(z_seq, dtype=np.int64)
-    if mask_id is not None and np.any(z == mask_id):
+    if mask_id is not None and np.logical_or.reduce(z == mask_id, axis=None):
         raise MaskedInputError("self-accuracy requires a fully denoised sequence")
     probs = denoiser.predict_batch(z.reshape(-1, z.shape[-1]), t_condition)
     acc = self_accuracy_from_probs(z, probs.reshape(z.shape + probs.shape[-1:]))
@@ -41,7 +41,8 @@ def _probs_at(probs: np.ndarray, z: np.ndarray) -> np.ndarray:
 def self_accuracy_from_probs(z_seq: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Fraction of positions whose token is an argmax (ties count) of its row, over the
     last axis of z_seq: a count over the length, np.mean's bits without its overhead."""
-    return (_probs_at(probs, z_seq) >= probs.max(axis=-1) - 1e-12).sum(axis=-1) / z_seq.shape[-1]
+    top = np.maximum.reduce(probs, axis=-1)
+    return np.add.reduce(_probs_at(probs, z_seq) >= top - 1e-12, axis=-1) / z_seq.shape[-1]
 
 
 def unigram_entropy(z_seq) -> float | np.ndarray:

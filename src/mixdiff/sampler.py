@@ -12,6 +12,7 @@ its posterior and CDF once per distinct row and draws every row by one gather.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,11 @@ def check_seed(seed: int) -> None:
         raise ValueError("seed must lie in [0, 2**64)")
 
 
+def check_temperature(temperature: float) -> None:
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
+
+
 def derive_seeds(seed: int, count: int) -> list[int]:
     """The seeds of streams 0..count-1 under `seed`: seed i is the 64-bit hash of (seed, i)."""
     return counter_hash(seed, np.arange(count, dtype=np.uint64)).tolist()
@@ -81,8 +87,7 @@ class SamplerConfig:
             raise ValueError("num_steps must be >= 1")
         if not 0.0 < self.eps_t < 0.5:
             raise ValueError("eps_t must lie in (0, 0.5)")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        check_temperature(self.temperature)
         if not 0.0 <= self.min_p < 1.0:
             raise ValueError("min_p must lie in [0, 1)")
         check_seed(self.seed)
@@ -107,8 +112,7 @@ class SelfCorrectConfig:
             raise ValueError("max_iters must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        check_temperature(self.temperature)
         check_seed(self.seed)
 
 
@@ -120,23 +124,21 @@ def adapt_distribution(p: np.ndarray, temperature: float = 1.0, min_p: float = 0
     (lowest index on ties), which falls out of the arithmetic directly.
     """
     p = np.asarray(p, dtype=float)
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    check_temperature(temperature)
     if temperature < 1e-9:
         # exact argmax limit; np.argmax breaks ties by lowest index
         p = np.eye(p.shape[-1])[p.argmax(axis=-1)]
     elif temperature != 1.0:
-        logp = np.full_like(p, -np.inf)
-        nz = p > 0
-        logp[nz] = np.log(p[nz]) / temperature
-        logp -= logp.max(axis=-1, keepdims=True)
+        logp = np.log(p, out=np.full_like(p, -np.inf), where=p > 0)
+        logp /= temperature
+        logp -= np.maximum.reduce(logp, axis=-1, keepdims=True)
         e = np.exp(logp)
-        p = e / e.sum(axis=-1, keepdims=True)
+        p = e / np.add.reduce(e, axis=-1, keepdims=True)
     if min_p == 0.0:
         return p
     out = np.where(p >= min_p, p, 0.0)
-    totals = out.sum(axis=-1, keepdims=True)
-    if np.any(totals <= 0.0):
+    totals = np.add.reduce(out, axis=-1, keepdims=True)
+    if np.logical_or.reduce(totals <= 0.0, axis=None):
         raise EmptySupportError(f"min_p={min_p} removed all probability mass")
     return out / totals
 
@@ -161,14 +163,14 @@ def _denoise_step_batch(
     z_batch, inverse = _distinct_rows(z_batch, schedule.vocab.size)
     preds = denoiser.predict_batch(z_batch, t_from)
     preds = adapt_distribution(preds, config.temperature, config.min_p)
-    trans = schedule.conditional_transition(t_to, t_from)
     a_to, bp_to = _marginal_terms(schedule.terms(t_to))
+    trans = schedule.conditional_transition(t_to, t_from)
     q_to = a_to * preds + bp_to
     # v[b,l,:] = bp_ts[z_t] * q_to[b,l,:] with alpha_ts * q_to at z_s = z_t.
     v = trans.beta_pi_ts[z_batch][..., None] * q_to
     v += trans.alpha_ts * q_to * (z_batch[..., None] == np.arange(q_to.shape[-1]))
-    totals = v.sum(axis=-1, keepdims=True)
-    if np.any(totals <= 0.0):
+    totals = np.add.reduce(v, axis=-1, keepdims=True)
+    if np.logical_or.reduce(totals <= 0.0, axis=None):
         raise EmptySupportError("reverse-step posterior has no support")
     return _inverse_cdf(v / totals, u, inverse)
 
@@ -263,7 +265,7 @@ def self_correct_batch(
     block still active.
     """
     z_seqs = np.asarray(z_seqs, dtype=np.int64)
-    if np.any(z_seqs == mask_id):
+    if np.logical_or.reduce(z_seqs == mask_id, axis=None):
         raise MaskedInputError("self-correction requires a fully denoised sequence")
     if len(seeds) != len(z_seqs):
         raise ValueError(f"{len(seeds)} seeds for {len(z_seqs)} sequences")
@@ -287,20 +289,20 @@ def self_correct_batch(
             tempered = adapt_distribution(probs, config.temperature)
             proposal = _inverse_cdf(tempered, np.array([rng.random(z.shape[1]) for rng in rngs]))
             disagree = proposal != z
-            converged = ~disagree.any(axis=1)
+            converged = ~np.logical_or.reduce(disagree, axis=1)
             stop = converged | (stall >= config.patience)
-            go = np.flatnonzero(~stop)
+            (go,) = (~stop).nonzero()
             j = np.where(disagree, _probs_at(tempered, proposal), -1.0).argmax(axis=1)[go]
             z[go, j] = proposal[go, j]
             edits[go] += 1
             if len(go) == len(z) and it < config.max_iters:
                 continue
             stop |= it == config.max_iters
-            for i in np.flatnonzero(stop).tolist():
+            for i in stop.nonzero()[0].tolist():
                 results[rows[i]] = SelfCorrectResult(
                     best_z[i].copy(), it, tuple(trajectories[i]), bool(converged[i]), int(edits[i])
                 )
-            if stop.all():
+            if np.logical_and.reduce(stop):
                 break
             keep = ~stop
             z, best_z, best_acc, stall, edits, rows = (

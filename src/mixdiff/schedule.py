@@ -73,9 +73,9 @@ def check_prob_vector(p: np.ndarray, size: int | None = None, atol: float = 1e-9
         raise ValueError(f"expected length-{size} vector, got shape {p.shape}")
     if p.ndim != 1:
         raise ValueError("probability vector must be one-dimensional")
-    if np.any(p < 0):
-        raise ValueError("probability vector has negative entries")
-    if abs(p.sum() - 1.0) > atol:
+    if not np.logical_and.reduce(p >= 0):
+        raise ValueError("probability vector has negative or NaN entries")
+    if not abs(p.sum() - 1.0) <= atol:
         raise ValueError(f"probability vector sums to {p.sum()!r}, not 1")
     return p
 
@@ -96,8 +96,8 @@ class ScheduleParams:
     def __post_init__(self):
         if not 0.0 <= self.p_u < 1.0:
             raise ValueError("p_u must lie in [0, 1)")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
         if not 0.0 < self.eps_t < 0.5:
             raise ValueError("eps_t must lie in (0, 0.5)")
 
@@ -147,6 +147,7 @@ class MixingSchedule:
         # The constant B; zero for mask-only. Used by the dynamic loss weighting.
         self.uniform_mix_constant = params.B
         self._u = 1.0 / (vocab.size - 1)
+        self._last = None
 
     def _spread(self, at_mask, elsewhere) -> np.ndarray:
         """`at_mask` at the mask id, `elsewhere` at the rest, on a new last axis."""
@@ -173,7 +174,7 @@ class MixingSchedule:
         if isinstance(t, np.ndarray) and t.ndim:
             t = np.asarray(t, dtype=float)
             bad = ~((self.eps_t <= t) & (t <= 1.0 - self.eps_t))
-            if bad.any():
+            if np.logical_or.reduce(bad):
                 self.check_time(t[bad][0])
             return t
         t = float(t)
@@ -185,8 +186,14 @@ class MixingSchedule:
 
     def terms(self, t) -> Terms:
         """alpha_t, beta_t pi_t, the rate vector and log_snr at t, all from
-        one evaluation of c_t: the other closed forms at t are views of it."""
-        return Terms(self, t)
+        one evaluation of c_t: the other closed forms at t are views of it.
+        The last evaluation is kept, keyed by the times' shape and bytes, so
+        a call at equal times returns it; its arrays are read-only."""
+        t = np.array(t, dtype=float)
+        key, last = (t.shape, t.tobytes()), self._last
+        if last is None or last[0] != key:
+            last = self._last = key, Terms(self, t)
+        return last[1]
 
     def alpha(self, t: float) -> float:
         return self.terms(t).alpha
@@ -289,8 +296,12 @@ class Terms:
     def __init__(self, schedule: MixingSchedule, t):
         self._schedule, self._t = schedule, schedule.check_time(t)
         c = self._c = schedule._c(self._t)
-        self.alpha = (1.0 - self._t) / (1.0 + c)
-        self.beta_pi = schedule._spread(self._t / (1.0 + c), c * schedule._u / (1.0 + c))
+        big_c = 1.0 + c
+        self.alpha = (1.0 - self._t) / big_c
+        self.beta_pi = schedule._spread(self._t / big_c, c * schedule._u / big_c)
+        for v in (self._t, self.alpha, self.beta_pi):
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
 
     @property
     def alpha_prime(self) -> float | np.ndarray:

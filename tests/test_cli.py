@@ -167,6 +167,8 @@ def test_train_bad_batch_or_steps_is_usage_error(capsys, tmp_path, dist_file, fl
         ("--lr", "0", "learning_rate must be finite and > 0"),
         ("--t-buckets", "0", "t_buckets must be >= 1"),
         ("--t-buckets", "-2", "t_buckets must be >= 1"),
+        ("--w-max", "nan", "w_max must be finite and > 0"),
+        ("--w-max", "inf", "w_max must be finite and > 0"),
     ],
 )
 def test_train_bad_table_parameter_is_usage_error(capsys, tmp_path, dist_file, flag, value, match):
@@ -176,6 +178,44 @@ def test_train_bad_table_parameter_is_usage_error(capsys, tmp_path, dist_file, f
     assert stdout == ""
     assert f"usage error: {match}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (["nelbo", "--mode", "clamp", "--w-max", "nan"], "w_max must be finite and > 0"),
+        (["sample", "--temperature", "nan"], "temperature must be finite and > 0"),
+        (["sample", "--temperature", "inf"], "temperature must be finite and > 0"),
+        (["self-correct", "--temperature", "nan"], "temperature must be finite and > 0"),
+        (["oracle-eval", "--schedule", "hybrid", "--gamma", "nan"], "gamma must be finite and > 0"),
+        (["oracle-eval", "--schedule", "hybrid", "--gamma", "inf"], "gamma must be finite and > 0"),
+    ],
+)
+def test_non_finite_config_value_is_usage_error(
+    capsys, tmp_path, dist_file, corpus_file, argv, match
+):
+    """These used to exit 0 with a NaN NELBO, all-zero samples or NaN closed forms."""
+    out = tmp_path / "out.txt"
+    files = {
+        "nelbo": ["--corpus", corpus_file],
+        "sample": ["--out", str(out)],
+        "self-correct": ["--corpus", corpus_file, "--out", str(out)],
+    }
+    code, stdout, err = run(capsys, [*argv, "--dist", dist_file, *files.get(argv[0], [])])
+    assert code == 1
+    assert stdout == ""
+    assert f"usage error: {match}" in err
+    assert not out.exists()
+
+
+def test_distribution_file_with_nan_probability_is_data_error(capsys, tmp_path):
+    """A `nan` probability used to load, and oracle-eval printed a NaN NELBO."""
+    path = tmp_path / "dist.txt"
+    path.write_text("3 2 2\nnan 0 0\n1.0 1 1\n")
+    code, stdout, err = run(capsys, ["oracle-eval", "--dist", str(path)])
+    assert code == 2
+    assert stdout == ""
+    assert "data error: line 2:" in err
 
 
 @pytest.mark.parametrize(

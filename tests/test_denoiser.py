@@ -27,7 +27,7 @@ from mixdiff.denoiser import (
     masked_softmax,
     posterior_kl_to_oracle,
 )
-from mixdiff.elbo import loss_and_grad, noise_sequence, stratified_times
+from mixdiff.elbo import _marginal_terms, loss_and_grad, noise_sequence, stratified_times
 from mixdiff.errors import CorpusFormatError, DegenerateEvidenceError
 from mixdiff.schedule import MixingSchedule
 
@@ -720,3 +720,46 @@ def test_distinct_rows_equal_unique(n, length, rows, pool, seed):
         assert distinct.dtype == np.int64 and index.dtype == np.int64
         np.testing.assert_array_equal(distinct, expect)
         np.testing.assert_array_equal(index, expect_index.reshape(-1))
+
+
+def test_toy_distribution_rejects_nan_probability(vocab3, tmp_path):
+    """NaN passed both `prob < 0` and `abs(total - 1) > tol`, each False for it."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        ToyDistribution(vocab3, 2, (((0, 0), float("nan")), ((1, 1), 1.0)))
+    with pytest.raises(ValueError, match="sum to"):
+        ToyDistribution(vocab3, 2, (((0, 0), 0.5), ((1, 1), float("inf"))))
+
+
+_FACTOR_DIST = ToyDistribution(
+    Vocab(5, 4), 3, (((0, 1, 2), 0.4), ((1, 2, 3), 0.3), ((3, 3, 0), 0.2), ((0, 0, 0), 0.1))
+)
+
+
+def _posterior_by_product(oracle, z, t):
+    """The oracle's posterior with the per-token factor written as
+    alpha_t * [z = x] + beta_t pi_t[z]."""
+    a, bp = _marginal_terms(oracle.schedule.terms(t))
+    match = z[:, None, :] == oracle._outcomes[None, :, :]
+    bp_z = bp[:, 0][np.arange(len(bp))[:, None], z]
+    w = (a * match + bp_z[:, None, :]).prod(axis=2) * oracle._priors[None, :]
+    return w / w.sum(axis=1)[:, None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["mask", "hybrid"]),
+    st.floats(0.01, 0.5),
+    st.integers(1, 30),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_oracle_factor_equals_product_form(kind, p_u, rows, one_time, seed):
+    """The oracle's np.where factor has the bits of alpha_t * match + beta_t pi_t[z]."""
+    rng = np.random.default_rng(seed)
+    sched = make_schedule(kind, _FACTOR_DIST.vocab, p_u=p_u if kind == "hybrid" else 0.0)
+    oracle = OracleDenoiser(_FACTOR_DIST, sched)
+    t = stratified_times(rows, rng.random(), sched.eps_t)
+    t = float(t[0]) if one_time else t
+    z = noise_sequence(sched, _FACTOR_DIST.sample(rng, rows), t, rng)
+    want = _posterior_by_product(oracle, z, t)
+    assert oracle._posterior(z, t).tobytes() == want.tobytes()

@@ -66,6 +66,13 @@ def test_weighting_mode_validation():
         WeightingMode("clamp", w_max=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_weighting_mode_rejects_non_finite_w_max(bad):
+    """w_max = nan used to construct and make every clamped weight NaN."""
+    with pytest.raises(ValueError, match="w_max must be finite and > 0"):
+        WeightingMode("clamp", w_max=bad)
+
+
 def test_loss_zero_at_truth(mask_sched, hybrid_sched):
     one_hot = np.zeros(5)
     one_hot[2] = 1.0
@@ -602,3 +609,38 @@ def test_corpus_nelbo_memory_does_not_grow_with_the_corpus():
         seeds = list(range(rows))
         peaks.append(transient_peak(lambda: corpus_nelbo(sched, x, oracle, 16, seeds)))
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def _per_sample(schedule, x_seq, denoiser, num_mc, seed):
+    """The (num_mc,) per-token losses of one sequence that corpus_nelbo
+    averages, drawn and scored as _nelbo_alone does."""
+    x_seq = np.asarray(x_seq, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    times = stratified_times(num_mc, rng.random(), schedule.eps_t)
+    x_batch = np.broadcast_to(x_seq, (num_mc, len(x_seq)))
+    z = noise_sequence(schedule, x_batch, times, rng)
+    w, kl, is_term, _ = loss_and_grad(schedule, times, z, x_batch, denoiser.predict_batch(z, times))
+    return sum((w * (kl + is_term)).T) / len(x_seq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["mask", "hybrid"]),
+    st.sampled_from([1, 2, 3, 8, 9, 64, 200]),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_corpus_nelbo_mean_and_se_have_numpys_bits(kind, num_mc, rows, seed):
+    """Each row's mean and standard error are np.mean and np.std over the
+    rows of the (S, num_mc) per-sample losses, bit for bit, num_mc = 1 included."""
+    rng = np.random.default_rng(seed)
+    sched = make_schedule(kind, _CORPUS_VOCAB, p_u=0.2 if kind == "hybrid" else 0.0)
+    oracle = OracleDenoiser(_CORPUS_DIST, sched)
+    x = _CORPUS_DIST.sample(rng, rows)
+    seeds = rng.integers(0, 2**63, rows).tolist()
+    per_sample = np.array([_per_sample(sched, r, oracle, num_mc, s) for r, s in zip(x, seeds)])
+    ests = corpus_nelbo(sched, x, oracle, num_mc, seeds)
+    means = per_sample.mean(axis=1)
+    se = per_sample.std(axis=1, ddof=min(1, num_mc - 1)) / math.sqrt(num_mc)
+    assert np.array([est.mean_per_token for est in ests]).tobytes() == means.tobytes()
+    assert np.array([est.std_error for est in ests]).tobytes() == se.tobytes()

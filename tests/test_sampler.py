@@ -1,4 +1,5 @@
 import hashlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -662,3 +663,43 @@ def test_derive_seeds_hash_the_row_index():
         assert seeds == [int(counter_hash(seed, i)[0]) for i in range(300)]
         assert derive_seeds(seed, 7) == seeds[:7]
         assert all(isinstance(s, int) for s in seeds)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("config", [SamplerConfig, SelfCorrectConfig])
+def test_configs_reject_non_finite_temperature(config, bad):
+    """temperature = nan used to construct; sampling then wrote all-zero samples."""
+    with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        config(temperature=bad)
+    with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        adapt_distribution(np.array([0.5, 0.5]), bad)
+
+
+def _adapt_by_gather(p, temperature):
+    """adapt_distribution's tempering written as a boolean gather and scatter."""
+    logp = np.full_like(p, -np.inf)
+    nz = p > 0
+    logp[nz] = np.log(p[nz]) / temperature
+    logp -= logp.max(axis=-1, keepdims=True)
+    e = np.exp(logp)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 9),
+    st.integers(1, 20),
+    st.integers(1, 4),
+    st.floats(1e-8, 50.0).filter(lambda v: v != 1.0),
+    st.floats(0.0, 0.9),
+    st.integers(0, 2**32 - 1),
+)
+def test_adapt_distribution_equals_gather_form(n, rows, length, temperature, zero_frac, seed):
+    """Taking the log with where= gives the bits of the gather form, on rows with zeros."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((rows, length, n))
+    p[rng.random(p.shape) < zero_frac] = 0.0
+    p[..., 0] += 0.1  # every row keeps some mass
+    p /= p.sum(axis=-1, keepdims=True)
+    got = adapt_distribution(p, temperature)
+    assert got.tobytes() == _adapt_by_gather(p, temperature).tobytes()

@@ -374,3 +374,71 @@ def test_terms_equal_closed_forms(p_u, gamma):
 def test_make_schedule_rejects_unknown():
     with pytest.raises(ValueError):
         make_schedule("linear", Vocab(3, 2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_schedule_params_reject_non_finite_gamma(bad):
+    """gamma = nan used to construct and make every closed form NaN."""
+    with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+        ScheduleParams(p_u=0.2, gamma=bad)
+
+
+def test_check_prob_vector_rejects_nan():
+    """NaN passed both `p < 0` and `abs(sum - 1) > tol`, each False for it."""
+    with pytest.raises(ValueError, match="negative or NaN"):
+        check_prob_vector(np.array([math.nan, 1.0]))
+    with pytest.raises(ValueError, match="sums to"):
+        check_prob_vector(np.array([0.5, math.inf]))
+
+
+_TERMS_FIELDS = ("alpha", "alpha_prime", "beta_pi", "rate", "log_snr")
+
+
+def _fields(terms) -> list[bytes]:
+    return [np.asarray(getattr(terms, name)).tobytes() for name in _TERMS_FIELDS]
+
+
+@pytest.mark.parametrize("kind", ["mask", "hybrid"])
+def test_terms_of_equal_times_from_other_objects_have_the_same_bits(kind):
+    """terms keeps its last evaluation, keyed by value: an array and its copy,
+    or a float and an np.float64, give the fields a fresh schedule computes."""
+    vocab = Vocab(5, 4)
+    sched = make_schedule(kind, vocab, p_u=0.2 if kind == "hybrid" else 0.0)
+    t = np.linspace(0.1, 0.9, 17)
+    for first, second in ((t, t.copy()), (0.3, np.float64(0.3)), (np.float64(0.7), 0.7)):
+        fresh = _fields(make_schedule(kind, vocab, p_u=sched.params.p_u).terms(first))
+        assert _fields(sched.terms(first)) == fresh
+        assert _fields(sched.terms(second)) == fresh
+
+
+def test_terms_do_not_see_a_caller_mutate_its_times():
+    sched = make_schedule("hybrid", Vocab(5, 4), p_u=0.2)
+    t = np.linspace(0.1, 0.9, 9)
+    kept = t.copy()
+    first = sched.terms(t)
+    want = _fields(first)
+    t[:] = 0.5
+    assert _fields(first) == want
+    assert _fields(sched.terms(kept)) == want
+    fresh = make_schedule("hybrid", Vocab(5, 4), p_u=0.2)
+    assert _fields(sched.terms(t)) == _fields(fresh.terms(t))
+
+
+@pytest.mark.parametrize("t", [0.3, np.linspace(0.1, 0.9, 5)], ids=["scalar", "array"])
+def test_terms_arrays_are_read_only(t):
+    terms = make_schedule("hybrid", Vocab(5, 4), p_u=0.2).terms(t)
+    for name in ("alpha", "beta_pi"):
+        value = getattr(terms, name)
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0.0
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, math.nan, np.array([0.5, 1.0])])
+def test_terms_out_of_range_raises_every_call_and_is_not_kept(bad):
+    sched = make_schedule("hybrid", Vocab(5, 4), p_u=0.2)
+    kept = sched.terms(0.5)
+    for _ in range(3):
+        with pytest.raises(TimeRangeError):
+            sched.terms(bad)
+    assert sched.terms(0.5) is kept
