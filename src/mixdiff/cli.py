@@ -77,11 +77,9 @@ def read_corpus(path: str) -> tuple[Vocab, list[np.ndarray]]:
 
     def sequence(head, fields):
         vocab, length = head
-        seq = np.array([int(v) for v in fields], dtype=np.int64)
+        seq = vocab.check_tokens([int(v) for v in fields])
         if seq.size != length:
             raise ValueError(f"sequence has {seq.size} tokens, expected {length}")
-        if np.any(seq < 0) or np.any(seq >= vocab.size):
-            raise ValueError("token id out of range")
         return seq
 
     def corpus(head, seqs):
@@ -213,7 +211,6 @@ def cmd_sample(args) -> int:
     denoiser, vocab, length, dist, sched = load_denoiser(args, cfg)
     sampler_cfg = SamplerConfig(
         num_steps=cfg["steps"],
-        eps_t=cfg["eps_t"],
         temperature=cfg["temperature"],
         min_p=cfg["min_p"],
         seed=cfg["seed"],

@@ -20,7 +20,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .elbo import (
-    DEFAULT_WEIGHT_CLIP,
     EXACT,
     WeightingMode,
     _marginal_terms,
@@ -96,8 +95,7 @@ class ToyDistribution:
             raise ValueError(f"outcome has {len(seq)} tokens, expected {length}")
         if vocab.mask_id in seq:
             raise ValueError("outcomes must not contain the mask token")
-        for tok in seq:
-            vocab.check_token(tok)
+        vocab.check_tokens(seq)
         if not prob >= 0:
             raise ValueError(f"outcome probabilities must be nonnegative, got {prob!r}")
 
@@ -184,12 +182,12 @@ def _distinct_rows(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return z[first], index
 
 
-def _check_batch(z: np.ndarray, length: int, vocab: Vocab, what: str) -> None:
-    """Named errors for a batch of another width or with a token id outside [0, N)."""
+def _check_batch(z, length: int, vocab: Vocab, what: str) -> np.ndarray:
+    """z as int64; named errors for a token id outside [0, N) or a batch of another width."""
+    z = vocab.check_tokens(z)
     if (width := z.shape[-1]) != length:
         raise ValueError(f"batch of length {width} for {what} of length {length}")
-    if z.size and not 0 <= np.minimum.reduce(z, None) <= np.maximum.reduce(z, None) < vocab.size:
-        raise ValueError(f"token ids must lie in [0, {vocab.size})")
+    return z
 
 
 class Denoiser:
@@ -239,8 +237,7 @@ class OracleDenoiser(Denoiser):
         return w / total[:, None]
 
     def predict_batch(self, z_seqs: np.ndarray, t) -> np.ndarray:
-        z_seqs = np.asarray(z_seqs, dtype=np.int64)
-        _check_batch(z_seqs, self.dist.length, self.dist.vocab, "an oracle")
+        z_seqs = _check_batch(z_seqs, self.dist.length, self.dist.vocab, "an oracle")
         return np.einsum("bk,kln->bln", self._posterior(z_seqs, t), self._one_hot)
 
 
@@ -302,8 +299,7 @@ class LogitTable(Denoiser):
         batch at one time t or a (B,) array of times, -1 for a miss, and the
         index of each row's key in them. With insert, the table adopts the
         missed keys with zero logits, so no entry is -1."""
-        z = np.asarray(z_seqs, dtype=np.int64)
-        _check_batch(z, self.length, self.vocab, "a table")
+        z = _check_batch(z_seqs, self.length, self.vocab, "a table")
         base = max(self.t_buckets, self.vocab.size)
         asked, inverse = _distinct_rows(
             np.column_stack([self.buckets(np.broadcast_to(t, len(z))), z]), base
@@ -350,7 +346,7 @@ class LogitTable(Denoiser):
                 raise ValueError(f"entry has {len(flat)} logits, expected {length * n}")
             if not 0 <= (bucket := int(f[0])) < table.t_buckets:
                 raise ValueError(f"time bucket {bucket} outside [0, {table.t_buckets})")
-            return [bucket, *(table.vocab.check_token(int(v)) for v in f[1 : 1 + length])], flat
+            return [bucket, *table.vocab.check_tokens(list(map(int, f[1 : 1 + length])))], flat
 
         def build(table, entries):
             length, n = table.length, table.vocab.size
@@ -385,7 +381,6 @@ def table_train(
     batch: int = 64,
     mode: WeightingMode = EXACT,
     seed: int = 0,
-    weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
     trajectory_every: int = 50,
 ) -> TrainingReport:
     """Plain gradient descent on the per-token loss, one table entry at a time.
@@ -429,7 +424,7 @@ def table_train(
         xs = dist.outcomes_at(u[:, :batch]).reshape(-1, length)
         times = stratified_times(batch, u[:, batch, None], schedule.eps_t).ravel()
         zs = _noise(schedule.terms(times), xs, u[:, batch + 1 :].reshape(-1, length))
-        target = loss_target(schedule, times, zs, xs, mode, weight_clip)
+        target = loss_target(schedule, times, zs, xs, mode)
         entries, inverse = table.logits_for(zs, times, insert=True)
         # rank of each example among the block's examples with its key
         order, counts = np.argsort(inverse, kind="stable"), np.bincount(inverse)

@@ -58,8 +58,6 @@ class NelboEstimate:
     mean_per_token: float
     std_error: float
     num_mc_samples: int
-    # Boundary terms vanish at the clamped endpoints; the constant is fixed at 0.
-    constant: float = 0.0
 
     @property
     def ppl(self) -> float:
@@ -194,17 +192,17 @@ def loss_and_grad(
     depend on probs, once for rows that model_marginal, target_loss and
     target_grad then score, together or in parts.
     """
-    shape = np.shape(z)
+    z, x = (schedule.vocab.check_tokens(v) for v in (z, x))
     target = loss_target(schedule, t, z, x, mode, weight_clip)
     model = model_marginal(target, probs)
     w, kl, is_term = target_loss(target, model)
     grad = target_grad(target, model)
+    shape = z.shape
     return w.reshape(shape), kl.reshape(shape), is_term.reshape(shape), grad.reshape(shape + (-1,))
 
 
 def _one_token(schedule, t, z_t, x, probs, mode, weight_clip) -> tuple:
     """loss_and_grad of one token: the floats weight, kl and is_term, and the (N,) gradient."""
-    z_t, x = schedule.vocab.check_token(z_t), schedule.vocab.check_token(x)
     w, kl, is_term, grad = loss_and_grad(schedule, t, [z_t], [x], [probs], mode, weight_clip)
     return float(w[0]), float(kl[0]), float(is_term[0]), grad[0]
 
@@ -255,6 +253,7 @@ def mdm_loss(schedule: MixingSchedule, t, z_t, x, x_theta: np.ndarray) -> float 
 
     Only meaningful for mask-only noise; nonnegative since alpha' < 0.
     """
+    z_t, x = (schedule.vocab.check_tokens(v) for v in (z_t, x))
     terms = schedule.terms(t)
     p = np.take_along_axis(np.asarray(x_theta, dtype=float), np.expand_dims(x, -1), -1)[..., 0]
     loss = terms.alpha_prime / (1.0 - terms.alpha) * _entrywise(math.log, np.maximum(p, LOG_FLOOR))
@@ -302,7 +301,7 @@ def noise_sequence(
     x_seq is (L,) or (B, L), t one time or a (B,) array; one
     rng.random(x_seq.shape) call draws the stream B rng.random(L) calls would.
     """
-    x_seq = np.asarray(x_seq, dtype=np.int64)
+    x_seq = schedule.vocab.check_tokens(x_seq)
     return _noise(schedule.terms(t), x_seq, rng.random(x_seq.shape))
 
 
@@ -318,7 +317,6 @@ def corpus_nelbo(
     num_mc: int,
     seeds,
     mode: WeightingMode = EXACT,
-    weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
 ) -> list[NelboEstimate]:
     """Monte Carlo estimate of the per-token NELBO of each row of an (S, L) corpus.
 
@@ -329,14 +327,12 @@ def corpus_nelbo(
     about NELBO_BLOCK draws (one row at least), and each row's estimate has
     the bits it has alone.
     """
-    x_seqs = np.asarray(x_seqs, dtype=np.int64)
+    x_seqs = schedule.vocab.check_tokens(x_seqs)
     if x_seqs.ndim != 2:
         raise ValueError(f"corpus must be (S, L), got shape {x_seqs.shape}")
-    n, length = schedule.vocab.size, x_seqs.shape[1]
+    length = x_seqs.shape[1]
     if length == 0:
         raise MixdiffError("cannot estimate the NELBO of an empty sequence")
-    if np.logical_or.reduce(bad := (x_seqs < 0) | (x_seqs >= n), axis=None):
-        raise ValueError(f"token id {x_seqs[bad][0]} outside [0, {n})")
     if num_mc < 1:
         raise ValueError("num_mc must be >= 1")
     if len(seeds) != len(x_seqs):
@@ -349,7 +345,7 @@ def corpus_nelbo(
         offsets, u = zip(*[(rng.random(), rng.random((num_mc, length))) for rng in rngs])
         times = stratified_times(num_mc, np.array(offsets)[:, None], schedule.eps_t).ravel()
         z = _noise(schedule.terms(times), x, np.concatenate(u))
-        target = loss_target(schedule, times, z, x, mode, weight_clip)
+        target = loss_target(schedule, times, z, x, mode)
         probs = denoiser.predict_batch(z, times)
         w, kl, is_term = target_loss(target, model_marginal(target, probs))
         loss = (w * (kl + is_term)).reshape(len(offsets), num_mc, length)
@@ -370,8 +366,6 @@ def sequence_nelbo(
     num_mc: int,
     seed: int = 0,
     mode: WeightingMode = EXACT,
-    weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
 ) -> NelboEstimate:
     """corpus_nelbo of the one sequence x_seq, drawing from default_rng(seed)."""
-    x_seqs = np.asarray(x_seq)[None]
-    return corpus_nelbo(schedule, x_seqs, denoiser, num_mc, [seed], mode, weight_clip)[0]
+    return corpus_nelbo(schedule, np.asarray(x_seq)[None], denoiser, num_mc, [seed], mode)[0]

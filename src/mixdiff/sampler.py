@@ -77,7 +77,6 @@ def counter_uniforms(seed: int, step: int, count: int, length: int) -> np.ndarra
 @dataclass(frozen=True)
 class SamplerConfig:
     num_steps: int = 128
-    eps_t: float = DEFAULT_EPS_T
     temperature: float = 1.0
     min_p: float = 0.0
     seed: int = 0
@@ -85,18 +84,15 @@ class SamplerConfig:
     def __post_init__(self):
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
-        if not 0.0 < self.eps_t < 0.5:
-            raise ValueError("eps_t must lie in (0, 0.5)")
         check_temperature(self.temperature)
         if not 0.0 <= self.min_p < 1.0:
             raise ValueError("min_p must lie in [0, 1)")
         check_seed(self.seed)
 
-    def time_grid(self) -> np.ndarray:
+    def time_grid(self, eps_t: float) -> np.ndarray:
         """t_i = eps + (1 - 2 eps) i / T for i = 0..T, strictly increasing, <= 1 - eps."""
         i = np.arange(self.num_steps + 1, dtype=float)
-        t = self.eps_t + (1.0 - 2.0 * self.eps_t) * i / self.num_steps
-        return np.minimum(t, 1.0 - self.eps_t)
+        return np.minimum(eps_t + (1.0 - 2.0 * eps_t) * i / self.num_steps, 1.0 - eps_t)
 
 
 @dataclass(frozen=True)
@@ -159,12 +155,16 @@ def _denoise_step_batch(
     v(z_s) ~ q_{t_from|t_to}(z_t | z_s) q_{t_to}(z_s | x_theta) and samples it.
     Rows that agree share their posterior, so the denoiser sees each distinct
     row once and the posterior and its CDF are built once per distinct row.
+    The closed forms at t_from are those the step before evaluated at its
+    t_to, kept by the schedule, so a chain of steps evaluates each time once.
     """
     z_batch, inverse = _distinct_rows(z_batch, schedule.vocab.size)
+    at_from = schedule.terms(t_from)
     preds = denoiser.predict_batch(z_batch, t_from)
     preds = adapt_distribution(preds, config.temperature, config.min_p)
-    a_to, bp_to = _marginal_terms(schedule.terms(t_to))
-    trans = schedule.conditional_transition(t_to, t_from)
+    at_to = schedule.terms(t_to)
+    a_to, bp_to = _marginal_terms(at_to)
+    trans = at_to.to(at_from)
     q_to = a_to * preds + bp_to
     # v[b,l,:] = bp_ts[z_t] * q_to[b,l,:] with alpha_ts * q_to at z_s = z_t.
     v = trans.beta_pi_ts[z_batch][..., None] * q_to
@@ -187,9 +187,7 @@ def denoise_step(
     """Single reverse-process step from t_from down to t_to."""
     if t_to > t_from:
         raise OrderingError(f"need t_to <= t_from, got {t_to!r} > {t_from!r}")
-    z_seq = np.asarray(z_seq, dtype=np.int64)
-    for tok in z_seq.tolist():
-        schedule.vocab.check_token(tok)
+    z_seq = schedule.vocab.check_tokens(z_seq)
     u = rng.random(len(z_seq))
     return _denoise_step_batch(
         schedule, z_seq[None, :], t_from, t_to, denoiser, config, u[None, :]
@@ -213,9 +211,7 @@ def ancestral_sample_batch(
         raise ValueError("count must be >= 1")
     if length < 1:
         raise ValueError("length must be >= 1")
-    if config.eps_t < schedule.eps_t:
-        raise ValueError(f"sampler eps_t {config.eps_t!r} < schedule eps_t {schedule.eps_t!r}")
-    grid = config.time_grid()
+    grid = config.time_grid(schedule.eps_t)
     rows = counter_hash(config.seed, np.arange(count, dtype=np.uint64))
     z = np.full((length, count), schedule.vocab.mask_id, dtype=np.int64).T
     for i in range(config.num_steps, 0, -1):

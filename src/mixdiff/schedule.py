@@ -60,10 +60,16 @@ class Vocab:
         u[self.mask_id] = 0.0
         return u
 
+    def check_tokens(self, z) -> np.ndarray:
+        """z as an int64 array; a ValueError names its first id outside [0, size)."""
+        z = np.asarray(z)
+        if z.size and not 0 <= np.minimum.reduce(z, None) <= np.maximum.reduce(z, None) < self.size:
+            bad = z[~((0 <= z) & (z < self.size))].flat[0]
+            raise ValueError(f"token id {bad} outside [0, {self.size})")
+        return z.astype(np.int64, copy=False)
+
     def check_token(self, z: int) -> int:
-        if not 0 <= z < self.size:
-            raise ValueError(f"token id {z} outside [0, {self.size})")
-        return int(z)
+        return int(self.check_tokens(z))
 
 
 def check_prob_vector(p: np.ndarray, size: int | None = None, atol: float = 1e-9) -> np.ndarray:
@@ -211,7 +217,7 @@ class MixingSchedule:
 
     def uniform_mass(self, t: float) -> float:
         """Total probability of the uniform component at time t: c_t / C_t."""
-        c = self._c(self.check_time(t))
+        c = self.terms(t)._c
         return c / (1.0 + c)
 
     def pi(self, t: float) -> np.ndarray:
@@ -232,13 +238,7 @@ class MixingSchedule:
         return np.expand_dims(terms.alpha, -1) * np.asarray(x_theta, dtype=float) + terms.beta_pi
 
     def conditional_transition(self, s: float, t: float) -> ConditionalTransition:
-        at_s, at_t = self.terms(s), self.terms(t)
-        later = at_s._t > at_t._t
-        if later is True or isinstance(later, np.ndarray) and later.any():
-            s, t = (np.broadcast_to(v._t, np.shape(later))[later].item(0) for v in (at_s, at_t))
-            raise OrderingError(f"need s <= t, got s={s!r} > t={t!r}")
-        a_ts = at_t.alpha / at_s.alpha
-        return ConditionalTransition(a_ts, at_t.beta_pi - (a_ts * at_s.beta_pi.T).T)
+        return self.terms(s).to(self.terms(t))
 
     def generator(self, t) -> np.ndarray:
         """The CTMC generator R_t, (N, N) or (B, N, N): row z_from is
@@ -291,7 +291,7 @@ class Terms:
     """The closed forms at one time, or at (B,) times along a leading axis,
     from one evaluation of c_t: alpha_t = (1-t)/C and the noise component
     beta_t pi_t of the marginal; alpha_t', the rate vector and log_snr are
-    computed from them when read."""
+    computed from them when read, and `to` pairs them with a later time's."""
 
     def __init__(self, schedule: MixingSchedule, t):
         self._schedule, self._t = schedule, schedule.check_time(t)
@@ -302,6 +302,15 @@ class Terms:
         for v in (self._t, self.alpha, self.beta_pi):
             if isinstance(v, np.ndarray):
                 v.flags.writeable = False
+
+    def to(self, later: Terms) -> ConditionalTransition:
+        """The kernel Q_{t|s} from these times s to the times t of `later`."""
+        after = self._t > later._t
+        if after is True or isinstance(after, np.ndarray) and after.any():
+            s, t = (np.broadcast_to(v._t, np.shape(after))[after].item(0) for v in (self, later))
+            raise OrderingError(f"need s <= t, got s={s!r} > t={t!r}")
+        a_ts = later.alpha / self.alpha
+        return ConditionalTransition(a_ts, later.beta_pi - (a_ts * self.beta_pi.T).T)
 
     @property
     def alpha_prime(self) -> float | np.ndarray:

@@ -540,6 +540,15 @@ def test_verify_command(capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+def test_verify_same_bytes(capsys):
+    """stdout sha256 recorded when every check built its transitions from bare times."""
+    code, out, _ = run(capsys, ["verify"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1bd59fc965e01def46cd65c7d41ef58afecd1def9962a42501dbefd7b8746538"
+    )
+
+
 def test_verify_fails_when_a_closed_form_is_off(capsys):
     """With alpha_t' 0.1% too large, so that the generator's diagonal
     alpha_t'/alpha_t is too, verify exits 3 and names the checks that see it."""

@@ -181,7 +181,7 @@ def test_logit_table_rejects_tokens_outside_the_vocabulary(vocab3, token):
     """Tokens key the table as base-8 digits here (8 buckets); an id outside
     [0, 3) would alias another row's key, so it is a named error."""
     table = LogitTable(vocab3, 2, t_buckets=8)
-    with pytest.raises(ValueError, match=r"token ids must lie in \[0, 3\)"):
+    with pytest.raises(ValueError, match=rf"token id {token} outside \[0, 3\)"):
         table.predict_batch(np.array([[0, 1], [1, token]]), 0.3)
     assert not table.table
 
@@ -314,9 +314,9 @@ def test_denoisers_reject_tokens_outside_the_vocabulary(five_outcome, kind, toke
         denoiser = OracleDenoiser(five_outcome, sched)
     else:
         denoiser = LogitTable(five_outcome.vocab, 3)
-    with pytest.raises(ValueError, match=r"token ids must lie in \[0, 5\)"):
+    with pytest.raises(ValueError, match=rf"token id {token} outside \[0, 5\)"):
         denoiser.predict_batch(np.array([[0, 1, 2], [0, token, 2]]), 0.5)
-    with pytest.raises(ValueError, match=r"token ids must lie in \[0, 5\)"):
+    with pytest.raises(ValueError, match=rf"token id {token} outside \[0, 5\)"):
         denoiser.predict(np.array([0, token, 2]), 0.5)
     assert kind == "oracle" or not denoiser.table
 

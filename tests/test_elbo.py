@@ -131,6 +131,13 @@ def test_mdm_loss_zero_off_mask(mask_sched):
     assert mdm_loss(mask_sched, 0.5, 1, 1, np.full(5, 0.2)) == 0.0
 
 
+def test_mdm_loss_rejects_tokens_outside_the_vocabulary(mask_sched):
+    """A clean id of 9 (N = 5) used to end in numpy's IndexError."""
+    for z_t, x in ((4, 9), (9, 0), (np.array([4, 4]), np.array([0, -1]))):
+        with pytest.raises(ValueError, match=r"token id (9|-1) outside \[0, 5\)"):
+            mdm_loss(mask_sched, 0.5, z_t, x, np.full(5, 0.2))
+
+
 def test_stratified_times_midpoints():
     grid = stratified_times(4, 0.5, 0.0)
     np.testing.assert_allclose(grid, [0.125, 0.375, 0.625, 0.875], atol=1e-15)
@@ -145,6 +152,14 @@ def test_noise_sequence_marginals(hybrid_sched):
     z = noise_sequence(hybrid_sched, x, 0.5, rng)
     counts = np.bincount(z, minlength=5) / len(z)
     np.testing.assert_allclose(counts, [0.45, 0.05, 0.05, 0.05, 0.40], atol=0.006)
+
+
+def test_noise_sequence_rejects_tokens_outside_the_vocabulary(hybrid_sched):
+    """Ids 7 and -1 (N = 5) used to come back as the mask token."""
+    with pytest.raises(ValueError, match=r"token id 7 outside \[0, 5\)"):
+        noise_sequence(hybrid_sched, [7, -1, 2], 0.5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"token id -1 outside \[0, 5\)"):
+        noise_sequence(hybrid_sched, [[0, 1], [2, -1]], 0.5, np.random.default_rng(0))
 
 
 def test_noise_sequence_batch_is_row_calls(hybrid_sched):
@@ -380,6 +395,16 @@ def test_loss_and_grad_rejects_unsupported_state(mask_sched):
     with pytest.raises(UnsupportedStateError):
         per_token_loss(mask_sched, 0.5, 1, 0, probs[0], CLAMP)
 
+
+
+def test_loss_and_grad_rejects_tokens_outside_the_vocabulary(hybrid_sched):
+    """A clean id of 9 (N = 5) used to get weight 2.0 as if no token were
+    clean, and a noisy id of 9 numpy's reshape error."""
+    probs = np.full((1, 2, 5), 0.25)
+    probs[..., 4] = 0.0
+    for z, x in (([[0, 4]], [[0, 9]]), ([[0, 9]], [[0, 1]]), ([[-1, 4]], [[0, 1]])):
+        with pytest.raises(ValueError, match=r"token id (9|-1) outside \[0, 5\)"):
+            loss_and_grad(hybrid_sched, 0.5, z, x, probs, EXACT)
 
 
 def test_per_token_views_reject_bad_tokens(hybrid_sched):

@@ -36,6 +36,7 @@ from mixdiff.sampler import (
     counter_uniforms,
     derive_seeds,
 )
+from mixdiff.schedule import Terms
 from conftest import transient_peak
 
 
@@ -46,10 +47,7 @@ def test_sampler_config_validation():
         SamplerConfig(temperature=0.0)
     with pytest.raises(ValueError):
         SamplerConfig(min_p=1.0)
-    for eps_t in (0.0, 0.5, 0.7, -1e-4):
-        with pytest.raises(ValueError, match="eps_t"):
-            SamplerConfig(eps_t=eps_t)
-    grid = SamplerConfig(num_steps=16).time_grid()
+    grid = SamplerConfig(num_steps=16).time_grid(1e-4)
     assert len(grid) == 17
     assert np.all(np.diff(grid) > 0)
     assert grid[0] == pytest.approx(1e-4)
@@ -60,7 +58,7 @@ def test_time_grid_ends_inside_the_schedule_range(five_outcome):
     """eps + (1 - 2 eps) T / T rounds above 1 - eps at T = 5, so a 5-step
     sample raised TimeRangeError at its first step."""
     for steps in range(1, 300):
-        grid = SamplerConfig(num_steps=steps).time_grid()
+        grid = SamplerConfig(num_steps=steps).time_grid(1e-4)
         assert grid[-1] <= 1.0 - 1e-4 and grid[-1] == pytest.approx(1.0 - 1e-4)
         assert np.all(np.diff(grid) > 0)
     sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.2)
@@ -470,16 +468,17 @@ def test_sample_batch_needs_a_position(two_outcome):
         ancestral_sample_batch(sched, 0, _Untouchable(), SamplerConfig(), 4)
 
 
-def test_sample_batch_eps_below_the_schedule_is_named_error(two_outcome):
-    """A time grid that leaves the schedule's range used to end in a
-    TimeRangeError at the first step; it is a ValueError naming both eps_t,
-    raised before the denoiser is called. The schedule's own eps_t is fine."""
-    sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
-    with pytest.raises(ValueError, match=r"sampler eps_t 1e-05 < schedule eps_t 0\.0001"):
-        ancestral_sample_batch(sched, 2, _Untouchable(), SamplerConfig(num_steps=4, eps_t=1e-5), 4)
-    oracle = OracleDenoiser(two_outcome, sched)
-    z = ancestral_sample_batch(sched, 2, oracle, SamplerConfig(num_steps=4, eps_t=sched.eps_t), 4)
-    assert z.shape == (4, 2)
+@pytest.mark.parametrize("steps", [1, 2, 16])
+def test_sample_evaluates_the_schedule_once_per_step(five_outcome, steps):
+    """An N-step sample evaluates the closed forms at its N + 1 grid times
+    once each: a step's first time is the step before's last, and the oracle
+    and the transition read the step's evaluations."""
+    sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.2)
+    oracle = OracleDenoiser(five_outcome, sched)
+    init = Terms.__init__
+    with mock.patch.object(Terms, "__init__", autospec=True, side_effect=init) as counted:
+        ancestral_sample_batch(sched, 3, oracle, SamplerConfig(num_steps=steps), 64)
+    assert counted.call_count == steps + 1
 
 
 def test_sample_batch_of_other_length_than_the_oracle_is_named_error(five_outcome):
@@ -510,7 +509,7 @@ def _sample_batch_loop(schedule, length, denoiser, config, count):
     """ancestral_sample_batch's reference, as it was before the row hash was
     hoisted out of the steps: a row-major batch, and counter_uniforms and
     _denoise_step_batch at every step."""
-    grid = config.time_grid()
+    grid = config.time_grid(schedule.eps_t)
     z = np.full((count, length), schedule.vocab.mask_id, dtype=np.int64)
     for i in range(config.num_steps, 0, -1):
         u = np.ascontiguousarray(counter_uniforms(config.seed, i, count, length))

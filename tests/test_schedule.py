@@ -54,6 +54,9 @@ def test_schedule_params():
         ScheduleParams(p_u=1.0)
     with pytest.raises(ValueError):
         ScheduleParams(p_u=0.1, gamma=0.0)
+    for eps_t in (0.0, 0.5, 0.7, -1e-4):
+        with pytest.raises(ValueError, match="eps_t"):
+            ScheduleParams(p_u=0.2, eps_t=eps_t)
 
 
 def test_time_validation(mask_sched):
