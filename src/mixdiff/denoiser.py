@@ -30,8 +30,9 @@ from .elbo import (
     stratified_times,
     target_grad,
     target_loss,
+    target_rows,
 )
-from .errors import CorpusFormatError, DegenerateEvidenceError
+from .errors import CorpusFormatError, DegenerateEvidenceError, TimeRangeError
 from .schedule import MixingSchedule, Vocab
 
 
@@ -241,14 +242,18 @@ class OracleDenoiser(Denoiser):
         return np.einsum("bk,kln->bln", self._posterior(z_seqs, t), self._one_hot)
 
 
-def masked_softmax(logits: np.ndarray, mask_id: int) -> np.ndarray:
-    """Row-wise softmax over non-mask entries; mask gets probability zero."""
-    work = np.array(logits, dtype=float)
+def masked_softmax(logits: np.ndarray, mask_id: int, out=None) -> np.ndarray:
+    """Row-wise softmax over non-mask entries, written to `out` if given;
+    mask gets probability zero."""
+    if out is None:
+        work = np.array(logits, dtype=float)
+    else:
+        work = out
+        work[...] = logits
     work[..., mask_id] = -np.inf
-    work -= np.maximum.reduce(work, axis=-1, keepdims=True)
+    np.subtract(work, np.maximum.reduce(work, axis=-1, keepdims=True), out=work)
     np.exp(work, out=work)
-    work /= np.add.reduce(work, axis=-1, keepdims=True)
-    return work
+    return np.divide(work, np.add.reduce(work, axis=-1, keepdims=True), out=work)
 
 
 @dataclass(eq=False)
@@ -289,10 +294,14 @@ class LogitTable(Denoiser):
         return int(self.buckets(t))
 
     def buckets(self, t: np.ndarray) -> np.ndarray:
-        """The time bucket of each entry of an array of times."""
-        frac = (np.asarray(t, dtype=float) - self.eps_t) / (1.0 - 2.0 * self.eps_t)
-        b = (frac * self.t_buckets).astype(np.int64)
-        return np.minimum(np.maximum(b, 0), self.t_buckets - 1)
+        """The time bucket of each entry of an array of times; a time outside
+        [eps, 1 - eps] falls into the nearer end bucket, NaN is a TimeRangeError."""
+        t = np.asarray(t, dtype=float)
+        if np.logical_or.reduce(np.isnan(t), axis=None):
+            raise TimeRangeError(f"t=nan is not a time in [{self.eps_t}, {1.0 - self.eps_t}]")
+        frac = (t - self.eps_t) / (1.0 - 2.0 * self.eps_t)
+        b = (np.minimum(np.maximum(frac, 0.0), 1.0) * self.t_buckets).astype(np.int64)
+        return np.minimum(b, self.t_buckets - 1)
 
     def logits_for(self, z_seqs, t, insert: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The entry of each distinct (bucket, noisy sequence) key of a (B, L)
@@ -344,6 +353,9 @@ class LogitTable(Denoiser):
             flat = [float(v) for v in f[1 + length :]]
             if len(flat) != length * n:
                 raise ValueError(f"entry has {len(flat)} logits, expected {length * n}")
+            bad = [v for v in flat if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"logit {bad[0]!r} is not finite")
             if not 0 <= (bucket := int(f[0])) < table.t_buckets:
                 raise ValueError(f"time bucket {bucket} outside [0, {table.t_buckets})")
             return [bucket, *table.vocab.check_tokens(list(map(int, f[1 : 1 + length])))], flat
@@ -393,15 +405,19 @@ def table_train(
     one step each. A block draws the stream its steps would draw one by one
     in one call, evaluates the schedule, noises, weighs and keys (inserting)
     once for all its examples, and gathers its distinct keys' entries into
-    one work array, ranked by falling count. Wave r, one gradient for the
-    examples whose key occurs the r-th time in the block, then updates a
-    prefix of that array in place, the waves in turn, and one scatter writes
-    it back to table.logits. That gives the example-by-example
-    result exactly. The loss values are computed afterwards, from each
-    example's saved prediction, only for the steps the trajectory records
-    (every trajectory_every-th and the last). A block raises only in
-    loss_target or logits_for, before its first update, so then the table
-    holds the updates of the blocks before it.
+    one flat (keys * L, N) work array, ranked by falling count. Wave r holds
+    the examples whose key occurs the r-th time in the block; target_rows
+    lays the block's positions out wave after wave, with each wave's z
+    indexed from its first position, so a wave's target is one slice. Each
+    wave, in turn, writes its masked_softmax into the block's saved
+    predictions, runs model_marginal and target_grad in two scratch buffers
+    and updates a prefix of the work array in place; one scatter writes it
+    back to table.logits. That gives the example-by-example result exactly.
+    The loss values are computed afterwards, from each example's saved
+    prediction, only for the steps the trajectory records (every
+    trajectory_every-th and the last). A block raises only in loss_target or
+    logits_for, before its first update, so then the table holds the updates
+    of the blocks before it.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
@@ -416,6 +432,7 @@ def table_train(
         )
     rng = np.random.default_rng(seed)
     per_block, length = max(1, TRAIN_BLOCK // batch), dist.length
+    n, mask_id, learning_rate = dist.vocab.size, dist.vocab.mask_id, table.learning_rate
     trajectory = []
     for first in range(0, steps, per_block):
         block = range(first, min(first + per_block, steps))
@@ -427,27 +444,43 @@ def table_train(
         target = loss_target(schedule, times, zs, xs, mode)
         entries, inverse = table.logits_for(zs, times, insert=True)
         # rank of each example among the block's examples with its key
-        order, counts = np.argsort(inverse, kind="stable"), np.bincount(inverse)
+        by_key, counts = np.argsort(inverse, kind="stable"), np.bincount(inverse)
         occurrence = np.empty(len(xs), dtype=np.int64)
-        occurrence[order] = np.arange(len(xs)) - (np.cumsum(counts) - counts)[inverse[order]]
-        # keys ranked by falling count: wave r, by rank, updates a prefix of work
+        occurrence[by_key] = np.arange(len(xs)) - (np.cumsum(counts) - counts)[inverse[by_key]]
+        # keys ranked by falling count: wave r holds the sizes[r] keys ranked
+        # first, so it updates a prefix of work, and each example's place in
+        # wave order is its wave's start plus its key's rank
         by_count = np.argsort(-counts, kind="stable")
-        order = np.argsort(occurrence * len(counts) + np.argsort(by_count)[inverse])
-        edges = np.cumsum(np.bincount(occurrence))
-        target, work = [v[order] for v in target], table.logits[entries[by_count]]
-        probs = np.empty(target[2].shape)
-        for wave in map(slice, [0, *edges[:-1]], edges):
-            part, prefix = [v[wave] for v in target], work[: wave.stop - wave.start]
-            probs[wave] = p = masked_softmax(prefix, schedule.vocab.mask_id)
-            prefix -= table.learning_rate * target_grad(part, model_marginal(part, p))
-        table.logits[entries[by_count]] = work
+        rank = np.empty_like(by_count)
+        rank[by_count] = np.arange(len(by_count))
+        sizes = np.bincount(occurrence)
+        starts = np.cumsum(sizes) - sizes
+        place = starts[occurrence] + rank[inverse]
+        order = np.empty_like(place)
+        order[place] = np.arange(len(place))
+        a, bp, q_true, z_index, p_z, _, aw = target_rows(target, order, np.repeat(starts, sizes))
         recorded = [s - first for s in block if s % trajectory_every == 0 or s == steps - 1]
         if recorded:
             rows = (np.array(recorded)[:, None] * batch + np.arange(batch)).ravel()
-            at = np.argsort(order)[rows]
-            part = [v[at] for v in target]
-            w, kl, is_term = target_loss(part, model_marginal(part, probs[at]))
-            losses = (w * (kl + is_term)).sum(axis=-1).reshape(len(recorded), batch)
+            scored = target_rows(target, rows)
+        del target  # read only through the rows above; freeing it lowers the peak
+        work = table.logits.take(entries[by_count], axis=0).reshape(-1, n)
+        probs, (q_model, grad) = np.empty(q_true.shape), np.empty((2, len(work), n))
+        edges = [0, *(np.cumsum(sizes) * length).tolist()]
+        for lo, hi in zip(edges, edges[1:]):
+            # positions lo:hi; their keys' logits are the first hi - lo rows of
+            # work; the gradient does not read the weights themselves
+            part = a[lo:hi], bp[lo:hi], q_true[lo:hi], z_index[lo:hi], p_z[lo:hi], None, aw[lo:hi]
+            size = hi - lo
+            prefix = work[:size]
+            p = masked_softmax(prefix, mask_id, out=probs[lo:hi])
+            g = target_grad(part, model_marginal(part, p, out=q_model[:size]), out=grad[:size])
+            np.subtract(prefix, np.multiply(g, learning_rate, out=g), out=prefix)
+        table.logits[entries[by_count]] = work.reshape(-1, length, n)
+        if recorded:
+            model = model_marginal(scored, probs.reshape(-1, length, n).take(place[rows], axis=0))
+            w, kl, is_term = target_loss(scored, model)
+            losses = (w * (kl + is_term)).reshape(len(recorded), batch, length).sum(axis=-1)
             trajectory += [sum(row.tolist()) / batch for row in losses / length]
     return TrainingReport(
         final_avg_loss=trajectory[-1] if steps else 0.0,

@@ -101,17 +101,18 @@ def loss_target(
     weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
 ) -> tuple[np.ndarray, ...]:
     """The first part of loss_and_grad, with its arguments, for (B, L) z and
-    x: alpha_t (B, 1, 1), beta_t pi_t (B, 1, N), q_t(. | x) and the one-hot
-    of z (B, L, N), q_t(z | x) floored at LOG_FLOOR, the weights (B, L) and
-    alpha_t times the weights (B, L, 1); under one time t, alpha_t and
-    beta_t pi_t have one row."""
+    x: alpha_t (B, 1, 1), beta_t pi_t (B, 1, N), q_t(. | x) (B, L, N), the
+    index of z among its entries, q_t(z | x) floored at LOG_FLOOR and the
+    weights (B, L), and alpha_t times the weights (B, L, 1); under one time
+    t, alpha_t and beta_t pi_t have one row. The index of z counts in the
+    flattened q_t(. | x) (see target_rows), so q_t(z | x) is one gather."""
     z, x = (np.atleast_2d(np.asarray(v, dtype=np.int64)) for v in (z, x))
     n = schedule.vocab.size
     terms = schedule.terms(t)
     a, bp = _marginal_terms(terms)
     q_true = bp + a * (x[..., None] == np.arange(n))
-    at_z = z[..., None] == np.arange(n)
-    p_z = q_true[at_z].reshape(z.shape)
+    z_index = np.arange(z.size).reshape(z.shape) * n + z
+    p_z = q_true.take(z_index)
     if mode.kind == "dynamic":
         b = schedule.uniform_mix_constant
         w = np.ones(z.shape)
@@ -131,20 +132,51 @@ def loss_target(
             w = np.minimum(w, weight_clip)
         if mode.kind == "clamp":
             w = np.minimum(mode.w_max, w)
-    return a, bp, q_true, at_z, np.maximum(p_z, LOG_FLOOR), w, a * w[..., None]
+    return a, bp, q_true, z_index, np.maximum(p_z, LOG_FLOOR), w, a * w[..., None]
 
 
-def model_marginal(target: tuple, probs: np.ndarray) -> tuple[np.ndarray, ...]:
+def target_rows(target: tuple, rows: np.ndarray, first=0) -> tuple[np.ndarray, ...]:
+    """loss_target's `target` at the examples `rows` of its (B, L) batch, in
+    that order, one position per row: the same parts, alpha_t, beta_t pi_t,
+    q_t(. | x) and alpha_t times the weights widened to (R * L, N), the
+    others (R * L,). The index of z counts from the position of example
+    first[r] (by default 0), so a slice of consecutive positions that
+    starts there is a target of its own."""
+    a, bp, q_true, z_index, p_z, w, aw = target
+    count, (length, n) = len(rows), q_true.shape[1:]
+
+    def per_position(v):  # (B or 1, L or 1, N or 1) -> (R * L, N); take gathers fastest
+        v = v.take(rows, axis=0) if len(v) > 1 else v
+        for axis, size in enumerate((count, length, n)):
+            if v.shape[axis] == 1:
+                v = v.repeat(size, axis=axis)
+        return v.reshape(-1, n)
+
+    # z_index counts (row * L + position) * N + z from the batch's first position
+    shift = (rows - np.arange(count) + first) * (length * n)
+    return (
+        per_position(a),
+        per_position(bp),
+        per_position(q_true),
+        (z_index.take(rows, axis=0) - shift[:, None]).ravel(),
+        p_z.take(rows, axis=0).ravel(),
+        w.take(rows, axis=0).ravel(),
+        per_position(aw),
+    )
+
+
+def model_marginal(target: tuple, probs: np.ndarray, out=None) -> tuple[np.ndarray, ...]:
     """What target_loss and target_grad need of the (B, L, N) prediction
-    probs, scored against loss_target's `target` or against the same rows
-    of each of its parts (under (B,) times): probs, the model marginal
-    q_t(. | x_theta) = alpha_t probs + beta_t pi_t floored at LOG_FLOOR,
-    and its entry at z."""
-    a, bp, q_true, at_z, p_z, *_ = target
+    probs, scored against loss_target's `target` or target_rows of it:
+    probs, the model marginal q_t(. | x_theta) = alpha_t probs + beta_t pi_t
+    floored at LOG_FLOOR, written to `out` if given, and its entry at z."""
+    a, bp, q_true, z_index, *_ = target
     s = np.asarray(probs, dtype=float).reshape(q_true.shape)
     # The floor keeps q_model > 0, so no ratio below is 0/0.
-    q_model = np.maximum(a * s + bp, LOG_FLOOR)
-    return s, q_model, q_model[at_z].reshape(p_z.shape)
+    q_model = np.multiply(a, s, out=out)
+    np.add(q_model, bp, out=q_model)
+    np.maximum(q_model, LOG_FLOOR, out=q_model)
+    return s, q_model, q_model.take(z_index)
 
 
 def target_loss(target: tuple, model: tuple) -> tuple[np.ndarray, ...]:
@@ -154,16 +186,18 @@ def target_loss(target: tuple, model: tuple) -> tuple[np.ndarray, ...]:
     return w, kl_divergence(q_true, q_model), is_divergence_pointwise(p_z, q_z)
 
 
-def target_grad(target: tuple, model: tuple) -> np.ndarray:
-    """The logit gradient of loss_and_grad."""
-    _, _, q_true, at_z, p_z, _, aw = target
+def target_grad(target: tuple, model: tuple, out=None) -> np.ndarray:
+    """The logit gradient of loss_and_grad, written to `out` (contiguous) if given."""
+    _, _, q_true, z_index, p_z, _, aw = target
     s, q_model, q_z = model
     # q_model = alpha_t s + beta_t pi_t. d(KL)/dq_model = -q_true / q_model;
     # d(IS)/dq_model[z] = 1/q - p/q^2; d/ds is alpha_t w d/dq_model.
-    g = -q_true / q_model
-    g[at_z] += (1.0 / q_z - p_z / q_z**2).ravel()
-    g *= aw
-    return s * (g - np.add.reduce(s * g, axis=-1, keepdims=True))
+    g = np.negative(q_true, out=out)
+    np.divide(g, q_model, out=g)
+    g.reshape(-1)[z_index] += 1.0 / q_z - p_z / q_z**2
+    np.multiply(g, aw, out=g)
+    np.subtract(g, np.add.reduce(s * g, axis=-1, keepdims=True), out=g)
+    return np.multiply(s, g, out=g)
 
 
 def loss_and_grad(

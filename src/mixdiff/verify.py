@@ -112,15 +112,39 @@ def check_generator_rows(seed=4, cases=300, n=8, tol=1e-10):
     return "generator_rows_sum_zero", worst <= tol, f"max abs row sum {worst:.3e}"
 
 
-def check_backward_rows(seed=5, cases=100, n=6, tol=1e-10):
+def check_backward_rows(seed=5, cases=100, n=6, delta=1e-6, row_tol=1e-10):
+    """The backward generator R^_t = backward_generator(t, x_theta) has rows
+    summing to zero and runs the marginal q_t = q_t(. | x_theta) backwards:
+    q_t R^_t = -q_t R_t = -dq_t/dt. The reference dq_t/dt is the central
+    difference of marginal_mix over t +- delta, which reads no rate.
+
+    The tolerance is that difference's error bound, derived, not fitted.
+    With g = 1/(1 + c_t), q_t = u + ((1 - t) x_theta + t m - u) g, so the
+    third derivative is at most |g'''| + 3 |g''|, which is at most
+    |c'''| + 6 |c' c''| + 6 |c'|^3 + 3 |c''| + 6 c'^2. For t in [0.01, 0.99]
+    at p_u = 0.2, gamma = 1 that peaks at the ends at 2.1e4 (c''' = 1.9e4),
+    and it is 0 under mask-only noise: truncation below delta^2 / 6 * 2.2e4.
+    q evaluated to within 8 ulp adds rounding below 16 eps / (2 delta).
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    tol = delta**2 / 6.0 * 2.2e4 + 16.0 * 2.0**-52 / (2.0 * delta)  # eps = 2^-52
+    rows, flow = 0.0, 0.0
     for sched in _schedules(n):
-        t = _rand_times(sched, rng, cases)
-        x_theta = np.array([_rand_prediction(rng, n) for _ in range(cases)])
-        rows = sched.backward_generator(t, x_theta).sum(axis=-1)
-        worst = max(worst, float(np.abs(rows).max()))
-    return "backward_rows_sum_zero", worst <= tol, f"max abs row sum {worst:.3e}"
+        t, x_theta = _columns(
+            (0.01 + (0.99 - 0.01) * rng.random(), _rand_prediction(rng, n)) for _ in range(cases)
+        )
+        q = sched.marginal_mix(t, x_theta)
+        dq = sched.marginal_mix(t + delta, x_theta) - sched.marginal_mix(t - delta, x_theta)
+        dq /= 2.0 * delta
+        back = sched.backward_generator(t, x_theta)
+        rows = max(rows, float(np.abs(back.sum(axis=-1)).max()))
+        for r, sign in ((back, -1.0), (sched.generator(t), 1.0)):
+            flow = max(flow, float(np.abs((q[:, None, :] @ r)[:, 0] - sign * dq).max()))
+    return (
+        "backward_rows_sum_zero",
+        rows <= row_tol and flow <= tol,
+        f"max abs row sum {rows:.3e}; max flow error {flow:.3e} (bound {tol:.3e})",
+    )
 
 
 def check_backward_rate_fd(seed=6, cases=50, n=5, delta=1e-6, rtol=1e-4):

@@ -148,6 +148,22 @@ def test_table_file_with_a_key_outside_the_table_is_data_error(capsys, tmp_path)
     assert "data error: line 2:" in err and "token id 7 outside [0, 3)" in err
 
 
+@pytest.mark.parametrize("logit", ["nan", "inf"])
+def test_table_file_with_a_non_finite_logit_is_data_error(capsys, tmp_path, logit):
+    """A `nan` logit used to load, and `sample --table` exited 0 with samples
+    drawn from NaN predictions; the table file is a data error on its line."""
+    table = tmp_path / "table.txt"
+    table.write_text(
+        f"3 2 2 8 0.0001 0.5\n7 0 0 0.0 1.0 2.0 3.0 4.0 5.0\n7 2 2 0.0 {logit} 0 0 0 0\n"
+    )
+    out = tmp_path / "samples.txt"
+    code, stdout, err = run(capsys, ["sample", "--table", str(table), "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert "data error: line 3:" in err and f"logit {logit} is not finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--batch", "0"), ("--steps", "-3")])
 def test_train_bad_batch_or_steps_is_usage_error(capsys, tmp_path, dist_file, flag, value):
     out = tmp_path / "table.txt"
@@ -541,11 +557,11 @@ def test_verify_command(capsys):
 
 
 def test_verify_same_bytes(capsys):
-    """stdout sha256 recorded when every check built its transitions from bare times."""
+    """stdout sha256 recorded when backward_rows_sum_zero gained its flow reference."""
     code, out, _ = run(capsys, ["verify"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "1bd59fc965e01def46cd65c7d41ef58afecd1def9962a42501dbefd7b8746538"
+        "7bd8098a9ff1284d10ea3e76b3ab85b0a32b77ec634c23b30d7d11c61a1a323c"
     )
 
 
@@ -560,7 +576,7 @@ def test_verify_fails_when_a_closed_form_is_off(capsys):
     payload = json.loads(out)
     assert payload["passed"] is False
     failed = {c["name"] for c in payload["checks"] if not c["passed"]}
-    assert {"forward_rate_fd", "generator_rows_sum_zero"} <= failed
+    assert {"forward_rate_fd", "generator_rows_sum_zero", "backward_rows_sum_zero"} <= failed
     assert "chapman_kolmogorov" not in failed
 
 

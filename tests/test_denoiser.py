@@ -28,7 +28,7 @@ from mixdiff.denoiser import (
     posterior_kl_to_oracle,
 )
 from mixdiff.elbo import _marginal_terms, loss_and_grad, noise_sequence, stratified_times
-from mixdiff.errors import CorpusFormatError, DegenerateEvidenceError
+from mixdiff.errors import CorpusFormatError, DegenerateEvidenceError, TimeRangeError
 from mixdiff.schedule import MixingSchedule
 
 
@@ -348,6 +348,38 @@ def test_logit_table_load_refuses_keys_outside_the_table(tmp_path, body, line, n
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("logit", ["nan", "inf", "-inf"])
+def test_logit_table_load_refuses_non_finite_logits(tmp_path, logit):
+    """A `nan` logit used to load, and predict_batch then returned NaN rows."""
+    path = tmp_path / "table.txt"
+    path.write_text(HEADER + "0 0 0" + LOGITS + f"3 0 1 0.0 1.0 2.0 {logit} 4.0 5.0\n")
+    with pytest.raises(CorpusFormatError, match=f"logit {logit} is not finite") as exc:
+        LogitTable.load(str(path))
+    assert exc.value.line == 3
+
+
+def test_logit_table_nan_time_is_named_error(vocab3):
+    """A NaN time used to fall into bucket 0 through an invalid cast (a
+    RuntimeWarning), so predict_batch answered for bucket 0; it is a
+    TimeRangeError, as for the oracle. Finite times outside [eps, 1 - eps]
+    still fall into the end buckets, and so do the infinite ones and those
+    whose bucket index overflows int64, which used to end in bucket 0."""
+    table = LogitTable(vocab3, 2)
+    nan = float("nan")
+    with pytest.raises(TimeRangeError, match="nan"):
+        table.bucket(nan)
+    with pytest.raises(TimeRangeError, match="nan"):
+        table.buckets(np.array([0.3, nan]))
+    with pytest.raises(TimeRangeError, match="nan"):
+        table.predict_batch(np.array([[0, 1], [1, 1]]), np.array([0.5, nan]))
+    with pytest.raises(TimeRangeError, match="nan"):
+        table.logits_for(np.array([[0, 1]]), nan, insert=True)
+    assert not table.table
+    times = [-1.0, 0.0, 1e-5, 1.0, 2.0, 1e300, -np.inf, np.inf]
+    assert table.buckets(np.array(times)).tolist() == [0, 0, 0, 7, 7, 7, 0, 7]
+    assert [table.bucket(t) for t in times] == [0, 0, 0, 7, 7, 7, 0, 7]
+
+
 def test_logit_table_load_of_no_entries(tmp_path):
     path = tmp_path / "table.txt"
     path.write_text(HEADER)
@@ -550,13 +582,17 @@ def test_table_train_long_call_same_bits_in_bounded_memory(tmp_path, two_outcome
     )
 
 
-def _train_one_at_a_time(dist, schedule, table, steps, batch, mode, seed, trajectory_every):
+def _train_one_at_a_time(
+    dist, schedule, table, steps, batch, mode, seed, trajectory_every, entries=None
+):
     """table_train's reference: each example noised alone, then one
     loss_and_grad and one update of its entry, example after example. The
-    entries live in a dict of its own, returned after the trajectory and the
-    final loss; the table gives only its buckets and learning rate."""
+    entries live in a dict of its own, a copy of `entries` if given, returned
+    after the trajectory and the final loss; the table gives only its
+    buckets and learning rate."""
     rng = np.random.default_rng(seed)
-    trajectory, avg, entries = [], 0.0, {}
+    trajectory, avg = [], 0.0
+    entries = {key: v.copy() for key, v in (entries or {}).items()}
     for step in range(steps):
         xs = dist.sample(rng, batch)
         times = stratified_times(batch, rng.random(), schedule.eps_t).tolist()
@@ -576,6 +612,15 @@ def _train_one_at_a_time(dist, schedule, table, steps, batch, mode, seed, trajec
     return tuple(trajectory), avg, entries
 
 
+def _training_distribution(which):
+    if which == "two":
+        return ToyDistribution(Vocab(3, 2), 2, (((0, 0), 0.5), ((1, 1), 0.5)))
+    return ToyDistribution(
+        Vocab(5, 4), 3, (((0, 1, 2), 0.3), ((1, 2, 3), 0.25), ((2, 3, 0), 0.2),
+                         ((3, 0, 1), 0.15), ((0, 0, 0), 0.1))
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     which=st.sampled_from(["two", "five"]),
@@ -586,43 +631,52 @@ def _train_one_at_a_time(dist, schedule, table, steps, batch, mode, seed, trajec
     t_buckets=st.integers(1, 8),
     learning_rate=st.sampled_from([0.1, 0.5, 2.0]),
     trajectory_every=st.integers(1, 3),
+    written=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 # blocks of TRAIN_BLOCK // 64 steps and 2 steps, the last recorded step in the second
 @example(which="two", kind="hybrid", mode=CLAMP, steps=TRAIN_BLOCK // 64 + 2, batch=64,
-         t_buckets=8, learning_rate=0.5, trajectory_every=50, seed=7)
+         t_buckets=8, learning_rate=0.5, trajectory_every=50, written=False, seed=7)
 # 7 keys: 56 waves, three keys tied at 16 examples
 @example(which="two", kind="mask", mode=CLAMP, steps=4, batch=40,
-         t_buckets=1, learning_rate=0.5, trajectory_every=1, seed=4)
+         t_buckets=1, learning_rate=0.5, trajectory_every=1, written=False, seed=4)
 def test_table_train_equals_one_example_at_a_time(
-    which, kind, mode, steps, batch, t_buckets, learning_rate, trajectory_every, seed
+    tmp_path_factory, which, kind, mode, steps, batch, t_buckets, learning_rate,
+    trajectory_every, written, seed
 ):
     """The blocks and their waves give the bits of the example-by-example loop:
-    every entry, the trajectory and the final loss."""
-    vocab = Vocab(3, 2) if which == "two" else Vocab(5, 4)
-    dist = (
-        ToyDistribution(vocab, 2, (((0, 0), 0.5), ((1, 1), 0.5)))
-        if which == "two"
-        else ToyDistribution(
-            vocab, 3, (((0, 1, 2), 0.3), ((1, 2, 3), 0.25), ((2, 3, 0), 0.2),
-                       ((3, 0, 1), 0.15), ((0, 0, 0), 0.1))
-        )
-    )
-    sched = make_schedule(kind, vocab, p_u=0.2)
-    tables = [
-        LogitTable(vocab, dist.length, t_buckets=t_buckets, learning_rate=learning_rate)
-        for _ in range(2)
-    ]
+    every entry, the trajectory and the final loss, and no mask logit moves.
+    A `written` table starts from a file written by hand with nonzero logits
+    in every entry, the mask column included, and the loop from the same
+    entries: a kernel that assumed zero logits, or pinned the mask column
+    and did not restore it, would differ."""
+    dist = _training_distribution(which)
+    vocab, sched = dist.vocab, make_schedule(kind, dist.vocab, p_u=0.2)
+    table = LogitTable(vocab, dist.length, t_buckets=t_buckets, learning_rate=learning_rate)
+    if written:
+        rng, path = np.random.default_rng(seed), tmp_path_factory.mktemp("table") / "table.txt"
+        header = (vocab.size, dist.length, vocab.mask_id, t_buckets, 0.0001, learning_rate)
+        lines = [" ".join(map(repr, header))]
+        for b in range(t_buckets):
+            for seq in np.ndindex(*(vocab.size,) * dist.length):
+                logits = rng.normal(size=dist.length * vocab.size).tolist()
+                lines.append(" ".join([str(b), *map(str, seq), *map(repr, logits)]))
+        path.write_text("\n".join(lines) + "\n")
+        table = LogitTable.load(str(path))
+    begin = {key: v.copy() for key, v in table.table.items()}
     report = table_train(
-        dist, sched, tables[0], steps, batch, mode, seed, trajectory_every=trajectory_every
+        dist, sched, table, steps, batch, mode, seed, trajectory_every=trajectory_every
     )
     *expect, entries = _train_one_at_a_time(
-        dist, sched, tables[1], steps, batch, mode, seed, trajectory_every
+        dist, sched, table, steps, batch, mode, seed, trajectory_every, entries=begin
     )
     assert [report.loss_trajectory, report.final_avg_loss] == expect
-    assert sorted(tables[0].table) == sorted(entries)
+    assert sorted(table.table) == sorted(entries)
+    zeros = np.zeros((dist.length, vocab.size))
     for key, entry in entries.items():
-        assert tables[0].table[key].tobytes() == entry.tobytes()
+        assert table.table[key].tobytes() == entry.tobytes()
+        mask_logits = begin.get(key, zeros)[:, vocab.mask_id]
+        assert entry[:, vocab.mask_id].tobytes() == mask_logits.tobytes()
 
 
 @pytest.mark.parametrize(

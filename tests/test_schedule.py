@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from mixdiff.errors import (
     TimeRangeError,
     UnsupportedStateError,
 )
+from mixdiff.schedule import Terms
+from mixdiff.verify import check_backward_rows
 
 EPS = 1e-4
 times = st.floats(min_value=EPS, max_value=1.0 - EPS, allow_nan=False)
@@ -184,6 +187,21 @@ def test_backward_rate_rows_and_degenerate(mask_sched, hybrid_sched):
     # one-hot truth, z_t = x: no backward flow away from x under mask-only
     for z_s in (0, 2, 3):
         assert mask_sched.backward_rate(0.4, 1, z_s, one_hot) == 0.0
+
+
+@pytest.mark.parametrize("part", ["alpha_prime", "rate"])
+def test_backward_rows_check_fails_on_a_wrong_forward_generator(part):
+    """backward_rows_sum_zero used to check only that the rows of R^_t sum to
+    zero, which they do for any R_t. With alpha_t' or the rate vector 0.1%
+    too large its flow reference fails it: alpha_t' reaches only the
+    diagonal of R_t, which R^_t does not read, so it fails through the
+    forward flow q_t R_t, the rate vector through both."""
+    fget = getattr(Terms, part).fget
+    with mock.patch.object(Terms, part, property(lambda terms: 1.001 * fget(terms))):
+        name, passed, detail = check_backward_rows()
+    assert name == "backward_rows_sum_zero"
+    assert not passed
+    assert check_backward_rows()[1]
 
 
 def test_backward_kernel_small_delta(hybrid_sched):
