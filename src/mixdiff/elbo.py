@@ -138,19 +138,16 @@ def loss_target(
 def target_rows(target: tuple, rows: np.ndarray, first=0) -> tuple[np.ndarray, ...]:
     """loss_target's `target` at the examples `rows` of its (B, L) batch, in
     that order, one position per row: the same parts, alpha_t, beta_t pi_t,
-    q_t(. | x) and alpha_t times the weights widened to (R * L, N), the
-    others (R * L,). The index of z counts from the position of example
-    first[r] (by default 0), so a slice of consecutive positions that
-    starts there is a target of its own."""
+    q_t(. | x) and alpha_t times the weights widened to R * L rows (alpha_t
+    and alpha_t w stay one column), the others (R * L,). The index of z
+    counts from the position of example first[r] (by default 0), so a slice
+    of consecutive positions that starts there is a target of its own."""
     a, bp, q_true, z_index, p_z, w, aw = target
     count, (length, n) = len(rows), q_true.shape[1:]
 
-    def per_position(v):  # (B or 1, L or 1, N or 1) -> (R * L, N); take gathers fastest
+    def per_position(v):  # (B or 1, L or 1, K) -> (R * L, K); take gathers fastest
         v = v.take(rows, axis=0) if len(v) > 1 else v
-        for axis, size in enumerate((count, length, n)):
-            if v.shape[axis] == 1:
-                v = v.repeat(size, axis=axis)
-        return v.reshape(-1, n)
+        return np.broadcast_to(v, (count, length, v.shape[-1])).reshape(-1, v.shape[-1])
 
     # z_index counts (row * L + position) * N + z from the batch's first position
     shift = (rows - np.arange(count) + first) * (length * n)
@@ -187,9 +184,12 @@ def target_loss(target: tuple, model: tuple) -> tuple[np.ndarray, ...]:
 
 
 def target_grad(target: tuple, model: tuple, out=None) -> np.ndarray:
-    """The logit gradient of loss_and_grad, written to `out` (contiguous) if given."""
+    """The logit gradient of loss_and_grad, written to `out` if given; `out`
+    must be C-contiguous, as the gradient at z is scattered through its flat view."""
     _, _, q_true, z_index, p_z, _, aw = target
     s, q_model, q_z = model
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("target_grad needs a C-contiguous out array")
     # q_model = alpha_t s + beta_t pi_t. d(KL)/dq_model = -q_true / q_model;
     # d(IS)/dq_model[z] = 1/q - p/q^2; d/ds is alpha_t w d/dq_model.
     g = np.negative(q_true, out=out)

@@ -112,34 +112,53 @@ def check_generator_rows(seed=4, cases=300, n=8, tol=1e-10):
     return "generator_rows_sum_zero", worst <= tol, f"max abs row sum {worst:.3e}"
 
 
-def check_backward_rows(seed=5, cases=100, n=6, delta=1e-6, row_tol=1e-10):
-    """The backward generator R^_t = backward_generator(t, x_theta) has rows
-    summing to zero and runs the marginal q_t = q_t(. | x_theta) backwards:
-    q_t R^_t = -q_t R_t = -dq_t/dt. The reference dq_t/dt is the central
-    difference of marginal_mix over t +- delta, which reads no rate.
+def _flow_bound(hybrid, lo):
+    """A bound on |d^3/dt^3 q_t(. | x_theta)| over t in [lo, 1 - lo] for a
+    hybrid schedule with gamma = 1, derived from c_t, not fitted.
 
-    The tolerance is that difference's error bound, derived, not fitted.
     With g = 1/(1 + c_t), q_t = u + ((1 - t) x_theta + t m - u) g, so the
     third derivative is at most |g'''| + 3 |g''|, which is at most
-    |c'''| + 6 |c' c''| + 6 |c'|^3 + 3 |c''| + 6 c'^2. For t in [0.01, 0.99]
-    at p_u = 0.2, gamma = 1 that peaks at the ends at 2.1e4 (c''' = 1.9e4),
-    and it is 0 under mask-only noise: truncation below delta^2 / 6 * 2.2e4.
-    q evaluated to within 8 ulp adds rounding below 16 eps / (2 delta).
+    |c'''| + 6 |c' c''| + 6 |c'|^3 + 3 |c''| + 6 c'^2. Here c_t = B sqrt(s)
+    with s = t (1 - t), and |c'|, |c''| and |c'''| grow towards both ends,
+    so their values at t = lo bound them on the range. Mask-only noise
+    (c = 0) has bound 0, below any hybrid's.
+    """
+    if hybrid.params.gamma != 1.0:
+        raise ValueError(f"the flow bound is derived for gamma = 1, got {hybrid.params.gamma!r}")
+    b, s, ds = hybrid.params.B, lo * (1.0 - lo), 1.0 - 2.0 * lo
+    c1 = b * ds / (2.0 * s**0.5)
+    c2 = -b * (1.0 / s**0.5 + ds**2 / (4.0 * s**1.5))
+    c3 = b * (3.0 * ds / (2.0 * s**1.5) + 3.0 * ds**3 / (8.0 * s**2.5))
+    return abs(c3) + 6.0 * abs(c1 * c2) + 6.0 * abs(c1) ** 3 + 3.0 * abs(c2) + 6.0 * c1**2
+
+
+def check_backward_rows(seed=5, cases=100, n=6, delta=1e-6, lo=0.01, row_tol=1e-10):
+    """The backward generator R^_t = backward_generator(t, x_theta) has rows
+    summing to zero at times t in [eps_t, 1 - eps_t], and at times in
+    [lo, 1 - lo] runs the marginal q_t = q_t(. | x_theta) backwards:
+    q_t R^_t = -dq_t/dt. The reference dq_t/dt is the central difference of
+    marginal_mix over t +- delta, which reads no rate.
+
+    The flow tolerance is that difference's error bound: truncation below
+    delta^2 / 6 times _flow_bound, plus rounding below 16 eps / (2 delta)
+    for q evaluated to within 8 ulp.
     """
     rng = np.random.default_rng(seed)
-    tol = delta**2 / 6.0 * 2.2e4 + 16.0 * 2.0**-52 / (2.0 * delta)  # eps = 2^-52
+    mask, hybrid = _schedules(n)
+    tol = delta**2 / 6.0 * _flow_bound(hybrid, lo) + 16.0 * 2.0**-52 / (2.0 * delta)
     rows, flow = 0.0, 0.0
-    for sched in _schedules(n):
-        t, x_theta = _columns(
-            (0.01 + (0.99 - 0.01) * rng.random(), _rand_prediction(rng, n)) for _ in range(cases)
+    for sched in (mask, hybrid):
+        t, inner, x_theta = _columns(
+            (_rand_times(sched, rng, 1)[0], lo + (1.0 - 2.0 * lo) * rng.random(),
+             _rand_prediction(rng, n))
+            for _ in range(cases)
         )
-        q = sched.marginal_mix(t, x_theta)
-        dq = sched.marginal_mix(t + delta, x_theta) - sched.marginal_mix(t - delta, x_theta)
+        rows = max(rows, float(np.abs(sched.backward_generator(t, x_theta).sum(axis=-1)).max()))
+        q = sched.marginal_mix(inner, x_theta)
+        dq = sched.marginal_mix(inner + delta, x_theta) - sched.marginal_mix(inner - delta, x_theta)
         dq /= 2.0 * delta
-        back = sched.backward_generator(t, x_theta)
-        rows = max(rows, float(np.abs(back.sum(axis=-1)).max()))
-        for r, sign in ((back, -1.0), (sched.generator(t), 1.0)):
-            flow = max(flow, float(np.abs((q[:, None, :] @ r)[:, 0] - sign * dq).max()))
+        back = sched.backward_generator(inner, x_theta)
+        flow = max(flow, float(np.abs((q[:, None, :] @ back)[:, 0] + dq).max()))
     return (
         "backward_rows_sum_zero",
         rows <= row_tol and flow <= tol,

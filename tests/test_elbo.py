@@ -29,7 +29,14 @@ from mixdiff import (
     stratified_times,
     table_train,
 )
-from mixdiff.elbo import DEFAULT_WEIGHT_CLIP, _inverse_cdf, loss_weight
+from mixdiff.elbo import (
+    DEFAULT_WEIGHT_CLIP,
+    _inverse_cdf,
+    loss_target,
+    loss_weight,
+    model_marginal,
+    target_grad,
+)
 from mixdiff.errors import DegenerateEvidenceError, UnsupportedStateError
 from conftest import random_prediction, transient_peak
 
@@ -405,6 +412,22 @@ def test_loss_and_grad_rejects_tokens_outside_the_vocabulary(hybrid_sched):
     for z, x in (([[0, 4]], [[0, 9]]), ([[0, 9]], [[0, 1]]), ([[-1, 4]], [[0, 1]])):
         with pytest.raises(ValueError, match=r"token id (9|-1) outside \[0, 5\)"):
             loss_and_grad(hybrid_sched, 0.5, z, x, probs, EXACT)
+
+
+def test_target_grad_out_gets_loss_and_grads_bits_or_is_refused(hybrid_sched):
+    """target_grad scatters the gradient at z through the flat view of `out`;
+    on a strided `out` that view would be a copy and the scatter lost."""
+    z, x = np.array([[0, 4], [2, 1]]), np.array([[0, 1], [2, 1]])
+    rng, t = np.random.default_rng(3), np.array([0.3, 0.6])
+    probs = np.array([[random_prediction(rng, 5, 4) for _ in range(2)] for _ in range(2)])
+    target = loss_target(hybrid_sched, t, z, x, EXACT)
+    model = model_marginal(target, probs)
+    out = np.empty((2, 2, 5))
+    assert target_grad(target, model, out=out) is out
+    np.testing.assert_array_equal(out, loss_and_grad(hybrid_sched, t, z, x, probs)[3])
+    strided = np.empty((2, 2, 10))[..., ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        target_grad(target, model, out=strided)
 
 
 def test_per_token_views_reject_bad_tokens(hybrid_sched):

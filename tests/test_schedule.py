@@ -189,15 +189,13 @@ def test_backward_rate_rows_and_degenerate(mask_sched, hybrid_sched):
         assert mask_sched.backward_rate(0.4, 1, z_s, one_hot) == 0.0
 
 
-@pytest.mark.parametrize("part", ["alpha_prime", "rate"])
-def test_backward_rows_check_fails_on_a_wrong_forward_generator(part):
+def test_backward_rows_check_fails_on_a_wrong_rate_vector():
     """backward_rows_sum_zero used to check only that the rows of R^_t sum to
-    zero, which they do for any R_t. With alpha_t' or the rate vector 0.1%
-    too large its flow reference fails it: alpha_t' reaches only the
-    diagonal of R_t, which R^_t does not read, so it fails through the
-    forward flow q_t R_t, the rate vector through both."""
-    fget = getattr(Terms, part).fget
-    with mock.patch.object(Terms, part, property(lambda terms: 1.001 * fget(terms))):
+    zero, which they do for any R_t. With the rate vector 0.1% too large its
+    flow reference q_t R^_t = -dq_t/dt fails it. (alpha_t' reaches only the
+    diagonal of R_t, which R^_t does not read; forward_rate_fd catches it.)"""
+    fget = Terms.rate.fget
+    with mock.patch.object(Terms, "rate", property(lambda terms: 1.001 * fget(terms))):
         name, passed, detail = check_backward_rows()
     assert name == "backward_rows_sum_zero"
     assert not passed
