@@ -1,8 +1,9 @@
 """Ancestral sampling converges to the data distribution as steps increase.
 
-We sample from a tiny two-outcome distribution with the Bayes-optimal
-denoiser and measure the total variation distance between the empirical
-sample distribution and the truth for a geometric ladder of step counts.
+We sample from a tiny two-outcome distribution with the exact oracle as
+denoiser, the Bayes posterior mean E[x | z], and measure the total
+variation distance between the empirical sample distribution and the
+truth for a geometric ladder of step counts.
 
 A small uniform-noise component (p_u = 0.01) keeps the reverse kernel
 well conditioned: with pure masking, two positions revealed in the same

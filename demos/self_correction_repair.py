@@ -2,9 +2,10 @@
 
 Start from clean sequences of a known distribution, flip each token to a
 random other value with probability 0.2, then run the iterative
-resampling loop against the Bayes-optimal denoiser.  One disagreeing
-token is committed per iteration, so each repair is a short trajectory
-of targeted edits rather than a wholesale resample.
+resampling loop against the exact oracle, the Bayes posterior mean
+E[x | z].  One disagreeing token is committed per iteration, so each
+repair is a short trajectory of targeted edits rather than a wholesale
+resample.
 """
 
 import numpy as np

@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 
-from . import verify as verify_mod
 from .denoiser import (
     LogitTable,
     OracleDenoiser,
@@ -126,7 +125,7 @@ def load_config_file(path: str) -> dict:
 
 
 def resolve_config(args) -> dict:
-    """defaults < config file < explicit CLI flags."""
+    """defaults < config file < explicit CLI flags; main passes it to the command."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(load_config_file(args.config))
@@ -174,8 +173,7 @@ def load_denoiser(args, cfg):
 # ---------------------------------------------------------------- commands
 
 
-def cmd_noise(args) -> int:
-    cfg = resolve_config(args)
+def cmd_noise(args, cfg: dict) -> int:
     vocab, seqs = read_corpus(args.corpus)
     sched = build_schedule(cfg, vocab)
     if args.t_grid:
@@ -191,8 +189,7 @@ def cmd_noise(args) -> int:
     return 0
 
 
-def cmd_nelbo(args) -> int:
-    cfg = resolve_config(args)
+def cmd_nelbo(args, cfg: dict) -> int:
     denoiser, vocab, length, _, sched = load_denoiser(args, cfg)
     seqs = read_fitting_corpus(args.corpus, vocab, length)
     seeds = derive_seeds(cfg["seed"], len(seqs))
@@ -206,8 +203,7 @@ def cmd_nelbo(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    cfg = resolve_config(args)
+def cmd_sample(args, cfg: dict) -> int:
     denoiser, vocab, length, dist, sched = load_denoiser(args, cfg)
     sampler_cfg = SamplerConfig(
         num_steps=cfg["steps"],
@@ -232,8 +228,7 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_self_correct(args) -> int:
-    cfg = resolve_config(args)
+def cmd_self_correct(args, cfg: dict) -> int:
     denoiser, vocab, length, dist, sched = load_denoiser(args, cfg)
     seqs = read_fitting_corpus(args.corpus, vocab, length)
     sc_cfg = SelfCorrectConfig(
@@ -262,8 +257,7 @@ def cmd_self_correct(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = resolve_config(args)
+def cmd_train(args, cfg: dict) -> int:
     dist = ToyDistribution.load(args.dist)
     sched = build_schedule(cfg, dist.vocab)
     table = LogitTable(
@@ -295,8 +289,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_oracle_eval(args) -> int:
-    cfg = resolve_config(args)
+def cmd_oracle_eval(args, cfg: dict) -> int:
     oracle, _, _, dist, sched = load_denoiser(args, cfg)
     seeds = derive_seeds(cfg["seed"], len(dist.outcomes))
     ests = corpus_nelbo(sched, dist.sequences, oracle, cfg["num_mc"], seeds, weighting_mode(cfg))
@@ -310,17 +303,17 @@ def cmd_oracle_eval(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = resolve_config(args)
-    results = verify_mod.run_all()
+def cmd_verify(args, cfg: dict) -> int:
+    from .verify import run_all  # imported here: no other command needs it
+
+    results = run_all()
     emit_json(
         {"checks": results, "passed": all(r["passed"] for r in results)}, cfg
     )
     return 0 if all(r["passed"] for r in results) else INVARIANT_FAILURE
 
 
-def cmd_weights_csv(args) -> int:
-    cfg = resolve_config(args)
+def cmd_weights_csv(args, cfg: dict) -> int:
     n = args.vocab_size
     vocab = Vocab(n, n - 1)
     sched = build_schedule(cfg, vocab)
@@ -382,7 +375,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, resolve_config(args))
     except (CorpusFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -27,13 +27,14 @@ from .elbo import (
     kl_divergence,
     loss_target,
     model_marginal,
+    softmax,
     stratified_times,
     target_grad,
     target_loss,
     target_rows,
 )
 from .errors import CorpusFormatError, DegenerateEvidenceError, TimeRangeError
-from .schedule import MixingSchedule, Vocab
+from .schedule import MixingSchedule, Vocab, check_positive
 
 
 def _read_records(path: str, what: str, parse_header, parse_row, build):
@@ -68,7 +69,8 @@ def _vocab_header(fields) -> tuple[Vocab, int]:
 
 @dataclass(frozen=True)
 class ToyDistribution:
-    """Enumerable distribution over fixed-length sequences of non-mask tokens."""
+    """Enumerable distribution over fixed-length sequences of non-mask tokens;
+    `sequences` (K, L), `probs` (K,) and their CDF are read-only arrays."""
 
     vocab: Vocab
     length: int
@@ -89,6 +91,13 @@ class ToyDistribution:
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "_prob", lookup)
+        sequences = np.array([seq for seq, _ in self.outcomes], dtype=np.int64)
+        probs = np.array([p for _, p in self.outcomes])
+        cdf = np.cumsum(probs, dtype=float)
+        cdf /= cdf[-1]
+        for name, v in (("sequences", sequences), ("probs", probs), ("_cdf", cdf)):
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
 
     @staticmethod
     def _check_outcome(vocab: Vocab, length: int, seq, prob: float) -> None:
@@ -100,14 +109,6 @@ class ToyDistribution:
         if not prob >= 0:
             raise ValueError(f"outcome probabilities must be nonnegative, got {prob!r}")
 
-    @property
-    def sequences(self) -> np.ndarray:
-        return np.array([seq for seq, _ in self.outcomes], dtype=np.int64)
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.array([p for _, p in self.outcomes])
-
     def prob_of(self, seq) -> float:
         return self._prob.get(tuple(int(z) for z in seq), 0.0)
 
@@ -118,9 +119,7 @@ class ToyDistribution:
     def outcomes_at(self, u: np.ndarray) -> np.ndarray:
         """The outcome each uniform of u selects, u.shape + (L,), by the
         inverse CDF rng.choice uses: outcomes of probability zero never."""
-        cdf = self.probs.cumsum()
-        cdf /= cdf[-1]
-        return self.sequences[cdf.searchsorted(u, side="right")]
+        return self.sequences.take(self._cdf.searchsorted(u, side="right"), axis=0)
 
     def entropy(self) -> float:
         """Exact expected NLL in nats per sequence."""
@@ -158,8 +157,10 @@ def _distinct_rows(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     the index over the blocks before. A block whose key space is at most 8 times
     the batch (about where the two cost the same) marks its keys, a larger one
     sorts them. A single block's distinct keys decode to the distinct rows.
+    A base too large for one token and the row index to fit is a ValueError.
     """
-    width = max(1, (62 - len(z).bit_length()) // (n - 1).bit_length())
+    if (width := (62 - len(z).bit_length()) // (n - 1).bit_length()) < 1:
+        raise ValueError(f"cannot key {len(z)} rows of base {n} in int64")
     index, count = np.zeros(len(z), dtype=np.int64), min(len(z), 1)
     for j in range(0, z.shape[1], width):
         cols = z.T[j : j + width]
@@ -180,7 +181,7 @@ def _distinct_rows(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         return keys[:, None] // n ** np.arange(z.shape[1] - 1, -1, -1) % n, index
     first = np.empty(count, dtype=np.int64)
     first[index] = np.arange(len(z))
-    return z[first], index
+    return z.take(first, axis=0), index
 
 
 def _check_batch(z, length: int, vocab: Vocab, what: str) -> np.ndarray:
@@ -245,15 +246,10 @@ class OracleDenoiser(Denoiser):
 def masked_softmax(logits: np.ndarray, mask_id: int, out=None) -> np.ndarray:
     """Row-wise softmax over non-mask entries, written to `out` if given;
     mask gets probability zero."""
-    if out is None:
-        work = np.array(logits, dtype=float)
-    else:
-        work = out
-        work[...] = logits
+    work = np.empty(np.shape(logits)) if out is None else out
+    work[...] = logits
     work[..., mask_id] = -np.inf
-    np.subtract(work, np.maximum.reduce(work, axis=-1, keepdims=True), out=work)
-    np.exp(work, out=work)
-    return np.divide(work, np.add.reduce(work, axis=-1, keepdims=True), out=work)
+    return softmax(work)
 
 
 @dataclass(eq=False)
@@ -273,14 +269,11 @@ class LogitTable(Denoiser):
     learning_rate: float = 0.5
 
     def __post_init__(self):
-        if self.t_buckets < 1:
-            raise ValueError(f"t_buckets must be >= 1, got {self.t_buckets}")
+        if not 1 <= self.t_buckets <= 2**32:  # keys of 2**30 rows fit in int64
+            raise ValueError(f"t_buckets must be >= 1 and <= 2**32, got {self.t_buckets}")
         if not 0.0 < self.eps_t < 0.5:
             raise ValueError(f"eps_t must lie in (0, 0.5), got {self.eps_t!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate!r}"
-            )
+        check_positive("learning_rate", self.learning_rate)
         self.keys = np.empty((0, 1 + self.length), dtype=np.int64)
         self.logits = np.empty((0, self.length, self.vocab.size))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MixdiffError, UnsupportedStateError
-from .schedule import LOG_FLOOR, MixingSchedule, Terms, _entrywise
+from .schedule import LOG_FLOOR, MixingSchedule, Terms, _entrywise, check_positive
 
 DEFAULT_WEIGHT_CLIP = 1e4
 
@@ -33,8 +33,7 @@ class WeightingMode:
     def __post_init__(self):
         if self.kind not in ("exact", "clamp", "dynamic"):
             raise ValueError(f"unknown weighting kind {self.kind!r}")
-        if not (math.isfinite(self.w_max) and self.w_max > 0):
-            raise ValueError(f"w_max must be finite and > 0, got {self.w_max!r}")
+        check_positive("w_max", self.w_max)
 
 
 EXACT = WeightingMode("exact")
@@ -62,6 +61,13 @@ class NelboEstimate:
     @property
     def ppl(self) -> float:
         return math.exp(self.mean_per_token)
+
+
+def softmax(work: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in place on the float array `work`; -inf gets 0."""
+    np.subtract(work, np.maximum.reduce(work, axis=-1, keepdims=True), out=work)
+    np.exp(work, out=work)
+    return np.divide(work, np.add.reduce(work, axis=-1, keepdims=True), out=work)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
@@ -276,9 +282,8 @@ def per_token_loss_grad(
     weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
 ) -> np.ndarray:
     """Gradient of per_token_loss(..., softmax(logits), ...).total w.r.t. logits."""
-    logits = np.asarray(logits, dtype=float)
-    e = np.exp(logits - logits.max())
-    return _one_token(schedule, t, z_t, x, e / e.sum(), mode, weight_clip)[3]
+    probs = softmax(np.array(logits, dtype=float))
+    return _one_token(schedule, t, z_t, x, probs, mode, weight_clip)[3]
 
 
 def mdm_loss(schedule: MixingSchedule, t, z_t, x, x_theta: np.ndarray) -> float | np.ndarray:

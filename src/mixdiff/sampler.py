@@ -12,16 +12,15 @@ its posterior and CDF once per distinct row and draws every row by one gather.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .denoiser import Denoiser, _distinct_rows
-from .elbo import _inverse_cdf, _marginal_terms
-from .errors import EmptySupportError, MaskedInputError, OrderingError
+from .elbo import _inverse_cdf, _marginal_terms, softmax
+from .errors import EmptySupportError, MaskedInputError
 from .metrics import _probs_at, self_accuracy_from_probs
-from .schedule import DEFAULT_EPS_T, MixingSchedule
+from .schedule import DEFAULT_EPS_T, MixingSchedule, check_positive
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -49,11 +48,6 @@ def counter_hash(*keys) -> np.ndarray:
 def check_seed(seed: int) -> None:
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
-
-
-def check_temperature(temperature: float) -> None:
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
 
 
 def derive_seeds(seed: int, count: int) -> list[int]:
@@ -84,7 +78,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
-        check_temperature(self.temperature)
+        check_positive("temperature", self.temperature)
         if not 0.0 <= self.min_p < 1.0:
             raise ValueError("min_p must lie in [0, 1)")
         check_seed(self.seed)
@@ -108,7 +102,7 @@ class SelfCorrectConfig:
             raise ValueError("max_iters must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        check_temperature(self.temperature)
+        check_positive("temperature", self.temperature)
         check_seed(self.seed)
 
 
@@ -120,16 +114,14 @@ def adapt_distribution(p: np.ndarray, temperature: float = 1.0, min_p: float = 0
     (lowest index on ties), which falls out of the arithmetic directly.
     """
     p = np.asarray(p, dtype=float)
-    check_temperature(temperature)
+    check_positive("temperature", temperature)
     if temperature < 1e-9:
         # exact argmax limit; np.argmax breaks ties by lowest index
         p = np.eye(p.shape[-1])[p.argmax(axis=-1)]
     elif temperature != 1.0:
         logp = np.log(p, out=np.full_like(p, -np.inf), where=p > 0)
         logp /= temperature
-        logp -= np.maximum.reduce(logp, axis=-1, keepdims=True)
-        e = np.exp(logp)
-        p = e / np.add.reduce(e, axis=-1, keepdims=True)
+        p = softmax(logp)
     if min_p == 0.0:
         return p
     out = np.where(p >= min_p, p, 0.0)
@@ -184,14 +176,10 @@ def denoise_step(
     config: SamplerConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Single reverse-process step from t_from down to t_to."""
-    if t_to > t_from:
-        raise OrderingError(f"need t_to <= t_from, got {t_to!r} > {t_from!r}")
-    z_seq = schedule.vocab.check_tokens(z_seq)
-    u = rng.random(len(z_seq))
-    return _denoise_step_batch(
-        schedule, z_seq[None, :], t_from, t_to, denoiser, config, u[None, :]
-    )[0]
+    """Single reverse-process step from t_from down to t_to; Terms.to raises
+    the OrderingError of a t_to above t_from."""
+    z = schedule.vocab.check_tokens(z_seq)[None, :]
+    return _denoise_step_batch(schedule, z, t_from, t_to, denoiser, config, rng.random(z.shape))[0]
 
 
 def ancestral_sample_batch(

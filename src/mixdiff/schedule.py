@@ -49,16 +49,20 @@ class Vocab:
         if not 0 <= self.mask_id < self.size:
             raise ValueError(f"mask_id {self.mask_id} outside [0, {self.size})")
 
+    def spread(self, at_mask, elsewhere) -> np.ndarray:
+        """`at_mask` at the mask id, `elsewhere` at the rest, on a new last axis."""
+        # empty + fill costs less than half of np.full on a few entries
+        v = np.empty(getattr(at_mask, "shape", ()) + (self.size,))
+        v.T[...] = elsewhere
+        v[..., self.mask_id] = at_mask
+        return v
+
     def mask_one_hot(self) -> np.ndarray:
-        m = np.zeros(self.size)
-        m[self.mask_id] = 1.0
-        return m
+        return self.spread(1.0, 0.0)
 
     def uniform_non_mask(self) -> np.ndarray:
         """Uniform distribution over all non-mask tokens."""
-        u = np.full(self.size, 1.0 / (self.size - 1))
-        u[self.mask_id] = 0.0
-        return u
+        return self.spread(0.0, 1.0 / (self.size - 1))
 
     def check_tokens(self, z) -> np.ndarray:
         """z as an int64 array; a ValueError names its first id outside [0, size)."""
@@ -70,6 +74,11 @@ class Vocab:
 
     def check_token(self, z: int) -> int:
         return int(self.check_tokens(z))
+
+
+def check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def check_prob_vector(p: np.ndarray, size: int | None = None, atol: float = 1e-9) -> np.ndarray:
@@ -102,8 +111,7 @@ class ScheduleParams:
     def __post_init__(self):
         if not 0.0 <= self.p_u < 1.0:
             raise ValueError("p_u must lie in [0, 1)")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
+        check_positive("gamma", self.gamma)
         if not 0.0 < self.eps_t < 0.5:
             raise ValueError("eps_t must lie in (0, 0.5)")
 
@@ -154,14 +162,6 @@ class MixingSchedule:
         self.uniform_mix_constant = params.B
         self._u = 1.0 / (vocab.size - 1)
         self._last = None
-
-    def _spread(self, at_mask, elsewhere) -> np.ndarray:
-        """`at_mask` at the mask id, `elsewhere` at the rest, on a new last axis."""
-        # empty + fill costs less than half of np.full on a few entries
-        v = np.empty(getattr(at_mask, "shape", ()) + (self.vocab.size,))
-        v.T[...] = elsewhere
-        v[..., self.vocab.mask_id] = at_mask
-        return v
 
     def _c(self, t):
         b = self.uniform_mix_constant
@@ -298,7 +298,7 @@ class Terms:
         c = self._c = schedule._c(self._t)
         big_c = 1.0 + c
         self.alpha = (1.0 - self._t) / big_c
-        self.beta_pi = schedule._spread(self._t / big_c, c * schedule._u / big_c)
+        self.beta_pi = schedule.vocab.spread(self._t / big_c, c * schedule._u / big_c)
         for v in (self._t, self.alpha, self.beta_pi):
             if isinstance(v, np.ndarray):
                 v.flags.writeable = False
@@ -324,7 +324,7 @@ class Terms:
         profile: (m + (c + (1-t) c') u) / (C (1-t))."""
         s, t, c = self._schedule, self._t, self._c
         d = (1.0 + c) * (1.0 - t)
-        return s._spread(1.0 / d, (c + (1.0 - t) * s._c_prime(t, c)) * s._u / d)
+        return s.vocab.spread(1.0 / d, (c + (1.0 - t) * s._c_prime(t, c)) * s._u / d)
 
     @property
     def log_snr(self) -> float | np.ndarray:

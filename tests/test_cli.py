@@ -196,6 +196,16 @@ def test_train_bad_table_parameter_is_usage_error(capsys, tmp_path, dist_file, f
     assert not out.exists()
 
 
+def test_train_with_t_buckets_past_int64_keys_is_usage_error(capsys, tmp_path, dist_file):
+    """--t-buckets 10**20 exited with an OverflowError traceback from LogitTable.buckets."""
+    out = tmp_path / "table.txt"
+    argv = ["train", "--dist", dist_file, "--t-buckets", str(10**20), "--out", str(out)]
+    code, stdout, err = run(capsys, argv)
+    assert (code, stdout) == (1, "")
+    assert "usage error: t_buckets must be >= 1 and <= 2**32" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, match",
     [

@@ -776,6 +776,28 @@ def test_distinct_rows_equal_unique(n, length, rows, pool, seed):
         np.testing.assert_array_equal(index, expect_index.reshape(-1))
 
 
+def test_distinct_rows_refuses_a_base_whose_keys_overflow():
+    """Keyed as index * n + token, three distinct first tokens of base 2**62
+    wrapped past 2**63, and the distinct rows came out of order."""
+    z = np.array([[0, 1], [1, 2], [2, 0]]) * 2**60
+    with pytest.raises(ValueError, match="cannot key 3 rows of base 4611686018427387904"):
+        _distinct_rows(z, 2**62)
+
+
+@pytest.mark.parametrize("t_buckets", [2**62, 10**20])
+def test_logit_table_refuses_t_buckets_whose_keys_overflow(vocab3, t_buckets):
+    """At 2**62 buckets a table kept 4 entries, out of lexicographic order,
+    after inserting 5 distinct keys; at 10**20 bucketing raised OverflowError."""
+    with pytest.raises(ValueError, match="t_buckets must be >= 1 and <= 2\\*\\*32"):
+        LogitTable(vocab3, 2, t_buckets=t_buckets)
+    table = LogitTable(vocab3, 2, t_buckets=2**32)
+    z = np.array([[0, 1], [1, 0], [0, 0], [1, 1], [0, 1]])
+    times = np.array([0.9, 0.7, 0.5, 0.3, 1e-4])
+    table.logits_for(z, times, insert=True)
+    buckets = table.buckets(times)
+    assert table.keys.tolist() == sorted([b, *row] for b, row in zip(buckets.tolist(), z.tolist()))
+
+
 def test_toy_distribution_rejects_nan_probability(vocab3, tmp_path):
     """NaN passed both `prob < 0` and `abs(total - 1) > tol`, each False for it."""
     with pytest.raises(ValueError, match="nonnegative"):

@@ -16,6 +16,7 @@ from mixdiff import (
     ToyDistribution,
     Vocab,
     WeightingMode,
+    adapt_distribution,
     corpus_nelbo,
     is_divergence_pointwise,
     kl_divergence,
@@ -29,6 +30,7 @@ from mixdiff import (
     stratified_times,
     table_train,
 )
+from mixdiff.denoiser import masked_softmax
 from mixdiff.elbo import (
     DEFAULT_WEIGHT_CLIP,
     _inverse_cdf,
@@ -692,3 +694,56 @@ def test_corpus_nelbo_mean_and_se_have_numpys_bits(kind, num_mc, rows, seed):
     se = per_sample.std(axis=1, ddof=min(1, num_mc - 1)) / math.sqrt(num_mc)
     assert np.array([est.mean_per_token for est in ests]).tobytes() == means.tobytes()
     assert np.array([est.std_error for est in ests]).tobytes() == se.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 9),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.floats(0.0, 60.0),
+    st.floats(1e-8, 50.0).filter(lambda v: v != 1.0),
+    st.floats(0.0, 0.9),
+    st.integers(0, 2**32 - 1),
+)
+def test_softmax_callers_keep_their_own_formulas_bits(
+    n, rows, length, scale, temperature, zero_frac, seed
+):
+    """masked_softmax, the tempered branch of adapt_distribution and
+    per_token_loss_grad share one softmax; each equals, bit for bit, the
+    formula it had on its own, written out here."""
+    rng = np.random.default_rng(seed)
+    mask_id = int(rng.integers(n))
+    logits = scale * rng.standard_normal((rows, length, n))
+
+    work = np.array(logits, dtype=float)
+    work[..., mask_id] = -np.inf
+    np.subtract(work, np.maximum.reduce(work, axis=-1, keepdims=True), out=work)
+    np.exp(work, out=work)
+    want = np.divide(work, np.add.reduce(work, axis=-1, keepdims=True), out=work)
+    assert masked_softmax(logits, mask_id).tobytes() == want.tobytes()
+    out = np.empty_like(logits)
+    assert masked_softmax(logits, mask_id, out=out) is out and out.tobytes() == want.tobytes()
+
+    p = rng.random(logits.shape)
+    p[rng.random(p.shape) < zero_frac] = 0.0
+    p[..., 0] += 0.1  # every row keeps some mass
+    p /= p.sum(axis=-1, keepdims=True)
+    logp = np.log(p, out=np.full_like(p, -np.inf), where=p > 0)
+    logp /= temperature
+    logp -= np.maximum.reduce(logp, axis=-1, keepdims=True)
+    e = np.exp(logp)
+    want = e / np.add.reduce(e, axis=-1, keepdims=True)
+    assert adapt_distribution(p, temperature).tobytes() == want.tobytes()
+
+    vocab = Vocab(n, mask_id)
+    sched = make_schedule("hybrid", vocab, p_u=0.2)
+    t = float(stratified_times(1, rng.random(), sched.eps_t)[0])
+    x = int(rng.integers(n - 1))
+    x += x >= mask_id
+    z_t = int(noise_sequence(sched, [x], t, rng)[0])
+    token_logits = logits[0, 0]
+    e = np.exp(token_logits - token_logits.max())
+    for mode in (EXACT, CLAMP, DYNAMIC):
+        want = loss_and_grad(sched, t, [z_t], [x], [e / e.sum()], mode)[3][0]
+        assert per_token_loss_grad(sched, t, z_t, x, token_logits, mode).tobytes() == want.tobytes()
