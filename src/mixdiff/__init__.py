@@ -51,7 +51,6 @@ from .schedule import (
     MixingSchedule,
     ScheduleParams,
     Vocab,
-    check_prob_vector,
     make_schedule,
 )
 

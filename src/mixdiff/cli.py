@@ -120,7 +120,10 @@ def load_config_file(path: str) -> dict:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise CorpusFormatError(f"unknown config key {key!r}", line=lineno)
-            values[key] = CONFIG_KEYS[key](raw.strip())
+            try:
+                values[key] = CONFIG_KEYS[key](raw.strip())
+            except ValueError as exc:
+                raise CorpusFormatError(f"bad value for {key!r}: {exc}", line=lineno) from exc
     return values
 
 

@@ -34,7 +34,7 @@ from .elbo import (
     target_rows,
 )
 from .errors import CorpusFormatError, DegenerateEvidenceError, TimeRangeError
-from .schedule import MixingSchedule, Vocab, check_positive
+from .schedule import MixingSchedule, Vocab, check_eps_t, check_positive
 
 
 def _read_records(path: str, what: str, parse_header, parse_row, build):
@@ -80,18 +80,17 @@ class ToyDistribution:
         if self.length < 1:
             raise ValueError("sequence length must be >= 1")
         total = 0.0
-        lookup = {}
         for seq, prob in self.outcomes:
             self._check_outcome(self.vocab, self.length, seq, prob)
             total += prob
-            key = tuple(seq)
-            if key in lookup:
-                raise ValueError(f"outcome {key} is listed twice")
-            lookup[key] = prob
+        sequences = np.array([seq for seq, _ in self.outcomes], dtype=np.int64)
+        sequences = sequences.reshape(-1, self.length)
+        distinct, index = _distinct_rows(sequences, self.vocab.size)
+        if len(distinct) < len(sequences):
+            twice = tuple(distinct[np.bincount(index).argmax()].tolist())
+            raise ValueError(f"outcome {twice} is listed twice")
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "_prob", lookup)
-        sequences = np.array([seq for seq, _ in self.outcomes], dtype=np.int64)
         probs = np.array([p for _, p in self.outcomes])
         cdf = np.cumsum(probs, dtype=float)
         cdf /= cdf[-1]
@@ -109,8 +108,20 @@ class ToyDistribution:
         if not prob >= 0:
             raise ValueError(f"outcome probabilities must be nonnegative, got {prob!r}")
 
+    def outcome_index(self, rows) -> np.ndarray:
+        """The index in `sequences` of each row of an (..., L) batch, K for a row
+        outside the support; a token id outside [0, N) or another width is a ValueError."""
+        z = _check_batch(rows, self.length, self.vocab, "a distribution")
+        k = len(self.sequences)
+        distinct, index = _distinct_rows(
+            np.concatenate([self.sequences, z.reshape(-1, self.length)]), self.vocab.size
+        )
+        at = np.full(len(distinct), k)
+        at[index[:k]] = np.arange(k)
+        return at[index[k:]].reshape(z.shape[:-1])
+
     def prob_of(self, seq) -> float:
-        return self._prob.get(tuple(int(z) for z in seq), 0.0)
+        return float(np.append(self.probs, 0.0)[self.outcome_index(seq)])
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         """(count, L) outcomes: what rng.choice(K, count, p=probs) draws, from its stream."""
@@ -271,8 +282,7 @@ class LogitTable(Denoiser):
     def __post_init__(self):
         if not 1 <= self.t_buckets <= 2**32:  # keys of 2**30 rows fit in int64
             raise ValueError(f"t_buckets must be >= 1 and <= 2**32, got {self.t_buckets}")
-        if not 0.0 < self.eps_t < 0.5:
-            raise ValueError(f"eps_t must lie in (0, 0.5), got {self.eps_t!r}")
+        check_eps_t(self.eps_t)
         check_positive("learning_rate", self.learning_rate)
         self.keys = np.empty((0, 1 + self.length), dtype=np.int64)
         self.logits = np.empty((0, self.length, self.vocab.size))

@@ -8,11 +8,10 @@ generative quality is measured exactly against the known toy distribution
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 
-from .denoiser import Denoiser, ToyDistribution, _distinct_rows
+from .denoiser import Denoiser, ToyDistribution, _check_batch, _distinct_rows
 from .errors import MaskedInputError
 
 
@@ -52,23 +51,20 @@ def unigram_entropy(z_seq) -> float | np.ndarray:
     z = np.asarray(z_seq, dtype=np.int64)
     if z.size == 0:
         raise ValueError("sequence must be nonempty")
-    rows, _, index = _sample_rows(z.reshape(-1, z.shape[-1]))
+    lo = int(z.min())
+    rows, index = _distinct_rows(z.reshape(-1, z.shape[-1]) - lo, max(2, int(z.max()) - lo + 1))
     freqs = [np.unique(row, return_counts=True)[1] / len(row) for row in rows]
     entropy = np.array([-(freq * np.log(freq)).sum() for freq in freqs])[index]
     return float(entropy[0]) if z.ndim == 1 else entropy
 
 
-def _sample_rows(samples) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """(distinct samples in order of first appearance, how often each occurs,
-    the index of each sample among them)."""
-    z = np.asarray(samples, dtype=np.int64)
-    if len(z) == 0:
-        return [], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    lo = int(z.min())
-    _, index = _distinct_rows(z - lo, max(2, int(z.max()) - lo + 1))
-    _, first, counts = np.unique(index, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return [tuple(z[i].tolist()) for i in first[order]], counts[order], np.argsort(order)[index]
+def _tv(rows_a, p_a, rows_b, p_b, n: int) -> float:
+    """Total variation between the law with mass p_a on the distinct rows of
+    rows_a and the one with p_b on those of rows_b, tokens in [0, n): each
+    row's |p_a - p_b|, summed correctly rounded, so row order cannot matter."""
+    _, index = _distinct_rows(np.concatenate([rows_a, rows_b]), n)
+    diff = np.bincount(index, np.concatenate([p_a, -p_b]))
+    return 0.5 * math.fsum(np.abs(diff).tolist())
 
 
 def tv_distance(samples, dist: ToyDistribution) -> float:
@@ -76,26 +72,17 @@ def tv_distance(samples, dist: ToyDistribution) -> float:
 
     Out-of-support samples contribute their full empirical mass.
     """
-    rows, row_counts, _ = _sample_rows(samples)
-    # Built in order of first appearance, so the set below and the sum over
-    # it run in the same order as counting the samples one by one would.
-    counts = Counter(dict(zip(rows, row_counts.tolist())))
-    n = sum(counts.values())
-    if n == 0:
+    z = np.asarray(samples)
+    if z.size == 0:
         raise ValueError("need at least one sample")
-    seen = set(counts)
-    support = {seq for seq, _ in dist.outcomes}
-    total = 0.0
-    for seq in seen | support:
-        emp = counts.get(seq, 0) / n
-        total += abs(emp - dist.prob_of(seq))
-    return 0.5 * total
+    z = _check_batch(z, dist.length, dist.vocab, "a distribution").reshape(-1, dist.length)
+    rows, index = _distinct_rows(z, dist.vocab.size)
+    return _tv(rows, np.bincount(index) / len(z), dist.sequences, dist.probs, dist.vocab.size)
 
 
 def tv_distance_exact(a: ToyDistribution, b: ToyDistribution) -> float:
     """TV between two enumerable distributions over the same sequence length."""
-    support = {seq for seq, _ in a.outcomes} | {seq for seq, _ in b.outcomes}
-    return 0.5 * sum(abs(a.prob_of(seq) - b.prob_of(seq)) for seq in support)
+    return _tv(a.sequences, a.probs, b.sequences, b.probs, max(a.vocab.size, b.vocab.size))
 
 
 def generative_nll(
@@ -108,12 +95,12 @@ def generative_nll(
     -log max(p, floor), which keeps before/after comparisons on corrupted
     inputs well defined.
     """
-    rows, _, index = _sample_rows(samples)
-    probs = [dist.prob_of(seq) for seq in rows]
-    # One libm log per distinct row, gathered in sample order.
+    k = dist.outcome_index(samples)
+    probs = np.append(dist.probs, 0.0)
+    # One libm log per outcome, gathered in sample order.
     fill = math.nan if floor is None else -math.log(floor)
-    nlls = np.array([-math.log(p) if p > 0.0 else fill for p in probs])[index]
-    inside = np.array(probs)[index] > 0.0
+    nlls = np.array([-math.log(p) if p > 0.0 else fill for p in probs.tolist()])[k]
+    inside = probs[k] > 0.0
     if floor is None:
         nlls = nlls[inside]
     mean = float(np.mean(nlls)) if nlls.size else float("nan")

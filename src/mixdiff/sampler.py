@@ -46,8 +46,8 @@ def counter_hash(*keys) -> np.ndarray:
 
 
 def check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must lie in [0, 2**64)")
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must lie in [0, 2**64) and be an integer, got {seed!r}")
 
 
 def derive_seeds(seed: int, count: int) -> list[int]:

@@ -65,8 +65,11 @@ class Vocab:
         return self.spread(0.0, 1.0 / (self.size - 1))
 
     def check_tokens(self, z) -> np.ndarray:
-        """z as an int64 array; a ValueError names its first id outside [0, size)."""
+        """z as an int64 array; a ValueError for ids of a non-integer dtype, or
+        naming its first id outside [0, size)."""
         z = np.asarray(z)
+        if z.size and z.dtype.kind not in "iu":
+            raise ValueError(f"token ids must be integers, got dtype {z.dtype}")
         if z.size and not 0 <= np.minimum.reduce(z, None) <= np.maximum.reduce(z, None) < self.size:
             bad = z[~((0 <= z) & (z < self.size))].flat[0]
             raise ValueError(f"token id {bad} outside [0, {self.size})")
@@ -81,18 +84,9 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def check_prob_vector(p: np.ndarray, size: int | None = None, atol: float = 1e-9) -> np.ndarray:
-    """Validate a dense categorical distribution; returns it as float64."""
-    p = np.asarray(p, dtype=float)
-    if size is not None and p.shape != (size,):
-        raise ValueError(f"expected length-{size} vector, got shape {p.shape}")
-    if p.ndim != 1:
-        raise ValueError("probability vector must be one-dimensional")
-    if not np.logical_and.reduce(p >= 0):
-        raise ValueError("probability vector has negative or NaN entries")
-    if not abs(p.sum() - 1.0) <= atol:
-        raise ValueError(f"probability vector sums to {p.sum()!r}, not 1")
-    return p
+def check_eps_t(eps_t: float) -> None:
+    if not 0.0 < eps_t < 0.5:
+        raise ValueError(f"eps_t must lie in (0, 0.5), got {eps_t!r}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +106,7 @@ class ScheduleParams:
         if not 0.0 <= self.p_u < 1.0:
             raise ValueError("p_u must lie in [0, 1)")
         check_positive("gamma", self.gamma)
-        if not 0.0 < self.eps_t < 0.5:
-            raise ValueError("eps_t must lie in (0, 0.5)")
+        check_eps_t(self.eps_t)
 
     @property
     def B(self) -> float:

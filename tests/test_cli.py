@@ -557,6 +557,20 @@ def test_config_file_unknown_key(capsys, tmp_path, dist_file):
     assert "volume" in err
 
 
+@pytest.mark.parametrize("text, key", [("seed=abc\n", "seed"), ("# run\n\np_u=high\n", "p_u")])
+def test_config_file_bad_value_is_data_error(capsys, tmp_path, dist_file, text, key):
+    """`seed=abc` used to exit 1 naming neither the line nor the key."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run(
+        capsys, ["nelbo", "--corpus", dist_file, "--dist", dist_file, "--config", str(cfg)]
+    )
+    assert code == 2
+    assert out == ""
+    line = len(text.splitlines())
+    assert f"data error: line {line}: bad value for {key!r}" in err
+
+
 def test_verify_command(capsys):
     code, out, _ = run(capsys, ["verify"])
     assert code == 0

@@ -74,11 +74,36 @@ def test_sample_is_generator_choice(weights, count, seed):
 
 
 def test_prob_of_lookup(vocab3):
-    """prob_of is a lookup built once; it takes any integer type."""
+    """prob_of is outcome_index's one-row view; it takes any integer type."""
     dist = ToyDistribution(vocab3, 2, (((0, 0), 0.2), ((1, 1), 0.8)))
     assert dist.prob_of((0, 0)) == 0.2
     assert dist.prob_of(np.array([1, 1])) == 0.8
     assert dist.prob_of([1, 0]) == 0.0
+
+
+def test_outcome_index(vocab3):
+    """Each row's index among the outcomes, K for a row outside the support,
+    mask tokens and repeated rows included; any leading shape."""
+    dist = ToyDistribution(vocab3, 2, (((1, 1), 0.5), ((0, 1), 0.25), ((0, 0), 0.25)))
+    rows = [(0, 0), (1, 0), (1, 1), (2, 2), (0, 1), (0, 0)]
+    assert dist.outcome_index(rows).tolist() == [2, 3, 0, 3, 1, 2]
+    assert dist.outcome_index(np.array(rows, dtype=np.int32).reshape(2, 3, 2)).tolist() == [
+        [2, 3, 0],
+        [3, 1, 2],
+    ]
+    assert dist.outcome_index((0, 1)) == 1
+    assert dist.outcome_index(np.empty((0, 2), dtype=np.int64)).shape == (0,)
+
+
+def test_outcome_index_named_errors(vocab3):
+    """A wrong width or an id outside [0, N) used to count as out of support."""
+    dist = ToyDistribution(vocab3, 2, (((0, 0), 1.0),))
+    with pytest.raises(ValueError, match="batch of length 3 for a distribution of length 2"):
+        dist.outcome_index([(0, 0, 0)])
+    with pytest.raises(ValueError, match=r"token id 3 outside \[0, 3\)"):
+        dist.outcome_index([(0, 0), (0, 3)])
+    with pytest.raises(ValueError, match=r"token id -1 outside \[0, 3\)"):
+        dist.prob_of((-1, 0))
 
 
 def test_toy_distribution_rejects_repeated_outcome(vocab3, tmp_path):

@@ -171,6 +171,12 @@ def test_noise_sequence_rejects_tokens_outside_the_vocabulary(hybrid_sched):
         noise_sequence(hybrid_sched, [[0, 1], [2, -1]], 0.5, np.random.default_rng(0))
 
 
+def test_noise_sequence_rejects_float_ids(hybrid_sched):
+    """Float ids used to be truncated: [1.7, 0.2, 3.9] was noised as [1, 0, 3]."""
+    with pytest.raises(ValueError, match="token ids must be integers, got dtype float64"):
+        noise_sequence(hybrid_sched, [1.7, 0.2, 3.9], 0.5, np.random.default_rng(0))
+
+
 def test_noise_sequence_batch_is_row_calls(hybrid_sched):
     """A (B, L) batch at (B,) times draws the stream B one-row calls draw."""
     x = np.random.default_rng(0).integers(0, 4, size=(40, 7))

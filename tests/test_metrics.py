@@ -126,20 +126,32 @@ def test_generative_nll(two_outcome):
 
 def _tv_one_by_one(samples, dist):
     """tv_distance counting one sample at a time, the reference for the
-    distinct-row count."""
+    distinct-row count; fsum makes its bits independent of the set's order."""
     counts = Counter(tuple(int(z) for z in s) for s in samples)
     n = sum(counts.values())
-    support = {seq for seq, _ in dist.outcomes}
-    total = 0.0
-    for seq in set(counts) | support:
-        total += abs(counts.get(seq, 0) / n - dist.prob_of(seq))
-    return 0.5 * total
+    prob = dict(dist.outcomes)
+    return 0.5 * math.fsum(
+        abs(counts.get(seq, 0) / n - prob.get(seq, 0.0)) for seq in set(counts) | set(prob)
+    )
+
+
+def _random_case(length, outcomes, distinct, rng):
+    """A distribution over up to `outcomes` rows (Vocab(5, 4)) and 300 samples
+    drawn from its first three outcomes and `distinct` other rows."""
+    support = sorted({tuple(rng.integers(0, 4, length).tolist()) for _ in range(outcomes)})
+    weights = rng.random(len(support)) + 0.01
+    probs = (weights / weights.sum()).tolist()
+    probs[-1] = 1.0 - sum(probs[:-1])
+    dist = ToyDistribution(Vocab(5, 4), length, tuple(zip(support, probs)))
+    # the mask token (4) only ever appears out of support
+    pool = support[:3] + [tuple(rng.integers(0, 5, length).tolist()) for _ in range(distinct)]
+    return dist, np.array([pool[i] for i in rng.integers(0, len(pool), 300)])
 
 
 def _nll_one_by_one(samples, dist, floor):
-    nlls, out = [], 0
+    nlls, out, prob = [], 0, dict(dist.outcomes)
     for s in samples:
-        p = dist.prob_of(s)
+        p = prob.get(tuple(int(z) for z in s), 0.0)
         if p <= 0.0:
             out += 1
             if floor is not None:
@@ -152,24 +164,44 @@ def _nll_one_by_one(samples, dist, floor):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 30), st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_sample_metrics_equal_one_by_one_counts(length, outcomes, distinct, seed):
-    """Bit for bit, on samples with repeated and out-of-support rows. With a
-    few dozen distinct rows the set's iteration order, and so the sum's bits,
-    depend on the order the rows go in."""
-    rng = np.random.default_rng(seed)
-    support = sorted({tuple(rng.integers(0, 4, length).tolist()) for _ in range(outcomes)})
-    weights = rng.random(len(support)) + 0.01
-    probs = (weights / weights.sum()).tolist()
-    probs[-1] = 1.0 - sum(probs[:-1])
-    dist = ToyDistribution(Vocab(5, 4), length, tuple(zip(support, probs)))
-    # the mask token (4) only ever appears out of support
-    pool = support[:3] + [tuple(rng.integers(0, 5, length).tolist()) for _ in range(distinct)]
-    samples = np.array([pool[i] for i in rng.integers(0, len(pool), 300)])
+    """Bit for bit, on samples with repeated and out-of-support rows."""
+    dist, samples = _random_case(length, outcomes, distinct, np.random.default_rng(seed))
     assert tv_distance(samples, dist) == _tv_one_by_one(samples, dist)
     for floor in (None, 1e-30, 0.05):
         got = generative_nll(samples, dist, floor)
         want = _nll_one_by_one(samples, dist, floor)
         assert got[1] == want[1]
         assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+
+
+def test_tv_distance_does_not_depend_on_sample_order():
+    """Permuted samples, and the same samples as a list of tuples, give the
+    same bits. A sum in set order used to move with the order the rows came in."""
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        dist, samples = _random_case(int(rng.integers(1, 5)), int(rng.integers(1, 31)), 40, rng)
+        tv = np.float64(tv_distance(samples, dist)).tobytes()
+        assert np.float64(tv_distance(rng.permutation(samples), dist)).tobytes() == tv
+        as_tuples = [tuple(row) for row in samples.tolist()]
+        assert np.float64(tv_distance(as_tuples, dist)).tobytes() == tv
+
+
+def test_sample_metrics_reject_rows_outside_the_vocabulary(two_outcome):
+    for metric in (tv_distance, generative_nll):
+        with pytest.raises(ValueError, match=r"token id 3 outside \[0, 3\)"):
+            metric([(0, 0), (0, 3)], two_outcome)
+        with pytest.raises(ValueError, match="batch of length 3"):
+            metric([(0, 0, 0)], two_outcome)
+    with pytest.raises(ValueError, match="need at least one sample"):
+        tv_distance([], two_outcome)
+
+
+def test_tv_distance_exact():
+    vocab = Vocab(4, 3)
+    a = ToyDistribution(vocab, 2, (((0, 0), 0.5), ((1, 2), 0.5)))
+    b = ToyDistribution(vocab, 2, (((1, 2), 0.25), ((2, 2), 0.75)))
+    assert tv_distance_exact(a, b) == tv_distance_exact(b, a) == 0.75
+    assert tv_distance_exact(a, a) == 0.0
 
 
 def test_generative_nll_delta():

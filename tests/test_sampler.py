@@ -253,6 +253,16 @@ def test_sampler_config_seed_range():
     assert counter_uniforms(2**64 - 1, 1, 2, 3).shape == (2, 3)
 
 
+@pytest.mark.parametrize("config", [SamplerConfig, SelfCorrectConfig])
+@pytest.mark.parametrize("seed", [1.5, 2.0, "1", None])
+def test_seed_must_be_an_integer(config, seed):
+    """SamplerConfig(seed=1.5) used to sample as seed 1, and
+    SelfCorrectConfig(seed=1.5) to fail later inside numpy."""
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\) and be an integer"):
+        config(seed=seed)
+    assert config(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
 def test_counter_uniforms_contract():
     block = counter_uniforms(0, 3, 1000, 8)
     assert block.shape == (1000, 8) and block.dtype == np.float64

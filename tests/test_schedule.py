@@ -11,7 +11,6 @@ from mixdiff import (
     MaskOnlySchedule,
     ScheduleParams,
     Vocab,
-    check_prob_vector,
     make_schedule,
 )
 from mixdiff.errors import (
@@ -27,6 +26,16 @@ EPS = 1e-4
 times = st.floats(min_value=EPS, max_value=1.0 - EPS, allow_nan=False)
 
 
+def test_check_tokens_rejects_non_integer_ids():
+    """Float ids used to pass and be truncated: [1.7, 0.2, 3.9] noised [1, 0, 3]."""
+    vocab = Vocab(5, 4)
+    for z in ([1.7, 0.2, 3.9], np.array([[1.0, 2.0]]), [True, False]):
+        with pytest.raises(ValueError, match="token ids must be integers"):
+            vocab.check_tokens(z)
+    assert vocab.check_tokens(np.array([], dtype=float)).dtype == np.int64
+    assert vocab.check_tokens(np.array([3], dtype=np.uint8)).tolist() == [3]
+
+
 def test_vocab_validation():
     with pytest.raises(ValueError):
         Vocab(2, 1)
@@ -39,14 +48,10 @@ def test_vocab_validation():
     assert math.isclose(u.sum(), 1.0)
 
 
-def test_check_prob_vector():
-    check_prob_vector(np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        check_prob_vector(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        check_prob_vector(np.array([-0.1, 1.1]))
-    with pytest.raises(ValueError):
-        check_prob_vector(np.array([1.0]), size=2)
+def test_eps_t_range_has_one_message():
+    for bad in (0.0, 0.5, math.nan):
+        with pytest.raises(ValueError, match=r"eps_t must lie in \(0, 0.5\), got"):
+            ScheduleParams(p_u=0.2, eps_t=bad)
 
 
 def test_schedule_params():
@@ -400,14 +405,6 @@ def test_schedule_params_reject_non_finite_gamma(bad):
     """gamma = nan used to construct and make every closed form NaN."""
     with pytest.raises(ValueError, match="gamma must be finite and > 0"):
         ScheduleParams(p_u=0.2, gamma=bad)
-
-
-def test_check_prob_vector_rejects_nan():
-    """NaN passed both `p < 0` and `abs(sum - 1) > tol`, each False for it."""
-    with pytest.raises(ValueError, match="negative or NaN"):
-        check_prob_vector(np.array([math.nan, 1.0]))
-    with pytest.raises(ValueError, match="sums to"):
-        check_prob_vector(np.array([0.5, math.inf]))
 
 
 _TERMS_FIELDS = ("alpha", "alpha_prime", "beta_pi", "rate", "log_snr")
