@@ -21,6 +21,7 @@ from .denoiser import (
     LogitTable,
     OracleDenoiser,
     ToyDistribution,
+    _check_batch,
     _read_records,
     _vocab_header,
     table_train,
@@ -76,10 +77,7 @@ def read_corpus(path: str) -> tuple[Vocab, list[np.ndarray]]:
 
     def sequence(head, fields):
         vocab, length = head
-        seq = vocab.check_tokens([int(v) for v in fields])
-        if seq.size != length:
-            raise ValueError(f"sequence has {seq.size} tokens, expected {length}")
-        return seq
+        return _check_batch([int(v) for v in fields], length, vocab, "a corpus")
 
     def corpus(head, seqs):
         if not seqs:

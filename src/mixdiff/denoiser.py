@@ -34,7 +34,7 @@ from .elbo import (
     target_rows,
 )
 from .errors import CorpusFormatError, DegenerateEvidenceError, TimeRangeError
-from .schedule import MixingSchedule, Vocab, check_eps_t, check_positive
+from .schedule import MixingSchedule, Vocab, check_count, check_eps_t, check_positive, token_ids
 
 
 def _read_records(path: str, what: str, parse_header, parse_row, build):
@@ -77,8 +77,7 @@ class ToyDistribution:
     outcomes: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("sequence length must be >= 1")
+        check_count("length", self.length)
         total = 0.0
         for seq, prob in self.outcomes:
             self._check_outcome(self.vocab, self.length, seq, prob)
@@ -100,11 +99,9 @@ class ToyDistribution:
 
     @staticmethod
     def _check_outcome(vocab: Vocab, length: int, seq, prob: float) -> None:
-        if len(seq) != length:
-            raise ValueError(f"outcome has {len(seq)} tokens, expected {length}")
+        seq = _check_batch(seq, length, vocab, "a distribution")
         if vocab.mask_id in seq:
             raise ValueError("outcomes must not contain the mask token")
-        vocab.check_tokens(seq)
         if not prob >= 0:
             raise ValueError(f"outcome probabilities must be nonnegative, got {prob!r}")
 
@@ -210,7 +207,7 @@ class Denoiser:
     def predict(self, z_seq: np.ndarray, t: float) -> np.ndarray:
         """Returns an (L, N) array of per-position distributions; by default,
         row 0 of predict_batch."""
-        return self.predict_batch(np.asarray(z_seq, dtype=np.int64)[None, :], t)[0]
+        return self.predict_batch(token_ids(z_seq)[None, :], t)[0]
 
     def predict_batch(self, z_seqs: np.ndarray, t) -> np.ndarray:
         """(B, L) -> (B, L, N) at one time t or at a (B,) array of times, one
@@ -280,7 +277,8 @@ class LogitTable(Denoiser):
     learning_rate: float = 0.5
 
     def __post_init__(self):
-        if not 1 <= self.t_buckets <= 2**32:  # keys of 2**30 rows fit in int64
+        check_count("length", self.length)
+        if check_count("t_buckets", self.t_buckets) > 2**32:  # keys of 2**30 rows fit in int64
             raise ValueError(f"t_buckets must be >= 1 and <= 2**32, got {self.t_buckets}")
         check_eps_t(self.eps_t)
         check_positive("learning_rate", self.learning_rate)
@@ -422,12 +420,8 @@ def table_train(
     logits_for, before its first update, so then the table holds the updates
     of the blocks before it.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if trajectory_every < 1:
-        raise ValueError(f"trajectory_every must be >= 1, got {trajectory_every}")
+    batch, steps = check_count("batch", batch), check_count("steps", steps, least=0)
+    trajectory_every = check_count("trajectory_every", trajectory_every)
     if (table.vocab, table.length) != (dist.vocab, dist.length):
         raise ValueError(
             f"table of length {table.length} over {table.vocab} does not fit the "
@@ -501,8 +495,7 @@ def posterior_kl_to_oracle(
     seed: int = 1,
 ) -> float:
     """Mean KL(oracle prediction || table prediction) over sampled (Z_t, t)."""
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    num_samples = check_count("num_samples", num_samples)
     rng = np.random.default_rng(seed)
     times = stratified_times(num_samples, rng.random(), schedule.eps_t)
     # Each sample's clean sequence and noise come from the one stream in turn.

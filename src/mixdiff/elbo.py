@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MixdiffError, UnsupportedStateError
-from .schedule import LOG_FLOOR, MixingSchedule, Terms, _entrywise, check_positive
+from .schedule import LOG_FLOOR, MixingSchedule, Terms, _entrywise, check_count, check_positive
 
 DEFAULT_WEIGHT_CLIP = 1e4
 
@@ -372,8 +372,7 @@ def corpus_nelbo(
     length = x_seqs.shape[1]
     if length == 0:
         raise MixdiffError("cannot estimate the NELBO of an empty sequence")
-    if num_mc < 1:
-        raise ValueError("num_mc must be >= 1")
+    num_mc = check_count("num_mc", num_mc)
     if len(seeds) != len(x_seqs):
         raise ValueError(f"{len(seeds)} seeds for {len(x_seqs)} sequences")
     per_block = max(1, NELBO_BLOCK // num_mc)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .denoiser import Denoiser, ToyDistribution, _check_batch, _distinct_rows
 from .errors import MaskedInputError
+from .schedule import token_ids
 
 
 def self_accuracy(
@@ -24,7 +25,7 @@ def self_accuracy(
 
     Ties count as correct. Pass mask_id to reject partially denoised input.
     """
-    z = np.asarray(z_seq, dtype=np.int64)
+    z = token_ids(z_seq)
     if mask_id is not None and np.logical_or.reduce(z == mask_id, axis=None):
         raise MaskedInputError("self-accuracy requires a fully denoised sequence")
     probs = denoiser.predict_batch(z.reshape(-1, z.shape[-1]), t_condition)
@@ -48,7 +49,7 @@ def unigram_entropy(z_seq) -> float | np.ndarray:
     """Shannon entropy (nats) of within-sequence token frequencies: a float
     for an (L,) sequence, an (S,) array for the rows of (S, L) samples, each
     distinct row computed once."""
-    z = np.asarray(z_seq, dtype=np.int64)
+    z = token_ids(z_seq)
     if z.size == 0:
         raise ValueError("sequence must be nonempty")
     lo = int(z.min())
@@ -81,20 +82,29 @@ def tv_distance(samples, dist: ToyDistribution) -> float:
 
 
 def tv_distance_exact(a: ToyDistribution, b: ToyDistribution) -> float:
-    """TV between two enumerable distributions over the same sequence length."""
-    return _tv(a.sequences, a.probs, b.sequences, b.probs, max(a.vocab.size, b.vocab.size))
+    """TV between two enumerable distributions over the same vocabulary and
+    sequence length; others are a ValueError."""
+    if (a.vocab, a.length) != (b.vocab, b.length):
+        raise ValueError(
+            f"distribution of length {a.length} over {a.vocab} and one of length "
+            f"{b.length} over {b.vocab} have different sample spaces"
+        )
+    return _tv(a.sequences, a.probs, b.sequences, b.probs, a.vocab.size)
 
 
 def generative_nll(
     samples, dist: ToyDistribution, floor: float | None = None
 ) -> tuple[float, int]:
-    """Mean -log p(sample) in nats per sequence.
+    """Mean -log p(sample) in nats per sequence, and the count of samples
+    outside the support.
 
-    With floor=None, out-of-support samples are excluded from the mean and
-    returned as a count. With a floor, every sample contributes
-    -log max(p, floor), which keeps before/after comparisons on corrupted
-    inputs well defined.
+    With floor=None, out-of-support samples are excluded from the mean. With
+    a floor in (0, 1], each of them contributes -log(floor) instead, which
+    keeps before/after comparisons on corrupted inputs well defined; samples
+    in the support contribute -log p, whatever the floor.
     """
+    if floor is not None and not 0.0 < floor <= 1.0:
+        raise ValueError(f"floor must lie in (0, 1], got {floor!r}")
     k = dist.outcome_index(samples)
     probs = np.append(dist.probs, 0.0)
     # One libm log per outcome, gathered in sample order.

@@ -20,7 +20,7 @@ from .denoiser import Denoiser, _distinct_rows
 from .elbo import _inverse_cdf, _marginal_terms, softmax
 from .errors import EmptySupportError, MaskedInputError
 from .metrics import _probs_at, self_accuracy_from_probs
-from .schedule import DEFAULT_EPS_T, MixingSchedule, check_positive
+from .schedule import DEFAULT_EPS_T, MixingSchedule, check_count, check_positive, token_ids
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -76,8 +76,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
+        check_count("num_steps", self.num_steps)
         check_positive("temperature", self.temperature)
         if not 0.0 <= self.min_p < 1.0:
             raise ValueError("min_p must lie in [0, 1)")
@@ -98,10 +97,8 @@ class SelfCorrectConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        check_count("max_iters", self.max_iters)
+        check_count("patience", self.patience)
         check_positive("temperature", self.temperature)
         check_seed(self.seed)
 
@@ -195,10 +192,7 @@ def ancestral_sample_batch(
     config.seed, so the first k rows of a batch equal a k-row batch. The
     batch is held column-major between steps and returned C-contiguous.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    count, length = check_count("count", count), check_count("length", length)
     grid = config.time_grid(schedule.eps_t)
     rows = counter_hash(config.seed, np.arange(count, dtype=np.uint64))
     z = np.full((length, count), schedule.vocab.mask_id, dtype=np.int64).T
@@ -248,7 +242,7 @@ def self_correct_batch(
     CORRECT_BLOCK, with one predict_batch per iteration over the rows of a
     block still active.
     """
-    z_seqs = np.asarray(z_seqs, dtype=np.int64)
+    z_seqs = token_ids(z_seqs)
     if np.logical_or.reduce(z_seqs == mask_id, axis=None):
         raise MaskedInputError("self-correction requires a fully denoised sequence")
     if len(seeds) != len(z_seqs):

@@ -44,9 +44,9 @@ class Vocab:
     mask_id: int
 
     def __post_init__(self):
-        if self.size < 3:
-            raise ValueError("vocab needs at least 3 tokens (data, alternative, mask)")
-        if not 0 <= self.mask_id < self.size:
+        # at least a data token, an alternative and the mask
+        check_count("vocab size", self.size, least=3)
+        if not check_count("mask_id", self.mask_id, least=0) < self.size:
             raise ValueError(f"mask_id {self.mask_id} outside [0, {self.size})")
 
     def spread(self, at_mask, elsewhere) -> np.ndarray:
@@ -65,18 +65,30 @@ class Vocab:
         return self.spread(0.0, 1.0 / (self.size - 1))
 
     def check_tokens(self, z) -> np.ndarray:
-        """z as an int64 array; a ValueError for ids of a non-integer dtype, or
-        naming its first id outside [0, size)."""
-        z = np.asarray(z)
-        if z.size and z.dtype.kind not in "iu":
-            raise ValueError(f"token ids must be integers, got dtype {z.dtype}")
+        """token_ids(z); a ValueError naming its first id outside [0, size)."""
+        z = token_ids(z)
         if z.size and not 0 <= np.minimum.reduce(z, None) <= np.maximum.reduce(z, None) < self.size:
             bad = z[~((0 <= z) & (z < self.size))].flat[0]
             raise ValueError(f"token id {bad} outside [0, {self.size})")
-        return z.astype(np.int64, copy=False)
+        return z
 
     def check_token(self, z: int) -> int:
         return int(self.check_tokens(z))
+
+
+def token_ids(z) -> np.ndarray:
+    """z as an int64 array; a ValueError for ids of a non-integer dtype."""
+    z = np.asarray(z)
+    if z.size and z.dtype.kind not in "iu":
+        raise ValueError(f"token ids must be integers, got dtype {z.dtype}")
+    return z.astype(np.int64, copy=False)
+
+
+def check_count(name: str, value, least: int = 1) -> int:
+    """value as an int; a ValueError unless it is a Python or numpy integer >= least."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
+    return int(value)
 
 
 def check_positive(name: str, value: float) -> None:

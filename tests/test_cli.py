@@ -135,6 +135,26 @@ def test_bad_distribution_contents_are_data_errors(capsys, tmp_path, text, line)
     assert f"data error: line {line}:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, text, what",
+    [
+        (["noise", "--t", "0.5", "--corpus"], "0 1\n0 1 1\n", "corpus"),
+        (["train", "--out", "table.txt", "--dist"], "0.5 0 0\n0.5 1 1 1\n", "distribution file"),
+    ],
+    ids=["corpus", "distribution"],
+)
+def test_line_of_another_width_is_data_error(capsys, tmp_path, monkeypatch, argv, text, what):
+    """Both readers check a line's width with the denoisers' batch check."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "in.txt"
+    path.write_text("3 2 2\n" + text)
+    code, stdout, err = run(capsys, argv + [str(path)])
+    assert (code, stdout) == (2, "")
+    kind = what.split()[0]
+    assert err == f"data error: line 3: bad {what}: batch of length 3 for a {kind} of length 2\n"
+    assert not (tmp_path / "table.txt").exists()
+
+
 def test_table_file_with_a_key_outside_the_table_is_data_error(capsys, tmp_path):
     """A table entry with a token outside the vocabulary used to load and
     score silently; `nelbo --table` exits 2 naming its line."""
@@ -397,7 +417,7 @@ def test_sample_bad_count_is_usage_error(capsys, tmp_path, dist_file, count):
     code, stdout, err = run(capsys, argv)
     assert code == 1
     assert stdout == ""
-    assert err == "usage error: count must be >= 1\n"
+    assert err == f"usage error: count must be >= 1 and an integer, got {count}\n"
     assert not out.exists()
 
 

@@ -204,6 +204,20 @@ def test_tv_distance_exact():
     assert tv_distance_exact(a, a) == 0.0
 
 
+def test_tv_distance_exact_needs_one_sample_space():
+    """Different lengths raised numpy's concatenate message, and different mask
+    ids keyed both laws alike: these two gave 0.5."""
+    a = ToyDistribution(Vocab(4, 3), 1, (((0,), 0.5), ((1,), 0.5)))
+    for b in (
+        ToyDistribution(Vocab(4, 3), 2, (((0, 0), 1.0),)),
+        ToyDistribution(Vocab(4, 1), 1, (((0,), 1.0),)),
+        ToyDistribution(Vocab(5, 4), 1, (((0,), 1.0),)),
+    ):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="have different sample spaces"):
+                tv_distance_exact(x, y)
+
+
 def test_generative_nll_delta():
     vocab = Vocab(3, 2)
     delta = ToyDistribution(vocab, 2, (((1, 0), 1.0),))
@@ -215,3 +229,10 @@ def test_generative_nll_floor(two_outcome):
     nll, out = generative_nll([(0, 1)], two_outcome, floor=1e-30)
     assert out == 1
     assert nll == pytest.approx(-math.log(1e-30))
+
+
+@pytest.mark.parametrize("floor", [0.0, -1e-30, math.nan, 2.0, math.inf])
+def test_generative_nll_floor_must_lie_in_unit_interval(two_outcome, floor):
+    """floor=0 raised 'math domain error', nan gave a NaN mean and 2.0 an NLL of -0.693."""
+    with pytest.raises(ValueError, match=r"floor must lie in \(0, 1\], got"):
+        generative_nll([(0, 1)], two_outcome, floor=floor)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,10 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixdiff import (
+    LogitTable,
     MaskOnlySchedule,
+    OracleDenoiser,
+    SamplerConfig,
     ScheduleParams,
+    SelfCorrectConfig,
+    ToyDistribution,
     Vocab,
+    ancestral_sample_batch,
+    corpus_nelbo,
     make_schedule,
+    posterior_kl_to_oracle,
+    self_accuracy,
+    self_correct,
+    self_correct_batch,
+    table_train,
+    unigram_entropy,
 )
 from mixdiff.errors import (
     DegenerateStateError,
@@ -19,7 +33,7 @@ from mixdiff.errors import (
     TimeRangeError,
     UnsupportedStateError,
 )
-from mixdiff.schedule import Terms
+from mixdiff.schedule import Terms, check_count, token_ids
 from mixdiff.verify import check_backward_rows
 
 EPS = 1e-4
@@ -34,6 +48,107 @@ def test_check_tokens_rejects_non_integer_ids():
             vocab.check_tokens(z)
     assert vocab.check_tokens(np.array([], dtype=float)).dtype == np.int64
     assert vocab.check_tokens(np.array([3], dtype=np.uint8)).tolist() == [3]
+
+
+# A distribution over two tokens of length 2, a hybrid schedule and its oracle.
+TWO = ToyDistribution(Vocab(3, 2), 2, (((0, 0), 0.5), ((1, 1), 0.5)))
+HYBRID = make_schedule("hybrid", TWO.vocab, p_u=0.2)
+ORACLE = OracleDenoiser(TWO, HYBRID)
+
+
+def _train(**kwargs):
+    return table_train(TWO, HYBRID, LogitTable(TWO.vocab, 2), **{"steps": 1, **kwargs})
+
+
+# Every count of the public entries: its name in the error, its floor, and a
+# call that sets it to v.
+COUNTS = {
+    "Vocab.size": ("vocab size", 3, lambda v: Vocab(v, 0)),
+    "Vocab.mask_id": ("mask_id", 0, lambda v: Vocab(3, v)),
+    "ToyDistribution.length": ("length", 1, lambda v: ToyDistribution(TWO.vocab, v, TWO.outcomes)),
+    "LogitTable.length": ("length", 1, lambda v: LogitTable(TWO.vocab, v)),
+    "LogitTable.t_buckets": ("t_buckets", 1, lambda v: LogitTable(TWO.vocab, 2, t_buckets=v)),
+    "table_train.batch": ("batch", 1, lambda v: _train(batch=v)),
+    "table_train.steps": ("steps", 0, lambda v: _train(steps=v)),
+    "table_train.trajectory_every": ("trajectory_every", 1, lambda v: _train(trajectory_every=v)),
+    "posterior_kl_to_oracle.num_samples": (
+        "num_samples",
+        1,
+        lambda v: posterior_kl_to_oracle(TWO, HYBRID, ORACLE, LogitTable(TWO.vocab, 2), v),
+    ),
+    "corpus_nelbo.num_mc": ("num_mc", 1, lambda v: corpus_nelbo(HYBRID, [[0, 0]], ORACLE, v, [0])),
+    "SamplerConfig.num_steps": ("num_steps", 1, lambda v: SamplerConfig(num_steps=v)),
+    "SelfCorrectConfig.max_iters": ("max_iters", 1, lambda v: SelfCorrectConfig(max_iters=v)),
+    "SelfCorrectConfig.patience": ("patience", 1, lambda v: SelfCorrectConfig(patience=v)),
+    "ancestral_sample_batch.count": (
+        "count",
+        1,
+        lambda v: ancestral_sample_batch(HYBRID, 2, ORACLE, SamplerConfig(num_steps=2), v),
+    ),
+    "ancestral_sample_batch.length": (
+        "length",
+        1,
+        lambda v: ancestral_sample_batch(HYBRID, v, ORACLE, SamplerConfig(num_steps=2), 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, "below"])
+@pytest.mark.parametrize("entry", COUNTS)
+def test_every_count_is_checked_by_check_count(entry, value):
+    """A count of 2.5 used to raise numpy's TypeError deep in the call (num_steps,
+    steps, t_buckets) or run as if rounded up (patience, trajectory_every), and
+    nan compared False; LogitTable(vocab, 0) built a table predicting (B, 0, N)."""
+    name, least, call = COUNTS[entry]
+    if value == "below":
+        value = least - 1
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least} and an integer, got "):
+        call(value)
+    call(least + 1)
+
+
+def test_check_count():
+    assert check_count("n", 3) == 3
+    assert type(check_count("n", np.int64(3))) is int
+    assert check_count("n", np.uint8(0), least=0) == 0
+    for value in (2.0, np.float64(2.0), "2", None, math.inf):
+        message = f"n must be >= 1 and an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_count("n", value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z: ORACLE.predict(z, 0.5),
+        lambda z: LogitTable(TWO.vocab, 2).predict(z, 0.5),
+        lambda z: self_correct(z, ORACLE, SelfCorrectConfig(), 2),
+        lambda z: self_correct_batch([z], ORACLE, SelfCorrectConfig(), 2, [0]),
+        lambda z: self_accuracy(z, ORACLE, 0.5),
+        unigram_entropy,
+    ],
+    ids=[
+        "OracleDenoiser.predict",
+        "LogitTable.predict",
+        "self_correct",
+        "self_correct_batch",
+        "self_accuracy",
+        "unigram_entropy",
+    ],
+)
+def test_public_entries_reject_float_ids(call):
+    """These used to cast with np.asarray(z, dtype=np.int64): self_correct of [1.7, 0.2]
+    corrected [1, 0]."""
+    with pytest.raises(ValueError, match="token ids must be integers, got dtype float64"):
+        call([1.7, 0.2])
+
+
+def test_token_ids():
+    assert token_ids([[1, 2]]).dtype == np.int64
+    assert token_ids(np.array([], dtype=float)).dtype == np.int64
+    z = np.array([3, 4])
+    assert token_ids(z) is z
+    assert token_ids([9, -1]).tolist() == [9, -1]  # no range: that is Vocab.check_tokens
 
 
 def test_vocab_validation():
