@@ -37,7 +37,7 @@ from .sampler import (
     derive_seeds,
     self_correct_batch,
 )
-from .schedule import DEFAULT_EPS_T, Vocab, make_schedule
+from .schedule import DEFAULT_EPS_T, Vocab, check_count, make_schedule
 
 USAGE_ERROR, DATA_ERROR, INVARIANT_FAILURE = 1, 2, 3
 
@@ -318,7 +318,8 @@ def cmd_weights_csv(args, cfg: dict) -> int:
     n = args.vocab_size
     vocab = Vocab(n, n - 1)
     sched = build_schedule(cfg, vocab)
-    grid = np.linspace(sched.eps_t, 1.0 - sched.eps_t, cfg["grid_size"])
+    size = check_count("grid_size", cfg["grid_size"])
+    grid = np.linspace(sched.eps_t, 1.0 - sched.eps_t, size)
     # given x = 0: the mask, a non-mask token other than x (N >= 3) and x
     w = sched.elbo_weights(grid, 0)[:, [vocab.mask_id, 1, 0]]
     sys.stdout.write("t,w_mask,w_uniform,w_clean,log_snr\n")

@@ -31,7 +31,6 @@ from .elbo import (
     stratified_times,
     target_grad,
     target_loss,
-    target_rows,
 )
 from .errors import CorpusFormatError, DegenerateEvidenceError, TimeRangeError
 from .schedule import MixingSchedule, Vocab, check_count, check_eps_t, check_positive, token_ids
@@ -396,29 +395,25 @@ def table_train(
     seed: int = 0,
     trajectory_every: int = 50,
 ) -> TrainingReport:
-    """Plain gradient descent on the per-token loss, one table entry at a time.
+    """Minibatch gradient descent on the per-token loss.
 
     Each step draws a batch of clean sequences, assigns them low-discrepancy
-    times within the batch, noises them, and updates the entry keyed by
-    (bucket(t), noisy sequence), example after example. Examples with other
-    keys never see each other's updates, and nothing but the updates reads
-    the table, so the call runs in blocks of steps, TRAIN_BLOCK examples or
-    one step each. A block draws the stream its steps would draw one by one
-    in one call, evaluates the schedule, noises, weighs and keys (inserting)
-    once for all its examples, and gathers its distinct keys' entries into
-    one flat (keys * L, N) work array, ranked by falling count. Wave r holds
-    the examples whose key occurs the r-th time in the block; target_rows
-    lays the block's positions out wave after wave, with each wave's z
-    indexed from its first position, so a wave's target is one slice. Each
-    wave, in turn, writes its masked_softmax into the block's saved
-    predictions, runs model_marginal and target_grad in two scratch buffers
-    and updates a prefix of the work array in place; one scatter writes it
-    back to table.logits. That gives the example-by-example result exactly.
-    The loss values are computed afterwards, from each example's saved
-    prediction, only for the steps the trajectory records (every
-    trajectory_every-th and the last). A block raises only in loss_target or
-    logits_for, before its first update, so then the table holds the updates
-    of the blocks before it.
+    times within the batch, noises them and keys each example by
+    (bucket(t), noisy sequence). Every example takes its gradient at the
+    table as the step began; the gradients, times -learning_rate, are added
+    to their entries in example order (np.add.at), so a key that occurs k
+    times in a step gets one update of k summed gradients. Nothing else
+    reads the table, so the call runs in blocks of steps, TRAIN_BLOCK
+    examples or one step each. A block draws the stream its steps would draw
+    one by one, and evaluates the schedule, noises, weighs and keys
+    (inserting) once for all its examples, with each z indexed from its
+    step's first entry, so a step's rows of the target are a target of their
+    own. Each step then runs one masked_softmax, model_marginal and
+    target_grad in scratch buffers. The loss values, at the table as each
+    step began, are computed only for the steps the trajectory records
+    (every trajectory_every-th and the last). A block raises only in
+    loss_target or logits_for, before its first update, so then the table
+    holds the updates of the blocks before it.
     """
     batch, steps = check_count("batch", batch), check_count("steps", steps, least=0)
     trajectory_every = check_count("trajectory_every", trajectory_every)
@@ -429,7 +424,8 @@ def table_train(
         )
     rng = np.random.default_rng(seed)
     per_block, length = max(1, TRAIN_BLOCK // batch), dist.length
-    n, mask_id, learning_rate = dist.vocab.size, dist.vocab.mask_id, table.learning_rate
+    n, mask_id, step_rate = dist.vocab.size, dist.vocab.mask_id, -table.learning_rate
+    probs, q_model, grad = np.empty((3, batch, length, n))
     trajectory = []
     for first in range(0, steps, per_block):
         block = range(first, min(first + per_block, steps))
@@ -440,45 +436,19 @@ def table_train(
         zs = _noise(schedule.terms(times), xs, u[:, batch + 1 :].reshape(-1, length))
         target = loss_target(schedule, times, zs, xs, mode)
         entries, inverse = table.logits_for(zs, times, insert=True)
-        # rank of each example among the block's examples with its key
-        by_key, counts = np.argsort(inverse, kind="stable"), np.bincount(inverse)
-        occurrence = np.empty(len(xs), dtype=np.int64)
-        occurrence[by_key] = np.arange(len(xs)) - (np.cumsum(counts) - counts)[inverse[by_key]]
-        # keys ranked by falling count: wave r holds the sizes[r] keys ranked
-        # first, so it updates a prefix of work, and each example's place in
-        # wave order is its wave's start plus its key's rank
-        by_count = np.argsort(-counts, kind="stable")
-        rank = np.empty_like(by_count)
-        rank[by_count] = np.arange(len(by_count))
-        sizes = np.bincount(occurrence)
-        starts = np.cumsum(sizes) - sizes
-        place = starts[occurrence] + rank[inverse]
-        order = np.empty_like(place)
-        order[place] = np.arange(len(place))
-        a, bp, q_true, z_index, p_z, _, aw = target_rows(target, order, np.repeat(starts, sizes))
-        recorded = [s - first for s in block if s % trajectory_every == 0 or s == steps - 1]
-        if recorded:
-            rows = (np.array(recorded)[:, None] * batch + np.arange(batch)).ravel()
-            scored = target_rows(target, rows)
-        del target  # read only through the rows above; freeing it lowers the peak
-        work = table.logits.take(entries[by_count], axis=0).reshape(-1, n)
-        probs, (q_model, grad) = np.empty(q_true.shape), np.empty((2, len(work), n))
-        edges = [0, *(np.cumsum(sizes) * length).tolist()]
-        for lo, hi in zip(edges, edges[1:]):
-            # positions lo:hi; their keys' logits are the first hi - lo rows of
-            # work; the gradient does not read the weights themselves
-            part = a[lo:hi], bp[lo:hi], q_true[lo:hi], z_index[lo:hi], p_z[lo:hi], None, aw[lo:hi]
-            size = hi - lo
-            prefix = work[:size]
-            p = masked_softmax(prefix, mask_id, out=probs[lo:hi])
-            g = target_grad(part, model_marginal(part, p, out=q_model[:size]), out=grad[:size])
-            np.subtract(prefix, np.multiply(g, learning_rate, out=g), out=prefix)
-        table.logits[entries[by_count]] = work.reshape(-1, length, n)
-        if recorded:
-            model = model_marginal(scored, probs.reshape(-1, length, n).take(place[rows], axis=0))
-            w, kl, is_term = target_loss(scored, model)
-            losses = (w * (kl + is_term)).reshape(len(recorded), batch, length).sum(axis=-1)
-            trajectory += [sum(row.tolist()) / batch for row in losses / length]
+        # count each z index from its step's first entry: a step's rows are then a target
+        step_start = np.arange(len(xs)) // batch * (batch * length * n)
+        np.subtract(target[3], step_start[:, None], out=target[3])
+        for step, e in zip(block, entries[inverse].reshape(len(block), batch)):
+            part = tuple(v[(step - first) * batch : (step - first + 1) * batch] for v in target)
+            p = masked_softmax(table.logits.take(e, axis=0), mask_id, out=probs)
+            model = model_marginal(part, p, out=q_model)
+            if step % trajectory_every == 0 or step == steps - 1:
+                w, kl, is_term = target_loss(part, model)
+                losses = (w * (kl + is_term)).sum(axis=-1)
+                trajectory.append(sum((losses / length).tolist()) / batch)
+            g = target_grad(part, model, out=grad)
+            np.add.at(table.logits, e, np.multiply(g, step_rate, out=g))
     return TrainingReport(
         final_avg_loss=trajectory[-1] if steps else 0.0,
         loss_trajectory=tuple(trajectory),

@@ -111,7 +111,8 @@ def loss_target(
     index of z among its entries, q_t(z | x) floored at LOG_FLOOR and the
     weights (B, L), and alpha_t times the weights (B, L, 1); under one time
     t, alpha_t and beta_t pi_t have one row. The index of z counts in the
-    flattened q_t(. | x) (see target_rows), so q_t(z | x) is one gather."""
+    flattened q_t(. | x), so q_t(z | x) is one gather; a caller that scores
+    a slice of rows counts it from the slice's first entry."""
     z, x = (np.atleast_2d(np.asarray(v, dtype=np.int64)) for v in (z, x))
     n = schedule.vocab.size
     terms = schedule.terms(t)
@@ -141,36 +142,9 @@ def loss_target(
     return a, bp, q_true, z_index, np.maximum(p_z, LOG_FLOOR), w, a * w[..., None]
 
 
-def target_rows(target: tuple, rows: np.ndarray, first=0) -> tuple[np.ndarray, ...]:
-    """loss_target's `target` at the examples `rows` of its (B, L) batch, in
-    that order, one position per row: the same parts, alpha_t, beta_t pi_t,
-    q_t(. | x) and alpha_t times the weights widened to R * L rows (alpha_t
-    and alpha_t w stay one column), the others (R * L,). The index of z
-    counts from the position of example first[r] (by default 0), so a slice
-    of consecutive positions that starts there is a target of its own."""
-    a, bp, q_true, z_index, p_z, w, aw = target
-    count, (length, n) = len(rows), q_true.shape[1:]
-
-    def per_position(v):  # (B or 1, L or 1, K) -> (R * L, K); take gathers fastest
-        v = v.take(rows, axis=0) if len(v) > 1 else v
-        return np.broadcast_to(v, (count, length, v.shape[-1])).reshape(-1, v.shape[-1])
-
-    # z_index counts (row * L + position) * N + z from the batch's first position
-    shift = (rows - np.arange(count) + first) * (length * n)
-    return (
-        per_position(a),
-        per_position(bp),
-        per_position(q_true),
-        (z_index.take(rows, axis=0) - shift[:, None]).ravel(),
-        p_z.take(rows, axis=0).ravel(),
-        w.take(rows, axis=0).ravel(),
-        per_position(aw),
-    )
-
-
 def model_marginal(target: tuple, probs: np.ndarray, out=None) -> tuple[np.ndarray, ...]:
     """What target_loss and target_grad need of the (B, L, N) prediction
-    probs, scored against loss_target's `target` or target_rows of it:
+    probs, scored against loss_target's `target` or a slice of its rows:
     probs, the model marginal q_t(. | x_theta) = alpha_t probs + beta_t pi_t
     floored at LOG_FLOOR, written to `out` if given, and its entry at z."""
     a, bp, q_true, z_index, *_ = target
@@ -301,6 +275,7 @@ def mdm_loss(schedule: MixingSchedule, t, z_t, x, x_theta: np.ndarray) -> float 
 
 def stratified_times(num_mc: int, offset: float, eps_t: float) -> np.ndarray:
     """Low-discrepancy time grid: one shared uniform offset per batch."""
+    num_mc = check_count("num_mc", num_mc)
     idx = np.arange(num_mc, dtype=float)
     return eps_t + (1.0 - 2.0 * eps_t) * (idx + offset) / num_mc
 

@@ -52,6 +52,7 @@ def check_seed(seed: int) -> None:
 
 def derive_seeds(seed: int, count: int) -> list[int]:
     """The seeds of streams 0..count-1 under `seed`: seed i is the 64-bit hash of (seed, i)."""
+    count = check_count("count", count, least=0)
     return counter_hash(seed, np.arange(count, dtype=np.uint64)).tolist()
 
 
@@ -65,6 +66,8 @@ def _step_uniforms(rows: np.ndarray, step: int, length: int) -> np.ndarray:
 
 def counter_uniforms(seed: int, step: int, count: int, length: int) -> np.ndarray:
     """(count, length) uniforms in [0, 1); entry (i, j) hashes (seed, i, step, j)."""
+    step, count = check_count("step", step, least=0), check_count("count", count, least=0)
+    length = check_count("length", length, least=0)
     return _step_uniforms(counter_hash(seed, np.arange(count, dtype=np.uint64)), step, length).T
 
 

@@ -63,13 +63,21 @@ def _entropy_alone(z_seq):
     return float(-(freq * np.log(freq)).sum())
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.integers(2, 12), st.integers(1, 60), st.integers(0, 2**32 - 1))
-def test_corpus_metrics_are_row_metrics(length, n, rows, seed):
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(2, 60),
+    st.sampled_from([0, -7, 2**40]),
+    st.integers(1, 60),
+    st.integers(0, 2**32 - 1),
+)
+def test_corpus_metrics_are_row_metrics(length, n, low, rows, seed):
     """unigram_entropy and self_accuracy of (S, L) samples give each row the
-    bits of the one-sequence definitions, with repeated rows among them."""
+    bits of the one-sequence definitions, with repeated rows, negative and
+    large ids, and rows of 8 or more distinct tokens (np.sum's pairwise
+    blocks) among them."""
     rng = np.random.default_rng(seed)
-    pool = rng.integers(0, n, (max(1, rows // 3), length))
+    pool = low + rng.integers(0, n, (max(1, rows // 3), length))
     z = pool[rng.integers(0, len(pool), rows)]
     entropy = unigram_entropy(z)
     assert entropy.shape == (rows,)

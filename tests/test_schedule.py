@@ -33,6 +33,8 @@ from mixdiff.errors import (
     TimeRangeError,
     UnsupportedStateError,
 )
+from mixdiff.elbo import stratified_times
+from mixdiff.sampler import counter_uniforms, derive_seeds
 from mixdiff.schedule import Terms, check_count, token_ids
 from mixdiff.verify import check_backward_rows
 
@@ -90,6 +92,13 @@ COUNTS = {
         1,
         lambda v: ancestral_sample_batch(HYBRID, v, ORACLE, SamplerConfig(num_steps=2), 1),
     ),
+    # these four returned as if rounded up: derive_seeds(0, 2.5) gave 3 seeds,
+    # counter_uniforms(0, 1, 2.5, 1.5) a (3, 2) array, stratified_times(2.5, ...) 3 times
+    "derive_seeds.count": ("count", 0, lambda v: derive_seeds(0, v)),
+    "counter_uniforms.step": ("step", 0, lambda v: counter_uniforms(0, v, 2, 2)),
+    "counter_uniforms.count": ("count", 0, lambda v: counter_uniforms(0, 1, v, 2)),
+    "counter_uniforms.length": ("length", 0, lambda v: counter_uniforms(0, 1, 2, v)),
+    "stratified_times.num_mc": ("num_mc", 1, lambda v: stratified_times(v, 0.5, 1e-4)),
 }
 
 
