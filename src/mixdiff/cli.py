@@ -5,7 +5,8 @@ weights-csv. Numeric results are emitted as a single JSON object on stdout
 (full double-precision round-trip formatting); corpora are plain text with a
 `N L mask_id` header and one space-separated sequence per line.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 invariant failure.
+Exit codes: 0 success, also when the reader of stdout closes it early (as
+`| head` does), 1 usage error, 2 data error, 3 invariant failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import select
 import sys
 
 import numpy as np
@@ -377,8 +380,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, resolve_config(args))
+        code = args.func(args, resolve_config(args))
+        sys.stdout.flush()
+        return code
     except (CorpusFormatError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # on stdout if poll sees POLLERR there, else on --out
+            poller = select.poll()
+            poller.register(sys.stdout, select.POLLOUT)
+            if any(events & select.POLLERR for _, events in poller.poll(0)):
+                # its reader is gone (`| head`); devnull keeps the interpreter's last flush quiet
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 0
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except MixdiffError as exc:

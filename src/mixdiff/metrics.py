@@ -107,9 +107,9 @@ def generative_nll(
         raise ValueError(f"floor must lie in (0, 1], got {floor!r}")
     k = dist.outcome_index(samples)
     probs = np.append(dist.probs, 0.0)
-    # One libm log per outcome, gathered in sample order.
-    fill = math.nan if floor is None else -math.log(floor)
-    nlls = np.array([-math.log(p) if p > 0.0 else fill for p in probs.tolist()])[k]
+    # -log p per outcome, -log floor (or NaN) outside the support, gathered in sample order
+    logs = np.full_like(probs, math.nan if floor is None else np.log(floor))
+    nlls = -np.log(probs, out=logs, where=probs > 0.0)[k]
     inside = probs[k] > 0.0
     if floor is None:
         nlls = nlls[inside]

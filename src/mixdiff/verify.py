@@ -206,7 +206,7 @@ def check_uniform_calibration(grid=200, tol=1e-12):
     detail = []
     for p_u in (0.1, 0.2):
         sched = make_schedule("hybrid", Vocab(5, 4), p_u=p_u)
-        peak = sched.uniform_mass(0.5)
+        peak = float(sched.uniform_mass(0.5))
         ok = ok and abs(peak - p_u) <= tol
         masses = sched.uniform_mass(np.linspace(sched.eps_t, 1.0 - sched.eps_t, grid))
         ok = ok and bool(np.all(masses <= peak + tol))

@@ -1,11 +1,17 @@
 import hashlib
 import json
 import math
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import mixdiff
 from mixdiff import ToyDistribution, Vocab
 from mixdiff.cli import main
 from mixdiff.schedule import Terms
@@ -540,9 +546,9 @@ def test_weights_csv(capsys):
     assert mid[1] == pytest.approx(2.0)
     assert mid[2] == pytest.approx(2.0 / 9.0, abs=1e-4)
     assert mid[3] == pytest.approx(math.log(2 / 3), abs=1e-9)
-    # sha256 recorded when each cell was evaluated on its own
+    # sha256 recorded when log_snr became numpy's log and log1p
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "ad129466477ef33037addb60f813fe245891e06594915a7dcb653d66d0f3e186"
+        "3fb654176cd7b6ccc292d8c99aef2f60a248511eaf8296414419bbb7cc9f0c82"
     )
 
 
@@ -788,19 +794,53 @@ def test_corpus_that_does_not_fit_the_denoiser_is_data_error(
     assert not (tmp_path / "out.txt").exists()
 
 
+# `python -m mixdiff.cli` in a fresh interpreter that imports this checkout
+CLI = [sys.executable, "-m", "mixdiff.cli"]
+CLI_ENV = {"PYTHONPATH": str(Path(mixdiff.__file__).parents[1]), "PATH": ""}
+
+
 def test_corpus_that_does_not_fit_exits_without_traceback(tmp_path, dist_file):
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import mixdiff
-
     argv = _misfit_argv(tmp_path, dist_file, "self-correct", "dist", "4 2 3\n0 3\n")
-    env = {"PYTHONPATH": str(Path(mixdiff.__file__).parents[1]), "PATH": ""}
-    proc = subprocess.run(
-        [sys.executable, "-m", "mixdiff.cli", *argv], capture_output=True, text=True, env=env
-    )
+    proc = subprocess.run([*CLI, *argv], capture_output=True, text=True, env=CLI_ENV)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "does not fit the denoiser" in proc.stderr
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_closed_stdout_is_not_an_error():
+    """`mixdiff weights-csv --grid-size 100000 | head -1` used to print
+    "data error: [Errno 32] Broken pipe" and exit 2: a reader that stops
+    early is not a data error."""
+    argv = ["weights-csv", "--grid-size", "100000"]
+    proc = subprocess.Popen(
+        [*CLI, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CLI_ENV
+    )
+    assert proc.stdout.readline() == "t,w_mask,w_uniform,w_clean,log_snr\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert err == ""
+
+
+def test_out_file_whose_reader_leaves_is_a_data_error(tmp_path, dist_file):
+    """Only a closed stdout exits 0: a FIFO given as --out whose reader stops
+    early is still a broken output file."""
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    # 50,000 rows are 200 kB, more than a pipe buffer holds
+    argv = ["sample", "--dist", dist_file, "--schedule", "hybrid", "--p-u", "0.2",
+            "--count", "50000", "--steps", "2", "--out", str(fifo)]
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open cannot block
+    try:
+        proc = subprocess.Popen(
+            [*CLI, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CLI_ENV
+        )
+        assert select.select([reader], [], [], 60)[0]
+        assert os.read(reader, 4) == b"3 2 "
+    finally:
+        os.close(reader)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert out == ""
+    assert err == "data error: [Errno 32] Broken pipe\n"

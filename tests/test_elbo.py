@@ -454,6 +454,8 @@ def test_per_token_views_reject_bad_tokens(hybrid_sched):
 # Outputs of the two-outcome runs below; any change to the loss arithmetic
 # that moves a bit shows up here. Per (schedule, mode): sha256 of the saved
 # table, loss trajectory, and sequence_nelbo of the table and of the oracle.
+# The (hybrid, dynamic) table was re-recorded when the closed forms became
+# numpy ufunc calls.
 PINNED = {
     ("mask", "exact"): (
         "955c1fd3f0e488658746cb167d27f7d1d2329cd3006856bf391b203eebd33be1",
@@ -481,7 +483,7 @@ PINNED = {
         (0.24669548909799205, 0.06250041838261078),
     ),
     ("hybrid", "dynamic"): (
-        "88b19dd37fc2d4b8b11a5ac4ef6c127b19a15e7f82bb146205a98d61730f9a56",
+        "77e1aa8893bd89b83559f96aeb2146ea193fa669fa1ffcc267a38204f4aff802",
         (0.14518779660733802, 0.15755911231994857, 0.1811784305887502),
         (0.499220991830663, 0.06723261291667891),
     ),

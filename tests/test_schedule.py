@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -410,13 +411,13 @@ def test_pu_zero_collapses_to_mask_only():
                 assert sched.elbo_weight(t, z, x) == m[z] / (1.0 - t) / q[z]
 
 
-# sha256 of the hybrid closed forms on a 1001-point grid, recorded before
-# the schedule classes were folded into one
+# sha256 of the hybrid closed forms on a 1001-point grid, recorded when
+# they became numpy ufunc calls with no per-time path
 CLOSED_FORMS_SHA256 = {
-    (0.2, 3): "9f680915e26bba7a82bbb99fa006ba5837b1fd5406ca78c172c2ae38cc07bcdf",
-    (0.2, 5): "57429594574f3b2dcfca8f57ee2b84accc2377c810e21742c413f147d74ebee4",
-    (0.01, 3): "2b6f24d258e1895cd35e5d8b533fc998f19d1237b7399dbdd35ba66b726195ee",
-    (0.01, 5): "6a83c578fcd077b8fdfb8b5b9f2aa1532c33fe16df301def4c066cb01400830a",
+    (0.2, 3): "aedacab6eed4924bdf8e2cfa36b85fb39b5f88087667e4d7ce237cf252b94c6c",
+    (0.2, 5): "0044accdb547ae8df431a2dd5ce01650708665ca3815b34d56c0aee1f271a4ac",
+    (0.01, 3): "51afa963a384b353264edafed061bd77d34ef9567d5236dff729dc4f0cb4a84a",
+    (0.01, 5): "46934c8b6e27de530d72ea854fceffe438ff1ff8407d7cdec6d44e501646d26a",
 }
 
 
@@ -441,7 +442,36 @@ def test_hybrid_closed_forms_same_bits(p_u, n):
     assert h.hexdigest() == CLOSED_FORMS_SHA256[p_u, n]
 
 
-# Times at which C_t^2 by numpy's square and by libm's pow differ in the last bit.
+# sha256 of the mask-only closed forms on a 1001-point grid, recorded while
+# c_t = 0 still had a branch of its own; log_snr is left out
+MASK_CLOSED_FORMS_SHA256 = {
+    3: "e86d294d2b92f18b52f1bdb976a90421a6fdceeebdd3d095838f5e91f96c8011",
+    5: "1eb5409be67a7e6a36fcf17c0d2de00ef05b84e66a7601feff9e9d874dd1dffb",
+}
+
+
+@pytest.mark.parametrize("n", sorted(MASK_CLOSED_FORMS_SHA256))
+def test_mask_closed_forms_same_bits(n):
+    """With B = 0 the hybrid closed forms are the mask-only ones bit for bit:
+    c_t is exactly 0, so alpha_t = 1 - t, alpha_t' = -1 and the uniform part is 0."""
+    sched = make_schedule("mask", Vocab(n, n - 1))
+    grid = np.linspace(sched.eps_t, 1.0 - sched.eps_t, 1001)
+    terms = sched.terms(grid)
+    h = hashlib.sha256()
+    for v in (
+        terms.alpha,
+        terms.alpha_prime,
+        terms.beta_pi,
+        terms.rate,
+        sched.uniform_mass(grid),
+        sched.conditional_transition(grid[:-1], grid[1:]).matrix(),
+    ):
+        h.update(np.asarray(v, dtype=float).tobytes())
+    assert h.hexdigest() == MASK_CLOSED_FORMS_SHA256[n]
+
+
+# Times at which C_t^2 by numpy's square and by libm's pow differ in the last
+# bit: where a per-time path and an array path would part if they used both.
 SQUARE_TIMES = {
     (0.2, 1.0): [0.004589102, 0.009668086, 0.04444113],
     (0.2, 3.0): [0.022355548, 0.049930032, 0.050869844000000004],
@@ -454,8 +484,10 @@ SQUARE_TIMES = {
 @pytest.mark.parametrize("p_u", [0.2, 0.01])
 def test_array_closed_forms_equal_scalar_ones(p_u, gamma):
     """A (B,) array of times gives each time's scalar result, bit for bit.
-    At gamma = 3 numpy's vectorised pow differs from libm's on about 8% of
-    this grid, so the bump c_t must be computed per time."""
+    Both go through the same numpy ufuncs, whose loops give a float, a 0-d
+    array and every entry of an array the same bits; at gamma = 3 numpy's
+    pow differs from libm's on about 8% of this grid, so a scalar path
+    through libm (Python's ** or math) would fail here."""
     sched = make_schedule("hybrid", Vocab(5, 4), p_u=p_u, gamma=gamma)
     grid = np.linspace(sched.eps_t, 1.0 - sched.eps_t, 1001)
     grid = np.concatenate([grid, SQUARE_TIMES[p_u, gamma]])
@@ -489,9 +521,9 @@ def test_array_closed_forms_equal_scalar_ones(p_u, gamma):
 
 def _closed_forms(sched, t):
     """Reference alpha, beta_pi, rate_vector and log_snr at one time, each
-    closed form on its own with libm's pow; for p_u > 0."""
+    closed form on its own with numpy's power, log and log1p."""
     n, h = sched.vocab.size, sched.params.gamma / 2.0
-    c = sched.uniform_mix_constant * t**h * (1.0 - t) ** h
+    c = sched.uniform_mix_constant * np.power(t, h) * np.power(1.0 - t, h)
     c_prime = h * (1.0 - 2.0 * t) / (t * (1.0 - t)) * c
     alpha = (1.0 - t) / (1.0 + c)
     d = (1.0 + c) * (1.0 - t)
@@ -499,7 +531,7 @@ def _closed_forms(sched, t):
     beta_pi[sched.vocab.mask_id] = t / (1.0 + c)
     rate = np.full(n, (c + (1.0 - t) * c_prime) * (1.0 / (n - 1)) / d)
     rate[sched.vocab.mask_id] = 1.0 / d
-    return alpha, beta_pi, rate, math.log(alpha) - math.log1p(-alpha)
+    return alpha, beta_pi, rate, np.log(alpha) - np.log1p(-alpha)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 3.0])
@@ -517,6 +549,37 @@ def test_terms_equal_closed_forms(p_u, gamma):
     for name, got, method, want in zip(names, batched, methods, alone):
         assert got.tobytes() == method(grid).tobytes(), name
         assert got.tobytes() == want.tobytes(), name
+
+
+def _ulps(got, ref: Decimal) -> float:
+    """|got - ref| in units of 2^-52 |ref|, the widest spacing of doubles near
+    ref: never more than the error in ulps of ref, and never less than half of it."""
+    return float(abs(Decimal(float(got)) - ref) / (abs(ref) * Decimal(2.0**-52)))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.0])
+def test_closed_forms_are_accurate(gamma):
+    """Accuracy, not agreement with libm, is what the closed forms promise.
+    Against 50-digit decimal references on 3,000 times:
+
+    c_t = B t^h (1-t)^h, h = gamma/2, is two pows, each within 1 ulp, so
+    within 1 unit of 2^-52 |result|; two correctly rounded products, 1/2
+    unit each; and 1 - t rounded, 1/2 unit, which the pow scales by h. To
+    first order c_t is within 2 + 1 + h/2 <= 3.75 < 4 units (measured 1.9).
+    log alpha and log1p(-alpha) are one function each of the double alpha,
+    so within 1 unit (measured 0.53)."""
+    h = Decimal(gamma / 2.0)
+    t = np.random.default_rng(0).uniform(1e-4, 1.0 - 1e-4, 3000)
+    with localcontext(prec=50):
+        t_h = [Decimal(v) ** h * (1 - Decimal(v)) ** h for v in t.tolist()]
+        for p_u in (0.01, 0.2):
+            sched = make_schedule("hybrid", Vocab(5, 4), p_u=p_u, gamma=gamma)
+            terms = sched.terms(t)
+            b = Decimal(sched.uniform_mix_constant)
+            for c, a, ref in zip(terms._c.tolist(), terms.alpha.tolist(), t_h):
+                assert _ulps(c, b * ref) < 4.0, c
+                assert _ulps(np.log(a), Decimal(a).ln()) <= 1.0, a
+                assert _ulps(np.log1p(-a), (1 - Decimal(a)).ln()) <= 1.0, a
 
 
 def test_make_schedule_rejects_unknown():
