@@ -36,11 +36,10 @@ from .sampler import (
     SamplerConfig,
     SelfCorrectConfig,
     ancestral_sample_batch,
-    check_seed,
     derive_seeds,
     self_correct_batch,
 )
-from .schedule import DEFAULT_EPS_T, Vocab, check_count, make_schedule
+from .schedule import DEFAULT_EPS_T, Vocab, check_count, check_seed, make_schedule
 
 USAGE_ERROR, DATA_ERROR, INVARIANT_FAILURE = 1, 2, 3
 

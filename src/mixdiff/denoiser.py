@@ -199,20 +199,27 @@ def _check_batch(z, length: int, vocab: Vocab, what: str) -> np.ndarray:
     return z
 
 
+def _check_schedule(schedule: MixingSchedule, dist: ToyDistribution) -> None:
+    """A ValueError unless the schedule is over the distribution's vocabulary."""
+    if schedule.vocab != dist.vocab:
+        raise ValueError(
+            f"schedule over {schedule.vocab} does not fit the distribution over {dist.vocab}"
+        )
+
+
 class Denoiser:
     """Maps a noisy sequence and time to one distribution per position.
-    A subclass defines predict, predict_batch or both."""
+    A subclass defines predict_batch."""
 
     def predict(self, z_seq: np.ndarray, t: float) -> np.ndarray:
-        """Returns an (L, N) array of per-position distributions; by default,
-        row 0 of predict_batch."""
+        """The (L, N) per-position distributions of one (L,) sequence: row 0
+        of predict_batch."""
         return self.predict_batch(token_ids(z_seq)[None, :], t)[0]
 
     def predict_batch(self, z_seqs: np.ndarray, t) -> np.ndarray:
         """(B, L) -> (B, L, N) at one time t or at a (B,) array of times, one
-        per row; row b equals predict(z_seqs[b], t_b). The default loops."""
-        times = np.broadcast_to(t, len(z_seqs))
-        return np.stack([self.predict(z, tb) for z, tb in zip(z_seqs, times)])
+        per row; row b equals predict(z_seqs[b], t_b)."""
+        raise NotImplementedError(f"{type(self).__name__} does not define predict_batch")
 
 
 class OracleDenoiser(Denoiser):
@@ -224,6 +231,7 @@ class OracleDenoiser(Denoiser):
     """
 
     def __init__(self, dist: ToyDistribution, schedule: MixingSchedule):
+        _check_schedule(schedule, dist)
         self.dist = dist
         self.schedule = schedule
         self._outcomes = dist.sequences
@@ -250,11 +258,9 @@ class OracleDenoiser(Denoiser):
         return np.einsum("bk,kln->bln", self._posterior(z_seqs, t), self._one_hot)
 
 
-def masked_softmax(logits: np.ndarray, mask_id: int, out=None) -> np.ndarray:
-    """Row-wise softmax over non-mask entries, written to `out` if given;
-    mask gets probability zero."""
-    work = np.empty(np.shape(logits)) if out is None else out
-    work[...] = logits
+def masked_softmax(logits: np.ndarray, mask_id: int) -> np.ndarray:
+    """Row-wise softmax over non-mask entries; mask gets probability zero."""
+    work = np.array(logits, dtype=float)
     work[..., mask_id] = -np.inf
     return softmax(work)
 
@@ -409,7 +415,7 @@ def table_train(
     (inserting) once for all its examples, with each z indexed from its
     step's first entry, so a step's rows of the target are a target of their
     own. Each step then runs one masked_softmax, model_marginal and
-    target_grad in scratch buffers. The loss values, at the table as each
+    target_grad on its rows. The loss values, at the table as each
     step began, are computed only for the steps the trajectory records
     (every trajectory_every-th and the last). A block raises only in
     loss_target or logits_for, before its first update, so then the table
@@ -417,6 +423,7 @@ def table_train(
     """
     batch, steps = check_count("batch", batch), check_count("steps", steps, least=0)
     trajectory_every = check_count("trajectory_every", trajectory_every)
+    _check_schedule(schedule, dist)
     if (table.vocab, table.length) != (dist.vocab, dist.length):
         raise ValueError(
             f"table of length {table.length} over {table.vocab} does not fit the "
@@ -425,7 +432,6 @@ def table_train(
     rng = np.random.default_rng(seed)
     per_block, length = max(1, TRAIN_BLOCK // batch), dist.length
     n, mask_id, step_rate = dist.vocab.size, dist.vocab.mask_id, -table.learning_rate
-    probs, q_model, grad = np.empty((3, batch, length, n))
     trajectory = []
     for first in range(0, steps, per_block):
         block = range(first, min(first + per_block, steps))
@@ -441,14 +447,12 @@ def table_train(
         np.subtract(target[3], step_start[:, None], out=target[3])
         for step, e in zip(block, entries[inverse].reshape(len(block), batch)):
             part = tuple(v[(step - first) * batch : (step - first + 1) * batch] for v in target)
-            p = masked_softmax(table.logits.take(e, axis=0), mask_id, out=probs)
-            model = model_marginal(part, p, out=q_model)
+            model = model_marginal(part, masked_softmax(table.logits.take(e, axis=0), mask_id))
             if step % trajectory_every == 0 or step == steps - 1:
                 w, kl, is_term = target_loss(part, model)
                 losses = (w * (kl + is_term)).sum(axis=-1)
                 trajectory.append(sum((losses / length).tolist()) / batch)
-            g = target_grad(part, model, out=grad)
-            np.add.at(table.logits, e, np.multiply(g, step_rate, out=g))
+            np.add.at(table.logits, e, target_grad(part, model) * step_rate)
     return TrainingReport(
         final_avg_loss=trajectory[-1] if steps else 0.0,
         loss_trajectory=tuple(trajectory),
@@ -466,6 +470,7 @@ def posterior_kl_to_oracle(
 ) -> float:
     """Mean KL(oracle prediction || table prediction) over sampled (Z_t, t)."""
     num_samples = check_count("num_samples", num_samples)
+    _check_schedule(schedule, dist)
     rng = np.random.default_rng(seed)
     times = stratified_times(num_samples, rng.random(), schedule.eps_t)
     # Each sample's clean sequence and noise come from the one stream in turn.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MixdiffError, UnsupportedStateError
-from .schedule import LOG_FLOOR, MixingSchedule, Terms, check_count, check_positive
+from .schedule import LOG_FLOOR, MixingSchedule, Terms, check_count, check_positive, check_seeds
 
 DEFAULT_WEIGHT_CLIP = 1e4
 
@@ -142,17 +142,15 @@ def loss_target(
     return a, bp, q_true, z_index, np.maximum(p_z, LOG_FLOOR), w, a * w[..., None]
 
 
-def model_marginal(target: tuple, probs: np.ndarray, out=None) -> tuple[np.ndarray, ...]:
+def model_marginal(target: tuple, probs: np.ndarray) -> tuple[np.ndarray, ...]:
     """What target_loss and target_grad need of the (B, L, N) prediction
     probs, scored against loss_target's `target` or a slice of its rows:
     probs, the model marginal q_t(. | x_theta) = alpha_t probs + beta_t pi_t
-    floored at LOG_FLOOR, written to `out` if given, and its entry at z."""
+    floored at LOG_FLOOR, and its entry at z."""
     a, bp, q_true, z_index, *_ = target
     s = np.asarray(probs, dtype=float).reshape(q_true.shape)
     # The floor keeps q_model > 0, so no ratio below is 0/0.
-    q_model = np.multiply(a, s, out=out)
-    np.add(q_model, bp, out=q_model)
-    np.maximum(q_model, LOG_FLOOR, out=q_model)
+    q_model = np.maximum(a * s + bp, LOG_FLOOR)
     return s, q_model, q_model.take(z_index)
 
 
@@ -163,21 +161,16 @@ def target_loss(target: tuple, model: tuple) -> tuple[np.ndarray, ...]:
     return w, kl_divergence(q_true, q_model), is_divergence_pointwise(p_z, q_z)
 
 
-def target_grad(target: tuple, model: tuple, out=None) -> np.ndarray:
-    """The logit gradient of loss_and_grad, written to `out` if given; `out`
-    must be C-contiguous, as the gradient at z is scattered through its flat view."""
+def target_grad(target: tuple, model: tuple) -> np.ndarray:
+    """The logit gradient of loss_and_grad, a new C-order array whatever the inputs' layout."""
     _, _, q_true, z_index, p_z, _, aw = target
     s, q_model, q_z = model
-    if out is not None and not out.flags.c_contiguous:
-        raise ValueError("target_grad needs a C-contiguous out array")
     # q_model = alpha_t s + beta_t pi_t. d(KL)/dq_model = -q_true / q_model;
     # d(IS)/dq_model[z] = 1/q - p/q^2; d/ds is alpha_t w d/dq_model.
-    g = np.negative(q_true, out=out)
-    np.divide(g, q_model, out=g)
+    g = np.divide(-q_true, q_model, order="C")
     g.reshape(-1)[z_index] += 1.0 / q_z - p_z / q_z**2
-    np.multiply(g, aw, out=g)
-    np.subtract(g, np.add.reduce(s * g, axis=-1, keepdims=True), out=g)
-    return np.multiply(s, g, out=g)
+    g *= aw
+    return s * (g - np.add.reduce(s * g, axis=-1, keepdims=True))
 
 
 def loss_and_grad(
@@ -348,8 +341,7 @@ def corpus_nelbo(
     if length == 0:
         raise MixdiffError("cannot estimate the NELBO of an empty sequence")
     num_mc = check_count("num_mc", num_mc)
-    if len(seeds) != len(x_seqs):
-        raise ValueError(f"{len(seeds)} seeds for {len(x_seqs)} sequences")
+    check_seeds(seeds, len(x_seqs))
     per_block = max(1, NELBO_BLOCK // num_mc)
     estimates = []
     for first in range(0, len(x_seqs), per_block):

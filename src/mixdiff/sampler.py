@@ -20,7 +20,15 @@ from .denoiser import Denoiser, _distinct_rows
 from .elbo import _inverse_cdf, _marginal_terms, softmax
 from .errors import EmptySupportError, MaskedInputError
 from .metrics import _probs_at, self_accuracy_from_probs
-from .schedule import DEFAULT_EPS_T, MixingSchedule, check_count, check_positive, token_ids
+from .schedule import (
+    DEFAULT_EPS_T,
+    MixingSchedule,
+    check_count,
+    check_positive,
+    check_seed,
+    check_seeds,
+    token_ids,
+)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -43,11 +51,6 @@ def counter_hash(*keys) -> np.ndarray:
     for key in keys:
         h = _mix(h ^ np.asarray(key, dtype=np.uint64))
     return h
-
-
-def check_seed(seed: int) -> None:
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
-        raise ValueError(f"seed must lie in [0, 2**64) and be an integer, got {seed!r}")
 
 
 def derive_seeds(seed: int, count: int) -> list[int]:
@@ -246,10 +249,11 @@ def self_correct_batch(
     block still active.
     """
     z_seqs = token_ids(z_seqs)
+    if z_seqs.ndim != 2:
+        raise ValueError(f"corpus must be (S, L), got shape {z_seqs.shape}")
     if np.logical_or.reduce(z_seqs == mask_id, axis=None):
         raise MaskedInputError("self-correction requires a fully denoised sequence")
-    if len(seeds) != len(z_seqs):
-        raise ValueError(f"{len(seeds)} seeds for {len(z_seqs)} sequences")
+    check_seeds(seeds, len(z_seqs))
     results = [None] * len(z_seqs)
     for first in range(0, len(z_seqs), CORRECT_BLOCK):
         # The state of the block's active rows, re-indexed only when some stop.

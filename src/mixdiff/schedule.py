@@ -83,6 +83,19 @@ def check_count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def check_seed(seed: int) -> None:
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must lie in [0, 2**64) and be an integer, got {seed!r}")
+
+
+def check_seeds(seeds, count: int) -> None:
+    """A ValueError unless `seeds` holds one check_seed seed for each of `count` sequences."""
+    if len(seeds) != count:
+        raise ValueError(f"{len(seeds)} seeds for {count} sequences")
+    for seed in seeds:
+        check_seed(seed)
+
+
 def check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")

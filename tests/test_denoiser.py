@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from unittest import mock
 
@@ -585,6 +586,27 @@ def test_table_train_error_types(vocab3, two_outcome):
         table_train(two_outcome, sched, LogitTable(vocab3, 2), 2, batch=0)
 
 
+@pytest.mark.parametrize("entry", ["oracle", "table_train", "posterior_kl"])
+@pytest.mark.parametrize("other", [Vocab(6, 4), Vocab(5, 0)], ids=["size", "mask_id"])
+def test_schedule_over_another_vocabulary_is_named_error(five_outcome, entry, other):
+    """A schedule over another vocabulary than the distribution's would
+    score its tokens against the wrong mask, or index past its vocabulary."""
+    sched = make_schedule("hybrid", other, p_u=0.2)
+    fitting = make_schedule("hybrid", five_outcome.vocab, p_u=0.2)
+    table = LogitTable(five_outcome.vocab, 3)
+    calls = {
+        "oracle": lambda: OracleDenoiser(five_outcome, sched),
+        "table_train": lambda: table_train(five_outcome, sched, table, 2),
+        "posterior_kl": lambda: posterior_kl_to_oracle(
+            five_outcome, sched, OracleDenoiser(five_outcome, fitting), table, 10
+        ),
+    }
+    msg = f"schedule over {other!r} does not fit the distribution over {five_outcome.vocab!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        calls[entry]()
+    assert not table.table
+
+
 def test_table_train_long_call_same_bits_in_bounded_memory(tmp_path, two_outcome):
     """Criterion 8's call, 2000 steps of 64 examples, crosses 32 blocks. Its
     final loss was recorded when each step became one minibatch update, and
@@ -771,13 +793,24 @@ def test_table_train_evaluates_schedule_once_per_step(two_outcome, mode):
 
 
 class _RowsOnly(Denoiser):
-    """A denoiser that defines only predict; its prediction depends on t."""
+    """A denoiser whose prediction of each row depends on that row's time."""
 
-    def predict(self, z_seq, t):
-        out = np.zeros((len(z_seq), 5))
-        out[np.arange(len(z_seq)), np.asarray(z_seq) % 4] = t
-        out[:, 3] += 1.0 - t
+    def predict_batch(self, z_seqs, t):
+        z = np.asarray(z_seqs)
+        t = np.reshape(np.broadcast_to(t, len(z)), (-1, 1, 1))
+        out = np.zeros(z.shape + (5,))
+        np.put_along_axis(out, z[..., None] % 4, t, axis=-1)
+        out[..., 3] += 1.0 - t[..., 0]
         return out
+
+
+def test_denoiser_without_predict_batch_is_named_error():
+    class _Neither(Denoiser):
+        pass
+
+    for call in (lambda d: d.predict([0, 1], 0.5), lambda d: d.predict_batch([[0, 1]], 0.5)):
+        with pytest.raises(NotImplementedError, match="_Neither does not define predict_batch"):
+            call(_Neither())
 
 
 def test_predict_batch_per_row_times(five_outcome):

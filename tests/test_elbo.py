@@ -38,6 +38,7 @@ from mixdiff.elbo import (
     loss_weight,
     model_marginal,
     target_grad,
+    target_loss,
 )
 from mixdiff.errors import DegenerateEvidenceError, UnsupportedStateError
 from conftest import random_prediction, transient_peak
@@ -423,20 +424,36 @@ def test_loss_and_grad_rejects_tokens_outside_the_vocabulary(hybrid_sched):
             loss_and_grad(hybrid_sched, 0.5, z, x, probs, EXACT)
 
 
-def test_target_grad_out_gets_loss_and_grads_bits_or_is_refused(hybrid_sched):
-    """target_grad scatters the gradient at z through the flat view of `out`;
-    on a strided `out` that view would be a copy and the scatter lost."""
-    z, x = np.array([[0, 4], [2, 1]]), np.array([[0, 1], [2, 1]])
-    rng, t = np.random.default_rng(3), np.array([0.3, 0.6])
-    probs = np.array([[random_prediction(rng, 5, 4) for _ in range(2)] for _ in range(2)])
-    target = loss_target(hybrid_sched, t, z, x, EXACT)
+@pytest.mark.parametrize("mode", [EXACT, CLAMP, DYNAMIC], ids=lambda m: m.kind)
+def test_loss_parts_leave_their_inputs_alone(hybrid_sched, mode):
+    """model_marginal, target_loss and target_grad return new arrays: every
+    part of the target and the prediction keep their bytes, so one target
+    slice serves a step's loss and then its gradient."""
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 4, size=(3, 4))
+    z = noise_sequence(hybrid_sched, x, 0.5, rng)
+    probs = np.array([[random_prediction(rng, 5, 4) for _ in range(4)] for _ in range(3)])
+    target = loss_target(hybrid_sched, np.array([0.2, 0.5, 0.8]), z, x, mode)
+    before = [v.tobytes() for v in (*target, probs)]
     model = model_marginal(target, probs)
-    out = np.empty((2, 2, 5))
-    assert target_grad(target, model, out=out) is out
-    np.testing.assert_array_equal(out, loss_and_grad(hybrid_sched, t, z, x, probs)[3])
-    strided = np.empty((2, 2, 10))[..., ::2]
-    with pytest.raises(ValueError, match="C-contiguous"):
-        target_grad(target, model, out=strided)
+    model_bytes = [v.tobytes() for v in model]
+    target_loss(target, model)
+    target_grad(target, model)
+    assert [v.tobytes() for v in (*target, probs)] == before
+    assert [v.tobytes() for v in model] == model_bytes
+
+
+def test_grad_of_fortran_ordered_inputs(hybrid_sched):
+    """The gradient at z is scattered through a flat view, which must not be
+    a copy when the inputs are column-major."""
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, 4, size=(2, 3))
+    z = noise_sequence(hybrid_sched, x, 0.4, rng)
+    probs = np.array([[random_prediction(rng, 5, 4) for _ in range(3)] for _ in range(2)])
+    want = loss_and_grad(hybrid_sched, 0.4, z, x, probs)
+    got = loss_and_grad(hybrid_sched, 0.4, *map(np.asfortranarray, (z, x, probs)))
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_per_token_views_reject_bad_tokens(hybrid_sched):
@@ -657,6 +674,13 @@ def test_corpus_nelbo_rejects_bad_input(two_outcome_oracle):
     assert corpus_nelbo(sched, np.zeros((0, 2)), oracle, 4, []) == []
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, 2**64], ids=["float", "negative", "wide"])
+def test_corpus_nelbo_bad_row_seed_is_named_error(two_outcome_oracle, seed):
+    oracle, sched = two_outcome_oracle
+    with pytest.raises(ValueError, match=rf"seed must lie in .* got {seed!r}$"):
+        corpus_nelbo(sched, [[0, 0], [1, 1]], oracle, 4, [0, seed])
+
+
 def test_corpus_nelbo_memory_does_not_grow_with_the_corpus():
     """Blocks bound the (draws, L, N) loss arrays and the per-row generators:
     ten times the corpus stays within 1.5 times the working memory."""
@@ -731,8 +755,6 @@ def test_softmax_callers_keep_their_own_formulas_bits(
     np.exp(work, out=work)
     want = np.divide(work, np.add.reduce(work, axis=-1, keepdims=True), out=work)
     assert masked_softmax(logits, mask_id).tobytes() == want.tobytes()
-    out = np.empty_like(logits)
-    assert masked_softmax(logits, mask_id, out=out) is out and out.tobytes() == want.tobytes()
 
     p = rng.random(logits.shape)
     p[rng.random(p.shape) < zero_frac] = 0.0

@@ -25,9 +25,9 @@ class _OneHot(Denoiser):
     def __init__(self, target):
         self.target = np.asarray(target)
 
-    def predict(self, z_seq, t):
-        out = np.zeros((len(z_seq), 3))
-        out[np.arange(len(z_seq)), self.target] = 1.0
+    def predict_batch(self, z_seqs, t):
+        out = np.zeros(np.shape(z_seqs) + (3,))
+        out[:, np.arange(len(self.target)), self.target] = 1.0
         return out
 
 

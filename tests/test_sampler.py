@@ -99,8 +99,8 @@ class _FixedPrediction(Denoiser):
     def __init__(self, row):
         self.row = np.asarray(row, dtype=float)
 
-    def predict(self, z_seq, t):
-        return np.tile(self.row, (len(z_seq), 1))
+    def predict_batch(self, z_seqs, t):
+        return np.tile(self.row, np.shape(z_seqs) + (1,))
 
 
 class _FixedUniforms:
@@ -649,6 +649,19 @@ def test_self_correct_batch_rejects_bad_input():
         self_correct_batch(np.zeros((2, 6), dtype=np.int64), _SC_ORACLE, config, 4, [0])
     with pytest.raises(MaskedInputError):
         self_correct_batch([[0] * 6, [0, 4, 0, 0, 0, 0]], _SC_ORACLE, config, 4, [0, 1])
+
+
+@pytest.mark.parametrize("corpus", [[0, 1, 0, 1, 0, 1], [[[0, 1, 0, 1, 0, 1]]]], ids=["1d", "3d"])
+def test_self_correct_batch_corpus_of_another_rank_is_named_error(corpus):
+    with pytest.raises(ValueError, match=r"corpus must be \(S, L\), got shape \((6,|1, 1, 6)\)$"):
+        self_correct_batch(corpus, _SC_ORACLE, SelfCorrectConfig(), 4, [0])
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, 2**64], ids=["float", "negative", "wide"])
+def test_self_correct_batch_bad_row_seed_is_named_error(seed):
+    z = np.zeros((2, 6), dtype=np.int64)
+    with pytest.raises(ValueError, match=rf"seed must lie in .* got {seed!r}$"):
+        self_correct_batch(z, _SC_ORACLE, SelfCorrectConfig(), 4, [0, seed])
 
 
 def test_self_correct_batch_memory_does_not_grow_with_the_corpus():
