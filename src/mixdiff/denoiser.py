@@ -22,8 +22,9 @@ import numpy as np
 from .elbo import (
     EXACT,
     WeightingMode,
-    _marginal_terms,
-    _noise,
+    _check_schedule,
+    _forward,
+    _inverse_cdf,
     kl_divergence,
     loss_target,
     model_marginal,
@@ -199,17 +200,10 @@ def _check_batch(z, length: int, vocab: Vocab, what: str) -> np.ndarray:
     return z
 
 
-def _check_schedule(schedule: MixingSchedule, dist: ToyDistribution) -> None:
-    """A ValueError unless the schedule is over the distribution's vocabulary."""
-    if schedule.vocab != dist.vocab:
-        raise ValueError(
-            f"schedule over {schedule.vocab} does not fit the distribution over {dist.vocab}"
-        )
-
-
 class Denoiser:
-    """Maps a noisy sequence and time to one distribution per position.
-    A subclass defines predict_batch."""
+    """Maps a noisy sequence and time to one distribution per position over
+    `vocab`, which a subclass sets, with the predict_batch it defines."""
+    vocab: Vocab
 
     def predict(self, z_seq: np.ndarray, t: float) -> np.ndarray:
         """The (L, N) per-position distributions of one (L,) sequence: row 0
@@ -232,7 +226,7 @@ class OracleDenoiser(Denoiser):
 
     def __init__(self, dist: ToyDistribution, schedule: MixingSchedule):
         _check_schedule(schedule, dist)
-        self.dist = dist
+        self.dist, self.vocab = dist, dist.vocab
         self.schedule = schedule
         self._outcomes = dist.sequences
         self._priors = dist.probs
@@ -240,10 +234,11 @@ class OracleDenoiser(Denoiser):
 
     def _posterior(self, z_seqs: np.ndarray, t) -> np.ndarray:
         """(B, L) noisy sequences -> (B, K) posterior over outcomes."""
-        a, bp = _marginal_terms(self.schedule.terms(t))
+        terms = self.schedule.terms(t)
+        a, bp = np.reshape(terms.alpha, (-1, 1, 1)), terms.beta_pi.reshape(-1, self.vocab.size)
         # (B, K, L): per-token likelihood alpha * [z == x] + beta_pi[z]
         match = z_seqs[:, None, :] == self._outcomes[None, :, :]
-        bp_z = bp[:, 0][np.arange(len(bp))[:, None], z_seqs][:, None, :]
+        bp_z = bp[np.arange(len(bp))[:, None], z_seqs][:, None, :]
         lik = np.multiply.reduce(np.where(match, a + bp_z, bp_z), axis=2)
         w = lik * self._priors[None, :]
         total = np.add.reduce(w, axis=1)
@@ -259,10 +254,10 @@ class OracleDenoiser(Denoiser):
 
 
 def masked_softmax(logits: np.ndarray, mask_id: int) -> np.ndarray:
-    """Row-wise softmax over non-mask entries; mask gets probability zero."""
+    """Softmax over the non-mask entries of the last axis; mask gets probability zero."""
     work = np.array(logits, dtype=float)
     work[..., mask_id] = -np.inf
-    return softmax(work)
+    return softmax(work.T).T
 
 
 @dataclass(eq=False)
@@ -411,15 +406,15 @@ def table_train(
     times in a step gets one update of k summed gradients. Nothing else
     reads the table, so the call runs in blocks of steps, TRAIN_BLOCK
     examples or one step each. A block draws the stream its steps would draw
-    one by one, and evaluates the schedule, noises, weighs and keys
-    (inserting) once for all its examples, with each z indexed from its
-    step's first entry, so a step's rows of the target are a target of their
-    own. Each step then runs one masked_softmax, model_marginal and
-    target_grad on its rows. The loss values, at the table as each
-    step began, are computed only for the steps the trajectory records
-    (every trajectory_every-th and the last). A block raises only in
-    loss_target or logits_for, before its first update, so then the table
-    holds the updates of the blocks before it.
+    one by one, and evaluates the schedule, builds q_t(. | x), noises,
+    weighs and keys (inserting) once for all its examples, with each z
+    indexed within its step, so a step's rows of the target are a target of
+    their own. Each step then runs masked_softmax's math on a vocabulary-first
+    copy of its logits, model_marginal and target_grad. The loss values, at
+    the table as each step began, are computed only for the steps the
+    trajectory records (every trajectory_every-th and the last). A block
+    raises only in loss_target or logits_for, before its first update, so
+    then the table holds the updates of the blocks before it.
     """
     batch, steps = check_count("batch", batch), check_count("steps", steps, least=0)
     trajectory_every = check_count("trajectory_every", trajectory_every)
@@ -431,7 +426,7 @@ def table_train(
         )
     rng = np.random.default_rng(seed)
     per_block, length = max(1, TRAIN_BLOCK // batch), dist.length
-    n, mask_id, step_rate = dist.vocab.size, dist.vocab.mask_id, -table.learning_rate
+    mask_id, step_rate = dist.vocab.mask_id, -table.learning_rate
     trajectory = []
     for first in range(0, steps, per_block):
         block = range(first, min(first + per_block, steps))
@@ -439,20 +434,24 @@ def table_train(
         u = rng.random((len(block), batch * (1 + length) + 1))
         xs = dist.outcomes_at(u[:, :batch]).reshape(-1, length)
         times = stratified_times(batch, u[:, batch, None], schedule.eps_t).ravel()
-        zs = _noise(schedule.terms(times), xs, u[:, batch + 1 :].reshape(-1, length))
-        target = loss_target(schedule, times, zs, xs, mode)
+        forward = _forward(schedule.terms(times), xs)
+        zs = _inverse_cdf(forward[-1], u[:, batch + 1 :].reshape(-1, length))
+        target = loss_target(schedule, times, zs, forward, mode)
         entries, inverse = table.logits_for(zs, times, insert=True)
-        # count each z index from its step's first entry: a step's rows are then a target
-        step_start = np.arange(len(xs)) // batch * (batch * length * n)
-        np.subtract(target[3], step_start[:, None], out=target[3])
+        # count each z index within its step: a step's rows are then a target
+        z_steps = target[3].reshape(len(block), -1)
+        z_steps[...] = zs.reshape(z_steps.shape) * z_steps.shape[1] + np.arange(z_steps.shape[1])
         for step, e in zip(block, entries[inverse].reshape(len(block), batch)):
-            part = tuple(v[(step - first) * batch : (step - first + 1) * batch] for v in target)
-            model = model_marginal(part, masked_softmax(table.logits.take(e, axis=0), mask_id))
+            rows = slice((step - first) * batch, (step - first + 1) * batch)
+            part = tuple(v[..., rows, :] for v in target)
+            work = table.logits.take(e, axis=0).transpose(2, 0, 1).copy()
+            work[mask_id] = -np.inf
+            model = model_marginal(part, softmax(work))
             if step % trajectory_every == 0 or step == steps - 1:
                 w, kl, is_term = target_loss(part, model)
                 losses = (w * (kl + is_term)).sum(axis=-1)
                 trajectory.append(sum((losses / length).tolist()) / batch)
-            np.add.at(table.logits, e, target_grad(part, model) * step_rate)
+            np.add.at(table.logits, e, target_grad(part, model).transpose(1, 2, 0) * step_rate)
     return TrainingReport(
         final_avg_loss=trajectory[-1] if steps else 0.0,
         loss_trajectory=tuple(trajectory),
@@ -475,6 +474,6 @@ def posterior_kl_to_oracle(
     times = stratified_times(num_samples, rng.random(), schedule.eps_t)
     # Each sample's clean sequence and noise come from the one stream in turn.
     u = rng.random((num_samples, 1 + dist.length))
-    zs = _noise(schedule.terms(times), dist.outcomes_at(u[:, 0]), u[:, 1:])
+    zs = _inverse_cdf(_forward(schedule.terms(times), dist.outcomes_at(u[:, 0]))[-1], u[:, 1:])
     kl = kl_divergence(oracle.predict_batch(zs, times), table.predict_batch(zs, times))
     return sum(kl.ravel().tolist()) / kl.size

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -63,11 +64,28 @@ class NelboEstimate:
         return float(np.exp(self.mean_per_token))
 
 
+def _check_schedule(schedule: MixingSchedule, owner, what: str = "distribution") -> None:
+    """A ValueError unless the schedule is over the vocabulary of `owner`, the `what`."""
+    if (vocab := owner.vocab) != schedule.vocab:
+        raise ValueError(f"schedule over {schedule.vocab} does not fit the {what} over {vocab}")
+
+
+def _vocab_sum(v: np.ndarray) -> np.ndarray:
+    """The sum over the first axis of v, the vocabulary, with the bits numpy
+    gives a contiguous last axis: below 8 entries that is in order, one
+    elementwise pass per plane v[k]; from 8 on it is pairwise, so the sum
+    runs over a vocabulary-last copy."""
+    if len(v) < 8:
+        return np.add.reduce(v, axis=0)
+    return np.add.reduce(np.moveaxis(v, 0, -1).copy(), axis=-1)
+
+
 def softmax(work: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place on the float array `work`; -inf gets 0."""
-    np.subtract(work, np.maximum.reduce(work, axis=-1, keepdims=True), out=work)
+    """Softmax over the first axis, the vocabulary, in place on the float
+    array `work`; -inf gets 0. (..., N) logits pass their transpose."""
+    np.subtract(work, np.maximum.reduce(work, axis=0), out=work)
     np.exp(work, out=work)
-    return np.divide(work, np.add.reduce(work, axis=-1, keepdims=True), out=work)
+    return np.divide(work, _vocab_sum(work), out=work)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
@@ -76,7 +94,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     log_ratio = np.log(np.maximum(p, LOG_FLOOR)) - np.log(np.maximum(q, LOG_FLOOR))
-    kl = np.add.reduce(p * log_ratio, axis=-1)
+    kl = _vocab_sum((p * log_ratio).T).T
     return float(kl) if kl.ndim == 0 else kl
 
 
@@ -91,34 +109,31 @@ def is_divergence_pointwise(p_val, q_val) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
-def _marginal_terms(terms: Terms) -> tuple[np.ndarray, np.ndarray]:
-    """alpha_t and beta_t pi_t of `terms` shaped (B, 1, 1) and (B, 1, N) for (B,)
-    times, (1, 1, 1) and (1, 1, N) for one: q_t(. | x) = a * one_hot(x) + bp."""
-    bp = terms.beta_pi
-    return np.reshape(terms.alpha, (-1, 1, 1)), bp.reshape(-1, 1, bp.shape[-1])
+def _forward(terms: Terms, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """x as (B, L) rows and, vocabulary first, alpha_t (B, 1), beta_t pi_t (N, B, 1) and
+    q_t(. | x) (N, B, L): what the noise draw, _inverse_cdf(q, u), and loss_target share."""
+    x, bp = np.atleast_2d(x), terms.beta_pi.T
+    a, bp = np.reshape(terms.alpha, (-1, 1)), bp.reshape(len(bp), -1, 1)
+    return x, a, bp, bp + a * (x == np.arange(len(bp))[:, None, None])
 
 
 def loss_target(
     schedule: MixingSchedule,
     t,
     z: np.ndarray,
-    x: np.ndarray,
+    forward: tuple,
     mode: WeightingMode = EXACT,
     weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
 ) -> tuple[np.ndarray, ...]:
-    """The first part of loss_and_grad, with its arguments, for (B, L) z and
-    x: alpha_t (B, 1, 1), beta_t pi_t (B, 1, N), q_t(. | x) (B, L, N), the
-    index of z among its entries, q_t(z | x) floored at LOG_FLOOR and the
-    weights (B, L), and alpha_t times the weights (B, L, 1); under one time
-    t, alpha_t and beta_t pi_t have one row. The index of z counts in the
-    flattened q_t(. | x), so q_t(z | x) is one gather; a caller that scores
-    a slice of rows counts it from the slice's first entry."""
-    z, x = (np.atleast_2d(np.asarray(v, dtype=np.int64)) for v in (z, x))
-    n = schedule.vocab.size
+    """The first part of loss_and_grad for (B, L) z at t, given the _forward of
+    its clean tokens: alpha_t, beta_t pi_t and q_t(. | x) as _forward gives
+    them; the index of z in the flattened q_t(. | x) (a caller that scores a
+    slice of rows counts it within the slice), q_t(z | x) floored at
+    LOG_FLOOR, the weights and alpha_t times them: rows on axis -2 of each."""
+    x, a, bp, q_true = forward
+    z, n = np.atleast_2d(z), len(bp)
     terms = schedule.terms(t)
-    a, bp = _marginal_terms(terms)
-    q_true = bp + a * (x[..., None] == np.arange(n))
-    z_index = np.arange(z.size).reshape(z.shape) * n + z
+    z_index = z * z.size + np.arange(z.size).reshape(z.shape)
     p_z = q_true.take(z_index)
     if mode.kind == "dynamic":
         b = schedule.uniform_mix_constant
@@ -139,16 +154,15 @@ def loss_target(
             w = np.minimum(w, weight_clip)
         if mode.kind == "clamp":
             w = np.minimum(mode.w_max, w)
-    return a, bp, q_true, z_index, np.maximum(p_z, LOG_FLOOR), w, a * w[..., None]
+    return a, bp, q_true, z_index, np.maximum(p_z, LOG_FLOOR), w, a * w
 
 
 def model_marginal(target: tuple, probs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """What target_loss and target_grad need of the (B, L, N) prediction
-    probs, scored against loss_target's `target` or a slice of its rows:
-    probs, the model marginal q_t(. | x_theta) = alpha_t probs + beta_t pi_t
-    floored at LOG_FLOOR, and its entry at z."""
+    """What target_loss and target_grad need of the prediction probs, shaped like
+    q_t(. | x), against loss_target's `target` or a slice of its rows: probs in
+    C order, q_t(. | x_theta) = alpha_t probs + beta_t pi_t floored, its entry at z."""
     a, bp, q_true, z_index, *_ = target
-    s = np.asarray(probs, dtype=float).reshape(q_true.shape)
+    s = np.ascontiguousarray(probs, dtype=float).reshape(q_true.shape)
     # The floor keeps q_model > 0, so no ratio below is 0/0.
     q_model = np.maximum(a * s + bp, LOG_FLOOR)
     return s, q_model, q_model.take(z_index)
@@ -158,11 +172,12 @@ def target_loss(target: tuple, model: tuple) -> tuple[np.ndarray, ...]:
     """The loss terms of loss_and_grad: (weight, kl, is_term)."""
     _, _, q_true, _, p_z, w, _ = target
     _, q_model, q_z = model
-    return w, kl_divergence(q_true, q_model), is_divergence_pointwise(p_z, q_z)
+    kl = kl_divergence(q_true.transpose(1, 2, 0), q_model.transpose(1, 2, 0))
+    return w, kl, is_divergence_pointwise(p_z, q_z)
 
 
 def target_grad(target: tuple, model: tuple) -> np.ndarray:
-    """The logit gradient of loss_and_grad, a new C-order array whatever the inputs' layout."""
+    """The logit gradient of loss_and_grad, vocabulary first: a new C-order array."""
     _, _, q_true, z_index, p_z, _, aw = target
     s, q_model, q_z = model
     # q_model = alpha_t s + beta_t pi_t. d(KL)/dq_model = -q_true / q_model;
@@ -170,7 +185,7 @@ def target_grad(target: tuple, model: tuple) -> np.ndarray:
     g = np.divide(-q_true, q_model, order="C")
     g.reshape(-1)[z_index] += 1.0 / q_z - p_z / q_z**2
     g *= aw
-    return s * (g - np.add.reduce(s * g, axis=-1, keepdims=True))
+    return s * (g - _vocab_sum(s * g))
 
 
 def loss_and_grad(
@@ -197,13 +212,14 @@ def loss_and_grad(
     get gradient 0, so grad also holds for a softmax over a subset of entries.
     It is the composition of its parts: loss_target computes what does not
     depend on probs, once for rows that model_marginal, target_loss and
-    target_grad then score, together or in parts.
+    target_grad then score, together or in parts, vocabulary first.
     """
     z, x = (schedule.vocab.check_tokens(v) for v in (z, x))
-    target = loss_target(schedule, t, z, x, mode, weight_clip)
-    model = model_marginal(target, probs)
+    forward = _forward(schedule.terms(t), x)
+    target = loss_target(schedule, t, z, forward, mode, weight_clip)
+    model = model_marginal(target, np.moveaxis(probs, -1, 0))
     w, kl, is_term = target_loss(target, model)
-    grad = target_grad(target, model)
+    grad = np.moveaxis(target_grad(target, model), 0, -1)
     shape = z.shape
     return w.reshape(shape), kl.reshape(shape), is_term.reshape(shape), grad.reshape(shape + (-1,))
 
@@ -274,27 +290,20 @@ def stratified_times(num_mc: int, offset: float, eps_t: float) -> np.ndarray:
 
 
 def _inverse_cdf(rows: np.ndarray, u: np.ndarray, inverse=None) -> np.ndarray:
-    """Exact inverse-CDF sampling along the last axis. rows must be normalized;
+    """Exact inverse-CDF sampling over the vocabulary. rows must be normalized;
     u[b] draws from rows[inverse[b]] (by default, from rows[b]). The draw is
     the count of CDF entries at or below u, over all but the last, since
     u < 1: a token of probability zero repeats the entry before it, so u on
-    that entry (u = 0 included) passes it by. With inverse, the (N - 1, L, D)
-    CDF is gathered along its last axis, compared with u.T and counted in the
-    smallest integer type that holds N - 1, stride-1 for column-major u. Without,
-    the last-axis compare is cheaper on the small arrays of self-correction."""
+    that entry (u = 0 included) passes it by. Without inverse, rows are
+    (N,) + u.shape, counted a plane at a time. With inverse, rows are (D, L,
+    N): the (N - 1, L, D) CDF is gathered along its last axis, compared with
+    u.T and counted in the smallest integer type that holds N - 1."""
     if inverse is None:
-        return np.add.reduce(np.add.accumulate(rows, axis=-1)[..., :-1] <= u[..., None], axis=-1)
+        return sum(cdf <= u for cdf in accumulate(rows[:-1]))
     cdf = np.ascontiguousarray(np.add.accumulate(rows[..., :-1], axis=-1).T)
     below = cdf.take(inverse, axis=-1) <= u.T
     count = np.add.reduce(below, axis=0, dtype=np.min_scalar_type(cdf.shape[0]))
     return count.astype(np.int64).T
-
-
-def _noise(terms: Terms, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """noise_sequence with the closed forms and the uniforms u, shaped like x, given."""
-    a, bp = _marginal_terms(terms)
-    q = bp + a * (x[..., None] == np.arange(bp.shape[-1]))
-    return _inverse_cdf(q.reshape(x.shape + q.shape[-1:]), u)
 
 
 def noise_sequence(
@@ -309,7 +318,8 @@ def noise_sequence(
     rng.random(x_seq.shape) call draws the stream B rng.random(L) calls would.
     """
     x_seq = schedule.vocab.check_tokens(x_seq)
-    return _noise(schedule.terms(t), x_seq, rng.random(x_seq.shape))
+    q = _forward(schedule.terms(t), x_seq)[-1]
+    return _inverse_cdf(q, rng.random(x_seq.shape)).reshape(x_seq.shape)
 
 
 # Draws per block of corpus_nelbo: what one block holds bounds the memory of
@@ -334,6 +344,7 @@ def corpus_nelbo(
     about NELBO_BLOCK draws (one row at least), and each row's estimate has
     the bits it has alone.
     """
+    _check_schedule(schedule, denoiser, "denoiser")
     x_seqs = schedule.vocab.check_tokens(x_seqs)
     if x_seqs.ndim != 2:
         raise ValueError(f"corpus must be (S, L), got shape {x_seqs.shape}")
@@ -349,9 +360,10 @@ def corpus_nelbo(
         rngs = map(np.random.default_rng, seeds[first : first + per_block])
         offsets, u = zip(*[(rng.random(), rng.random((num_mc, length))) for rng in rngs])
         times = stratified_times(num_mc, np.array(offsets)[:, None], schedule.eps_t).ravel()
-        z = _noise(schedule.terms(times), x, np.concatenate(u))
-        target = loss_target(schedule, times, z, x, mode)
-        probs = denoiser.predict_batch(z, times)
+        forward = _forward(schedule.terms(times), x)
+        z = _inverse_cdf(forward[-1], np.concatenate(u))
+        target = loss_target(schedule, times, z, forward, mode)
+        probs = np.transpose(denoiser.predict_batch(z, times), (2, 0, 1))
         w, kl, is_term = target_loss(target, model_marginal(target, probs))
         loss = (w * (kl + is_term)).reshape(len(offsets), num_mc, length)
         # Left-to-right sums over positions, whatever numpy's grouping.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import Denoiser, _distinct_rows
-from .elbo import _inverse_cdf, _marginal_terms, softmax
+from .elbo import _check_schedule, _inverse_cdf, softmax
 from .errors import EmptySupportError, MaskedInputError
 from .metrics import _probs_at, self_accuracy_from_probs
 from .schedule import (
@@ -124,7 +124,7 @@ def adapt_distribution(p: np.ndarray, temperature: float = 1.0, min_p: float = 0
     elif temperature != 1.0:
         logp = np.log(p, out=np.full_like(p, -np.inf), where=p > 0)
         logp /= temperature
-        p = softmax(logp)
+        p = softmax(logp.T).T
     if min_p == 0.0:
         return p
     out = np.where(p >= min_p, p, 0.0)
@@ -158,9 +158,8 @@ def _denoise_step_batch(
     preds = denoiser.predict_batch(z_batch, t_from)
     preds = adapt_distribution(preds, config.temperature, config.min_p)
     at_to = schedule.terms(t_to)
-    a_to, bp_to = _marginal_terms(at_to)
     trans = at_to.to(at_from)
-    q_to = a_to * preds + bp_to
+    q_to = at_to.alpha * preds + at_to.beta_pi
     # v[b,l,:] = bp_ts[z_t] * q_to[b,l,:] with alpha_ts * q_to at z_s = z_t.
     v = trans.beta_pi_ts[z_batch][..., None] * q_to
     v += trans.alpha_ts * q_to * (z_batch[..., None] == np.arange(q_to.shape[-1]))
@@ -199,6 +198,7 @@ def ancestral_sample_batch(
     batch is held column-major between steps and returned C-contiguous.
     """
     count, length = check_count("count", count), check_count("length", length)
+    _check_schedule(schedule, denoiser, "denoiser")
     grid = config.time_grid(schedule.eps_t)
     rows = counter_hash(config.seed, np.arange(count, dtype=np.uint64))
     z = np.full((length, count), schedule.vocab.mask_id, dtype=np.int64).T
@@ -251,6 +251,8 @@ def self_correct_batch(
     z_seqs = token_ids(z_seqs)
     if z_seqs.ndim != 2:
         raise ValueError(f"corpus must be (S, L), got shape {z_seqs.shape}")
+    if mask_id != denoiser.vocab.mask_id:
+        raise ValueError(f"mask id {mask_id} does not fit the denoiser over {denoiser.vocab}")
     if np.logical_or.reduce(z_seqs == mask_id, axis=None):
         raise MaskedInputError("self-correction requires a fully denoised sequence")
     check_seeds(seeds, len(z_seqs))
@@ -272,7 +274,8 @@ def self_correct_batch(
             np.copyto(best_z, z, where=better[:, None])
             stall = np.where(better, 0, stall + 1)
             tempered = adapt_distribution(probs, config.temperature)
-            proposal = _inverse_cdf(tempered, np.array([rng.random(z.shape[1]) for rng in rngs]))
+            u = np.array([rng.random(z.shape[1]) for rng in rngs])
+            proposal = _inverse_cdf(tempered.transpose(2, 0, 1), u)
             disagree = proposal != z
             converged = ~np.logical_or.reduce(disagree, axis=1)
             stop = converged | (stall >= config.patience)

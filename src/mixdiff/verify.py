@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elbo import CLAMP, DYNAMIC, EXACT, loss_and_grad, loss_target, mdm_loss
+from .elbo import CLAMP, DYNAMIC, EXACT, _forward, loss_and_grad, loss_target, mdm_loss
 from .schedule import Vocab, make_schedule
 
 
@@ -228,7 +228,8 @@ def check_pu_zero_collapse(seed=7, cases=200, n=6, tol=1e-14):
     q = t[:, None] * m
     q[rows, x] += 1.0 - t
     on = q[rows, z] > 0
-    w = loss_target(hyb, t[on], z[on, None], x[on, None], EXACT, None)[5][:, 0]
+    forward = _forward(hyb.terms(t[on]), x[on, None])
+    w = loss_target(hyb, t[on], z[on, None], forward, EXACT, None)[5][:, 0]
     pairs = [
         (hyb.alpha(t), 1.0 - t),
         (hyb.alpha_prime(t), -1.0),

@@ -15,10 +15,15 @@ from mixdiff import (
     Denoiser,
     LogitTable,
     OracleDenoiser,
+    SamplerConfig,
+    SelfCorrectConfig,
     ToyDistribution,
     Vocab,
+    ancestral_sample_batch,
+    corpus_nelbo,
     kl_divergence,
     make_schedule,
+    self_correct_batch,
     sequence_nelbo,
     table_train,
 )
@@ -28,7 +33,7 @@ from mixdiff.denoiser import (
     masked_softmax,
     posterior_kl_to_oracle,
 )
-from mixdiff.elbo import _marginal_terms, loss_and_grad, noise_sequence, stratified_times
+from mixdiff.elbo import loss_and_grad, noise_sequence, stratified_times
 from mixdiff.errors import CorpusFormatError, DegenerateEvidenceError, TimeRangeError
 from mixdiff.schedule import MixingSchedule
 
@@ -607,6 +612,31 @@ def test_schedule_over_another_vocabulary_is_named_error(five_outcome, entry, ot
     assert not table.table
 
 
+@pytest.mark.parametrize("entry", ["ancestral_sample_batch", "corpus_nelbo", "self_correct_batch"])
+def test_entry_over_another_vocabulary_than_its_denoiser_is_named_error(five_outcome, entry):
+    """The denoiser carries its vocabulary, so a schedule or mask id over
+    another one is a named ValueError; the sampler used to return all-zero
+    rows, corpus_nelbo finite NELBOs, and self_correct_batch raised
+    MaskedInputError on clean input."""
+    other = Vocab(5, 0)
+    sched = make_schedule("mask", other)
+    oracle = OracleDenoiser(five_outcome, make_schedule("mask", five_outcome.vocab))
+    clean = five_outcome.sequences[:2]
+    calls = {
+        "ancestral_sample_batch": lambda: ancestral_sample_batch(
+            sched, 3, oracle, SamplerConfig(num_steps=4), 3
+        ),
+        "corpus_nelbo": lambda: corpus_nelbo(sched, clean, oracle, 8, [1, 2]),
+        "self_correct_batch": lambda: self_correct_batch(
+            clean, oracle, SelfCorrectConfig(), other.mask_id, [1, 2]
+        ),
+    }
+    what = "mask id 0" if entry == "self_correct_batch" else f"schedule over {other!r}"
+    msg = f"{what} does not fit the denoiser over {five_outcome.vocab!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        calls[entry]()
+
+
 def test_table_train_long_call_same_bits_in_bounded_memory(tmp_path, two_outcome):
     """Criterion 8's call, 2000 steps of 64 examples, crosses 32 blocks. Its
     final loss was recorded when each step became one minibatch update, and
@@ -666,6 +696,11 @@ def _train_step_by_step(
 def _training_distribution(which):
     if which == "two":
         return ToyDistribution(Vocab(3, 2), 2, (((0, 0), 0.5), ((1, 1), 0.5)))
+    if which == "nine":  # N >= 8, where numpy sums the vocabulary pairwise; mask id mid-vocabulary
+        return ToyDistribution(
+            Vocab(9, 4), 2, (((0, 8), 0.3), ((3, 5), 0.25), ((8, 8), 0.2), ((1, 6), 0.15),
+                             ((7, 2), 0.1))
+        )
     return ToyDistribution(
         Vocab(5, 4), 3, (((0, 1, 2), 0.3), ((1, 2, 3), 0.25), ((2, 3, 0), 0.2),
                          ((3, 0, 1), 0.15), ((0, 0, 0), 0.1))
@@ -674,7 +709,7 @@ def _training_distribution(which):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    which=st.sampled_from(["two", "five"]),
+    which=st.sampled_from(["two", "five", "nine"]),
     kind=st.sampled_from(["mask", "hybrid"]),
     mode=st.sampled_from([EXACT, CLAMP, DYNAMIC]),
     steps=st.integers(0, 4),
@@ -897,9 +932,10 @@ _FACTOR_DIST = ToyDistribution(
 def _posterior_by_product(oracle, z, t):
     """The oracle's posterior with the per-token factor written as
     alpha_t * [z = x] + beta_t pi_t[z]."""
-    a, bp = _marginal_terms(oracle.schedule.terms(t))
+    terms = oracle.schedule.terms(t)
+    a, bp = np.reshape(terms.alpha, (-1, 1, 1)), np.reshape(terms.beta_pi, (-1, 5))
     match = z[:, None, :] == oracle._outcomes[None, :, :]
-    bp_z = bp[:, 0][np.arange(len(bp))[:, None], z]
+    bp_z = bp[np.arange(len(bp))[:, None], z]
     w = (a * match + bp_z[:, None, :]).prod(axis=2) * oracle._priors[None, :]
     return w / w.sum(axis=1)[:, None]
 

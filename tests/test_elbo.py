@@ -33,6 +33,7 @@ from mixdiff import (
 from mixdiff.denoiser import masked_softmax
 from mixdiff.elbo import (
     DEFAULT_WEIGHT_CLIP,
+    _forward,
     _inverse_cdf,
     loss_target,
     loss_weight,
@@ -428,12 +429,15 @@ def test_loss_and_grad_rejects_tokens_outside_the_vocabulary(hybrid_sched):
 def test_loss_parts_leave_their_inputs_alone(hybrid_sched, mode):
     """model_marginal, target_loss and target_grad return new arrays: every
     part of the target and the prediction keep their bytes, so one target
-    slice serves a step's loss and then its gradient."""
+    slice serves a step's loss and then its gradient. The prediction is
+    vocabulary first and C-order, as the parts take it, so none copies it."""
     rng = np.random.default_rng(5)
     x = rng.integers(0, 4, size=(3, 4))
     z = noise_sequence(hybrid_sched, x, 0.5, rng)
     probs = np.array([[random_prediction(rng, 5, 4) for _ in range(4)] for _ in range(3)])
-    target = loss_target(hybrid_sched, np.array([0.2, 0.5, 0.8]), z, x, mode)
+    probs = np.ascontiguousarray(np.moveaxis(probs, -1, 0))
+    times = np.array([0.2, 0.5, 0.8])
+    target = loss_target(hybrid_sched, times, z, _forward(hybrid_sched.terms(times), x), mode)
     before = [v.tobytes() for v in (*target, probs)]
     model = model_marginal(target, probs)
     model_bytes = [v.tobytes() for v in model]
@@ -529,10 +533,12 @@ def test_same_seed_same_output(tmp_path, two_outcome, kind, mode):
 @pytest.mark.parametrize("inverse", [None, np.array([0])], ids=["own", "shared"])
 def test_inverse_cdf_skips_zero_probability_token_at_u_zero(inverse):
     """u = 0 sits on the CDF entry 0 of a leading zero-probability token, which
-    a draw must never return; rng.random and counter_uniforms can give 0."""
-    assert _inverse_cdf(np.array([[0.0, 1.0]]), np.array([0.0]), inverse).tolist() == [1]
+    a draw must never return; rng.random and counter_uniforms can give 0.
+    Own rows are vocabulary first, shared ones (D, L, N)."""
+    lay = (lambda p: np.moveaxis(p, -1, 0)) if inverse is None else (lambda p: p)
+    assert _inverse_cdf(lay(np.array([[0.0, 1.0]])), np.array([0.0]), inverse).tolist() == [1]
     rows = np.array([[[0.0, 0.0, 0.5, 0.5]]])
-    assert _inverse_cdf(rows, np.zeros((1, 1)), inverse).tolist() == [[2]]
+    assert _inverse_cdf(lay(rows), np.zeros((1, 1)), inverse).tolist() == [[2]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -566,7 +572,7 @@ def test_inverse_cdf_counts_cdf_entries_below_u(n, length, rows, draws, zero_fra
                 u[b, l] = cdf[rng.integers(n - 1)]
             expect[b, l] = int((cdf <= u[b, l]).sum())
     shared = _inverse_cdf(p, u, inverse)
-    own = _inverse_cdf(p[inverse], u)
+    own = _inverse_cdf(np.moveaxis(p[inverse], -1, 0), u)
     assert shared.dtype == np.int64 and own.dtype == np.int64
     np.testing.assert_array_equal(shared, expect)
     np.testing.assert_array_equal(own, expect)
@@ -584,7 +590,7 @@ def test_inverse_cdf_same_draws_for_either_order_of_u():
     by_columns = _inverse_cdf(p, np.asfortranarray(u), inverse)
     assert by_rows.dtype == by_columns.dtype == np.int64
     np.testing.assert_array_equal(by_rows, by_columns)
-    np.testing.assert_array_equal(by_rows, _inverse_cdf(p[inverse], u))
+    np.testing.assert_array_equal(by_rows, _inverse_cdf(np.moveaxis(p[inverse], -1, 0), u))
 
 
 @pytest.mark.parametrize("n", [130, 256, 257, 300])
@@ -599,7 +605,7 @@ def test_inverse_cdf_draws_token_ids_past_a_byte(n):
     draws = _inverse_cdf(p, u, inverse)
     assert draws.dtype == np.int64
     assert draws.min() == 128 and draws.max() == n - 1
-    np.testing.assert_array_equal(draws, _inverse_cdf(p[inverse], u))
+    np.testing.assert_array_equal(draws, _inverse_cdf(np.moveaxis(p[inverse], -1, 0), u))
 
 
 def _nelbo_alone(schedule, x_seq, denoiser, num_mc, seed, mode):
@@ -778,3 +784,111 @@ def test_softmax_callers_keep_their_own_formulas_bits(
     for mode in (EXACT, CLAMP, DYNAMIC):
         want = loss_and_grad(sched, t, [z_t], [x], [e / e.sum()], mode)[3][0]
         assert per_token_loss_grad(sched, t, z_t, x, token_logits, mode).tobytes() == want.tobytes()
+
+
+def _q_last_axis(schedule, t, x):
+    """alpha_t (B, 1, 1), beta_t pi_t (B, 1, N) and q_t(. | x) (B, L, N), the
+    vocabulary last, as the loss built them before it moved the axis first."""
+    n, terms = schedule.vocab.size, schedule.terms(t)
+    a, bp = np.reshape(terms.alpha, (-1, 1, 1)), np.reshape(terms.beta_pi, (-1, 1, n))
+    return a, bp, bp + a * (x[..., None] == np.arange(n))
+
+
+def _loss_and_grad_last_axis(schedule, t, z, x, probs, mode):
+    """loss_and_grad of (B, L) z and x and (B, L, N) probs written out with
+    the vocabulary last: every max, sum and count over N is numpy's over the
+    last axis, the weight clipped at DEFAULT_WEIGHT_CLIP."""
+    n, terms = schedule.vocab.size, schedule.terms(t)
+    a, bp, q_true = _q_last_axis(schedule, t, x)
+    p_z = np.take_along_axis(q_true, z[..., None], -1)[..., 0]
+    if mode.kind == "dynamic":
+        w = np.ones(z.shape)
+        w[z == schedule.vocab.mask_id] += 1.0
+        clean = (schedule.uniform_mix_constant / n) * np.exp(-terms.log_snr / 2.0) - 1.0
+        w = mode.w_max * (w + np.where(z == x, np.reshape(clean, (-1, 1)), 0.0))
+    else:
+        rate = np.reshape(terms.rate, (-1, n))[np.arange(len(a))[:, None], z]
+        w = np.minimum(rate / p_z, DEFAULT_WEIGHT_CLIP)
+        if mode.kind == "clamp":
+            w = np.minimum(mode.w_max, w)
+    p_z = np.maximum(p_z, 1e-30)
+    q_model = np.maximum(a * probs + bp, 1e-30)
+    q_z = np.take_along_axis(q_model, z[..., None], -1)[..., 0]
+    log_ratio = np.log(np.maximum(q_true, 1e-30)) - np.log(q_model)
+    kl = np.add.reduce(q_true * log_ratio, axis=-1)
+    r = p_z / q_z
+    g = -q_true / q_model
+    g_z = np.take_along_axis(g, z[..., None], -1) + (1.0 / q_z - p_z / q_z**2)[..., None]
+    np.put_along_axis(g, z[..., None], g_z, -1)
+    g *= a * w[..., None]
+    grad = probs * (g - np.add.reduce(probs * g, axis=-1, keepdims=True))
+    return w, kl, r - np.log(r) - 1.0, grad
+
+
+def _noise_last_axis(schedule, t, x, u):
+    """noise_sequence's draw with the CDF summed and counted along the last axis."""
+    cdf = np.add.accumulate(_q_last_axis(schedule, t, x)[2], axis=-1)[..., :-1]
+    return np.add.reduce(cdf <= u[..., None], axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    rows=st.integers(1, 4),
+    length=st.integers(1, 4),
+    kind=st.sampled_from(["mask", "hybrid"]),
+    one_time=st.booleans(),
+    temperature=st.floats(1e-3, 20.0).filter(lambda v: v != 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vocabulary_first_kernels_keep_the_last_axis_bits(
+    n, rows, length, kind, one_time, temperature, seed
+):
+    """The loss kernels work vocabulary first, (N, B, L); each public entry
+    moves the axis at its boundary and gives, bit for bit, what the same
+    formula written with the vocabulary last gives, for every N with the
+    mask id anywhere. numpy sums a contiguous last axis in order below 8
+    entries and pairwise from 8 on; the kernels keep both orders."""
+    rng = np.random.default_rng(seed)
+    vocab = Vocab(n, int(rng.integers(n)))
+    sched = make_schedule(kind, vocab, p_u=0.2 if kind == "hybrid" else 0.0)
+    x = rng.integers(0, n - 1, (rows, length))
+    x += x >= vocab.mask_id
+    t = stratified_times(rows, rng.random(), sched.eps_t)
+    t = float(t[0]) if one_time else t
+
+    u = np.random.default_rng(seed).random(x.shape)
+    z = noise_sequence(sched, x, t, np.random.default_rng(seed))
+    assert z.tobytes() == _noise_last_axis(sched, t, x, u).tobytes()
+
+    logits = 4.0 * rng.standard_normal((rows, length, n))
+    work = np.array(logits)
+    work[..., vocab.mask_id] = -np.inf
+    work = np.exp(work - np.maximum.reduce(work, axis=-1, keepdims=True))
+    probs = work / np.add.reduce(work, axis=-1, keepdims=True)
+    assert masked_softmax(logits, vocab.mask_id).tobytes() == probs.tobytes()
+    logp = np.log(probs, out=np.full_like(probs, -np.inf), where=probs > 0) / temperature
+    e = np.exp(logp - np.maximum.reduce(logp, axis=-1, keepdims=True))
+    want = e / np.add.reduce(e, axis=-1, keepdims=True)
+    assert adapt_distribution(probs, temperature).tobytes() == want.tobytes()
+
+    for mode in (EXACT, CLAMP, DYNAMIC):
+        got = loss_and_grad(sched, t, z, x, probs, mode)
+        want = _loss_and_grad_last_axis(sched, t, z, x, probs, mode)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    outcomes = sorted(set(map(tuple, x.tolist())))
+    dist = ToyDistribution(vocab, length, tuple((o, 1.0 / len(outcomes)) for o in outcomes))
+    oracle, num_mc = OracleDenoiser(dist, sched), int(rng.integers(1, 12))
+    for mode in (EXACT, CLAMP, DYNAMIC):
+        (est,) = corpus_nelbo(sched, x[:1], oracle, num_mc, [seed], mode)
+        draws = np.random.default_rng(seed)
+        times = stratified_times(num_mc, draws.random(), sched.eps_t)
+        x_batch = np.repeat(x[:1], num_mc, axis=0)
+        z = _noise_last_axis(sched, times, x_batch, draws.random(x_batch.shape))
+        w, kl, is_term, _ = _loss_and_grad_last_axis(
+            sched, times, z, x_batch, oracle.predict_batch(z, times), mode
+        )
+        per_sample = sum((w * (kl + is_term)).T) / length
+        se = float(per_sample.std(ddof=1) / math.sqrt(num_mc)) if num_mc > 1 else 0.0
+        assert (est.mean_per_token, est.std_error) == (float(per_sample.mean()), se)

@@ -565,7 +565,7 @@ def _self_correct_alone(z_seq, denoiser, config, mask_id):
         else:
             stall += 1
         tempered = adapt_distribution(probs, config.temperature)
-        proposal = _inverse_cdf(tempered, rng.random(len(z)))
+        proposal = _inverse_cdf(tempered.T, rng.random(len(z)))
         disagree = np.flatnonzero(proposal != z)
         if disagree.size == 0:
             converged = True
