@@ -22,7 +22,6 @@ import numpy as np
 from .elbo import (
     EXACT,
     WeightingMode,
-    _check_schedule,
     _forward,
     _inverse_cdf,
     kl_divergence,
@@ -34,7 +33,9 @@ from .elbo import (
     target_loss,
 )
 from .errors import CorpusFormatError, DegenerateEvidenceError, TimeRangeError
-from .schedule import MixingSchedule, Vocab, check_count, check_eps_t, check_positive, token_ids
+from .schedule import (
+    MixingSchedule, Vocab, check_count, check_eps_t, check_fits, check_positive, token_ids
+)
 
 
 def _read_records(path: str, what: str, parse_header, parse_row, build):
@@ -225,7 +226,7 @@ class OracleDenoiser(Denoiser):
     """
 
     def __init__(self, dist: ToyDistribution, schedule: MixingSchedule):
-        _check_schedule(schedule, dist)
+        check_fits("schedule", schedule, "distribution", dist)
         self.dist, self.vocab = dist, dist.vocab
         self.schedule = schedule
         self._outcomes = dist.sequences
@@ -418,12 +419,8 @@ def table_train(
     """
     batch, steps = check_count("batch", batch), check_count("steps", steps, least=0)
     trajectory_every = check_count("trajectory_every", trajectory_every)
-    _check_schedule(schedule, dist)
-    if (table.vocab, table.length) != (dist.vocab, dist.length):
-        raise ValueError(
-            f"table of length {table.length} over {table.vocab} does not fit the "
-            f"distribution of length {dist.length} over {dist.vocab}"
-        )
+    check_fits("schedule", schedule, "distribution", dist)
+    check_fits("table", table, "distribution", dist)
     rng = np.random.default_rng(seed)
     per_block, length = max(1, TRAIN_BLOCK // batch), dist.length
     mask_id, step_rate = dist.vocab.mask_id, -table.learning_rate
@@ -436,7 +433,7 @@ def table_train(
         times = stratified_times(batch, u[:, batch, None], schedule.eps_t).ravel()
         forward = _forward(schedule.terms(times), xs)
         zs = _inverse_cdf(forward[-1], u[:, batch + 1 :].reshape(-1, length))
-        target = loss_target(schedule, times, zs, forward, mode)
+        target = loss_target(forward, zs, mode)
         entries, inverse = table.logits_for(zs, times, insert=True)
         # count each z index within its step: a step's rows are then a target
         z_steps = target[3].reshape(len(block), -1)
@@ -467,9 +464,13 @@ def posterior_kl_to_oracle(
     num_samples: int = 500,
     seed: int = 1,
 ) -> float:
-    """Mean KL(oracle prediction || table prediction) over sampled (Z_t, t)."""
+    """Mean KL(oracle prediction || table prediction) over sampled (Z_t, t); a
+    ValueError unless the oracle, the table and the schedule are of `dist`."""
     num_samples = check_count("num_samples", num_samples)
-    _check_schedule(schedule, dist)
+    check_fits("schedule", schedule, "distribution", dist)
+    check_fits("table", table, "distribution", dist)
+    if oracle.dist != dist or oracle.schedule.params != schedule.params:
+        raise ValueError("oracle of another distribution or schedule than the one sampled")
     rng = np.random.default_rng(seed)
     times = stratified_times(num_samples, rng.random(), schedule.eps_t)
     # Each sample's clean sequence and noise come from the one stream in turn.

@@ -19,7 +19,9 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import MixdiffError, UnsupportedStateError
-from .schedule import LOG_FLOOR, MixingSchedule, Terms, check_count, check_positive, check_seeds
+from .schedule import (
+    LOG_FLOOR, MixingSchedule, Terms, check_count, check_fits, check_positive, check_seeds
+)
 
 DEFAULT_WEIGHT_CLIP = 1e4
 
@@ -64,12 +66,6 @@ class NelboEstimate:
         return float(np.exp(self.mean_per_token))
 
 
-def _check_schedule(schedule: MixingSchedule, owner, what: str = "distribution") -> None:
-    """A ValueError unless the schedule is over the vocabulary of `owner`, the `what`."""
-    if (vocab := owner.vocab) != schedule.vocab:
-        raise ValueError(f"schedule over {schedule.vocab} does not fit the {what} over {vocab}")
-
-
 def _vocab_sum(v: np.ndarray) -> np.ndarray:
     """The sum over the first axis of v, the vocabulary, with the bits numpy
     gives a contiguous last axis: below 8 entries that is in order, one
@@ -109,30 +105,27 @@ def is_divergence_pointwise(p_val, q_val) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
-def _forward(terms: Terms, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """x as (B, L) rows and, vocabulary first, alpha_t (B, 1), beta_t pi_t (N, B, 1) and
-    q_t(. | x) (N, B, L): what the noise draw, _inverse_cdf(q, u), and loss_target share."""
+def _forward(terms: Terms, x: np.ndarray) -> tuple:
+    """The terms, x as (B, L) rows and, vocabulary first, alpha_t (B, 1), beta_t pi_t (N, B, 1)
+    and q_t(. | x) (N, B, L): what the noise draw, _inverse_cdf(q, u), and loss_target share."""
     x, bp = np.atleast_2d(x), terms.beta_pi.T
     a, bp = np.reshape(terms.alpha, (-1, 1)), bp.reshape(len(bp), -1, 1)
-    return x, a, bp, bp + a * (x == np.arange(len(bp))[:, None, None])
+    return terms, x, a, bp, bp + a * (x == np.arange(len(bp))[:, None, None])
 
 
 def loss_target(
-    schedule: MixingSchedule,
-    t,
-    z: np.ndarray,
     forward: tuple,
+    z: np.ndarray,
     mode: WeightingMode = EXACT,
     weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
 ) -> tuple[np.ndarray, ...]:
-    """The first part of loss_and_grad for (B, L) z at t, given the _forward of
-    its clean tokens: alpha_t, beta_t pi_t and q_t(. | x) as _forward gives
-    them; the index of z in the flattened q_t(. | x) (a caller that scores a
-    slice of rows counts it within the slice), q_t(z | x) floored at
+    """The first part of loss_and_grad for (B, L) z, given the _forward of its
+    clean tokens at its times: alpha_t, beta_t pi_t and q_t(. | x) as _forward
+    gives them; the index of z in the flattened q_t(. | x) (a caller that scores
+    a slice of rows counts it within the slice), q_t(z | x) floored at
     LOG_FLOOR, the weights and alpha_t times them: rows on axis -2 of each."""
-    x, a, bp, q_true = forward
-    z, n = np.atleast_2d(z), len(bp)
-    terms = schedule.terms(t)
+    terms, x, a, bp, q_true = forward
+    schedule, z, n = terms.schedule, np.atleast_2d(z), len(bp)
     z_index = z * z.size + np.arange(z.size).reshape(z.shape)
     p_z = q_true.take(z_index)
     if mode.kind == "dynamic":
@@ -147,7 +140,7 @@ def loss_target(
             row, i = np.argwhere(p_z <= 0.0)[0]
             raise UnsupportedStateError(
                 f"token {z[row, i]} outside forward support of {x[row, i]} "
-                f"at t={float(np.broadcast_to(t, len(z))[row])!r}"
+                f"at t={float(np.broadcast_to(terms.t, len(z))[row])!r}"
             )
         w = np.reshape(terms.rate, (-1, n))[np.arange(len(a))[:, None], z] / p_z
         if weight_clip is not None:
@@ -215,8 +208,7 @@ def loss_and_grad(
     target_grad then score, together or in parts, vocabulary first.
     """
     z, x = (schedule.vocab.check_tokens(v) for v in (z, x))
-    forward = _forward(schedule.terms(t), x)
-    target = loss_target(schedule, t, z, forward, mode, weight_clip)
+    target = loss_target(_forward(schedule.terms(t), x), z, mode, weight_clip)
     model = model_marginal(target, np.moveaxis(probs, -1, 0))
     w, kl, is_term = target_loss(target, model)
     grad = np.moveaxis(target_grad(target, model), 0, -1)
@@ -344,7 +336,7 @@ def corpus_nelbo(
     about NELBO_BLOCK draws (one row at least), and each row's estimate has
     the bits it has alone.
     """
-    _check_schedule(schedule, denoiser, "denoiser")
+    check_fits("schedule", schedule, "denoiser", denoiser)
     x_seqs = schedule.vocab.check_tokens(x_seqs)
     if x_seqs.ndim != 2:
         raise ValueError(f"corpus must be (S, L), got shape {x_seqs.shape}")
@@ -362,7 +354,7 @@ def corpus_nelbo(
         times = stratified_times(num_mc, np.array(offsets)[:, None], schedule.eps_t).ravel()
         forward = _forward(schedule.terms(times), x)
         z = _inverse_cdf(forward[-1], np.concatenate(u))
-        target = loss_target(schedule, times, z, forward, mode)
+        target = loss_target(forward, z, mode)
         probs = np.transpose(denoiser.predict_batch(z, times), (2, 0, 1))
         w, kl, is_term = target_loss(target, model_marginal(target, probs))
         loss = (w * (kl + is_term)).reshape(len(offsets), num_mc, length)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .denoiser import Denoiser, ToyDistribution, _check_batch, _distinct_rows
 from .errors import MaskedInputError
-from .schedule import token_ids
+from .schedule import check_fits, token_ids
 
 
 def self_accuracy(
@@ -23,14 +23,22 @@ def self_accuracy(
     a float for an (L,) sequence, an (S,) array for the rows of an (S, L)
     corpus, from one predict_batch.
 
-    Ties count as correct. Pass mask_id to reject partially denoised input.
+    Ties count as correct. Pass mask_id, the denoiser's, to reject masked input.
     """
     z = token_ids(z_seq)
-    if mask_id is not None and np.logical_or.reduce(z == mask_id, axis=None):
-        raise MaskedInputError("self-accuracy requires a fully denoised sequence")
+    if mask_id is not None:
+        _check_denoised(z, denoiser, mask_id, "self-accuracy")
     probs = denoiser.predict_batch(z.reshape(-1, z.shape[-1]), t_condition)
     acc = self_accuracy_from_probs(z, probs.reshape(z.shape + probs.shape[-1:]))
     return float(acc) if z.ndim == 1 else acc
+
+
+def _check_denoised(z: np.ndarray, denoiser: Denoiser, mask_id: int, what: str) -> None:
+    """A ValueError unless mask_id is the denoiser's; a MaskedInputError if z holds it."""
+    if mask_id != denoiser.vocab.mask_id:
+        raise ValueError(f"mask id {mask_id} does not fit the denoiser over {denoiser.vocab}")
+    if np.logical_or.reduce(z == mask_id, axis=None):
+        raise MaskedInputError(f"{what} requires a fully denoised sequence")
 
 
 def _probs_at(probs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -84,11 +92,7 @@ def tv_distance(samples, dist: ToyDistribution) -> float:
 def tv_distance_exact(a: ToyDistribution, b: ToyDistribution) -> float:
     """TV between two enumerable distributions over the same vocabulary and
     sequence length; others are a ValueError."""
-    if (a.vocab, a.length) != (b.vocab, b.length):
-        raise ValueError(
-            f"distribution of length {a.length} over {a.vocab} and one of length "
-            f"{b.length} over {b.vocab} have different sample spaces"
-        )
+    check_fits("distribution", a, "distribution", b)
     return _tv(a.sequences, a.probs, b.sequences, b.probs, a.vocab.size)
 
 

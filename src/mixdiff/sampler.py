@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import Denoiser, _distinct_rows
-from .elbo import _check_schedule, _inverse_cdf, softmax
-from .errors import EmptySupportError, MaskedInputError
-from .metrics import _probs_at, self_accuracy_from_probs
+from .elbo import _inverse_cdf, softmax
+from .errors import EmptySupportError
+from .metrics import _check_denoised, _probs_at, self_accuracy_from_probs
 from .schedule import (
     DEFAULT_EPS_T,
     MixingSchedule,
     check_count,
+    check_fits,
     check_positive,
     check_seed,
     check_seeds,
@@ -56,7 +57,7 @@ def counter_hash(*keys) -> np.ndarray:
 def derive_seeds(seed: int, count: int) -> list[int]:
     """The seeds of streams 0..count-1 under `seed`: seed i is the 64-bit hash of (seed, i)."""
     count = check_count("count", count, least=0)
-    return counter_hash(seed, np.arange(count, dtype=np.uint64)).tolist()
+    return counter_hash(check_seed(seed), np.arange(count, dtype=np.uint64)).tolist()
 
 
 def _step_uniforms(rows: np.ndarray, step: int, length: int) -> np.ndarray:
@@ -70,7 +71,7 @@ def _step_uniforms(rows: np.ndarray, step: int, length: int) -> np.ndarray:
 def counter_uniforms(seed: int, step: int, count: int, length: int) -> np.ndarray:
     """(count, length) uniforms in [0, 1); entry (i, j) hashes (seed, i, step, j)."""
     step, count = check_count("step", step, least=0), check_count("count", count, least=0)
-    length = check_count("length", length, least=0)
+    length, seed = check_count("length", length, least=0), check_seed(seed)
     return _step_uniforms(counter_hash(seed, np.arange(count, dtype=np.uint64)), step, length).T
 
 
@@ -198,7 +199,7 @@ def ancestral_sample_batch(
     batch is held column-major between steps and returned C-contiguous.
     """
     count, length = check_count("count", count), check_count("length", length)
-    _check_schedule(schedule, denoiser, "denoiser")
+    check_fits("schedule", schedule, "denoiser", denoiser)
     grid = config.time_grid(schedule.eps_t)
     rows = counter_hash(config.seed, np.arange(count, dtype=np.uint64))
     z = np.full((length, count), schedule.vocab.mask_id, dtype=np.int64).T
@@ -251,10 +252,7 @@ def self_correct_batch(
     z_seqs = token_ids(z_seqs)
     if z_seqs.ndim != 2:
         raise ValueError(f"corpus must be (S, L), got shape {z_seqs.shape}")
-    if mask_id != denoiser.vocab.mask_id:
-        raise ValueError(f"mask id {mask_id} does not fit the denoiser over {denoiser.vocab}")
-    if np.logical_or.reduce(z_seqs == mask_id, axis=None):
-        raise MaskedInputError("self-correction requires a fully denoised sequence")
+    _check_denoised(z_seqs, denoiser, mask_id, "self-correction")
     check_seeds(seeds, len(z_seqs))
     results = [None] * len(z_seqs)
     for first in range(0, len(z_seqs), CORRECT_BLOCK):

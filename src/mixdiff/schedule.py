@@ -83,9 +83,18 @@ def check_count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
-def check_seed(seed: int) -> None:
+def check_fits(what: str, a, other: str, b) -> None:
+    """A ValueError unless a (the `what`) and b share vocab and, if both have one, length."""
+    has_length = hasattr(a, "length") and hasattr(b, "length")
+    if (a.vocab, has_length and a.length) != (b.vocab, has_length and b.length):
+        shape = "of length {0.length} over {0.vocab}" if has_length else "over {0.vocab}"
+        raise ValueError(f"{what} {shape.format(a)} does not fit the {other} {shape.format(b)}")
+
+
+def check_seed(seed: int) -> int:
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
         raise ValueError(f"seed must lie in [0, 2**64) and be an integer, got {seed!r}")
+    return int(seed)
 
 
 def check_seeds(seeds, count: int) -> None:
@@ -292,26 +301,26 @@ class MixingSchedule:
 
 
 class Terms:
-    """The closed forms at one time, or at (B,) times along a leading axis,
-    from one evaluation of c_t: alpha_t = (1-t)/C and the noise component
+    """The closed forms of `schedule` at one time `t`, or at (B,) times along a leading
+    axis, from one evaluation of c_t: alpha_t = (1-t)/C and the noise component
     beta_t pi_t of the marginal; alpha_t', the rate vector and log_snr are
     computed from them when read, and `to` pairs them with a later time's."""
 
     def __init__(self, schedule: MixingSchedule, t):
-        self._schedule, self._t = schedule, schedule.check_time(t)
-        c = self._c = schedule._c(self._t)
+        self.schedule, self.t = schedule, schedule.check_time(t)
+        c = self._c = schedule._c(self.t)
         big_c = 1.0 + c
-        self.alpha = (1.0 - self._t) / big_c
-        self.beta_pi = schedule.vocab.spread(self._t / big_c, c * schedule._u / big_c)
-        for v in (self._t, self.alpha, self.beta_pi):
+        self.alpha = (1.0 - self.t) / big_c
+        self.beta_pi = schedule.vocab.spread(self.t / big_c, c * schedule._u / big_c)
+        for v in (self.t, self.alpha, self.beta_pi):
             if isinstance(v, np.ndarray):
                 v.flags.writeable = False
 
     def to(self, later: Terms) -> ConditionalTransition:
         """The kernel Q_{t|s} from these times s to the times t of `later`."""
-        after = self._t > later._t
+        after = self.t > later.t
         if np.logical_or.reduce(after, axis=None):
-            s, t = (np.broadcast_to(v._t, np.shape(after))[after].item(0) for v in (self, later))
+            s, t = (np.broadcast_to(v.t, np.shape(after))[after].item(0) for v in (self, later))
             raise OrderingError(f"need s <= t, got s={s!r} > t={t!r}")
         a_ts = later.alpha / self.alpha
         return ConditionalTransition(a_ts, later.beta_pi - (a_ts * self.beta_pi.T).T)
@@ -319,14 +328,14 @@ class Terms:
     @property
     def alpha_prime(self) -> float | np.ndarray:
         """d alpha_t/dt = -(C + (1-t) c') / C^2, exactly -1 when c is 0."""
-        s, t, c = self._schedule, self._t, self._c
+        s, t, c = self.schedule, self.t, self._c
         return -((1.0 + c) + (1.0 - t) * s._c_prime(t, c)) / np.square(1.0 + c)
 
     @property
     def rate(self) -> np.ndarray:
         """beta_t pi_t' - (alpha_t'/alpha_t) pi_t, the off-diagonal rate
         profile: (m + (c + (1-t) c') u) / (C (1-t))."""
-        s, t, c = self._schedule, self._t, self._c
+        s, t, c = self.schedule, self.t, self._c
         d = (1.0 + c) * (1.0 - t)
         return s.vocab.spread(1.0 / d, (c + (1.0 - t) * s._c_prime(t, c)) * s._u / d)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elbo import CLAMP, DYNAMIC, EXACT, _forward, loss_and_grad, loss_target, mdm_loss
+from .elbo import CLAMP, DYNAMIC, EXACT, loss_and_grad, mdm_loss
 from .schedule import Vocab, make_schedule
 
 
@@ -217,7 +217,8 @@ def check_uniform_calibration(grid=200, tol=1e-12):
 def check_pu_zero_collapse(seed=7, cases=200, n=6, tol=1e-14):
     """Hybrid with p_u = 0 equals the mask-only closed forms in every queried
     quantity: alpha = 1-t, alpha' = -1, beta_pi = t m, pi = m, rate = m/(1-t),
-    the marginal, alpha_ts = (1-t)/(1-s) and the weight rate[z] / q_t(z | x)."""
+    the marginal, alpha_ts = (1-t)/(1-s) and the weight rate[z] / q_t(z | x), which
+    loss_and_grad gives whatever the prediction, here one_hot(x)."""
     rng = np.random.default_rng(seed)
     hyb = make_schedule("hybrid", Vocab(n, n - 1), p_u=0.0)
     m = hyb.vocab.mask_one_hot()
@@ -228,8 +229,7 @@ def check_pu_zero_collapse(seed=7, cases=200, n=6, tol=1e-14):
     q = t[:, None] * m
     q[rows, x] += 1.0 - t
     on = q[rows, z] > 0
-    forward = _forward(hyb.terms(t[on]), x[on, None])
-    w = loss_target(hyb, t[on], z[on, None], forward, EXACT, None)[5][:, 0]
+    w = loss_and_grad(hyb, t[on], z[on, None], x[on, None], np.eye(n)[x[on, None]], EXACT, None)[0]
     pairs = [
         (hyb.alpha(t), 1.0 - t),
         (hyb.alpha_prime(t), -1.0),
@@ -238,7 +238,7 @@ def check_pu_zero_collapse(seed=7, cases=200, n=6, tol=1e-14):
         (hyb.rate_vector(t), m / (1.0 - t[:, None])),
         (hyb.marginal_mix(t, np.eye(n)[x]), q),
         (hyb.conditional_transition(s, t).alpha_ts, (1.0 - t) / (1.0 - s)),
-        (w, m[z[on]] / (1.0 - t[on]) / q[rows, z][on]),
+        (w[:, 0], m[z[on]] / (1.0 - t[on]) / q[rows, z][on]),
     ]
     worst = max(float(np.abs(np.subtract(got, ref)).max()) for got, ref in pairs)
     return "pu_zero_collapse", worst <= tol, f"max abs difference {worst:.3e}"

@@ -470,6 +470,32 @@ def test_posterior_kl_names_too_few_samples(two_outcome, num_samples):
         posterior_kl_to_oracle(two_outcome, sched, oracle, table, num_samples)
 
 
+@pytest.mark.parametrize("mismatch", ["table", "oracle_dist", "oracle_schedule"])
+def test_posterior_kl_refuses_what_does_not_fit_its_distribution(two_outcome, mismatch):
+    """These used to score: a table over Vocab(3, 0) read KL 33.9 where the
+    same entries over the distribution's vocabulary read 0.235, an oracle of
+    {(0, 1), (1, 0)} read 0.883, and an oracle under the mask schedule raised
+    DegenerateEvidenceError at the hybrid schedule's draws."""
+    vocab = two_outcome.vocab
+    sched = make_schedule("hybrid", vocab, p_u=0.2)
+    oracle, table = OracleDenoiser(two_outcome, sched), LogitTable(vocab, 2)
+    if mismatch == "table":
+        table = LogitTable(Vocab(3, 0), 2)
+        msg = re.escape(
+            f"table of length 2 over {table.vocab!r} does not fit the "
+            f"distribution of length 2 over {vocab!r}"
+        )
+    else:
+        if mismatch == "oracle_dist":
+            other = ToyDistribution(vocab, 2, (((0, 1), 0.5), ((1, 0), 0.5)))
+            oracle = OracleDenoiser(other, sched)
+        else:
+            oracle = OracleDenoiser(two_outcome, make_schedule("mask", vocab))
+        msg = "oracle of another distribution or schedule than the one sampled"
+    with pytest.raises(ValueError, match=msg):
+        posterior_kl_to_oracle(two_outcome, sched, oracle, table, num_samples=200)
+
+
 def test_table_train_mask_only_near_oracle(two_outcome):
     """Clamped training on the pure masking schedule gets within 10% of the oracle loss."""
     sched = make_schedule("mask", two_outcome.vocab)

@@ -437,7 +437,7 @@ def test_loss_parts_leave_their_inputs_alone(hybrid_sched, mode):
     probs = np.array([[random_prediction(rng, 5, 4) for _ in range(4)] for _ in range(3)])
     probs = np.ascontiguousarray(np.moveaxis(probs, -1, 0))
     times = np.array([0.2, 0.5, 0.8])
-    target = loss_target(hybrid_sched, times, z, _forward(hybrid_sched.terms(times), x), mode)
+    target = loss_target(_forward(hybrid_sched.terms(times), x), z, mode)
     before = [v.tobytes() for v in (*target, probs)]
     model = model_marginal(target, probs)
     model_bytes = [v.tobytes() for v in model]

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -22,6 +23,8 @@ from mixdiff.errors import MaskedInputError
 
 
 class _OneHot(Denoiser):
+    vocab = Vocab(3, 2)
+
     def __init__(self, target):
         self.target = np.asarray(target)
 
@@ -46,6 +49,17 @@ def test_self_accuracy_oracle_on_valid_outcome(two_outcome):
 def test_self_accuracy_rejects_mask():
     with pytest.raises(MaskedInputError):
         self_accuracy(np.array([0, 2]), _OneHot([0, 0]), 0.5, mask_id=2)
+
+
+def test_self_accuracy_mask_id_must_be_the_denoisers(five_outcome):
+    """A mask id other than the denoiser's used to call a clean outcome masked
+    ([0, 1, 2] raised MaskedInputError) or score the rest as usual ([1, 2, 3])."""
+    oracle = OracleDenoiser(five_outcome, make_schedule("mask", five_outcome.vocab))
+    msg = f"mask id 0 does not fit the denoiser over {five_outcome.vocab!r}"
+    for z in ([0, 1, 2], [1, 2, 3]):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            self_accuracy(z, oracle, 0.5, mask_id=0)
+    assert self_accuracy([1, 2, 3], oracle, 0.5, mask_id=4) == 1.0
 
 
 def test_unigram_entropy():
@@ -222,7 +236,11 @@ def test_tv_distance_exact_needs_one_sample_space():
         ToyDistribution(Vocab(5, 4), 1, (((0,), 1.0),)),
     ):
         for x, y in ((a, b), (b, a)):
-            with pytest.raises(ValueError, match="have different sample spaces"):
+            message = (
+                f"distribution of length {x.length} over {x.vocab!r} does not fit the "
+                f"distribution of length {y.length} over {y.vocab!r}"
+            )
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 tv_distance_exact(x, y)
 
 

@@ -127,6 +127,23 @@ def test_check_count():
             check_count("n", value)
 
 
+# The two functions that hash a seed they are given, called with that seed.
+SEEDED = {
+    "derive_seeds": lambda seed: derive_seeds(seed, 3),
+    "counter_uniforms": lambda seed: counter_uniforms(seed, 0, 2, 2),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+@pytest.mark.parametrize("entry", SEEDED)
+def test_every_seed_is_checked_by_check_seed(entry, seed):
+    """-1 and 2**64 raised numpy's OverflowError, and derive_seeds(1.5, 3)
+    returned three seeds."""
+    with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\) and be an integer"):
+        SEEDED[entry](seed)
+    SEEDED[entry](2**64 - 1)
+
+
 @pytest.mark.parametrize(
     "call",
     [
