@@ -243,9 +243,11 @@ class OracleDenoiser(Denoiser):
         lik = np.multiply.reduce(np.where(match, a + bp_z, bp_z), axis=2)
         w = lik * self._priors[None, :]
         total = np.add.reduce(w, axis=1)
-        if np.logical_or.reduce(total <= 0.0):
+        if np.logical_or.reduce(unexplained := total <= 0.0):
+            z, t = z_seqs[unexplained][0], np.broadcast_to(terms.t, total.shape)[unexplained]
             raise DegenerateEvidenceError(
-                "noisy sequence has zero likelihood under every outcome"
+                f"noisy sequence {z.tolist()} at t = {t.item(0)!r} has zero likelihood under "
+                "every outcome"
             )
         return w / total[:, None]
 

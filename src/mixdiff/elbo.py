@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import MixdiffError, UnsupportedStateError
 from .schedule import (
-    LOG_FLOOR, MixingSchedule, Terms, check_count, check_fits, check_positive, check_seeds
+    LOG_FLOOR, MixingSchedule, Terms, check_count, check_denoised, check_fits, check_positive,
+    check_seeds,
 )
 
 DEFAULT_WEIGHT_CLIP = 1e4
@@ -282,20 +282,18 @@ def stratified_times(num_mc: int, offset: float, eps_t: float) -> np.ndarray:
 
 
 def _inverse_cdf(rows: np.ndarray, u: np.ndarray, inverse=None) -> np.ndarray:
-    """Exact inverse-CDF sampling over the vocabulary. rows must be normalized;
-    u[b] draws from rows[inverse[b]] (by default, from rows[b]). The draw is
-    the count of CDF entries at or below u, over all but the last, since
-    u < 1: a token of probability zero repeats the entry before it, so u on
-    that entry (u = 0 included) passes it by. Without inverse, rows are
-    (N,) + u.shape, counted a plane at a time. With inverse, rows are (D, L,
-    N): the (N - 1, L, D) CDF is gathered along its last axis, compared with
-    u.T and counted in the smallest integer type that holds N - 1."""
-    if inverse is None:
-        return sum(cdf <= u for cdf in accumulate(rows[:-1]))
-    cdf = np.ascontiguousarray(np.add.accumulate(rows[..., :-1], axis=-1).T)
-    below = cdf.take(inverse, axis=-1) <= u.T
-    count = np.add.reduce(below, axis=0, dtype=np.min_scalar_type(cdf.shape[0]))
-    return count.astype(np.int64).T
+    """Exact inverse-CDF sampling over the vocabulary, the first axis of the
+    normalized rows: u draws from rows, (N,) + u.shape, or with inverse from
+    rows.take(inverse, axis=-1). The draw is the count of CDF entries at or
+    below u, over all but the last, since u < 1: a token of probability zero
+    repeats the entry before it, so u on that entry (u = 0 included) passes
+    it by. The CDF sums a plane at a time and the count runs in the smallest
+    integer type that holds N - 1."""
+    cdf = rows[:-1].copy()
+    for k in range(1, len(cdf)):
+        cdf[k] += cdf[k - 1]
+    below = (cdf if inverse is None else cdf.take(inverse, axis=-1)) <= u
+    return np.add.reduce(below, axis=0, dtype=np.min_scalar_type(len(cdf))).astype(np.int64)
 
 
 def noise_sequence(
@@ -340,6 +338,7 @@ def corpus_nelbo(
     x_seqs = schedule.vocab.check_tokens(x_seqs)
     if x_seqs.ndim != 2:
         raise ValueError(f"corpus must be (S, L), got shape {x_seqs.shape}")
+    check_denoised(x_seqs, denoiser, schedule.vocab.mask_id, "NELBO")
     length = x_seqs.shape[1]
     if length == 0:
         raise MixdiffError("cannot estimate the NELBO of an empty sequence")

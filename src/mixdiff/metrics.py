@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 from .denoiser import Denoiser, ToyDistribution, _check_batch, _distinct_rows
-from .errors import MaskedInputError
-from .schedule import check_fits, token_ids
+from .schedule import check_denoised, check_fits, token_ids
 
 
 def self_accuracy(
@@ -27,18 +26,10 @@ def self_accuracy(
     """
     z = token_ids(z_seq)
     if mask_id is not None:
-        _check_denoised(z, denoiser, mask_id, "self-accuracy")
+        check_denoised(z, denoiser, mask_id, "self-accuracy")
     probs = denoiser.predict_batch(z.reshape(-1, z.shape[-1]), t_condition)
     acc = self_accuracy_from_probs(z, probs.reshape(z.shape + probs.shape[-1:]))
     return float(acc) if z.ndim == 1 else acc
-
-
-def _check_denoised(z: np.ndarray, denoiser: Denoiser, mask_id: int, what: str) -> None:
-    """A ValueError unless mask_id is the denoiser's; a MaskedInputError if z holds it."""
-    if mask_id != denoiser.vocab.mask_id:
-        raise ValueError(f"mask id {mask_id} does not fit the denoiser over {denoiser.vocab}")
-    if np.logical_or.reduce(z == mask_id, axis=None):
-        raise MaskedInputError(f"{what} requires a fully denoised sequence")
 
 
 def _probs_at(probs: np.ndarray, z: np.ndarray) -> np.ndarray:

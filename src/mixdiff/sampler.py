@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import Denoiser, _distinct_rows
-from .elbo import _inverse_cdf, softmax
+from .elbo import _inverse_cdf, _vocab_sum, softmax
 from .errors import EmptySupportError
-from .metrics import _check_denoised, _probs_at, self_accuracy_from_probs
+from .metrics import _probs_at, self_accuracy_from_probs
 from .schedule import (
     DEFAULT_EPS_T,
     MixingSchedule,
     check_count,
+    check_denoised,
     check_fits,
     check_positive,
     check_seed,
@@ -157,17 +158,17 @@ def _denoise_step_batch(
     z_batch, inverse = _distinct_rows(z_batch, schedule.vocab.size)
     at_from = schedule.terms(t_from)
     preds = denoiser.predict_batch(z_batch, t_from)
-    preds = adapt_distribution(preds, config.temperature, config.min_p)
+    preds = adapt_distribution(preds, config.temperature, config.min_p).T
     at_to = schedule.terms(t_to)
     trans = at_to.to(at_from)
-    q_to = at_to.alpha * preds + at_to.beta_pi
-    # v[b,l,:] = bp_ts[z_t] * q_to[b,l,:] with alpha_ts * q_to at z_s = z_t.
-    v = trans.beta_pi_ts[z_batch][..., None] * q_to
-    v += trans.alpha_ts * q_to * (z_batch[..., None] == np.arange(q_to.shape[-1]))
-    totals = np.add.reduce(v, axis=-1, keepdims=True)
+    q_to = at_to.alpha * preds + at_to.beta_pi[:, None, None]
+    # v[:,l,d] = bp_ts[z_t] * q_to[:,l,d] with alpha_ts * q_to at z_s = z_t.
+    v = trans.beta_pi_ts[z_batch.T] * q_to
+    v += trans.alpha_ts * q_to * (z_batch.T == np.arange(len(q_to))[:, None, None])
+    totals = _vocab_sum(v)
     if np.logical_or.reduce(totals <= 0.0, axis=None):
         raise EmptySupportError("reverse-step posterior has no support")
-    return _inverse_cdf(v / totals, u, inverse)
+    return _inverse_cdf(v / totals, u.T, inverse).T
 
 
 def denoise_step(
@@ -252,7 +253,7 @@ def self_correct_batch(
     z_seqs = token_ids(z_seqs)
     if z_seqs.ndim != 2:
         raise ValueError(f"corpus must be (S, L), got shape {z_seqs.shape}")
-    _check_denoised(z_seqs, denoiser, mask_id, "self-correction")
+    check_denoised(z_seqs, denoiser, mask_id, "self-correction")
     check_seeds(seeds, len(z_seqs))
     results = [None] * len(z_seqs)
     for first in range(0, len(z_seqs), CORRECT_BLOCK):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DegenerateStateError,
+    MaskedInputError,
     OrderingError,
     TimeRangeError,
     UnsupportedStateError,
@@ -91,6 +92,14 @@ def check_fits(what: str, a, other: str, b) -> None:
         raise ValueError(f"{what} {shape.format(a)} does not fit the {other} {shape.format(b)}")
 
 
+def check_denoised(z: np.ndarray, denoiser, mask_id: int, what: str) -> None:
+    """A ValueError unless mask_id is the denoiser's; a MaskedInputError if z holds it."""
+    if mask_id != denoiser.vocab.mask_id:
+        raise ValueError(f"mask id {mask_id} does not fit the denoiser over {denoiser.vocab}")
+    if np.logical_or.reduce(z == mask_id, axis=None):
+        raise MaskedInputError(f"{what} requires a fully denoised sequence")
+
+
 def check_seed(seed: int) -> int:
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
         raise ValueError(f"seed must lie in [0, 2**64) and be an integer, got {seed!r}")
@@ -150,10 +159,6 @@ class ConditionalTransition:
         """Q_{t|s}[z_t, z_s], (N, N) or (B, N, N); its columns sum to one."""
         eye = np.eye(self.beta_pi_ts.shape[-1])
         return np.multiply.outer(self.alpha_ts, eye) + self.beta_pi_ts[..., None]
-
-    def prob(self, z_t: int, z_s: int) -> float:
-        """q_{t|s}(z_t | z_s)."""
-        return float(self.matrix()[z_t, z_s])
 
 
 class MixingSchedule:

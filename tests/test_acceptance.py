@@ -157,7 +157,7 @@ def test_criterion_03_rate_checks():
                 if q_t[z_t] <= 0:
                     continue
                 for z_s in range(5):
-                    kernel = trans.prob(z_t, z_s) * q_s[z_s] / q_t[z_t]
+                    kernel = trans.matrix()[z_t, z_s] * q_s[z_s] / q_t[z_t]
                     rate = sched.backward_rate(t, z_t, z_s, x_theta)
                     pred = (1.0 if z_s == z_t else 0.0) + rate * delta
                     worst_bwd = max(

@@ -336,6 +336,40 @@ def test_missing_file_is_data_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("denoiser", ["dist", "table"])
+def test_nelbo_of_a_corpus_holding_the_mask_id_is_data_error(
+    capsys, tmp_path, five_outcome, denoiser
+):
+    """A corpus row that holds the mask id is not clean data; `nelbo` used to
+    score it and exit 0."""
+    path, vocab = tmp_path / "denoiser.txt", five_outcome.vocab
+    if denoiser == "dist":
+        five_outcome.save(str(path))
+    else:
+        table, sched = mixdiff.LogitTable(vocab, 3), mixdiff.make_schedule("mask", vocab)
+        mixdiff.table_train(five_outcome, sched, table, 20)
+        table.save(str(path))
+    corpus = tmp_path / "corpus.txt"
+    write_corpus(corpus, vocab, [(0, 1, 4), (1, 2, 3)])
+    code, stdout, err = run(capsys, ["nelbo", "--corpus", str(corpus), f"--{denoiser}", str(path)])
+    assert (code, stdout) == (2, "")
+    assert err == "error: NELBO requires a fully denoised sequence\n"
+
+
+def test_degenerate_evidence_names_the_row_and_time(capsys, tmp_path, dist_file, vocab3):
+    """Under the mask schedule a clean row outside the support has zero
+    likelihood under every outcome; the error used to name neither the row
+    nor the time."""
+    corpus, out = tmp_path / "corpus.txt", tmp_path / "out.txt"
+    write_corpus(corpus, vocab3, [(0, 0), (0, 1)])
+    argv = ["self-correct", "--dist", dist_file, "--corpus", str(corpus), "--out", str(out)]
+    code, stdout, err = run(capsys, argv)
+    assert (code, stdout) == (2, "")
+    msg = "noisy sequence [0, 1] at t = 0.0001 has zero likelihood under every outcome"
+    assert err == f"error: {msg}\n"
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["noise"])  # missing required --corpus

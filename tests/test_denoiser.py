@@ -178,6 +178,16 @@ def test_oracle_degenerate_evidence_mask_only(two_outcome):
         oracle.predict(np.array([0, 1]), 0.5)
 
 
+def test_degenerate_evidence_names_its_first_row_and_time(two_outcome):
+    """The error used to say only "noisy sequence has zero likelihood under
+    every outcome", whichever row of the batch it was and at whatever time."""
+    oracle = OracleDenoiser(two_outcome, make_schedule("mask", two_outcome.vocab))
+    z = np.array([[0, 2], [1, 0], [0, 1]])
+    msg = "noisy sequence [1, 0] at t = 0.25 has zero likelihood under every outcome"
+    with pytest.raises(DegenerateEvidenceError, match=f"^{re.escape(msg)}$"):
+        oracle.predict_batch(z, np.array([0.5, 0.25, 0.125]))
+
+
 def test_oracle_normalized_under_hybrid(five_outcome):
     sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.2)
     oracle = OracleDenoiser(five_outcome, sched)

@@ -41,7 +41,7 @@ from mixdiff.elbo import (
     target_grad,
     target_loss,
 )
-from mixdiff.errors import DegenerateEvidenceError, UnsupportedStateError
+from mixdiff.errors import DegenerateEvidenceError, MaskedInputError, UnsupportedStateError
 from conftest import random_prediction, transient_peak
 
 
@@ -534,11 +534,13 @@ def test_same_seed_same_output(tmp_path, two_outcome, kind, mode):
 def test_inverse_cdf_skips_zero_probability_token_at_u_zero(inverse):
     """u = 0 sits on the CDF entry 0 of a leading zero-probability token, which
     a draw must never return; rng.random and counter_uniforms can give 0.
-    Own rows are vocabulary first, shared ones (D, L, N)."""
-    lay = (lambda p: np.moveaxis(p, -1, 0)) if inverse is None else (lambda p: p)
-    assert _inverse_cdf(lay(np.array([[0.0, 1.0]])), np.array([0.0]), inverse).tolist() == [1]
-    rows = np.array([[[0.0, 0.0, 0.5, 0.5]]])
-    assert _inverse_cdf(lay(rows), np.zeros((1, 1)), inverse).tolist() == [[2]]
+    Rows own or shared, (D, L, N) here, pass vocabulary first, as the sampler does."""
+
+    def draw(p, u):
+        return _inverse_cdf(p.T, u.T, inverse).T
+
+    assert draw(np.array([[0.0, 1.0]]), np.array([0.0])).tolist() == [1]
+    assert draw(np.array([[[0.0, 0.0, 0.5, 0.5]]]), np.zeros((1, 1))).tolist() == [[2]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -571,7 +573,7 @@ def test_inverse_cdf_counts_cdf_entries_below_u(n, length, rows, draws, zero_fra
             if rng.random() < 0.5 and cdf[-1] < 1.0:
                 u[b, l] = cdf[rng.integers(n - 1)]
             expect[b, l] = int((cdf <= u[b, l]).sum())
-    shared = _inverse_cdf(p, u, inverse)
+    shared = _inverse_cdf(p.T, u.T, inverse).T
     own = _inverse_cdf(np.moveaxis(p[inverse], -1, 0), u)
     assert shared.dtype == np.int64 and own.dtype == np.int64
     np.testing.assert_array_equal(shared, expect)
@@ -579,15 +581,15 @@ def test_inverse_cdf_counts_cdf_entries_below_u(n, length, rows, draws, zero_fra
 
 
 def test_inverse_cdf_same_draws_for_either_order_of_u():
-    """The shared-row draw reads u through its transpose; a row-major u and a
+    """The sampler passes shared rows and u transposed; a row-major u and a
     column-major one give the same draws, which equal the own-row draws."""
     rng = np.random.default_rng(11)
     p = rng.random((7, 3, 5))
     p /= p.sum(axis=-1, keepdims=True)
     inverse = rng.integers(0, 7, 500)
     u = rng.random((500, 3))
-    by_rows = _inverse_cdf(p, np.ascontiguousarray(u), inverse)
-    by_columns = _inverse_cdf(p, np.asfortranarray(u), inverse)
+    by_rows = _inverse_cdf(p.T, np.ascontiguousarray(u).T, inverse).T
+    by_columns = _inverse_cdf(p.T, np.asfortranarray(u).T, inverse).T
     assert by_rows.dtype == by_columns.dtype == np.int64
     np.testing.assert_array_equal(by_rows, by_columns)
     np.testing.assert_array_equal(by_rows, _inverse_cdf(np.moveaxis(p[inverse], -1, 0), u))
@@ -595,14 +597,14 @@ def test_inverse_cdf_same_draws_for_either_order_of_u():
 
 @pytest.mark.parametrize("n", [130, 256, 257, 300])
 def test_inverse_cdf_draws_token_ids_past_a_byte(n):
-    """The shared-row draw counts in a small integer type; with all the mass
+    """The draw counts in a small integer type; with all the mass
     on ids >= 128, every draw lands there, up to N - 1 (an int8 count would
     wrap past 127, a uint8 one past 255)."""
     p = np.zeros((2, 1, n))
     p[..., 128:] = 1.0 / (n - 128)
     u = np.concatenate([np.linspace(0.0, 1.0 - 2.0**-53, 999), [1.0 - 2.0**-53]])[:, None]
     inverse = np.arange(len(u)) % 2
-    draws = _inverse_cdf(p, u, inverse)
+    draws = _inverse_cdf(p.T, u.T, inverse).T
     assert draws.dtype == np.int64
     assert draws.min() == 128 and draws.max() == n - 1
     np.testing.assert_array_equal(draws, _inverse_cdf(np.moveaxis(p[inverse], -1, 0), u))
@@ -654,7 +656,7 @@ def test_corpus_nelbo_rows_are_rows_alone(kind, denoiser, mode, num_mc, rows, bl
     else:
         model = LogitTable(_CORPUS_VOCAB, 3)
         table_train(_CORPUS_DIST, sched, model, 20, batch=16, seed=seed % 7)
-        x = rng.integers(0, 5, (rows, 3))
+        x = rng.integers(0, 4, (rows, 3))
     seeds = rng.integers(0, 2**63, rows).tolist()
     with mock.patch("mixdiff.elbo.NELBO_BLOCK", block):
         ests = corpus_nelbo(sched, x, model, num_mc, seeds, mode)
@@ -678,6 +680,16 @@ def test_corpus_nelbo_rejects_bad_input(two_outcome_oracle):
         with pytest.raises(ValueError, match=r"corpus must be \(S, L\), got shape \(\d+,\)"):
             corpus_nelbo(sched, corpus, oracle, 4, [])
     assert corpus_nelbo(sched, np.zeros((0, 2)), oracle, 4, []) == []
+
+
+@pytest.mark.parametrize("kind", ["mask", "hybrid"])
+def test_corpus_nelbo_refuses_rows_that_hold_the_mask_id(kind):
+    """Clean rows hold no mask; the denoiser is never asked about one that does."""
+    sched = make_schedule(kind, _CORPUS_VOCAB, p_u=0.2 if kind == "hybrid" else 0.0)
+    oracle = OracleDenoiser(_CORPUS_DIST, sched)
+    with mock.patch.object(oracle, "predict_batch", side_effect=AssertionError("called")):
+        with pytest.raises(MaskedInputError, match="^NELBO requires a fully denoised sequence$"):
+            corpus_nelbo(sched, [[0, 1, 2], [0, 1, 4]], oracle, 4, [1, 2])
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, 2**64], ids=["float", "negative", "wide"])

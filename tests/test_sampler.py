@@ -18,6 +18,7 @@ from mixdiff import (
     ancestral_sample_batch,
     denoise_step,
     make_schedule,
+    noise_sequence,
     self_correct,
     self_correct_batch,
 )
@@ -37,7 +38,7 @@ from mixdiff.sampler import (
     derive_seeds,
 )
 from mixdiff.schedule import Terms
-from conftest import transient_peak
+from conftest import random_prediction, transient_peak
 
 
 def test_sampler_config_validation():
@@ -105,10 +106,10 @@ class _FixedPrediction(Denoiser):
 
 class _FixedUniforms:
     def __init__(self, u):
-        self.u = float(u)
+        self.u = np.asarray(u, dtype=float)
 
     def random(self, n):
-        return np.full(n, self.u)
+        return np.broadcast_to(self.u, n).copy()
 
 
 def _step_probabilities(sched, z_t, t_from, t_to, denoiser, tol=1e-14):
@@ -152,13 +153,33 @@ def test_denoise_step_matches_brute_force_kernel():
             trans = sched.conditional_transition(t_to, t_from)
             for z_t in range(5):
                 kernel = np.array(
-                    [trans.prob(z_t, z_s) * q_to[z_s] for z_s in range(5)]
+                    [trans.matrix()[z_t, z_s] * q_to[z_s] for z_s in range(5)]
                 )
                 if kernel.sum() <= 0:
                     continue
                 kernel /= kernel.sum()
                 got = _step_probabilities(sched, z_t, float(t_from), float(t_to), denoiser)
                 np.testing.assert_allclose(got, kernel, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 9, 12])
+def test_denoise_step_draws_on_the_entries_of_the_last_axis_cdf(n):
+    """With u on each entry of the posterior's CDF as the step once formed it,
+    vocabulary last (numpy sums a contiguous last axis pairwise from 8
+    entries on), the draw counts that entry: the posterior keeps its bits."""
+    sched = make_schedule("hybrid", Vocab(n, n - 1), p_u=0.2)
+    row = random_prediction(np.random.default_rng(n), n, n - 1)
+    z, t_to, t_from = np.arange(n), 0.3, 0.6
+    at_to = sched.terms(t_to)
+    trans = at_to.to(sched.terms(t_from))
+    q_to = at_to.alpha * row + at_to.beta_pi
+    v = trans.beta_pi_ts[z][:, None] * q_to
+    v += trans.alpha_ts * q_to * (z[:, None] == np.arange(n))
+    cdf = np.add.accumulate((v / np.add.reduce(v, axis=-1, keepdims=True))[:, :-1], axis=-1)
+    config = SamplerConfig(num_steps=1)
+    for u in cdf.T:
+        got = denoise_step(sched, z, t_from, t_to, _FixedPrediction(row), config, _FixedUniforms(u))
+        np.testing.assert_array_equal(got, np.add.reduce(cdf <= u[:, None], axis=-1))
 
 
 def test_denoise_step_no_op_when_times_equal(two_outcome):
@@ -458,6 +479,43 @@ def test_sample_batch_same_bits(two_outcome, five_outcome):
     assert z.dtype == np.int64 and z.shape == (20000, 3)
     digest = "b2c7a559e1489e65f155202787f1c9d994e8bb2e7de05c206c7e5aad5d540a3c"
     assert hashlib.sha256(z.tobytes()).hexdigest() == digest
+
+
+def _wide_distribution(n):
+    """Six outcomes of length 4 over every data token of Vocab(n, n - 1)."""
+    seqs = [tuple((3 * k + j) % (n - 1) for j in range(4)) for k in range(6)]
+    return ToyDistribution(Vocab(n, n - 1), 4, tuple(zip(seqs, (0.3, 0.2, 0.2, 0.1, 0.1, 0.1))))
+
+
+# sha256 of draws over vocabularies of 9 and 12 tokens, where the sums over
+# the vocabulary run pairwise; recorded before the reverse step built its
+# posterior vocabulary first.
+WIDE_VOCAB_PINS = {
+    (9, "temperature"): "10639ba8c86d6922246ed5b1e2cdbaa29f8f2261ba5c0d0be4fc84f405cb9c0d",
+    (9, "min_p"): "e8643d281826284bab83bd4afad4f79deb98e049b403830b11bb38eb0f7e091a",
+    (9, "noise"): "729d0febb632b1934387933de59644a5d9c44ead1df56c301e8cab531feaa152",
+    (12, "temperature"): "3a041b8386984b36926127f7e16f887fe22df23c5e1539afb66a06799e567a09",
+    (12, "min_p"): "94b7e5a5e82a71662964099fc1236dadf672523a978671f145a864a771922d72",
+    (12, "noise"): "bf7c66947c200ce068a9f9b154e1aa49ec24aa8fe79a17958ed9f2d12d6e8404",
+}
+
+
+@pytest.mark.parametrize("n, case", list(WIDE_VOCAB_PINS))
+def test_wide_vocabulary_draws_same_bits(n, case):
+    """A 16-step hybrid sample of 3000 rows (temperature 0.8, or min_p 0.1)
+    and the forward noise of 3000 rows at spread times keep their bits."""
+    dist = _wide_distribution(n)
+    sched = make_schedule("hybrid", dist.vocab, p_u=0.2)
+    if case == "noise":
+        rng = np.random.default_rng(n)
+        t = rng.uniform(sched.eps_t, 1.0 - sched.eps_t, 3000)
+        z = noise_sequence(sched, dist.sample(rng, 3000), t, rng)
+    else:
+        adapt = {"temperature": 0.8} if case == "temperature" else {"min_p": 0.1}
+        config = SamplerConfig(num_steps=16, seed=n, **adapt)
+        z = ancestral_sample_batch(sched, 4, OracleDenoiser(dist, sched), config, 3000)
+    assert z.dtype == np.int64 and z.shape == (3000, 4)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == WIDE_VOCAB_PINS[n, case]
 
 
 class _Untouchable(Denoiser):

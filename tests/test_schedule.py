@@ -362,7 +362,7 @@ def test_backward_kernel_small_delta(hybrid_sched):
     trans = hybrid_sched.conditional_transition(s, t)
     for z_t in range(5):
         for z_s in range(5):
-            kernel = trans.prob(z_t, z_s) * q_s[z_s] / q_t[z_t]
+            kernel = trans.matrix()[z_t, z_s] * q_s[z_s] / q_t[z_t]
             rate = hybrid_sched.backward_rate(t, z_t, z_s, x_theta)
             pred = (1.0 if z_s == z_t else 0.0) + rate * delta
             assert abs(kernel - pred) <= 1e-4 * max(abs(rate) * delta, delta)
