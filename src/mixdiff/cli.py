@@ -21,13 +21,7 @@ import sys
 import numpy as np
 
 from .denoiser import (
-    LogitTable,
-    OracleDenoiser,
-    ToyDistribution,
-    _check_batch,
-    _read_records,
-    _vocab_header,
-    table_train,
+    LogitTable, OracleDenoiser, ToyDistribution, read_corpus, table_train, write_corpus
 )
 from .elbo import WeightingMode, corpus_nelbo, noise_sequence
 from .errors import CorpusFormatError, MixdiffError
@@ -74,21 +68,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def read_corpus(path: str) -> tuple[Vocab, list[np.ndarray]]:
-    """Read a corpus file; `-` reads standard input."""
-
-    def sequence(head, fields):
-        vocab, length = head
-        return _check_batch([int(v) for v in fields], length, vocab, "a corpus")
-
-    def corpus(head, seqs):
-        if not seqs:
-            raise ValueError("corpus has no sequences")
-        return head[0], seqs
-
-    return _read_records(path, "corpus", _vocab_header, sequence, corpus)
-
-
 def read_fitting_corpus(path: str, vocab: Vocab, length: int) -> np.ndarray:
     """The (S, L) sequences of a corpus whose header matches the denoiser's
     vocabulary and sequence length; a mismatch is a data error."""
@@ -101,17 +80,15 @@ def read_fitting_corpus(path: str, vocab: Vocab, length: int) -> np.ndarray:
     return np.array(seqs)
 
 
-def write_corpus(fh, vocab: Vocab, length: int, seqs) -> None:
-    fh.write(f"{vocab.size} {length} {vocab.mask_id}\n")
-    for seq in seqs:
-        fh.write(" ".join(str(int(z)) for z in seq) + "\n")
-
-
 def load_config_file(path: str) -> dict:
+    """The key=value lines of a UTF-8 config file; `#` starts a comment line."""
     values = {}
-    with open(path) as fh:
-        for lineno, ln in enumerate(fh, start=1):
-            ln = ln.strip()
+    with open(path, "rb") as fh:
+        for lineno, ln in enumerate(fh.read().splitlines(), start=1):
+            try:
+                ln = ln.decode().strip()
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(str(exc), line=lineno) from exc
             if not ln or ln.startswith("#"):
                 continue
             if "=" not in ln:

@@ -34,38 +34,70 @@ from .elbo import (
 )
 from .errors import CorpusFormatError, DegenerateEvidenceError, TimeRangeError
 from .schedule import (
-    MixingSchedule, Vocab, check_count, check_eps_t, check_fits, check_positive, token_ids
+    DEFAULT_EPS_T, MixingSchedule, Vocab, check_count, check_eps_t, check_fits, check_positive,
+    token_ids,
 )
 
 
 def _read_records(path: str, what: str, parse_header, parse_row, build):
-    """Read a text file of one header line and one record per line.
+    """Read a UTF-8 text file of one header line and one record per line.
 
     `-` reads standard input. Blank lines are skipped; line numbers count
     physical lines. parse_header(fields) and parse_row(head, fields) get the
     whitespace-separated fields of a line, and build(head, rows) makes the
-    result. A ValueError or IndexError from any of them becomes a
-    CorpusFormatError naming the line being read (the last line for build).
+    result. A line that is not UTF-8, or a ValueError or IndexError from any of
+    them, is a CorpusFormatError naming the line being read (the last for build).
     """
-    with nullcontext(sys.stdin) if path == "-" else open(path) as fh:
-        lines = [(n, ln.split()) for n, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines:
-        raise CorpusFormatError(f"empty {what}")
-    lineno, fields = lines[0]
+    with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    records, rows = [], []
     try:
-        head = parse_header(fields)
-        rows = []
-        for lineno, fields in lines[1:]:
-            rows.append(parse_row(head, fields))
-        return build(head, rows)
+        for lineno, line in enumerate(lines, start=1):
+            if fields := line.decode().split():
+                records.append((lineno, fields))
+        if records:
+            lineno, fields = records[0]
+            head = parse_header(fields)
+            for lineno, fields in records[1:]:
+                rows.append(parse_row(head, fields))
+            return build(head, rows)
     except (ValueError, IndexError) as exc:
         raise CorpusFormatError(f"bad {what}: {exc}", line=lineno) from exc
+    raise CorpusFormatError(f"empty {what}")
 
 
-def _vocab_header(fields) -> tuple[Vocab, int]:
-    """The `N L mask_id` header fields."""
-    n, length, mask_id = (int(v) for v in fields)
-    return Vocab(n, mask_id), length
+def _write_records(fh, vocab: Vocab, length: int, rows, *head) -> None:
+    """Write what _read_records reads: the `N L mask_id` header followed by
+    the fields of `head`, then one line per row; every field as its str()."""
+    header = (vocab.size, length, vocab.mask_id, *head)
+    fh.writelines(" ".join(map(str, fields)) + "\n" for fields in (header, *rows))
+
+
+def _vocab_header(fields, *kinds) -> tuple:
+    """(Vocab, length) from the `N L mask_id` header fields, then one more
+    field made by each of `kinds`; another number of fields is a ValueError."""
+    if len(fields) != 3 + len(kinds):
+        raise ValueError(f"header has {len(fields)} fields, expected {3 + len(kinds)}")
+    n, length, mask_id = map(int, fields[:3])
+    return Vocab(n, mask_id), length, *(kind(v) for kind, v in zip(kinds, fields[3:]))
+
+
+def read_corpus(path: str) -> tuple[Vocab, list[np.ndarray]]:
+    """A corpus file's vocabulary and sequences; `-` reads standard input."""
+
+    def sequence(head, fields):
+        return _check_batch([int(v) for v in fields], head[1], head[0], "a corpus")
+
+    def corpus(head, seqs):
+        if not seqs:
+            raise ValueError("corpus has no sequences")
+        return head[0], seqs
+
+    return _read_records(path, "corpus", _vocab_header, sequence, corpus)
+
+
+def write_corpus(fh, vocab: Vocab, length: int, seqs) -> None:
+    _write_records(fh, vocab, length, (map(int, seq) for seq in seqs))
 
 
 @dataclass(frozen=True)
@@ -137,10 +169,9 @@ class ToyDistribution:
         return float(-(p * np.log(p)).sum())
 
     def save(self, path: str) -> None:
+        rows = ((float(prob), *map(int, seq)) for seq, prob in self.outcomes)
         with open(path, "w") as fh:
-            fh.write(f"{self.vocab.size} {self.length} {self.vocab.mask_id}\n")
-            for seq, prob in self.outcomes:
-                fh.write(f"{float(prob)!r} " + " ".join(str(int(z)) for z in seq) + "\n")
+            _write_records(fh, self.vocab, self.length, rows)
 
     @classmethod
     def load(cls, path: str) -> "ToyDistribution":
@@ -149,13 +180,10 @@ class ToyDistribution:
             cls._check_outcome(*head, seq, prob)
             return seq, prob
 
-        return _read_records(
-            path,
-            "distribution file",
-            _vocab_header,
-            outcome,
-            lambda head, outcomes: cls(*head, tuple(outcomes)),
-        )
+        def build(head, outcomes):
+            return cls(*head, tuple(outcomes))
+
+        return _read_records(path, "distribution file", _vocab_header, outcome, build)
 
 
 def _distinct_rows(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,12 +304,13 @@ class LogitTable(Denoiser):
     vocab: Vocab
     length: int
     t_buckets: int = 8
-    eps_t: float = 1e-4
+    eps_t: float = DEFAULT_EPS_T
     learning_rate: float = 0.5
 
     def __post_init__(self):
         check_count("length", self.length)
-        if check_count("t_buckets", self.t_buckets) > 2**32:  # keys of 2**30 rows fit in int64
+        self.t_buckets = check_count("t_buckets", self.t_buckets)  # an int, as _distinct_rows needs
+        if self.t_buckets > 2**32:  # keys of 2**30 rows fit in int64
             raise ValueError(f"t_buckets must be >= 1 and <= 2**32, got {self.t_buckets}")
         check_eps_t(self.eps_t)
         check_positive("learning_rate", self.learning_rate)
@@ -335,30 +364,23 @@ class LogitTable(Denoiser):
         return masked_softmax(logits, self.vocab.mask_id)[inverse]
 
     def save(self, path: str) -> None:
+        logits = self.logits.reshape(len(self.keys), self.length * self.vocab.size)
+        rows = (key + flat for key, flat in zip(self.keys.tolist(), logits.tolist()))
         with open(path, "w") as fh:
-            fh.write(
-                f"{self.vocab.size} {self.length} {self.vocab.mask_id} "
-                f"{self.t_buckets} {self.eps_t!r} {self.learning_rate!r}\n"
-            )
-            logits = self.logits.reshape(len(self.keys), self.length * self.vocab.size)
-            for key, flat in zip(self.keys.tolist(), logits.tolist()):
-                fh.write(" ".join([*map(str, key), *map(repr, flat)]) + "\n")
+            head = self.t_buckets, self.eps_t, self.learning_rate
+            _write_records(fh, self.vocab, self.length, rows, *head)
 
     @classmethod
     def load(cls, path: str) -> "LogitTable":
         def header(f):
-            vocab, length = _vocab_header(f[:3])
-            return cls(
-                vocab, length, t_buckets=int(f[3]), eps_t=float(f[4]), learning_rate=float(f[5])
-            )
+            return cls(*_vocab_header(f, int, float, float))
 
         def entry(table, f):
             n, length = table.vocab.size, table.length
             flat = [float(v) for v in f[1 + length :]]
             if len(flat) != length * n:
                 raise ValueError(f"entry has {len(flat)} logits, expected {length * n}")
-            bad = [v for v in flat if not math.isfinite(v)]
-            if bad:
+            if bad := [v for v in flat if not math.isfinite(v)]:
                 raise ValueError(f"logit {bad[0]!r} is not finite")
             if not 0 <= (bucket := int(f[0])) < table.t_buckets:
                 raise ValueError(f"time bucket {bucket} outside [0, {table.t_buckets})")

@@ -878,3 +878,66 @@ def test_out_file_whose_reader_leaves_is_a_data_error(tmp_path, dist_file):
     assert proc.returncode == 2
     assert out == ""
     assert err == "data error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize(
+    "kind, what, data, line",
+    [
+        ("corpus", "corpus", b"5 3 4\n0 1 2\n1 \xff 3\n", 3),
+        ("dist", "distribution file", b"5 3 4\n0.5 0 1 2\n\n\xff0.5 1 2 3\n", 4),
+        ("table", "table file", b"5 3 4 8 0.0001 0.5\xff\n", 1),
+    ],
+    ids=["corpus", "dist", "table"],
+)
+def test_byte_that_is_not_utf8_is_data_error(capsys, tmp_path, pinned_inputs, kind, what, data,
+                                             line):
+    """A 0xff byte in a record file used to exit 1 as "usage error: 'utf-8'
+    codec can't decode ..."; it is a data error naming its line."""
+    bad = tmp_path / f"{kind}.txt"
+    bad.write_bytes(data)
+    out = tmp_path / "samples.txt"
+    argv = {
+        "corpus": ["nelbo", "--dist", str(pinned_inputs / "dist.txt"), "--corpus", str(bad)],
+        "dist": ["sample", "--dist", str(bad), "--out", str(out)],
+        "table": ["nelbo", "--table", str(bad), "--corpus", str(pinned_inputs / "clean.txt")],
+    }[kind]
+    code, stdout, err = run(capsys, argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"data error: line {line}: bad {what}: 'utf-8' codec can't decode byte")
+    assert not out.exists()
+
+
+def test_config_file_with_a_byte_that_is_not_utf8_is_data_error(capsys, tmp_path, dist_file):
+    """A config file is read as UTF-8 line by line, like the record files."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed=1\n# caf\xe9\nnum_mc=4\n")
+    code, stdout, err = run(
+        capsys, ["nelbo", "--corpus", dist_file, "--dist", dist_file, "--config", str(cfg)]
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("data error: line 2: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--corpus", ["noise", "--t", "0.5", "--seed", "3"]),
+        ("--dist", ["oracle-eval", "--num-mc", "4"]),
+        ("--table", ["nelbo", "--corpus", "noisy.txt", "--num-mc", "4"]),
+    ],
+)
+def test_dash_reads_standard_input(capsys, pinned_inputs, flag, argv):
+    """`-` for --corpus, --dist or --table reads that file from a pipe; stdout
+    is what the run that names the file prints."""
+    path = pinned_inputs / {"--corpus": "clean.txt", "--dist": "dist.txt"}.get(flag, "table.txt")
+    argv = [str(pinned_inputs / v) if v.endswith(".txt") else v for v in argv]
+    code, expected, err = run(capsys, [*argv, flag, str(path)])
+    assert code == 0, err
+    proc = subprocess.run(
+        [*CLI, *argv, flag, "-"], input=path.read_text(), capture_output=True, text=True,
+        env=CLI_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

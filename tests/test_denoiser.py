@@ -27,6 +27,7 @@ from mixdiff import (
     sequence_nelbo,
     table_train,
 )
+from mixdiff.cli import read_corpus
 from mixdiff.denoiser import (
     TRAIN_BLOCK,
     _distinct_rows,
@@ -446,6 +447,64 @@ def test_logit_table_load_errors(tmp_path):
     with pytest.raises(CorpusFormatError) as exc:
         LogitTable.load(str(path))
     assert exc.value.line == 1
+
+
+def test_logit_table_of_numpy_scalars_round_trips(vocab3, tmp_path):
+    """A table built from numpy scalars (as a sweep over eps_t or the learning
+    rate makes) used to save `np.float64(0.0001)` into its header, which its
+    own load then refused."""
+    table = LogitTable(
+        vocab3, 2, t_buckets=np.int64(8), eps_t=np.float64(1e-4), learning_rate=np.float64(0.5)
+    )
+    table.logits_for(np.array([[0, 1]]), 0.5, insert=True)
+    table.logits[...] = np.random.default_rng(3).normal(size=table.logits.shape)
+    path = tmp_path / "table.txt"
+    table.save(str(path))
+    assert path.read_text().splitlines()[0] == "3 2 2 8 0.0001 0.5"
+    loaded = LogitTable.load(str(path))
+    assert (loaded.t_buckets, loaded.eps_t, loaded.learning_rate) == (8, 1e-4, 0.5)
+    assert loaded.keys.tolist() == table.keys.tolist()
+    assert loaded.logits.tobytes() == table.logits.tobytes()
+
+
+@pytest.mark.parametrize(
+    "load, what, text, fields, expected",
+    [
+        (LogitTable.load, "table file", "3 2 2 8 0.0001\n", 5, 6),
+        (LogitTable.load, "table file", "3 2 2 8 0.0001 0.5 junk\n", 7, 6),
+        (ToyDistribution.load, "distribution file", "3 2 2 9\n0.5 0 0\n0.5 1 1\n", 4, 3),
+        (read_corpus, "corpus", "3 2 2 9\n0 0\n", 4, 3),
+    ],
+    ids=["table 5", "table 7", "distribution 4", "corpus 4"],
+)
+def test_header_of_another_field_count_is_named_error(tmp_path, load, what, text, fields, expected):
+    """A table header with a seventh field used to load, and one with five
+    failed with "list index out of range"."""
+    path = tmp_path / "file.txt"
+    path.write_text(text)
+    with pytest.raises(CorpusFormatError) as exc:
+        load(str(path))
+    assert exc.value.line == 1
+    assert str(exc.value) == f"line 1: bad {what}: header has {fields} fields, expected {expected}"
+
+
+@pytest.mark.parametrize(
+    "load, what, text, line",
+    [
+        (LogitTable.load, "table file", HEADER + "0 0 \xff" + LOGITS, 2),
+        (ToyDistribution.load, "distribution file", "3 2 2\n0.5 0 0\n\n0.5 1 \xff\n", 4),
+        (read_corpus, "corpus", "3 \xff 2\n0 0\n", 1),
+    ],
+    ids=["table", "distribution", "corpus"],
+)
+def test_byte_that_is_not_utf8_is_named_error(tmp_path, load, what, text, line):
+    """Every record file is read as UTF-8, line by line: a byte that is not
+    valid UTF-8 is a format error naming its line, not a bare ValueError."""
+    path = tmp_path / "file.txt"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(CorpusFormatError, match=f"^line {line}: bad {what}: 'utf-8' codec") as exc:
+        load(str(path))
+    assert exc.value.line == line
 
 
 def test_table_train_zero_steps(two_outcome):
