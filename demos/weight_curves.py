@@ -33,9 +33,9 @@ def main():
     print("recovers -alpha'(t)/alpha(t) at every t (here a 5-point spot check).")
     rng = np.random.default_rng(0)
     for t in rng.uniform(0.05, 0.95, size=5):
-        q = sched.marginal(t, x)
-        ew = sum(q[z] * sched.elbo_weight(t, z, x) for z in range(vocab.size))
-        ref = -sched.alpha_prime(t) / sched.alpha(t)
+        q, w, terms = sched.marginal(t, x), sched.elbo_weights(t, x), sched.terms(t)
+        ew = sum(q[z] * w[z] for z in range(vocab.size))
+        ref = -terms.alpha_prime / terms.alpha
         print(f"  t={t:.4f}  E[w]={ew:.10f}  -a'/a={ref:.10f}")
 
 

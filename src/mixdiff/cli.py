@@ -302,7 +302,7 @@ def cmd_weights_csv(args, cfg: dict) -> int:
     # given x = 0: the mask, a non-mask token other than x (N >= 3) and x
     w = sched.elbo_weights(grid, 0)[:, [vocab.mask_id, 1, 0]]
     sys.stdout.write("t,w_mask,w_uniform,w_clean,log_snr\n")
-    for row in np.column_stack([grid, w, sched.log_snr(grid)]).tolist():
+    for row in np.column_stack([grid, w, sched.terms(grid).log_snr]).tolist():
         sys.stdout.write(",".join(map(repr, row)) + "\n")
     return 0
 

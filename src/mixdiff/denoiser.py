@@ -323,9 +323,6 @@ class LogitTable(Denoiser):
         keys = ((b, tuple(seq)) for b, *seq in self.keys.tolist())
         return MappingProxyType(dict(zip(keys, self.logits)))
 
-    def bucket(self, t: float) -> int:
-        return int(self.buckets(t))
-
     def buckets(self, t: np.ndarray) -> np.ndarray:
         """The time bucket of each entry of an array of times; a time outside
         [eps, 1 - eps] falls into the nearer end bucket, NaN is a TimeRangeError."""

@@ -200,7 +200,7 @@ def loss_and_grad(
     weight[i] * (kl[i] + is_term[i]), and grad is the gradient of the summed
     loss w.r.t. those logits. Each row has the bits it has alone. The weight
     does not depend on the logits in any mode; the exact weight is
-    rate_vector(t)[z] / q_t(z | x), clipped at `weight_clip`
+    terms(t).rate[z] / q_t(z | x), clipped at `weight_clip`
     (training-stability guard) unless it is None. Entries with probability 0
     get gradient 0, so grad also holds for a softmax over a subset of entries.
     It is the composition of its parts: loss_target computes what does not

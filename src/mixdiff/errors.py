@@ -13,10 +13,6 @@ class OrderingError(MixdiffError, ValueError):
     """Transition endpoints violate s <= t."""
 
 
-class DegenerateStateError(MixdiffError, ValueError):
-    """A conditioning state has zero probability under the model marginal."""
-
-
 class UnsupportedStateError(MixdiffError, ValueError):
     """Queried token lies outside the forward support of the clean token."""
 

@@ -102,9 +102,10 @@ def generative_nll(
         raise ValueError(f"floor must lie in (0, 1], got {floor!r}")
     k = dist.outcome_index(samples)
     probs = np.append(dist.probs, 0.0)
-    # -log p per outcome, -log floor (or NaN) outside the support, gathered in sample order
-    logs = np.full_like(probs, math.nan if floor is None else np.log(floor))
-    nlls = -np.log(probs, out=logs, where=probs > 0.0)[k]
+    # -log p per outcome, -log floor (or NaN) outside the support, gathered in sample order;
+    # libm's log, as -math.log(p) of one sample: numpy's can differ from it in the last bit
+    outside = math.nan if floor is None else -math.log(floor)
+    nlls = np.array([-math.log(p) if p > 0.0 else outside for p in probs.tolist()])[k]
     inside = probs[k] > 0.0
     if floor is None:
         nlls = nlls[inside]

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateStateError,
-    MaskedInputError,
-    OrderingError,
-    TimeRangeError,
-    UnsupportedStateError,
-)
+from .errors import MaskedInputError, OrderingError, TimeRangeError
 
 DEFAULT_EPS_T = 1e-4
 LOG_FLOOR = 1e-30
@@ -37,9 +31,10 @@ class Vocab:
     mask_id: int
 
     def __post_init__(self):
-        # at least a data token, an alternative and the mask
-        check_count("vocab size", self.size, least=3)
-        if not check_count("mask_id", self.mask_id, least=0) < self.size:
+        # at least a data token, an alternative and the mask; ints, as _distinct_rows needs
+        object.__setattr__(self, "size", check_count("vocab size", self.size, least=3))
+        object.__setattr__(self, "mask_id", check_count("mask_id", self.mask_id, least=0))
+        if not self.mask_id < self.size:
             raise ValueError(f"mask_id {self.mask_id} outside [0, {self.size})")
 
     def spread(self, at_mask, elsewhere) -> np.ndarray:
@@ -53,10 +48,6 @@ class Vocab:
     def mask_one_hot(self) -> np.ndarray:
         return self.spread(1.0, 0.0)
 
-    def uniform_non_mask(self) -> np.ndarray:
-        """Uniform distribution over all non-mask tokens."""
-        return self.spread(0.0, 1.0 / (self.size - 1))
-
     def check_tokens(self, z) -> np.ndarray:
         """token_ids(z); a ValueError naming its first id outside [0, size)."""
         z = token_ids(z)
@@ -64,9 +55,6 @@ class Vocab:
             bad = z[~((0 <= z) & (z < self.size))].flat[0]
             raise ValueError(f"token id {bad} outside [0, {self.size})")
         return z
-
-    def check_token(self, z: int) -> int:
-        return int(self.check_tokens(z))
 
 
 def token_ids(z) -> np.ndarray:
@@ -172,12 +160,11 @@ class MixingSchedule:
 
     All time arguments are validated against [eps_t, 1 - eps_t]; exact
     endpoints are rejected because some derived quantities are singular there.
-    `check_time`, `terms` and the closed forms also take a (B,) array of
-    times and return arrays with a leading (B,) axis, except the scalar
-    entries `forward_rate`, `backward_rate` and `elbo_weight`. Each row has
-    the bits of its time alone: every closed form is numpy ufunc calls, whose
-    loops give a float, a 0-d array and each entry of an array the same bits.
-    One time gives np.float64 where (B,) times give a (B,) array.
+    Every method takes one time or a (B,) array of times, and (B,) times give
+    arrays with a leading (B,) axis. Each row has the bits of its time alone:
+    every closed form is numpy ufunc calls, whose loops give a float, a 0-d
+    array and each entry of an array the same bits. One time gives np.float64
+    where (B,) times give a (B,) array.
     """
 
     def __init__(self, vocab: Vocab, params: ScheduleParams):
@@ -200,8 +187,11 @@ class MixingSchedule:
 
     def check_time(self, t) -> np.float64 | np.ndarray:
         """t as an np.float64 (its arithmetic is 10x cheaper than a 0-d array's) or a new
-        float array; a TimeRangeError names its first time outside [eps_t, 1 - eps_t] or NaN."""
+        float array; a TimeRangeError names its first time outside [eps_t, 1 - eps_t] or NaN,
+        and a ValueError names times of more than one axis."""
         t = np.array(t, dtype=float)[()]
+        if t.ndim > 1:
+            raise ValueError(f"times of shape {t.shape}: need one time or a (B,) array")
         bad = ~((self.eps_t <= t) & (t <= 1.0 - self.eps_t))
         if np.logical_or.reduce(bad, axis=None):
             raise TimeRangeError(
@@ -210,8 +200,8 @@ class MixingSchedule:
         return t
 
     def terms(self, t) -> Terms:
-        """alpha_t, beta_t pi_t, the rate vector and log_snr at t, all from
-        one evaluation of c_t: the other closed forms at t are views of it.
+        """The closed forms at t: alpha_t, alpha_t', beta_t pi_t, the rate vector,
+        log_snr and the uniform mass, all from one evaluation of c_t.
         The last evaluation is kept, keyed by the times' shape and bytes, so
         a call at equal times returns it; its arrays are read-only."""
         t = np.array(t, dtype=float)
@@ -220,36 +210,9 @@ class MixingSchedule:
             last = self._last = key, Terms(self, t)
         return last[1]
 
-    def alpha(self, t: float) -> float:
-        return self.terms(t).alpha
-
-    def alpha_prime(self, t: float) -> float:
-        return self.terms(t).alpha_prime
-
-    def beta_pi(self, t: float) -> np.ndarray:
-        """The noise component beta_t * pi_t of the marginal."""
-        return self.terms(t).beta_pi
-
-    def rate_vector(self, t: float) -> np.ndarray:
-        """beta_t pi_t' - (alpha_t'/alpha_t) pi_t, the off-diagonal rate profile."""
-        return self.terms(t).rate
-
-    def uniform_mass(self, t: float) -> float:
-        """Total probability of the uniform component at time t: c_t / C_t."""
-        c = self.terms(t)._c
-        return c / (1.0 + c)
-
-    def pi(self, t: float) -> np.ndarray:
-        bp = self.beta_pi(t)
-        return bp / bp.sum(axis=-1, keepdims=True)
-
-    def log_snr(self, t: float) -> float:
-        """lambda_t = log(alpha_t / (1 - alpha_t))."""
-        return self.terms(t).log_snr
-
     def marginal(self, t: float, x: int) -> np.ndarray:
         """q_t(. | x) = alpha_t one_hot(x) + beta_t pi_t."""
-        return self.marginal_mix(t, np.eye(self.vocab.size)[self.vocab.check_token(x)])
+        return self.marginal_mix(t, np.eye(self.vocab.size)[self.vocab.check_tokens(x)])
 
     def marginal_mix(self, t: float, x_theta: np.ndarray) -> np.ndarray:
         """q_t(. | x_theta): marginal with the one-hot replaced by a distribution."""
@@ -261,7 +224,7 @@ class MixingSchedule:
 
     def generator(self, t) -> np.ndarray:
         """The CTMC generator R_t, (N, N) or (B, N, N): row z_from is
-        rate_vector(t) + (alpha_t'/alpha_t) one_hot(z_from), and sums to zero."""
+        terms(t).rate + (alpha_t'/alpha_t) one_hot(z_from), and sums to zero."""
         terms = self.terms(t)
         ratio = terms.alpha_prime / terms.alpha
         return terms.rate[..., None, :] + np.multiply.outer(ratio, np.eye(self.vocab.size))
@@ -278,38 +241,17 @@ class MixingSchedule:
             back = rates_in * (q[..., None, :] / q[..., :, None])
             return back - (flow_in / q)[..., None] * np.eye(self.vocab.size)
 
-    def forward_rate(self, t: float, z_from: int, z_to: int) -> float:
-        """CTMC generator entry R_t(z_from, z_to)."""
-        return float(self.forward_rate_row(t, z_from)[self.vocab.check_token(z_to)])
-
-    def forward_rate_row(self, t: float, z_from: int) -> np.ndarray:
-        return self.generator(t)[..., self.vocab.check_token(z_from), :]
-
-    def backward_rate(self, t: float, z_t: int, z_s: int, x_theta: np.ndarray) -> float:
-        """Denoising-chain generator entry, conditioned on the model prediction."""
-        if self.marginal_mix(t, x_theta)[self.vocab.check_token(z_t)] <= 0.0:
-            raise DegenerateStateError(f"q_t({z_t} | x_theta) is zero")
-        return float(self.backward_generator(t, x_theta)[z_t, self.vocab.check_token(z_s)])
-
     def elbo_weights(self, t, x: int) -> np.ndarray:
-        """w_t(z, x) = rate_vector(t)[z] / q_t(z | x) at each token z; 0.0 where q_t(z | x) = 0."""
+        """w_t(z, x) = terms(t).rate[z] / q_t(z | x) at each token z; 0.0 where q_t(z | x) = 0."""
         q = self.marginal(t, x)
-        return np.divide(self.rate_vector(t), q, out=np.zeros_like(q), where=q > 0.0)
-
-    def elbo_weight(self, t: float, z_t: int, x: int) -> float:
-        """w_t(z_t, x) = rate_vector(t)[z_t] / q_t(z_t | x)."""
-        if self.marginal(t, x)[self.vocab.check_token(z_t)] <= 0.0:
-            raise UnsupportedStateError(
-                f"token {z_t} outside forward support of {x} at t={float(t)!r}"
-            )
-        return float(self.elbo_weights(t, x)[z_t])
+        return np.divide(self.terms(t).rate, q, out=np.zeros_like(q), where=q > 0.0)
 
 
 class Terms:
     """The closed forms of `schedule` at one time `t`, or at (B,) times along a leading
     axis, from one evaluation of c_t: alpha_t = (1-t)/C and the noise component
-    beta_t pi_t of the marginal; alpha_t', the rate vector and log_snr are
-    computed from them when read, and `to` pairs them with a later time's."""
+    beta_t pi_t of the marginal; alpha_t', the rate vector, log_snr and the uniform
+    mass are computed from them when read, and `to` pairs them with a later time's."""
 
     def __init__(self, schedule: MixingSchedule, t):
         self.schedule, self.t = schedule, schedule.check_time(t)
@@ -348,6 +290,11 @@ class Terms:
     def log_snr(self) -> float | np.ndarray:
         """lambda_t = log(alpha_t / (1 - alpha_t))."""
         return np.log(self.alpha) - np.log1p(-self.alpha)
+
+    @property
+    def uniform_mass(self) -> float | np.ndarray:
+        """c_t / C_t, the total probability of the uniform component; p_u at t = 1/2."""
+        return self._c / (1.0 + self._c)
 
 
 def MaskOnlySchedule(vocab: Vocab, eps_t: float = DEFAULT_EPS_T) -> MixingSchedule:

@@ -194,7 +194,8 @@ def check_weight_expectation(grid=100, n=5, tol=1e-10):
     for sched in _schedules(n):
         times = np.linspace(sched.eps_t, 1.0 - sched.eps_t, grid)
         mean_w = (sched.marginal(times, 0) * sched.elbo_weights(times, 0)).sum(axis=-1)
-        target = -sched.alpha_prime(times) / sched.alpha(times)
+        terms = sched.terms(times)
+        target = -terms.alpha_prime / terms.alpha
         err = np.abs(mean_w - target) / np.maximum(np.abs(target), 1.0)
         worst = max(worst, float(err.max()))
     return "weight_expectation", worst <= tol, f"max rel error {worst:.3e}"
@@ -206,9 +207,9 @@ def check_uniform_calibration(grid=200, tol=1e-12):
     detail = []
     for p_u in (0.1, 0.2):
         sched = make_schedule("hybrid", Vocab(5, 4), p_u=p_u)
-        peak = float(sched.uniform_mass(0.5))
+        peak = float(sched.terms(0.5).uniform_mass)
         ok = ok and abs(peak - p_u) <= tol
-        masses = sched.uniform_mass(np.linspace(sched.eps_t, 1.0 - sched.eps_t, grid))
+        masses = sched.terms(np.linspace(sched.eps_t, 1.0 - sched.eps_t, grid)).uniform_mass
         ok = ok and bool(np.all(masses <= peak + tol))
         detail.append(f"p_u={p_u}: peak {peak!r}")
     return "uniform_calibration", ok, "; ".join(detail)
@@ -230,12 +231,13 @@ def check_pu_zero_collapse(seed=7, cases=200, n=6, tol=1e-14):
     q[rows, x] += 1.0 - t
     on = q[rows, z] > 0
     w = loss_and_grad(hyb, t[on], z[on, None], x[on, None], np.eye(n)[x[on, None]], EXACT, None)[0]
+    terms = hyb.terms(t)
     pairs = [
-        (hyb.alpha(t), 1.0 - t),
-        (hyb.alpha_prime(t), -1.0),
-        (hyb.beta_pi(t), t[:, None] * m),
-        (hyb.pi(t), m),
-        (hyb.rate_vector(t), m / (1.0 - t[:, None])),
+        (terms.alpha, 1.0 - t),
+        (terms.alpha_prime, -1.0),
+        (terms.beta_pi, t[:, None] * m),
+        (terms.beta_pi / terms.beta_pi.sum(axis=-1, keepdims=True), m),
+        (terms.rate, m / (1.0 - t[:, None])),
         (hyb.marginal_mix(t, np.eye(n)[x]), q),
         (hyb.conditional_transition(s, t).alpha_ts, (1.0 - t) / (1.0 - s)),
         (w[:, 0], m[z[on]] / (1.0 - t[on]) / q[rows, z][on]),
@@ -283,14 +285,14 @@ def check_global_minimum(seed=10, cases=200, n=5, tol=1e-12):
 def check_weight_blowup(n=5):
     """Mask-token weight at the clamp boundary dwarfs its midpoint value."""
     sched = make_schedule("hybrid", Vocab(n, n - 1), p_u=0.2)
-    ratio = sched.elbo_weight(sched.eps_t, n - 1, 0) / sched.elbo_weight(0.5, n - 1, 0)
+    ratio = sched.elbo_weights(sched.eps_t, 0)[n - 1] / sched.elbo_weights(0.5, 0)[n - 1]
     return "weight_blowup", ratio > 100.0, f"w_mask(eps)/w_mask(0.5) = {ratio:.1f}"
 
 
 def check_log_snr_monotone(grid=1000, n=5):
     ok = True
     for sched in _schedules(n):
-        lam = sched.log_snr(np.linspace(sched.eps_t, 1.0 - sched.eps_t, grid))
+        lam = sched.terms(np.linspace(sched.eps_t, 1.0 - sched.eps_t, grid)).log_snr
         ok = ok and bool(np.all(np.diff(lam) < 0))
     return "log_snr_monotone", ok, "strictly decreasing on the grid"
 

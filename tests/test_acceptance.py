@@ -143,8 +143,9 @@ def test_criterion_03_rate_checks():
         for _ in range(60):
             t = 0.01 + 0.98 * rng.random()
             fd = (sched.conditional_transition(t, t + delta).matrix() - np.eye(5)) / delta
+            rates = sched.generator(t)
             for z_from in range(5):
-                row = sched.forward_rate_row(t, z_from)
+                row = rates[z_from]
                 worst_row = max(worst_row, abs(row.sum()))
                 for z_to in range(5):
                     r = row[z_to]
@@ -153,12 +154,13 @@ def test_criterion_03_rate_checks():
             q_t = sched.marginal_mix(t, x_theta)
             q_s = sched.marginal_mix(t - delta, x_theta)
             trans = sched.conditional_transition(t - delta, t)
+            back = sched.backward_generator(t, x_theta)
             for z_t in range(5):
                 if q_t[z_t] <= 0:
                     continue
                 for z_s in range(5):
                     kernel = trans.matrix()[z_t, z_s] * q_s[z_s] / q_t[z_t]
-                    rate = sched.backward_rate(t, z_t, z_s, x_theta)
+                    rate = back[z_t, z_s]
                     pred = (1.0 if z_s == z_t else 0.0) + rate * delta
                     worst_bwd = max(
                         worst_bwd, abs(kernel - pred) / max(abs(rate) * delta, delta)
@@ -178,15 +180,15 @@ def test_criterion_04_weight_identities():
     worst = 0.0
     for sched in (MaskOnlySchedule(vocab), HybridSchedule(vocab, ScheduleParams(p_u=0.2))):
         for t in np.linspace(EPS, 1 - EPS, 100):
-            q = sched.marginal(t, 0)
-            mean_w = sum(q[z] * sched.elbo_weight(t, z, 0) for z in range(5) if q[z] > 0)
-            target = -sched.alpha_prime(t) / sched.alpha(t)
+            q, w, terms = sched.marginal(t, 0), sched.elbo_weights(t, 0), sched.terms(t)
+            mean_w = sum(q[z] * w[z] for z in range(5) if q[z] > 0)
+            target = -terms.alpha_prime / terms.alpha
             worst = max(worst, abs(mean_w - target) / max(abs(target), 1.0))
-    hyb = HybridSchedule(vocab, ScheduleParams(p_u=0.2))
+    hyb_w = HybridSchedule(vocab, ScheduleParams(p_u=0.2)).elbo_weights(0.5, 0)
     hands = (
-        abs(hyb.elbo_weight(0.5, 4, 0) - 4.0),
-        abs(hyb.elbo_weight(0.5, 1, 0) - 2.0),
-        abs(hyb.elbo_weight(0.5, 0, 0) - 0.2222),
+        abs(hyb_w[4] - 4.0),
+        abs(hyb_w[1] - 2.0),
+        abs(hyb_w[0] - 0.2222),
     )
     ok = worst <= 1e-10 and all(h <= 1e-4 for h in hands)
     report(4, "weight_identities", ok, f"E[w] err {worst:.2e}, hand errs {max(hands):.2e}")
@@ -203,7 +205,7 @@ def test_criterion_05_uniform_calibration():
     ok = True
     for p_u in (0.1, 0.2):
         sched = make_schedule("hybrid", Vocab(5, 4), p_u=p_u)
-        assert abs(sched.uniform_mass(0.5) - p_u) < 1e-15  # analytic peak
+        assert abs(sched.terms(0.5).uniform_mass - p_u) < 1e-15  # analytic peak
         rng = np.random.default_rng(105)
         x = np.zeros(n_tokens, dtype=np.int64)
         z = noise_sequence(sched, x, 0.5, rng)

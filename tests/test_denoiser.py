@@ -253,9 +253,9 @@ def test_oracle_posterior_of_a_long_sequence():
 
 def test_logit_table_buckets(vocab3):
     table = LogitTable(vocab3, 2, t_buckets=8, eps_t=1e-4)
-    assert table.bucket(1e-4) == 0
-    assert table.bucket(1 - 1e-4) == 7
-    assert table.bucket(0.5) == 4
+    assert table.buckets(1e-4) == 0
+    assert table.buckets(1 - 1e-4) == 7
+    assert table.buckets(0.5) == 4
 
 
 @given(
@@ -275,7 +275,7 @@ def test_buckets_equal_bucket(t_buckets, eps_t, fracs):
         np.nextafter(edges, 1.0),
         eps_t + (1.0 - 2.0 * eps_t) * np.array(fracs),
     ])
-    assert table.buckets(times).tolist() == [table.bucket(t) for t in times.tolist()]
+    assert table.buckets(times).tolist() == [table.buckets(t) for t in times.tolist()]
 
 
 def test_logit_table_round_trip(vocab3, tmp_path):
@@ -319,7 +319,7 @@ def test_logit_table_equals_a_dict(n, length, t_buckets, calls):
         rng = np.random.default_rng(seed)
         z = pool[rng.integers(0, len(pool), rows)]
         times = rng.choice([1e-4, 0.3, 0.31, 0.9], rows)
-        keys = [(table.bucket(t), tuple(row)) for t, row in zip(times.tolist(), z.tolist())]
+        keys = [(table.buckets(t), tuple(row)) for t, row in zip(times.tolist(), z.tolist())]
         before = table.keys.copy()
         pred = table.predict_batch(z, times)
         assert table.keys.tobytes() == before.tobytes()
@@ -409,7 +409,7 @@ def test_logit_table_nan_time_is_named_error(vocab3):
     table = LogitTable(vocab3, 2)
     nan = float("nan")
     with pytest.raises(TimeRangeError, match="nan"):
-        table.bucket(nan)
+        table.buckets(nan)
     with pytest.raises(TimeRangeError, match="nan"):
         table.buckets(np.array([0.3, nan]))
     with pytest.raises(TimeRangeError, match="nan"):
@@ -419,7 +419,7 @@ def test_logit_table_nan_time_is_named_error(vocab3):
     assert not table.table
     times = [-1.0, 0.0, 1e-5, 1.0, 2.0, 1e300, -np.inf, np.inf]
     assert table.buckets(np.array(times)).tolist() == [0, 0, 0, 7, 7, 7, 0, 7]
-    assert [table.bucket(t) for t in times] == [0, 0, 0, 7, 7, 7, 0, 7]
+    assert [table.buckets(t) for t in times] == [0, 0, 0, 7, 7, 7, 0, 7]
 
 
 def test_logit_table_load_of_no_entries(tmp_path):
@@ -774,7 +774,7 @@ def _train_step_by_step(
         losses, updates = np.empty(batch), []
         for i, (x, t) in enumerate(zip(xs, times)):
             z = noise_sequence(schedule, x, t, rng)
-            key = (table.bucket(t), tuple(z.tolist()))
+            key = (table.buckets(t), tuple(z.tolist()))
             entry = entries.setdefault(key, np.zeros((dist.length, dist.vocab.size)))
             probs = masked_softmax(entry, dist.vocab.mask_id)
             w, kl, is_term, grad = loss_and_grad(schedule, t, z, x, probs, mode)

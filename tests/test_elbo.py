@@ -104,7 +104,7 @@ def test_mask_only_loss_hand_value(mask_sched):
 
 
 def test_dynamic_weight_hand_value(hybrid_sched):
-    lam = hybrid_sched.log_snr(0.5)
+    lam = hybrid_sched.terms(0.5).log_snr
     expected = (hybrid_sched.uniform_mix_constant / 5) * math.exp(-lam / 2)
     assert expected == pytest.approx(0.1224744871, abs=1e-9)
     w = loss_weight(hybrid_sched, 0.5, 0, 0, DYNAMIC)
@@ -386,13 +386,13 @@ def test_loss_and_grad_matches_per_position_formulas(kind, mode, length, t, seed
     assert grad.shape == (length, 5)
     for i in range(length):
         if mode.kind == "dynamic":
-            lam = sched.log_snr(t)
+            lam = sched.terms(t).log_snr
             w_ref = 1.0 + (z[i] == 4)
             if z[i] == x[i]:
                 w_ref += (sched.uniform_mix_constant / 5) * math.exp(-lam / 2) - 1.0
             w_ref *= mode.w_max
         else:
-            w_ref = min(sched.elbo_weight(t, z[i], x[i]), DEFAULT_WEIGHT_CLIP)
+            w_ref = min(sched.elbo_weights(t, x[i])[z[i]], DEFAULT_WEIGHT_CLIP)
             if mode.kind == "clamp":
                 w_ref = min(w_ref, mode.w_max)
         p = sched.marginal(t, x[i])

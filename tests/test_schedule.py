@@ -28,15 +28,10 @@ from mixdiff import (
     table_train,
     unigram_entropy,
 )
-from mixdiff.errors import (
-    DegenerateStateError,
-    OrderingError,
-    TimeRangeError,
-    UnsupportedStateError,
-)
+from mixdiff.errors import OrderingError, TimeRangeError
 from mixdiff.elbo import stratified_times
 from mixdiff.sampler import counter_uniforms, derive_seeds
-from mixdiff.schedule import Terms, check_count, token_ids
+from mixdiff.schedule import Terms, check_count, check_fits, token_ids
 from mixdiff.verify import check_backward_rows
 
 EPS = 1e-4
@@ -127,6 +122,36 @@ def test_check_count():
             check_count("n", value)
 
 
+# The vocabulary of TWO with numpy integer fields, which Vocab stores as ints.
+NUMPY_VOCAB = Vocab(np.int64(3), np.int64(2))
+
+
+def test_toy_distribution_over_a_numpy_integer_vocab():
+    """It raised AttributeError: 'numpy.int64' object has no attribute 'bit_length'."""
+    assert type(NUMPY_VOCAB.size) is int and type(NUMPY_VOCAB.mask_id) is int
+    dist = ToyDistribution(NUMPY_VOCAB, 2, TWO.outcomes)
+    assert dist.outcomes == TWO.outcomes
+
+
+def test_sampling_under_a_numpy_integer_vocab():
+    """It raised the same AttributeError from the batch of noisy rows."""
+    sched = make_schedule("hybrid", NUMPY_VOCAB, p_u=0.2)
+    config = SamplerConfig(num_steps=4, seed=3)
+    got = ancestral_sample_batch(sched, 2, OracleDenoiser(TWO, sched), config, 50)
+    assert got.tobytes() == ancestral_sample_batch(HYBRID, 2, ORACLE, config, 50).tobytes()
+
+
+def test_fit_message_over_a_numpy_integer_vocab():
+    """It printed Vocab(size=np.int64(3), mask_id=np.int64(2))."""
+    message = (
+        "table of length 2 over Vocab(size=3, mask_id=2) does not fit the "
+        "distribution of length 2 over Vocab(size=4, mask_id=3)"
+    )
+    four = ToyDistribution(Vocab(4, 3), 2, TWO.outcomes)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_fits("table", LogitTable(NUMPY_VOCAB, 2), "distribution", four)
+
+
 # The two functions that hash a seed they are given, called with that seed.
 SEEDED = {
     "derive_seeds": lambda seed: derive_seeds(seed, 3),
@@ -185,9 +210,6 @@ def test_vocab_validation():
         Vocab(5, 5)
     v = Vocab(4, 3)
     assert v.mask_one_hot().tolist() == [0, 0, 0, 1]
-    u = v.uniform_non_mask()
-    assert u[3] == 0.0
-    assert math.isclose(u.sum(), 1.0)
 
 
 def test_eps_t_range_has_one_message():
@@ -211,11 +233,11 @@ def test_schedule_params():
 
 def test_time_validation(mask_sched):
     with pytest.raises(TimeRangeError):
-        mask_sched.alpha(0.0)
+        mask_sched.terms(0.0).alpha
     with pytest.raises(TimeRangeError):
-        mask_sched.log_snr(1.0)
-    mask_sched.alpha(EPS)
-    mask_sched.alpha(1.0 - EPS)
+        mask_sched.terms(1.0).log_snr
+    mask_sched.terms(EPS).alpha
+    mask_sched.terms(1.0 - EPS).alpha
 
 
 def test_check_time_rejects_array_with_one_bad_entry(mask_sched):
@@ -226,14 +248,23 @@ def test_check_time_rejects_array_with_one_bad_entry(mask_sched):
         with pytest.raises(TimeRangeError, match=f"t={bad!r}"):
             mask_sched.check_time(t)
         with pytest.raises(TimeRangeError):
-            mask_sched.beta_pi(t)
+            mask_sched.terms(t).beta_pi
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 1), (2, 0, 4)])
+def test_check_time_names_times_of_more_than_one_axis(mask_sched, shape):
+    """Times of shape (2, 3) failed inside Vocab.spread with numpy's broadcast error."""
+    message = re.escape(f"times of shape {shape}: need one time or a (B,) array")
+    for fn in (mask_sched.check_time, mask_sched.terms, mask_sched.generator):
+        with pytest.raises(ValueError, match=message):
+            fn(np.full(shape, 0.5))
 
 
 def test_hybrid_marginal_hand_values(hybrid_sched):
     # t = 0.5: c = 0.25, C = 1.25, alpha = 0.4, mask mass 0.4, uniform 0.05 each
     q = hybrid_sched.marginal(0.5, 0)
     np.testing.assert_allclose(q, [0.45, 0.05, 0.05, 0.05, 0.40], atol=1e-12)
-    assert math.isclose(hybrid_sched.uniform_mass(0.5), 0.2, abs_tol=1e-15)
+    assert math.isclose(hybrid_sched.terms(0.5).uniform_mass, 0.2, abs_tol=1e-15)
 
 
 def test_marginal_limits(hybrid_sched):
@@ -291,15 +322,15 @@ def test_columns_are_distributions(hybrid_sched):
 
 
 def test_mask_forward_rate_hand_values(mask_sched):
-    assert math.isclose(mask_sched.forward_rate(0.5, 0, 4), 2.0)
-    assert math.isclose(mask_sched.forward_rate(0.5, 4, 4), 0.0)
+    assert math.isclose(mask_sched.generator(0.5)[0, 4], 2.0)
+    assert math.isclose(mask_sched.generator(0.5)[4, 4], 0.0)
 
 
 @settings(max_examples=50, deadline=None)
 @given(t=times, z=st.integers(0, 4), kind=st.sampled_from(["mask", "hybrid"]))
 def test_generator_rows_sum_to_zero(t, z, kind):
     sched = make_schedule(kind, Vocab(5, 4), p_u=0.2)
-    assert abs(sched.forward_rate_row(t, z).sum()) < 1e-10
+    assert abs(sched.generator(t)[z].sum()) < 1e-10
 
 
 def test_forward_rate_finite_difference(hybrid_sched):
@@ -308,9 +339,10 @@ def test_forward_rate_finite_difference(hybrid_sched):
     for _ in range(50):
         t = 0.05 + 0.9 * rng.random()
         fd = (hybrid_sched.conditional_transition(t, t + delta).matrix() - np.eye(5)) / delta
+        rates = hybrid_sched.generator(t)
         for z_from in range(5):
             for z_to in range(5):
-                r = hybrid_sched.forward_rate(t, z_from, z_to)
+                r = rates[z_from, z_to]
                 assert abs(fd[z_to, z_from] - r) / max(abs(r), 1.0) < 1e-4
 
 
@@ -324,16 +356,17 @@ def test_backward_rate_rows_and_degenerate(mask_sched, hybrid_sched):
             q = sched.marginal_mix(0.4, x_theta)
             if q[z_t] <= 0:
                 continue
-            row = sum(sched.backward_rate(0.4, z_t, z_s, x_theta) for z_s in range(5))
+            back = sched.backward_generator(0.4, x_theta)
+            row = sum(back[z_t, z_s] for z_s in range(5))
             assert abs(row) < 1e-10
     one_hot = np.zeros(5)
     one_hot[1] = 1.0
+    back = mask_sched.backward_generator(0.4, one_hot)
     # mask-only: token 2 has zero model marginal when x_theta is one-hot at 1
-    with pytest.raises(DegenerateStateError):
-        mask_sched.backward_rate(0.4, 2, 1, one_hot)
+    assert not np.isfinite(back[2]).any()
     # one-hot truth, z_t = x: no backward flow away from x under mask-only
     for z_s in (0, 2, 3):
-        assert mask_sched.backward_rate(0.4, 1, z_s, one_hot) == 0.0
+        assert back[1, z_s] == 0.0
 
 
 def test_backward_rows_check_fails_on_a_wrong_rate_vector():
@@ -360,50 +393,52 @@ def test_backward_kernel_small_delta(hybrid_sched):
     q_t = hybrid_sched.marginal_mix(t, x_theta)
     q_s = hybrid_sched.marginal_mix(s, x_theta)
     trans = hybrid_sched.conditional_transition(s, t)
+    back = hybrid_sched.backward_generator(t, x_theta)
     for z_t in range(5):
         for z_s in range(5):
             kernel = trans.matrix()[z_t, z_s] * q_s[z_s] / q_t[z_t]
-            rate = hybrid_sched.backward_rate(t, z_t, z_s, x_theta)
+            rate = back[z_t, z_s]
             pred = (1.0 if z_s == z_t else 0.0) + rate * delta
             assert abs(kernel - pred) <= 1e-4 * max(abs(rate) * delta, delta)
 
 
 def test_elbo_weight_hand_values(hybrid_sched, mask_sched):
-    assert math.isclose(hybrid_sched.elbo_weight(0.5, 4, 0), 4.0, abs_tol=1e-12)
-    assert math.isclose(hybrid_sched.elbo_weight(0.5, 1, 0), 2.0, abs_tol=1e-12)
-    assert math.isclose(hybrid_sched.elbo_weight(0.5, 0, 0), 2.0 / 9.0, abs_tol=1e-12)
-    assert math.isclose(mask_sched.elbo_weight(0.5, 4, 0), 4.0)
-    assert mask_sched.elbo_weight(0.5, 0, 0) == 0.0
-    with pytest.raises(UnsupportedStateError):
-        mask_sched.elbo_weight(0.5, 1, 0)
+    hybrid_w, mask_w = hybrid_sched.elbo_weights(0.5, 0), mask_sched.elbo_weights(0.5, 0)
+    assert math.isclose(hybrid_w[4], 4.0, abs_tol=1e-12)
+    assert math.isclose(hybrid_w[1], 2.0, abs_tol=1e-12)
+    assert math.isclose(hybrid_w[0], 2.0 / 9.0, abs_tol=1e-12)
+    assert math.isclose(mask_w[4], 4.0)
+    assert mask_w[0] == 0.0
+    # token 1 lies outside the mask-only forward support of 0
+    assert mask_w[1] == 0.0
 
 
 @settings(max_examples=40, deadline=None)
 @given(t=times, kind=st.sampled_from(["mask", "hybrid"]))
 def test_weight_expectation_identity(t, kind):
     sched = make_schedule(kind, Vocab(5, 4), p_u=0.2)
-    q = sched.marginal(t, 0)
-    mean_w = sum(q[z] * sched.elbo_weight(t, z, 0) for z in range(5) if q[z] > 0)
-    target = -sched.alpha_prime(t) / sched.alpha(t)
+    q, w, terms = sched.marginal(t, 0), sched.elbo_weights(t, 0), sched.terms(t)
+    mean_w = sum(q[z] * w[z] for z in range(5) if q[z] > 0)
+    target = -terms.alpha_prime / terms.alpha
     assert abs(mean_w - target) <= 1e-10 * max(abs(target), 1.0)
 
 
 def test_log_snr(hybrid_sched, mask_sched):
-    assert math.isclose(mask_sched.log_snr(0.5), 0.0, abs_tol=1e-12)
-    assert math.isclose(hybrid_sched.log_snr(0.5), math.log(2.0 / 3.0), abs_tol=1e-12)
+    assert math.isclose(mask_sched.terms(0.5).log_snr, 0.0, abs_tol=1e-12)
+    assert math.isclose(hybrid_sched.terms(0.5).log_snr, math.log(2.0 / 3.0), abs_tol=1e-12)
     for sched in (mask_sched, hybrid_sched):
         grid = np.linspace(EPS, 1 - EPS, 1000)
-        lam = np.array([sched.log_snr(t) for t in grid])
+        lam = np.array([sched.terms(t).log_snr for t in grid])
         assert np.all(np.diff(lam) < 0)
 
 
 def test_uniform_mass_peaks_at_half():
     for p_u in (0.1, 0.2):
         sched = make_schedule("hybrid", Vocab(5, 4), p_u=p_u)
-        peak = sched.uniform_mass(0.5)
+        peak = sched.terms(0.5).uniform_mass
         assert peak == pytest.approx(p_u, abs=1e-15)
         grid = np.linspace(EPS, 1 - EPS, 200)
-        assert max(sched.uniform_mass(t) for t in grid) <= peak + 1e-12
+        assert max(sched.terms(t).uniform_mass for t in grid) <= peak + 1e-12
 
 
 def test_pu_zero_collapses_to_mask_only():
@@ -417,15 +452,16 @@ def test_pu_zero_collapses_to_mask_only():
             x, z = (int(v) for v in rng.integers(6, size=2))
             q = t * m
             q[x] += 1.0 - t
-            assert sched.alpha(t) == 1.0 - t
-            assert sched.alpha_prime(t) == -1.0
-            assert np.array_equal(sched.beta_pi(t), t * m)
-            assert np.array_equal(sched.pi(t), m)
-            assert np.array_equal(sched.rate_vector(t), m / (1.0 - t))
+            terms = sched.terms(t)
+            assert terms.alpha == 1.0 - t
+            assert terms.alpha_prime == -1.0
+            assert np.array_equal(terms.beta_pi, t * m)
+            assert np.array_equal(terms.beta_pi / terms.beta_pi.sum(-1, keepdims=True), m)
+            assert np.array_equal(terms.rate, m / (1.0 - t))
             assert np.array_equal(sched.marginal(t, x), q)
             assert sched.conditional_transition(s, t).alpha_ts == (1.0 - t) / (1.0 - s)
             if q[z] > 0:
-                assert sched.elbo_weight(t, z, x) == m[z] / (1.0 - t) / q[z]
+                assert sched.elbo_weights(t, x)[z] == m[z] / (1.0 - t) / q[z]
 
 
 # sha256 of the hybrid closed forms on a 1001-point grid, recorded when
@@ -445,13 +481,14 @@ def test_hybrid_closed_forms_same_bits(p_u, n):
     h = hashlib.sha256()
     for s, t in zip(grid[:-1], grid[1:]):
         trans = sched.conditional_transition(s, t)
+        terms = sched.terms(t)
         for v in (
-            sched.alpha(t),
-            sched.beta_pi(t),
-            sched.pi(t),
-            sched.rate_vector(t),
-            sched.log_snr(t),
-            sched.uniform_mass(t),
+            terms.alpha,
+            terms.beta_pi,
+            terms.beta_pi / terms.beta_pi.sum(-1, keepdims=True),
+            terms.rate,
+            terms.log_snr,
+            terms.uniform_mass,
             trans.alpha_ts,
             trans.beta_pi_ts,
         ):
@@ -480,7 +517,7 @@ def test_mask_closed_forms_same_bits(n):
         terms.alpha_prime,
         terms.beta_pi,
         terms.rate,
-        sched.uniform_mass(grid),
+        terms.uniform_mass,
         sched.conditional_transition(grid[:-1], grid[1:]).matrix(),
     ):
         h.update(np.asarray(v, dtype=float).tobytes())
@@ -509,11 +546,8 @@ def test_array_closed_forms_equal_scalar_ones(p_u, gamma):
     grid = np.linspace(sched.eps_t, 1.0 - sched.eps_t, 1001)
     grid = np.concatenate([grid, SQUARE_TIMES[p_u, gamma]])
     forms = {
-        name: getattr(sched, name)
-        for name in (
-            "check_time", "alpha", "alpha_prime", "beta_pi", "rate_vector", "uniform_mass",
-            "log_snr", "pi", "generator",
-        )
+        name: lambda t, name=name: getattr(sched.terms(t), name)
+        for name in ("alpha", "alpha_prime", "beta_pi", "rate", "uniform_mass", "log_snr")
     }
     x_theta = np.array([0.1, 0.2, 0.3, 0.4, 0.0])
 
@@ -522,6 +556,9 @@ def test_array_closed_forms_equal_scalar_ones(p_u, gamma):
         return sched.conditional_transition(sched.eps_t + (t - sched.eps_t) / 2.0, t)
 
     forms.update(
+        check_time=sched.check_time,
+        pi=lambda t: sched.terms(t).beta_pi / sched.terms(t).beta_pi.sum(-1, keepdims=True),
+        generator=sched.generator,
         alpha_ts=lambda t: transition(t).alpha_ts,
         beta_pi_ts=lambda t: transition(t).beta_pi_ts,
         transition_matrix=lambda t: transition(t).matrix(),
@@ -537,7 +574,7 @@ def test_array_closed_forms_equal_scalar_ones(p_u, gamma):
 
 
 def _closed_forms(sched, t):
-    """Reference alpha, beta_pi, rate_vector and log_snr at one time, each
+    """Reference alpha, beta_pi, rate and log_snr at one time, each
     closed form on its own with numpy's power, log and log1p."""
     n, h = sched.vocab.size, sched.params.gamma / 2.0
     c = sched.uniform_mix_constant * np.power(t, h) * np.power(1.0 - t, h)
@@ -554,17 +591,15 @@ def _closed_forms(sched, t):
 @pytest.mark.parametrize("gamma", [1.0, 3.0])
 @pytest.mark.parametrize("p_u", [0.2, 0.01])
 def test_terms_equal_closed_forms(p_u, gamma):
-    """terms(t) on 1001 times has the bits of alpha, beta_pi, rate_vector and
-    log_snr, and of each closed form computed alone at each time."""
+    """terms(t) on 1001 times has the bits of alpha, beta_pi, the rate vector
+    and log_snr, each closed form computed alone at each time."""
     sched = make_schedule("hybrid", Vocab(5, 4), p_u=p_u, gamma=gamma)
     grid = np.linspace(sched.eps_t, 1.0 - sched.eps_t, 1001)
     terms = sched.terms(grid)
     batched = (terms.alpha, terms.beta_pi, terms.rate, terms.log_snr)
-    methods = (sched.alpha, sched.beta_pi, sched.rate_vector, sched.log_snr)
     alone = [np.array(v) for v in zip(*(_closed_forms(sched, t) for t in grid.tolist()))]
     names = ("alpha", "beta_pi", "rate", "log_snr")
-    for name, got, method, want in zip(names, batched, methods, alone):
-        assert got.tobytes() == method(grid).tobytes(), name
+    for name, got, want in zip(names, batched, alone):
         assert got.tobytes() == want.tobytes(), name
 
 
