@@ -118,9 +118,6 @@ def resolve_config(args) -> dict:
 
 
 def build_schedule(cfg: dict, vocab: Vocab):
-    for key, mask_value in (("p_u", 0.0), ("gamma", 1.0)):
-        if cfg["schedule"] == "mask" and cfg[key] != mask_value:
-            raise ValueError(f"{key}={cfg[key]!r} needs --schedule hybrid")
     return make_schedule(
         cfg["schedule"], vocab, p_u=cfg["p_u"], gamma=cfg["gamma"], eps_t=cfg["eps_t"]
     )

@@ -34,8 +34,7 @@ from .elbo import (
 )
 from .errors import CorpusFormatError, DegenerateEvidenceError, TimeRangeError
 from .schedule import (
-    DEFAULT_EPS_T, MixingSchedule, Vocab, check_count, check_eps_t, check_fits, check_positive,
-    token_ids,
+    DEFAULT_EPS_T, MixingSchedule, Vocab, check_count, check_eps_t, check_fits, check_positive
 )
 
 
@@ -230,18 +229,13 @@ def _check_batch(z, length: int, vocab: Vocab, what: str) -> np.ndarray:
 
 
 class Denoiser:
-    """Maps a noisy sequence and time to one distribution per position over
+    """Maps noisy sequences and times to one distribution per position over
     `vocab`, which a subclass sets, with the predict_batch it defines."""
     vocab: Vocab
 
-    def predict(self, z_seq: np.ndarray, t: float) -> np.ndarray:
-        """The (L, N) per-position distributions of one (L,) sequence: row 0
-        of predict_batch."""
-        return self.predict_batch(token_ids(z_seq)[None, :], t)[0]
-
     def predict_batch(self, z_seqs: np.ndarray, t) -> np.ndarray:
         """(B, L) -> (B, L, N) at one time t or at a (B,) array of times, one
-        per row; row b equals predict(z_seqs[b], t_b)."""
+        per row; row b depends only on z_seqs[b] and its time."""
         raise NotImplementedError(f"{type(self).__name__} does not define predict_batch")
 
 
@@ -255,21 +249,18 @@ class OracleDenoiser(Denoiser):
 
     def __init__(self, dist: ToyDistribution, schedule: MixingSchedule):
         check_fits("schedule", schedule, "distribution", dist)
-        self.dist, self.vocab = dist, dist.vocab
-        self.schedule = schedule
-        self._outcomes = dist.sequences
-        self._priors = dist.probs
-        self._one_hot = (self._outcomes[..., None] == np.arange(dist.vocab.size)).astype(float)
+        self.dist, self.vocab, self.schedule = dist, dist.vocab, schedule
+        self._one_hot = (dist.sequences[..., None] == np.arange(dist.vocab.size)).astype(float)
 
     def _posterior(self, z_seqs: np.ndarray, t) -> np.ndarray:
         """(B, L) noisy sequences -> (B, K) posterior over outcomes."""
         terms = self.schedule.terms(t)
         a, bp = np.reshape(terms.alpha, (-1, 1, 1)), terms.beta_pi.reshape(-1, self.vocab.size)
         # (B, K, L): per-token likelihood alpha * [z == x] + beta_pi[z]
-        match = z_seqs[:, None, :] == self._outcomes[None, :, :]
+        match = z_seqs[:, None, :] == self.dist.sequences[None, :, :]
         bp_z = bp[np.arange(len(bp))[:, None], z_seqs][:, None, :]
         lik = np.multiply.reduce(np.where(match, a + bp_z, bp_z), axis=2)
-        w = lik * self._priors[None, :]
+        w = lik * self.dist.probs[None, :]
         total = np.add.reduce(w, axis=1)
         if np.logical_or.reduce(unexplained := total <= 0.0):
             z, t = z_seqs[unexplained][0], np.broadcast_to(terms.t, total.shape)[unexplained]

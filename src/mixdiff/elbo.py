@@ -129,11 +129,10 @@ def loss_target(
     z_index = z * z.size + np.arange(z.size).reshape(z.shape)
     p_z = q_true.take(z_index)
     if mode.kind == "dynamic":
-        b = schedule.uniform_mix_constant
         w = np.ones(z.shape)
         w[z == schedule.vocab.mask_id] += 1.0
         # numpy's exp, as in the closed forms: each row the bits of its time alone
-        clean = (b / n) * np.exp(-terms.log_snr / 2.0) - 1.0
+        clean = (schedule.params.B / n) * np.exp(-terms.log_snr / 2.0) - 1.0
         w = mode.w_max * (w + np.where(z == x, np.reshape(clean, (-1, 1)), 0.0))
     else:
         if np.logical_or.reduce(p_z <= 0.0, axis=None):

@@ -22,9 +22,10 @@ def self_accuracy(
     a float for an (L,) sequence, an (S,) array for the rows of an (S, L)
     corpus, from one predict_batch.
 
-    Ties count as correct. Pass mask_id, the denoiser's, to reject masked input.
+    Ties count as correct. A token id outside the denoiser's vocabulary is a
+    ValueError; pass mask_id, the denoiser's, to reject masked input.
     """
-    z = token_ids(z_seq)
+    z = denoiser.vocab.check_tokens(z_seq)
     if mask_id is not None:
         check_denoised(z, denoiser, mask_id, "self-accuracy")
     probs = denoiser.predict_batch(z.reshape(-1, z.shape[-1]), t_condition)

@@ -29,7 +29,6 @@ from .schedule import (
     check_positive,
     check_seed,
     check_seeds,
-    token_ids,
 )
 
 
@@ -248,9 +247,10 @@ def self_correct_batch(
     Row i draws from default_rng(seeds[i]), not from config.seed, and gets
     the result it gets alone. The rows run in lockstep, in blocks of
     CORRECT_BLOCK, with one predict_batch per iteration over the rows of a
-    block still active.
+    block still active. A token id outside the denoiser's vocabulary is a
+    ValueError.
     """
-    z_seqs = token_ids(z_seqs)
+    z_seqs = denoiser.vocab.check_tokens(z_seqs)
     if z_seqs.ndim != 2:
         raise ValueError(f"corpus must be (S, L), got shape {z_seqs.shape}")
     check_denoised(z_seqs, denoiser, mask_id, "self-correction")

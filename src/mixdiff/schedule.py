@@ -45,9 +45,6 @@ class Vocab:
         v[..., self.mask_id] = at_mask
         return v
 
-    def mask_one_hot(self) -> np.ndarray:
-        return self.spread(1.0, 0.0)
-
     def check_tokens(self, z) -> np.ndarray:
         """token_ids(z); a ValueError naming its first id outside [0, size)."""
         z = token_ids(z)
@@ -118,7 +115,8 @@ class ScheduleParams:
 
     p_u is the peak expected fraction of uniform-noise tokens, attained at
     t = 1/2. The derived constant B = 2^gamma * p_u / (1 - p_u) calibrates the
-    bump c_t = B t^(gamma/2) (1-t)^(gamma/2) so that exactly p_u is reached.
+    bump c_t = B t^(gamma/2) (1-t)^(gamma/2) so that exactly p_u is reached;
+    a gamma that makes B overflow (any gamma >= 1024) is a ValueError.
     """
 
     p_u: float
@@ -129,6 +127,8 @@ class ScheduleParams:
         if not 0.0 <= self.p_u < 1.0:
             raise ValueError("p_u must lie in [0, 1)")
         check_positive("gamma", self.gamma)
+        if not (self.gamma < 1024.0 and math.isfinite(self.B)):
+            raise ValueError(f"gamma={self.gamma!r} overflows B = 2**gamma p_u / (1 - p_u)")
         check_eps_t(self.eps_t)
 
     @property
@@ -171,15 +171,13 @@ class MixingSchedule:
         self.vocab = vocab
         self.params = params
         self.eps_t = float(params.eps_t)
-        # The constant B; zero for mask-only. Used by the dynamic loss weighting.
-        self.uniform_mix_constant = params.B
         self._u = 1.0 / (vocab.size - 1)
         self._last = None
 
     def _c(self, t):
         """c_t; exactly 0 when B is, as t^(gamma/2) (1-t)^(gamma/2) is finite."""
         h = self.params.gamma / 2.0
-        return self.uniform_mix_constant * np.power(t, h) * np.power(1.0 - t, h)
+        return self.params.B * np.power(t, h) * np.power(1.0 - t, h)
 
     def _c_prime(self, t, c):
         """dc/dt given c = _c(t)."""
@@ -314,8 +312,12 @@ def make_schedule(
     gamma: float = 1.0,
     eps_t: float = DEFAULT_EPS_T,
 ) -> MixingSchedule:
-    """Factory used by the CLI and tests."""
+    """Factory used by the CLI and tests. The mask schedule has no uniform
+    noise, so a p_u or gamma other than the defaults is a ValueError for it."""
     if kind == "mask":
+        for key, value, default in (("p_u", p_u, 0.0), ("gamma", gamma, 1.0)):
+            if value != default:
+                raise ValueError(f"{key}={value!r} needs the hybrid schedule, not 'mask'")
         return MaskOnlySchedule(vocab, eps_t=eps_t)
     if kind == "hybrid":
         return HybridSchedule(vocab, ScheduleParams(p_u=p_u, gamma=gamma, eps_t=eps_t))

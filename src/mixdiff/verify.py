@@ -222,7 +222,7 @@ def check_pu_zero_collapse(seed=7, cases=200, n=6, tol=1e-14):
     loss_and_grad gives whatever the prediction, here one_hot(x)."""
     rng = np.random.default_rng(seed)
     hyb = make_schedule("hybrid", Vocab(n, n - 1), p_u=0.0)
-    m = hyb.vocab.mask_one_hot()
+    m = hyb.vocab.spread(1.0, 0.0)
     st, x, z = _columns(
         (np.sort(_rand_times(hyb, rng, 2)), rng.integers(n), rng.integers(n)) for _ in range(cases)
     )

@@ -286,7 +286,7 @@ def test_p_u_needs_hybrid_schedule(capsys, dist_file):
     code, out, err = run(capsys, ["oracle-eval", "--dist", dist_file, "--p-u", "0.2"])
     assert code == 1
     assert out == ""
-    assert "--schedule hybrid" in err
+    assert "usage error: p_u=0.2 needs the hybrid schedule, not 'mask'" in err
 
 
 def test_gamma_needs_hybrid_schedule(capsys, dist_file):
@@ -294,9 +294,19 @@ def test_gamma_needs_hybrid_schedule(capsys, dist_file):
     code, out, err = run(capsys, ["oracle-eval", "--dist", dist_file, "--gamma", "3"])
     assert code == 1
     assert out == ""
-    assert "gamma=3.0 needs --schedule hybrid" in err
+    assert "gamma=3.0 needs the hybrid schedule, not 'mask'" in err
     code, _, _ = run(capsys, ["oracle-eval", "--dist", dist_file, "--gamma", "1"])
     assert code == 0
+
+
+@pytest.mark.parametrize("gamma", ["1100", "1e300"])
+def test_gamma_that_overflows_is_usage_error(capsys, gamma):
+    """2**gamma used to end the command in an OverflowError traceback."""
+    argv = ["weights-csv", "--schedule", "hybrid", "--p-u", "0.2", "--gamma", gamma]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: gamma={float(gamma)!r} overflows B = 2**gamma p_u / (1 - p_u)\n"
 
 
 def test_nelbo_sequence_seeds_differ_across_seeds(capsys, tmp_path, vocab3, dist_file):

@@ -154,11 +154,11 @@ def test_oracle_posterior_examples(two_outcome):
     sched = make_schedule("mask", two_outcome.vocab)
     oracle = OracleDenoiser(two_outcome, sched)
     # unmasked 0 pins the outcome
-    pred = oracle.predict(np.array([2, 0]), 0.5)
+    pred = oracle.predict_batch(np.array([[2, 0]]), 0.5)[0]
     np.testing.assert_allclose(pred[0], [1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(pred[1], [1.0, 0.0, 0.0], atol=1e-12)
     # all-mask evidence is symmetric
-    pred = oracle.predict(np.array([2, 2]), 0.5)
+    pred = oracle.predict_batch(np.array([[2, 2]]), 0.5)[0]
     np.testing.assert_allclose(pred[0], [0.5, 0.5, 0.0], atol=1e-12)
     np.testing.assert_allclose(pred[1], [0.5, 0.5, 0.0], atol=1e-12)
 
@@ -166,7 +166,7 @@ def test_oracle_posterior_examples(two_outcome):
 def test_oracle_noiseless_evidence(five_outcome):
     sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.2)
     oracle = OracleDenoiser(five_outcome, sched)
-    pred = oracle.predict(np.array([1, 2, 3]), sched.eps_t)
+    pred = oracle.predict_batch(np.array([[1, 2, 3]]), sched.eps_t)[0]
     for i, tok in enumerate((1, 2, 3)):
         assert pred[i].argmax() == tok
         assert pred[i][tok] > 0.999
@@ -176,7 +176,7 @@ def test_oracle_degenerate_evidence_mask_only(two_outcome):
     sched = make_schedule("mask", two_outcome.vocab)
     oracle = OracleDenoiser(two_outcome, sched)
     with pytest.raises(DegenerateEvidenceError):
-        oracle.predict(np.array([0, 1]), 0.5)
+        oracle.predict_batch(np.array([[0, 1]]), 0.5)[0]
 
 
 def test_degenerate_evidence_names_its_first_row_and_time(two_outcome):
@@ -206,7 +206,7 @@ def test_masked_softmax():
 
 def test_logit_table_miss_is_uniform(vocab3):
     table = LogitTable(vocab3, 2)
-    pred = table.predict(np.array([0, 1]), 0.3)
+    pred = table.predict_batch(np.array([[0, 1]]), 0.3)[0]
     np.testing.assert_allclose(pred, [[0.5, 0.5, 0.0]] * 2, atol=1e-12)
 
 
@@ -359,7 +359,7 @@ def test_denoisers_reject_tokens_outside_the_vocabulary(five_outcome, kind, toke
     with pytest.raises(ValueError, match=rf"token id {token} outside \[0, 5\)"):
         denoiser.predict_batch(np.array([[0, 1, 2], [0, token, 2]]), 0.5)
     with pytest.raises(ValueError, match=rf"token id {token} outside \[0, 5\)"):
-        denoiser.predict(np.array([0, token, 2]), 0.5)
+        denoiser.predict_batch(np.array([[0, token, 2]]), 0.5)
     assert kind == "oracle" or not denoiser.table
 
 
@@ -427,7 +427,7 @@ def test_logit_table_load_of_no_entries(tmp_path):
     path.write_text(HEADER)
     table = LogitTable.load(str(path))
     assert table.keys.shape == (0, 3) and table.logits.shape == (0, 2, 3)
-    assert table.predict(np.array([0, 1]), 0.3).tolist() == [[0.5, 0.5, 0.0]] * 2
+    assert table.predict_batch(np.array([[0, 1]]), 0.3)[0].tolist() == [[0.5, 0.5, 0.0]] * 2
 
 
 def test_logit_table_load_errors(tmp_path):
@@ -514,7 +514,7 @@ def test_table_train_zero_steps(two_outcome):
     assert report.steps == 0
     assert not table.table
     np.testing.assert_allclose(
-        table.predict(np.array([2, 2]), 0.5), [[0.5, 0.5, 0.0]] * 2
+        table.predict_batch(np.array([[2, 2]]), 0.5)[0], [[0.5, 0.5, 0.0]] * 2
     )
 
 
@@ -662,7 +662,7 @@ TRAIN_PINS = {
 @pytest.mark.parametrize("mode", [CLAMP, EXACT, DYNAMIC], ids=lambda m: m.kind)
 @pytest.mark.parametrize("kind", ["mask", "hybrid"])
 def test_table_train_same_bits(tmp_path, two_outcome, kind, mode):
-    sched = make_schedule(kind, two_outcome.vocab, p_u=0.2)
+    sched = make_schedule(kind, two_outcome.vocab, p_u=0.2 if kind == "hybrid" else 0.0)
     table = LogitTable(two_outcome.vocab, 2)
     report = table_train(two_outcome, sched, table, 300, mode=mode, seed=12)
     path = tmp_path / "table.txt"
@@ -835,7 +835,7 @@ def test_table_train_equals_step_by_step(
     entries: a kernel that assumed zero logits, or pinned the mask column
     and did not restore it, would differ."""
     dist = _training_distribution(which)
-    vocab, sched = dist.vocab, make_schedule(kind, dist.vocab, p_u=0.2)
+    vocab, sched = dist.vocab, make_schedule(kind, dist.vocab, p_u=0.2 if kind == "hybrid" else 0.0)
     table = LogitTable(vocab, dist.length, t_buckets=t_buckets, learning_rate=learning_rate)
     if written:
         rng, path = np.random.default_rng(seed), tmp_path_factory.mktemp("table") / "table.txt"
@@ -870,7 +870,7 @@ def test_table_train_summed_updates_stay_finite(tmp_path, two_outcome, kind, mod
     hundreds of gradients into each of a handful of entries. The logits grow
     large (about 6e3 at most) but stay finite, and the table round-trips
     through save and load bit for bit."""
-    sched = make_schedule(kind, two_outcome.vocab, p_u=0.2)
+    sched = make_schedule(kind, two_outcome.vocab, p_u=0.2 if kind == "hybrid" else 0.0)
     table = LogitTable(two_outcome.vocab, 2, t_buckets=1, learning_rate=10.0)
     report = table_train(two_outcome, sched, table, 20, batch=4096, mode=mode, seed=0)
     assert np.isfinite(table.logits).all() and np.isfinite(report.loss_trajectory).all()
@@ -938,9 +938,8 @@ def test_denoiser_without_predict_batch_is_named_error():
     class _Neither(Denoiser):
         pass
 
-    for call in (lambda d: d.predict([0, 1], 0.5), lambda d: d.predict_batch([[0, 1]], 0.5)):
-        with pytest.raises(NotImplementedError, match="_Neither does not define predict_batch"):
-            call(_Neither())
+    with pytest.raises(NotImplementedError, match="_Neither does not define predict_batch"):
+        _Neither().predict_batch([[0, 1]], 0.5)
 
 
 def test_predict_batch_per_row_times(five_outcome):
@@ -955,10 +954,11 @@ def test_predict_batch_per_row_times(five_outcome):
         batched = denoiser.predict_batch(z, times)
         assert batched.shape == (30, 3, 5)
         for b in range(30):
-            assert batched[b].tobytes() == denoiser.predict(z[b], float(times[b])).tobytes()
+            alone = denoiser.predict_batch(z[b][None], float(times[b]))[0]
+            assert batched[b].tobytes() == alone.tobytes()
         shared = denoiser.predict_batch(z, 0.3)
         for b in range(30):
-            assert shared[b].tobytes() == denoiser.predict(z[b], 0.3).tobytes()
+            assert shared[b].tobytes() == denoiser.predict_batch(z[b][None], 0.3)[0].tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -1029,9 +1029,9 @@ def _posterior_by_product(oracle, z, t):
     alpha_t * [z = x] + beta_t pi_t[z]."""
     terms = oracle.schedule.terms(t)
     a, bp = np.reshape(terms.alpha, (-1, 1, 1)), np.reshape(terms.beta_pi, (-1, 5))
-    match = z[:, None, :] == oracle._outcomes[None, :, :]
+    match = z[:, None, :] == oracle.dist.sequences[None, :, :]
     bp_z = bp[np.arange(len(bp))[:, None], z]
-    w = (a * match + bp_z[:, None, :]).prod(axis=2) * oracle._priors[None, :]
+    w = (a * match + bp_z[:, None, :]).prod(axis=2) * oracle.dist.probs[None, :]
     return w / w.sum(axis=1)[:, None]
 
 

@@ -105,7 +105,7 @@ def test_mask_only_loss_hand_value(mask_sched):
 
 def test_dynamic_weight_hand_value(hybrid_sched):
     lam = hybrid_sched.terms(0.5).log_snr
-    expected = (hybrid_sched.uniform_mix_constant / 5) * math.exp(-lam / 2)
+    expected = (hybrid_sched.params.B / 5) * math.exp(-lam / 2)
     assert expected == pytest.approx(0.1224744871, abs=1e-9)
     w = loss_weight(hybrid_sched, 0.5, 0, 0, DYNAMIC)
     assert w == pytest.approx(expected, abs=1e-12)
@@ -287,7 +287,8 @@ def test_batched_loss_and_grad_equals_rows(schedule, mode, clip, rows, length, s
     """Each row of a batch, with its own time or one shared time, has the
     bits of a one-row call."""
     vocab = Vocab(5, 4)
-    sched = make_schedule(schedule[0], vocab, p_u=0.2, gamma=schedule[1])
+    kind, gamma = schedule
+    sched = make_schedule(kind, vocab, p_u=0.2 if kind == "hybrid" else 0.0, gamma=gamma)
     rng = np.random.default_rng(seed)
     # the endpoint eps_t makes the exact weights large enough to clip
     t = np.where(rng.random(rows) < 0.2, sched.eps_t, rng.uniform(1e-4, 1 - 1e-4, rows))
@@ -377,7 +378,7 @@ def test_gradient_vanishes_near_optimum(hybrid_sched):
 )
 def test_loss_and_grad_matches_per_position_formulas(kind, mode, length, t, seed):
     vocab = Vocab(5, 4)
-    sched = make_schedule(kind, vocab, p_u=0.2)
+    sched = make_schedule(kind, vocab, p_u=0.2 if kind == "hybrid" else 0.0)
     rng = np.random.default_rng(seed)
     x = rng.integers(4, size=length)
     z = np.array([rng.choice(np.flatnonzero(sched.marginal(t, xi) > 0)) for xi in x])
@@ -389,7 +390,7 @@ def test_loss_and_grad_matches_per_position_formulas(kind, mode, length, t, seed
             lam = sched.terms(t).log_snr
             w_ref = 1.0 + (z[i] == 4)
             if z[i] == x[i]:
-                w_ref += (sched.uniform_mix_constant / 5) * math.exp(-lam / 2) - 1.0
+                w_ref += (sched.params.B / 5) * math.exp(-lam / 2) - 1.0
             w_ref *= mode.w_max
         else:
             w_ref = min(sched.elbo_weights(t, x[i])[z[i]], DEFAULT_WEIGHT_CLIP)
@@ -514,7 +515,7 @@ PINNED = {
 @pytest.mark.parametrize("mode", [EXACT, CLAMP, DYNAMIC], ids=lambda m: m.kind)
 @pytest.mark.parametrize("kind", ["mask", "hybrid"])
 def test_same_seed_same_output(tmp_path, two_outcome, kind, mode):
-    sched = make_schedule(kind, two_outcome.vocab, p_u=0.2)
+    sched = make_schedule(kind, two_outcome.vocab, p_u=0.2 if kind == "hybrid" else 0.0)
     table = LogitTable(two_outcome.vocab, 2)
     report = table_train(two_outcome, sched, table, 20, mode=mode, seed=3, trajectory_every=10)
     path = tmp_path / "table.txt"
@@ -816,7 +817,7 @@ def _loss_and_grad_last_axis(schedule, t, z, x, probs, mode):
     if mode.kind == "dynamic":
         w = np.ones(z.shape)
         w[z == schedule.vocab.mask_id] += 1.0
-        clean = (schedule.uniform_mix_constant / n) * np.exp(-terms.log_snr / 2.0) - 1.0
+        clean = (schedule.params.B / n) * np.exp(-terms.log_snr / 2.0) - 1.0
         w = mode.w_max * (w + np.where(z == x, np.reshape(clean, (-1, 1)), 0.0))
     else:
         rate = np.reshape(terms.rate, (-1, n))[np.arange(len(a))[:, None], z]

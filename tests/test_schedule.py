@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixdiff import (
+    Denoiser,
     LogitTable,
     MaskOnlySchedule,
     OracleDenoiser,
@@ -172,16 +173,16 @@ def test_every_seed_is_checked_by_check_seed(entry, seed):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda z: ORACLE.predict(z, 0.5),
-        lambda z: LogitTable(TWO.vocab, 2).predict(z, 0.5),
+        lambda z: ORACLE.predict_batch([z], 0.5),
+        lambda z: LogitTable(TWO.vocab, 2).predict_batch([z], 0.5),
         lambda z: self_correct(z, ORACLE, SelfCorrectConfig(), 2),
         lambda z: self_correct_batch([z], ORACLE, SelfCorrectConfig(), 2, [0]),
         lambda z: self_accuracy(z, ORACLE, 0.5),
         unigram_entropy,
     ],
     ids=[
-        "OracleDenoiser.predict",
-        "LogitTable.predict",
+        "OracleDenoiser.predict_batch",
+        "LogitTable.predict_batch",
         "self_correct",
         "self_correct_batch",
         "self_accuracy",
@@ -193,6 +194,34 @@ def test_public_entries_reject_float_ids(call):
     corrected [1, 0]."""
     with pytest.raises(ValueError, match="token ids must be integers, got dtype float64"):
         call([1.7, 0.2])
+
+
+class _Unchecked(Denoiser):
+    """A denoiser over Vocab(4, 3) that predicts token 1 at every position and
+    never reads the ids of its rows."""
+
+    vocab = Vocab(4, 3)
+
+    def predict_batch(self, z_seqs, t):
+        return np.eye(4)[np.ones(np.shape(z_seqs), dtype=np.int64)]
+
+
+@pytest.mark.parametrize("token", [-1, 7])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z: self_accuracy(z, _Unchecked(), 0.5, 3),
+        lambda z: self_correct(z, _Unchecked(), SelfCorrectConfig(), 3),
+        lambda z: self_correct_batch([z], _Unchecked(), SelfCorrectConfig(), 3, [0]),
+    ],
+    ids=["self_accuracy", "self_correct", "self_correct_batch"],
+)
+def test_public_entries_reject_ids_outside_the_denoisers_vocabulary(call, token):
+    """These used to read the predictions at unchecked ids: self_accuracy of
+    [-1, 0] read the mask column and returned a number, self_correct_batch
+    "corrected" [-1, 0] to [1, 1] with 2 edits, and 7 was numpy's IndexError."""
+    with pytest.raises(ValueError, match=rf"^token id {token} outside \[0, 4\)$"):
+        call([token, 0])
 
 
 def test_token_ids():
@@ -209,7 +238,7 @@ def test_vocab_validation():
     with pytest.raises(ValueError):
         Vocab(5, 5)
     v = Vocab(4, 3)
-    assert v.mask_one_hot().tolist() == [0, 0, 0, 1]
+    assert v.spread(1.0, 0.0).tolist() == [0, 0, 0, 1]
 
 
 def test_eps_t_range_has_one_message():
@@ -298,7 +327,7 @@ def test_transition_ordering_error(mask_sched):
 @settings(max_examples=60, deadline=None)
 @given(ts=st.tuples(times, times, times), kind=st.sampled_from(["mask", "hybrid"]))
 def test_transition_composition(ts, kind):
-    sched = make_schedule(kind, Vocab(6, 5), p_u=0.2)
+    sched = make_schedule(kind, Vocab(6, 5), p_u=0.2 if kind == "hybrid" else 0.0)
     r, s, t = sorted(ts)
     q_sr = sched.conditional_transition(r, s).matrix()
     q_ts = sched.conditional_transition(s, t).matrix()
@@ -309,7 +338,7 @@ def test_transition_composition(ts, kind):
 @settings(max_examples=60, deadline=None)
 @given(ts=st.tuples(times, times), x=st.integers(0, 5), kind=st.sampled_from(["mask", "hybrid"]))
 def test_marginal_consistency(ts, x, kind):
-    sched = make_schedule(kind, Vocab(6, 5), p_u=0.15)
+    sched = make_schedule(kind, Vocab(6, 5), p_u=0.15 if kind == "hybrid" else 0.0)
     s, t = sorted(ts)
     q = sched.conditional_transition(s, t).matrix()
     np.testing.assert_allclose(q @ sched.marginal(s, x), sched.marginal(t, x), atol=1e-12)
@@ -329,7 +358,7 @@ def test_mask_forward_rate_hand_values(mask_sched):
 @settings(max_examples=50, deadline=None)
 @given(t=times, z=st.integers(0, 4), kind=st.sampled_from(["mask", "hybrid"]))
 def test_generator_rows_sum_to_zero(t, z, kind):
-    sched = make_schedule(kind, Vocab(5, 4), p_u=0.2)
+    sched = make_schedule(kind, Vocab(5, 4), p_u=0.2 if kind == "hybrid" else 0.0)
     assert abs(sched.generator(t)[z].sum()) < 1e-10
 
 
@@ -416,7 +445,7 @@ def test_elbo_weight_hand_values(hybrid_sched, mask_sched):
 @settings(max_examples=40, deadline=None)
 @given(t=times, kind=st.sampled_from(["mask", "hybrid"]))
 def test_weight_expectation_identity(t, kind):
-    sched = make_schedule(kind, Vocab(5, 4), p_u=0.2)
+    sched = make_schedule(kind, Vocab(5, 4), p_u=0.2 if kind == "hybrid" else 0.0)
     q, w, terms = sched.marginal(t, 0), sched.elbo_weights(t, 0), sched.terms(t)
     mean_w = sum(q[z] * w[z] for z in range(5) if q[z] > 0)
     target = -terms.alpha_prime / terms.alpha
@@ -444,7 +473,7 @@ def test_uniform_mass_peaks_at_half():
 def test_pu_zero_collapses_to_mask_only():
     """p_u = 0 gives the mask-only closed forms bit for bit."""
     vocab = Vocab(6, 5)
-    m = vocab.mask_one_hot()
+    m = vocab.spread(1.0, 0.0)
     rng = np.random.default_rng(7)
     for sched in (make_schedule("hybrid", vocab, p_u=0.0), MaskOnlySchedule(vocab)):
         for _ in range(100):
@@ -577,7 +606,7 @@ def _closed_forms(sched, t):
     """Reference alpha, beta_pi, rate and log_snr at one time, each
     closed form on its own with numpy's power, log and log1p."""
     n, h = sched.vocab.size, sched.params.gamma / 2.0
-    c = sched.uniform_mix_constant * np.power(t, h) * np.power(1.0 - t, h)
+    c = sched.params.B * np.power(t, h) * np.power(1.0 - t, h)
     c_prime = h * (1.0 - 2.0 * t) / (t * (1.0 - t)) * c
     alpha = (1.0 - t) / (1.0 + c)
     d = (1.0 + c) * (1.0 - t)
@@ -627,7 +656,7 @@ def test_closed_forms_are_accurate(gamma):
         for p_u in (0.01, 0.2):
             sched = make_schedule("hybrid", Vocab(5, 4), p_u=p_u, gamma=gamma)
             terms = sched.terms(t)
-            b = Decimal(sched.uniform_mix_constant)
+            b = Decimal(sched.params.B)
             for c, a, ref in zip(terms._c.tolist(), terms.alpha.tolist(), t_h):
                 assert _ulps(c, b * ref) < 4.0, c
                 assert _ulps(np.log(a), Decimal(a).ln()) <= 1.0, a
@@ -637,6 +666,30 @@ def test_closed_forms_are_accurate(gamma):
 def test_make_schedule_rejects_unknown():
     with pytest.raises(ValueError):
         make_schedule("linear", Vocab(3, 2))
+
+
+def test_make_schedule_mask_takes_no_uniform_noise():
+    """make_schedule("mask", ...) used to drop p_u and gamma and return a
+    mask-only schedule; only the CLI refused them."""
+    vocab = Vocab(5, 4)
+    for kwargs, text in (({"p_u": 0.2, "gamma": 3.0}, "p_u=0.2"), ({"gamma": 3.0}, "gamma=3.0")):
+        with pytest.raises(ValueError, match=rf"^{text} needs the hybrid schedule, not 'mask'$"):
+            make_schedule("mask", vocab, **kwargs)
+    assert make_schedule("mask", vocab, p_u=0.0, gamma=1.0).params == ScheduleParams(p_u=0.0)
+
+
+@pytest.mark.parametrize("gamma", [1024.0, 1100.0, 1e300])
+def test_schedule_params_reject_a_gamma_that_overflows(gamma):
+    """2**gamma used to raise OverflowError, and only inside MixingSchedule."""
+    msg = f"gamma={gamma!r} overflows B = 2**gamma p_u / (1 - p_u)"
+    for p_u in (0.2, 0.0):
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            ScheduleParams(p_u=p_u, gamma=gamma)
+
+
+def test_largest_whole_gamma_still_builds():
+    sched = make_schedule("hybrid", Vocab(5, 4), p_u=0.2, gamma=1023.0)
+    assert math.isclose(sched.terms(0.5).uniform_mass, 0.2, abs_tol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
