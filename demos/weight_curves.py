@@ -9,8 +9,7 @@ a masked token and for a uniformly resampled token.
 
 import numpy as np
 
-from mixdiff import CLAMP, DYNAMIC, EXACT, Vocab, make_schedule
-from mixdiff.elbo import loss_weight
+from mixdiff import CLAMP, DYNAMIC, EXACT, Vocab, loss_and_grad, make_schedule
 
 
 def main():
@@ -20,12 +19,16 @@ def main():
     print("hybrid schedule, p_u = 0.2, N = 5")
     print(f"{'t':>8} {'exact(mask)':>12} {'exact(unif)':>12} "
           f"{'clamp(unif)':>12} {'dynamic(clean)':>15}")
-    for t in (0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-        w_mask = loss_weight(sched, t, vocab.mask_id, x, EXACT, weight_clip=None)
-        w_unif = loss_weight(sched, t, 1, x, EXACT, weight_clip=None)
-        w_clamp = loss_weight(sched, t, 1, x, CLAMP)
-        # the dynamic mode reshapes the weight on tokens left unnoised
-        w_dyn = loss_weight(sched, t, x, x, DYNAMIC)
+    # one row per time, one column per noisy token: the mask, a uniformly
+    # resampled token and the clean token itself; the weights ignore probs
+    times = np.array([0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    z = np.tile([vocab.mask_id, 1, x], (len(times), 1))
+    clean, probs = np.full(z.shape, x), np.zeros(z.shape + (vocab.size,))
+    exact = loss_and_grad(sched, times, z, clean, probs, EXACT, None)[0]
+    clamp = loss_and_grad(sched, times, z, clean, probs, CLAMP)[0]
+    # the dynamic mode reshapes the weight on tokens left unnoised
+    dynamic = loss_and_grad(sched, times, z, clean, probs, DYNAMIC)[0]
+    for t, (w_mask, w_unif, _), w_clamp, w_dyn in zip(times, exact, clamp[:, 1], dynamic[:, 2]):
         print(f"{t:8.3f} {w_mask:12.4f} {w_unif:12.4f} {w_clamp:12.4f} {w_dyn:15.6f}")
 
     print()

@@ -13,7 +13,6 @@ from .elbo import (
     CLAMP,
     DYNAMIC,
     EXACT,
-    LossBreakdown,
     NelboEstimate,
     WeightingMode,
     corpus_nelbo,
@@ -22,8 +21,6 @@ from .elbo import (
     loss_and_grad,
     mdm_loss,
     noise_sequence,
-    per_token_loss,
-    per_token_loss_grad,
     sequence_nelbo,
     stratified_times,
 )
@@ -38,16 +35,12 @@ from .sampler import (
     SelfCorrectConfig,
     SelfCorrectResult,
     adapt_distribution,
-    ancestral_sample,
     ancestral_sample_batch,
-    denoise_step,
     self_correct,
     self_correct_batch,
 )
 from .schedule import (
     ConditionalTransition,
-    HybridSchedule,
-    MaskOnlySchedule,
     MixingSchedule,
     ScheduleParams,
     Vocab,

@@ -6,8 +6,8 @@ q_t(. | x_theta) = alpha_t x_theta + beta_t pi_t. The weight can be the exact
 schedule weight, a clamped version, or the dynamic scheme that keeps the
 relative weights between mask / uniform / noise-free tokens while bounding the
 maximum. `loss_and_grad` computes the loss and its logit gradient for every
-position of a batch of noisy sequences, one time per row; the per-token
-functions are views of it.
+position of a batch of noisy sequences, one time per row; one token is a
+batch of one row of length one.
 """
 
 from __future__ import annotations
@@ -42,17 +42,6 @@ class WeightingMode:
 EXACT = WeightingMode("exact")
 CLAMP = WeightingMode("clamp")
 DYNAMIC = WeightingMode("dynamic")
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    weight: float
-    kl: float
-    is_term: float
-
-    @property
-    def total(self) -> float:
-        return self.weight * (self.kl + self.is_term)
 
 
 @dataclass(frozen=True)
@@ -213,51 +202,6 @@ def loss_and_grad(
     grad = np.moveaxis(target_grad(target, model), 0, -1)
     shape = z.shape
     return w.reshape(shape), kl.reshape(shape), is_term.reshape(shape), grad.reshape(shape + (-1,))
-
-
-def _one_token(schedule, t, z_t, x, probs, mode, weight_clip) -> tuple:
-    """loss_and_grad of one token: the floats weight, kl and is_term, and the (N,) gradient."""
-    w, kl, is_term, grad = loss_and_grad(schedule, t, [z_t], [x], [probs], mode, weight_clip)
-    return float(w[0]), float(kl[0]), float(is_term[0]), grad[0]
-
-
-def loss_weight(
-    schedule: MixingSchedule,
-    t: float,
-    z_t: int,
-    x: int,
-    mode: WeightingMode = EXACT,
-    weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
-) -> float:
-    """The weight loss_and_grad gives one token."""
-    return _one_token(schedule, t, z_t, x, np.zeros(schedule.vocab.size), mode, weight_clip)[0]
-
-
-def per_token_loss(
-    schedule: MixingSchedule,
-    t: float,
-    z_t: int,
-    x: int,
-    x_theta: np.ndarray,
-    mode: WeightingMode = EXACT,
-    weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
-) -> LossBreakdown:
-    """The loss terms loss_and_grad gives one token."""
-    return LossBreakdown(*_one_token(schedule, t, z_t, x, x_theta, mode, weight_clip)[:3])
-
-
-def per_token_loss_grad(
-    schedule: MixingSchedule,
-    t: float,
-    z_t: int,
-    x: int,
-    logits: np.ndarray,
-    mode: WeightingMode = EXACT,
-    weight_clip: float | None = DEFAULT_WEIGHT_CLIP,
-) -> np.ndarray:
-    """Gradient of per_token_loss(..., softmax(logits), ...).total w.r.t. logits."""
-    probs = softmax(np.array(logits, dtype=float))
-    return _one_token(schedule, t, z_t, x, probs, mode, weight_clip)[3]
 
 
 def mdm_loss(schedule: MixingSchedule, t, z_t, x, x_theta: np.ndarray) -> float | np.ndarray:

@@ -170,21 +170,6 @@ def _denoise_step_batch(
     return _inverse_cdf(v / totals, u.T, inverse).T
 
 
-def denoise_step(
-    schedule: MixingSchedule,
-    z_seq,
-    t_from: float,
-    t_to: float,
-    denoiser: Denoiser,
-    config: SamplerConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Single reverse-process step from t_from down to t_to; Terms.to raises
-    the OrderingError of a t_to above t_from."""
-    z = schedule.vocab.check_tokens(z_seq)[None, :]
-    return _denoise_step_batch(schedule, z, t_from, t_to, denoiser, config, rng.random(z.shape))[0]
-
-
 def ancestral_sample_batch(
     schedule: MixingSchedule,
     length: int,
@@ -209,13 +194,6 @@ def ancestral_sample_batch(
             schedule, z, float(grid[i]), float(grid[i - 1]), denoiser, config, u
         )
     return np.ascontiguousarray(z)
-
-
-def ancestral_sample(
-    schedule: MixingSchedule, length: int, denoiser: Denoiser, config: SamplerConfig
-) -> np.ndarray:
-    """Sample one sequence; equals row 0 of the batched variant."""
-    return ancestral_sample_batch(schedule, length, denoiser, config, 1)[0]
 
 
 @dataclass(frozen=True)

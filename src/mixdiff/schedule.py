@@ -7,7 +7,7 @@ times, the forward/backward CTMC rates, the per-token loss weights, and the
 log-SNR. One schedule class covers the family: a hybrid schedule that mixes
 in a configurable amount of uniform noise while keeping the all-mask prior.
 With no uniform noise (p_u = 0) it is mask-only interpolation;
-`MaskOnlySchedule` and `HybridSchedule` are factories for the two cases.
+`make_schedule` builds either case by name.
 """
 
 from __future__ import annotations
@@ -105,8 +105,12 @@ def check_positive(name: str, value: float) -> None:
 
 
 def check_eps_t(eps_t: float) -> None:
+    """A ValueError unless 0 < eps_t < 0.5 and 1 - eps_t < 1, so that t = 1,
+    where alpha_t = 0 and the rates are singular, is no time of [eps_t, 1 - eps_t]."""
     if not 0.0 < eps_t < 0.5:
         raise ValueError(f"eps_t must lie in (0, 0.5), got {eps_t!r}")
+    if 1.0 - eps_t == 1.0:
+        raise ValueError(f"eps_t={eps_t!r} is at most 2**-54, so 1 - eps_t rounds to 1")
 
 
 @dataclass(frozen=True)
@@ -115,8 +119,10 @@ class ScheduleParams:
 
     p_u is the peak expected fraction of uniform-noise tokens, attained at
     t = 1/2. The derived constant B = 2^gamma * p_u / (1 - p_u) calibrates the
-    bump c_t = B t^(gamma/2) (1-t)^(gamma/2) so that exactly p_u is reached;
-    a gamma that makes B overflow (any gamma >= 1024) is a ValueError.
+    bump c_t = B t^(gamma/2) (1-t)^(gamma/2) so that exactly p_u is reached.
+    gamma lies in (0, 2]: the off-mask rate is c_t (1 + (gamma/2) (1-2t)/t)
+    over a positive factor, which goes negative near t = 1 for any gamma > 2,
+    and B <= 4 p_u / (1 - p_u) is finite for every p_u < 1.
     """
 
     p_u: float
@@ -127,8 +133,8 @@ class ScheduleParams:
         if not 0.0 <= self.p_u < 1.0:
             raise ValueError("p_u must lie in [0, 1)")
         check_positive("gamma", self.gamma)
-        if not (self.gamma < 1024.0 and math.isfinite(self.B)):
-            raise ValueError(f"gamma={self.gamma!r} overflows B = 2**gamma p_u / (1 - p_u)")
+        if self.gamma > 2.0:
+            raise ValueError(f"gamma={self.gamma!r} above 2 makes the off-mask rate negative")
         check_eps_t(self.eps_t)
 
     @property
@@ -295,16 +301,6 @@ class Terms:
         return self._c / (1.0 + self._c)
 
 
-def MaskOnlySchedule(vocab: Vocab, eps_t: float = DEFAULT_EPS_T) -> MixingSchedule:
-    """Linear interpolation between data and the mask token: p_u = 0."""
-    return MixingSchedule(vocab, ScheduleParams(p_u=0.0, eps_t=eps_t))
-
-
-def HybridSchedule(vocab: Vocab, params: ScheduleParams) -> MixingSchedule:
-    """The mixing schedule of `params`."""
-    return MixingSchedule(vocab, params)
-
-
 def make_schedule(
     kind: str,
     vocab: Vocab,
@@ -318,7 +314,7 @@ def make_schedule(
         for key, value, default in (("p_u", p_u, 0.0), ("gamma", gamma, 1.0)):
             if value != default:
                 raise ValueError(f"{key}={value!r} needs the hybrid schedule, not 'mask'")
-        return MaskOnlySchedule(vocab, eps_t=eps_t)
+        return MixingSchedule(vocab, ScheduleParams(p_u=0.0, eps_t=eps_t))
     if kind == "hybrid":
-        return HybridSchedule(vocab, ScheduleParams(p_u=p_u, gamma=gamma, eps_t=eps_t))
+        return MixingSchedule(vocab, ScheduleParams(p_u=p_u, gamma=gamma, eps_t=eps_t))
     raise ValueError(f"unknown schedule kind {kind!r}")

@@ -3,14 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixdiff import (
-    HybridSchedule,
-    MaskOnlySchedule,
-    OracleDenoiser,
-    ScheduleParams,
-    ToyDistribution,
-    Vocab,
-)
+from mixdiff import OracleDenoiser, ToyDistribution, Vocab, make_schedule
 
 
 @pytest.fixture
@@ -25,12 +18,12 @@ def vocab3():
 
 @pytest.fixture
 def mask_sched(vocab5):
-    return MaskOnlySchedule(vocab5)
+    return make_schedule("mask", vocab5)
 
 
 @pytest.fixture
 def hybrid_sched(vocab5):
-    return HybridSchedule(vocab5, ScheduleParams(p_u=0.2))
+    return make_schedule("hybrid", vocab5, p_u=0.2)
 
 
 @pytest.fixture
@@ -55,7 +48,7 @@ def five_outcome(vocab5):
 
 @pytest.fixture
 def two_outcome_oracle(two_outcome):
-    sched = MaskOnlySchedule(two_outcome.vocab)
+    sched = make_schedule("mask", two_outcome.vocab)
     return OracleDenoiser(two_outcome, sched), sched
 
 

@@ -17,22 +17,18 @@ from mixdiff import (
     CLAMP,
     DYNAMIC,
     EXACT,
-    HybridSchedule,
     LogitTable,
-    MaskOnlySchedule,
     OracleDenoiser,
     SamplerConfig,
-    ScheduleParams,
     SelfCorrectConfig,
     ToyDistribution,
     Vocab,
     ancestral_sample_batch,
     generative_nll,
+    loss_and_grad,
     make_schedule,
     mdm_loss,
     noise_sequence,
-    per_token_loss,
-    per_token_loss_grad,
     self_accuracy,
     self_correct,
     sequence_nelbo,
@@ -41,7 +37,7 @@ from mixdiff import (
 )
 from mixdiff.cli import main as cli_main
 from mixdiff.denoiser import posterior_kl_to_oracle
-from mixdiff.elbo import loss_weight
+from mixdiff.elbo import softmax
 from mixdiff.errors import DegenerateEvidenceError
 
 EPS = 1e-4
@@ -90,7 +86,7 @@ FIVE_OUTCOME = ToyDistribution(
 
 
 def test_criterion_01_mdm_equivalence():
-    sched = MaskOnlySchedule(Vocab(6, 5))
+    sched = make_schedule("mask", Vocab(6, 5))
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(1000):
@@ -98,7 +94,8 @@ def test_criterion_01_mdm_equivalence():
         x = int(rng.integers(5))
         x_theta = _random_pred(rng, 6, 5)
         z_t = 5 if rng.random() < 0.5 else x
-        total = per_token_loss(sched, t, z_t, x, x_theta, EXACT, weight_clip=None).total
+        w, kl, is_term, _ = loss_and_grad(sched, t, [z_t], [x], [x_theta], EXACT, None)
+        total = (w * (kl + is_term))[0]
         ref = mdm_loss(sched, t, z_t, x, x_theta)
         worst = max(worst, abs(total - ref) / max(abs(ref), 1e-12))
     report(1, "mdm_equivalence", worst <= 1e-8, f"max rel err {worst:.2e}")
@@ -110,7 +107,7 @@ def test_criterion_02_markov_chain_algebra():
     start = time.time()
     for n in (3, 8, 16):
         vocab = Vocab(n, n - 1)
-        for sched in (MaskOnlySchedule(vocab), HybridSchedule(vocab, ScheduleParams(p_u=0.2))):
+        for sched in (make_schedule("mask", vocab), make_schedule("hybrid", vocab, p_u=0.2)):
             for _ in range(1000 // 6 + 1):
                 r, s, t = np.sort(_times(rng, 3))
                 q_sr = sched.conditional_transition(r, s).matrix()
@@ -139,7 +136,7 @@ def test_criterion_03_rate_checks():
     worst_bwd = 0.0
     start = time.time()
     vocab = Vocab(5, 4)
-    for sched in (MaskOnlySchedule(vocab), HybridSchedule(vocab, ScheduleParams(p_u=0.2))):
+    for sched in (make_schedule("mask", vocab), make_schedule("hybrid", vocab, p_u=0.2)):
         for _ in range(60):
             t = 0.01 + 0.98 * rng.random()
             fd = (sched.conditional_transition(t, t + delta).matrix() - np.eye(5)) / delta
@@ -178,13 +175,13 @@ def test_criterion_03_rate_checks():
 def test_criterion_04_weight_identities():
     vocab = Vocab(5, 4)
     worst = 0.0
-    for sched in (MaskOnlySchedule(vocab), HybridSchedule(vocab, ScheduleParams(p_u=0.2))):
+    for sched in (make_schedule("mask", vocab), make_schedule("hybrid", vocab, p_u=0.2)):
         for t in np.linspace(EPS, 1 - EPS, 100):
             q, w, terms = sched.marginal(t, 0), sched.elbo_weights(t, 0), sched.terms(t)
             mean_w = sum(q[z] * w[z] for z in range(5) if q[z] > 0)
             target = -terms.alpha_prime / terms.alpha
             worst = max(worst, abs(mean_w - target) / max(abs(target), 1.0))
-    hyb_w = HybridSchedule(vocab, ScheduleParams(p_u=0.2)).elbo_weights(0.5, 0)
+    hyb_w = make_schedule("hybrid", vocab, p_u=0.2).elbo_weights(0.5, 0)
     hands = (
         abs(hyb_w[4] - 4.0),
         abs(hyb_w[1] - 2.0),
@@ -227,7 +224,7 @@ def test_criterion_06_global_minimum():
     est = sequence_nelbo(sched, np.array([2, 0, 3]), oracle, 64, seed=6)
     rng = np.random.default_rng(106)
     nonneg = True
-    schedules = (MaskOnlySchedule(vocab), sched)
+    schedules = (make_schedule("mask", vocab), sched)
     for _ in range(100000 // 6):
         s = schedules[int(rng.integers(2))]
         mode = (EXACT, CLAMP, DYNAMIC)[int(rng.integers(3))]
@@ -236,8 +233,8 @@ def test_criterion_06_global_minimum():
         x_theta = _random_pred(rng, 5, 4)
         q = s.marginal(t, x)
         z_t = int(rng.choice(np.flatnonzero(q > 0)))
-        loss = per_token_loss(s, t, z_t, x, x_theta, mode)
-        nonneg = nonneg and loss.total >= 0.0
+        w, kl, is_term, _ = loss_and_grad(s, t, [z_t], [x], [x_theta], mode)
+        nonneg = nonneg and (w * (kl + is_term))[0] >= 0.0
     ok = est.mean_per_token <= 1e-6 and nonneg
     report(6, "global_minimum", ok, f"delta NELBO {est.mean_per_token:.2e}, nonneg {nonneg}")
 
@@ -245,7 +242,7 @@ def test_criterion_06_global_minimum():
 def test_criterion_07_gradient_correctness():
     rng = np.random.default_rng(107)
     vocab = Vocab(5, 4)
-    schedules = (MaskOnlySchedule(vocab), HybridSchedule(vocab, ScheduleParams(p_u=0.2)))
+    schedules = (make_schedule("mask", vocab), make_schedule("hybrid", vocab, p_u=0.2))
     modes = (EXACT, CLAMP, DYNAMIC)
     h = 1e-5
     worst = 0.0
@@ -258,7 +255,8 @@ def test_criterion_07_gradient_correctness():
         q = sched.marginal(t, x)
         z_t = int(rng.choice(np.flatnonzero(q > 0)))
         logits = rng.normal(size=5)
-        grad = per_token_loss_grad(sched, t, z_t, x, logits, mode)
+        probs = softmax(np.array(logits, dtype=float))
+        grad = loss_and_grad(sched, t, [z_t], [x], [probs], mode)[3][0]
         fd = np.zeros(5)
         for j in range(5):
             for sign in (1.0, -1.0):
@@ -266,7 +264,8 @@ def test_criterion_07_gradient_correctness():
                 bumped[j] += sign * h
                 soft = np.exp(bumped - bumped.max())
                 soft /= soft.sum()
-                fd[j] += sign * per_token_loss(sched, t, z_t, x, soft, mode).total
+                w, kl, is_term, _ = loss_and_grad(sched, t, [z_t], [x], [soft], mode)
+                fd[j] += sign * (w * (kl + is_term))[0]
         fd /= 2 * h
         scale = max(np.abs(fd).max(), 1e-8)
         worst = max(worst, float(np.abs(grad - fd).max() / scale))
@@ -406,7 +405,8 @@ def test_criterion_11_weight_curve_export(capsys):
     ratio = w_mask[min(w_mask)] / w_mask[0.5]
     sched = make_schedule("hybrid", Vocab(5, 4), p_u=0.2)
     capped = all(
-        loss_weight(sched, t, 4, 0, CLAMP) <= 1.0 + 1e-12 for t in w_mask
+        loss_and_grad(sched, t, [4], [0], [np.zeros(5)], CLAMP)[0][0] <= 1.0 + 1e-12
+        for t in w_mask
     )
     ok = ratio > 100.0 and capped
     report(11, "weight_curve_export", ok, f"w_mask(eps)/w_mask(0.5) = {ratio:.0f}, clamp capped {capped}")

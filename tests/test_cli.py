@@ -306,7 +306,21 @@ def test_gamma_that_overflows_is_usage_error(capsys, gamma):
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
-    assert err == f"usage error: gamma={float(gamma)!r} overflows B = 2**gamma p_u / (1 - p_u)\n"
+    assert err == f"usage error: gamma={float(gamma)!r} above 2 makes the off-mask rate negative\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--gamma", "3"], "gamma=3.0 above 2 makes the off-mask rate negative"),
+        (["--eps-t", "1e-100"], "eps_t=1e-100 is at most 2**-54, so 1 - eps_t rounds to 1"),
+    ],
+)
+def test_schedule_outside_the_valid_domain_is_usage_error(capsys, flags, message):
+    """weights-csv used to exit 0, printing a negative w_uniform at gamma 3 and
+    w_mask = inf at eps_t 1e-100."""
+    argv = ["weights-csv", "--schedule", "hybrid", "--p-u", "0.2", *flags]
+    assert run(capsys, argv) == (1, "", f"usage error: {message}\n")
 
 
 def test_nelbo_sequence_seeds_differ_across_seeds(capsys, tmp_path, vocab3, dist_file):

@@ -892,6 +892,7 @@ def test_table_train_summed_updates_stay_finite(tmp_path, two_outcome, kind, mod
         ({"learning_rate": -1.0}, "learning_rate must be finite and > 0"),
         ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0"),
         ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0"),
+        ({"eps_t": 1e-100}, "1 - eps_t rounds to 1"),
     ],
 )
 def test_logit_table_validates_parameters(vocab3, kwargs, match):

@@ -24,8 +24,6 @@ from mixdiff import (
     make_schedule,
     mdm_loss,
     noise_sequence,
-    per_token_loss,
-    per_token_loss_grad,
     sequence_nelbo,
     stratified_times,
     table_train,
@@ -36,8 +34,8 @@ from mixdiff.elbo import (
     _forward,
     _inverse_cdf,
     loss_target,
-    loss_weight,
     model_marginal,
+    softmax,
     target_grad,
     target_loss,
 )
@@ -89,35 +87,36 @@ def test_loss_zero_at_truth(mask_sched, hybrid_sched):
     one_hot[2] = 1.0
     for sched in (mask_sched, hybrid_sched):
         for mode in (EXACT, CLAMP, DYNAMIC):
-            loss = per_token_loss(sched, 0.3, 4, 2, one_hot, mode)
-            assert loss.kl == pytest.approx(0.0, abs=1e-12)
-            assert loss.is_term == pytest.approx(0.0, abs=1e-12)
-            assert loss.total == pytest.approx(0.0, abs=1e-12)
+            w, kl, is_term, _ = loss_and_grad(sched, 0.3, [4], [2], [one_hot], mode)
+            assert kl[0] == pytest.approx(0.0, abs=1e-12)
+            assert is_term[0] == pytest.approx(0.0, abs=1e-12)
+            assert (w * (kl + is_term))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mask_only_loss_hand_value(mask_sched):
     # masked token, model splits mass evenly between x and one alternative
     x_theta = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
-    loss = per_token_loss(mask_sched, 0.5, 4, 0, x_theta, EXACT)
-    assert loss.total == pytest.approx(-math.log(0.5) / 0.5, abs=1e-10)
-    assert loss.total == pytest.approx(mdm_loss(mask_sched, 0.5, 4, 0, x_theta), abs=1e-10)
+    w, kl, is_term, _ = loss_and_grad(mask_sched, 0.5, [4], [0], [x_theta], EXACT)
+    total = (w * (kl + is_term))[0]
+    assert total == pytest.approx(-math.log(0.5) / 0.5, abs=1e-10)
+    assert total == pytest.approx(mdm_loss(mask_sched, 0.5, 4, 0, x_theta), abs=1e-10)
 
 
 def test_dynamic_weight_hand_value(hybrid_sched):
     lam = hybrid_sched.terms(0.5).log_snr
     expected = (hybrid_sched.params.B / 5) * math.exp(-lam / 2)
     assert expected == pytest.approx(0.1224744871, abs=1e-9)
-    w = loss_weight(hybrid_sched, 0.5, 0, 0, DYNAMIC)
-    assert w == pytest.approx(expected, abs=1e-12)
+    w = loss_and_grad(hybrid_sched, 0.5, [0, 4], [0, 0], np.zeros((2, 5)), DYNAMIC)[0]
+    assert w[0] == pytest.approx(expected, abs=1e-12)
     # mask token gets the doubled base weight
-    assert loss_weight(hybrid_sched, 0.5, 4, 0, DYNAMIC) == pytest.approx(2.0)
+    assert w[1] == pytest.approx(2.0)
 
 
 def test_clamp_caps_weight(hybrid_sched):
-    w_exact = loss_weight(hybrid_sched, 1e-4, 4, 0, EXACT, weight_clip=None)
-    assert w_exact > 100.0
-    assert loss_weight(hybrid_sched, 1e-4, 4, 0, CLAMP) == 1.0
-    assert loss_weight(hybrid_sched, 1e-4, 4, 0, EXACT, weight_clip=1e4) <= 1e4
+    probs = [np.zeros(5)]
+    assert loss_and_grad(hybrid_sched, 1e-4, [4], [0], probs, EXACT, None)[0][0] > 100.0
+    assert loss_and_grad(hybrid_sched, 1e-4, [4], [0], probs, CLAMP)[0][0] == 1.0
+    assert loss_and_grad(hybrid_sched, 1e-4, [4], [0], probs, EXACT, 1e4)[0][0] <= 1e4
 
 
 def test_mdm_equivalence_random(mask_sched):
@@ -128,7 +127,8 @@ def test_mdm_equivalence_random(mask_sched):
         x = int(rng.integers(4))
         x_theta = random_prediction(rng, 5, 4)
         z_t = 4 if rng.random() < 0.5 else x
-        total = per_token_loss(mask_sched, t, z_t, x, x_theta, EXACT, weight_clip=None).total
+        w, kl, is_term, _ = loss_and_grad(mask_sched, t, [z_t], [x], [x_theta], EXACT, None)
+        total = (w * (kl + is_term))[0]
         ref = mdm_loss(mask_sched, t, z_t, x, x_theta)
         assert abs(total - ref) <= 1e-8 * max(abs(ref), 1e-12)
         cases.append((t, z_t, x, x_theta))
@@ -273,7 +273,7 @@ def test_sequence_nelbo_same_bits(vocab3, two_outcome):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from([("mask", 1.0), ("hybrid", 1.0), ("hybrid", 3.0)]),
+    st.sampled_from([("mask", 1.0), ("hybrid", 1.0), ("hybrid", 1.5)]),
     st.sampled_from(
         [EXACT, CLAMP, DYNAMIC, WeightingMode("clamp", 0.5), WeightingMode("dynamic", 2.0)]
     ),
@@ -332,7 +332,8 @@ def _fd_grad(sched, t, z_t, x, logits, mode, h=1e-5):
             bumped[i] += sign * h
             x_theta = np.exp(bumped - bumped.max())
             x_theta /= x_theta.sum()
-            grad[i] += acc * per_token_loss(sched, t, z_t, x, x_theta, mode).total
+            w, kl, is_term, _ = loss_and_grad(sched, t, [z_t], [x], [x_theta], mode)
+            grad[i] += acc * (w * (kl + is_term))[0]
     return grad / (2 * h)
 
 
@@ -346,7 +347,8 @@ def test_gradient_matches_finite_differences(mask_sched, hybrid_sched):
                 q = sched.marginal(t, x)
                 z_t = int(rng.choice(np.flatnonzero(q > 0)))
                 logits = rng.normal(size=5)
-                g = per_token_loss_grad(sched, t, z_t, x, logits, mode)
+                probs = softmax(np.array(logits, dtype=float))
+                g = loss_and_grad(sched, t, [z_t], [x], [probs], mode)[3][0]
                 fd = _fd_grad(sched, t, z_t, x, logits, mode)
                 scale = max(np.abs(fd).max(), 1e-6)
                 assert np.abs(g - fd).max() / scale < 1e-4
@@ -354,15 +356,16 @@ def test_gradient_matches_finite_differences(mask_sched, hybrid_sched):
 
 def test_gradient_shift_invariance(hybrid_sched):
     logits = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
-    g1 = per_token_loss_grad(hybrid_sched, 0.4, 4, 1, logits)
-    g2 = per_token_loss_grad(hybrid_sched, 0.4, 4, 1, logits + 3.7)
+    probs = [softmax(logits + shift) for shift in (0.0, 3.7)]
+    g1, g2 = (loss_and_grad(hybrid_sched, 0.4, [4], [1], [p])[3][0] for p in probs)
     np.testing.assert_allclose(g1, g2, atol=1e-10)
 
 
 def test_gradient_vanishes_near_optimum(hybrid_sched):
     logits = np.full(5, -30.0)
     logits[1] = 10.0
-    g = per_token_loss_grad(hybrid_sched, 0.5, 4, 1, logits)
+    probs = softmax(np.array(logits, dtype=float))
+    g = loss_and_grad(hybrid_sched, 0.5, [4], [1], [probs])[3][0]
     assert np.abs(g).max() < 1e-6
 
 
@@ -412,7 +415,7 @@ def test_loss_and_grad_rejects_unsupported_state(mask_sched):
     with pytest.raises(UnsupportedStateError):
         loss_and_grad(mask_sched, 0.5, np.array([4, 1]), np.array([0, 0]), probs, EXACT)
     with pytest.raises(UnsupportedStateError):
-        per_token_loss(mask_sched, 0.5, 1, 0, probs[0], CLAMP)
+        loss_and_grad(mask_sched, 0.5, [1], [0], probs[:1], CLAMP)
 
 
 
@@ -462,15 +465,12 @@ def test_grad_of_fortran_ordered_inputs(hybrid_sched):
 
 
 def test_per_token_views_reject_bad_tokens(hybrid_sched):
+    """One-token calls, under the dynamic weight, which has no support check."""
     probs = np.full(5, 0.25)
     probs[4] = 0.0
     for z_t, x in ((-1, 0), (0, 5)):
-        with pytest.raises(ValueError):
-            per_token_loss(hybrid_sched, 0.5, z_t, x, probs, DYNAMIC)
-        with pytest.raises(ValueError):
-            per_token_loss_grad(hybrid_sched, 0.5, z_t, x, np.zeros(5), DYNAMIC)
-        with pytest.raises(ValueError):
-            loss_weight(hybrid_sched, 0.5, z_t, x, DYNAMIC)
+        with pytest.raises(ValueError, match="outside"):
+            loss_and_grad(hybrid_sched, 0.5, [z_t], [x], [probs], DYNAMIC)
 
 
 # Outputs of the two-outcome runs below; any change to the loss arithmetic
@@ -761,9 +761,9 @@ def test_corpus_nelbo_mean_and_se_have_numpys_bits(kind, num_mc, rows, seed):
 def test_softmax_callers_keep_their_own_formulas_bits(
     n, rows, length, scale, temperature, zero_frac, seed
 ):
-    """masked_softmax, the tempered branch of adapt_distribution and
-    per_token_loss_grad share one softmax; each equals, bit for bit, the
-    formula it had on its own, written out here."""
+    """masked_softmax, the tempered branch of adapt_distribution and the
+    softmax of one token's logits share one softmax; each equals, bit for
+    bit, the formula it had on its own, written out here."""
     rng = np.random.default_rng(seed)
     mask_id = int(rng.integers(n))
     logits = scale * rng.standard_normal((rows, length, n))
@@ -796,7 +796,8 @@ def test_softmax_callers_keep_their_own_formulas_bits(
     e = np.exp(token_logits - token_logits.max())
     for mode in (EXACT, CLAMP, DYNAMIC):
         want = loss_and_grad(sched, t, [z_t], [x], [e / e.sum()], mode)[3][0]
-        assert per_token_loss_grad(sched, t, z_t, x, token_logits, mode).tobytes() == want.tobytes()
+        probs = softmax(np.array(token_logits, dtype=float))
+        assert loss_and_grad(sched, t, [z_t], [x], [probs], mode)[3][0].tobytes() == want.tobytes()
 
 
 def _q_last_axis(schedule, t, x):

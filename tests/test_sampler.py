@@ -14,9 +14,7 @@ from mixdiff import (
     ToyDistribution,
     Vocab,
     adapt_distribution,
-    ancestral_sample,
     ancestral_sample_batch,
-    denoise_step,
     make_schedule,
     noise_sequence,
     self_correct,
@@ -104,24 +102,14 @@ class _FixedPrediction(Denoiser):
         return np.tile(self.row, np.shape(z_seqs) + (1,))
 
 
-class _FixedUniforms:
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
-
-    def random(self, n):
-        return np.broadcast_to(self.u, n).copy()
-
-
 def _step_probabilities(sched, z_t, t_from, t_to, denoiser, tol=1e-14):
     """Recover the sampler's per-token categorical by bisecting the inverse CDF."""
     config = SamplerConfig(num_steps=1)
     n = sched.vocab.size
 
     def draw(u):
-        out = denoise_step(
-            sched, np.array([z_t]), t_from, t_to, denoiser, config, _FixedUniforms(u)
-        )
-        return int(out[0])
+        z, u = np.array([[z_t]]), np.array([[u]])
+        return int(_denoise_step_batch(sched, z, t_from, t_to, denoiser, config, u)[0, 0])
 
     boundaries = []
     for k in range(n - 1):
@@ -178,33 +166,28 @@ def test_denoise_step_draws_on_the_entries_of_the_last_axis_cdf(n):
     cdf = np.add.accumulate((v / np.add.reduce(v, axis=-1, keepdims=True))[:, :-1], axis=-1)
     config = SamplerConfig(num_steps=1)
     for u in cdf.T:
-        got = denoise_step(sched, z, t_from, t_to, _FixedPrediction(row), config, _FixedUniforms(u))
+        got = _denoise_step_batch(
+            sched, z[None], t_from, t_to, _FixedPrediction(row), config, u[None]
+        )[0]
         np.testing.assert_array_equal(got, np.add.reduce(cdf <= u[:, None], axis=-1))
 
 
 def test_denoise_step_no_op_when_times_equal(two_outcome):
     sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
     oracle = OracleDenoiser(two_outcome, sched)
-    z = np.array([2, 0])
-    out = denoise_step(
-        sched, z, 0.4, 0.4, oracle, SamplerConfig(num_steps=1), np.random.default_rng(0)
-    )
+    z = np.array([[2, 0]])
+    u = np.random.default_rng(0).random(z.shape)
+    out = _denoise_step_batch(sched, z, 0.4, 0.4, oracle, SamplerConfig(num_steps=1), u)
     np.testing.assert_array_equal(out, z)
 
 
 def test_denoise_step_ordering_error(two_outcome):
     sched = make_schedule("mask", two_outcome.vocab)
     oracle = OracleDenoiser(two_outcome, sched)
+    z = np.array([[2, 2]])
+    u = np.random.default_rng(0).random(z.shape)
     with pytest.raises(OrderingError):
-        denoise_step(
-            sched,
-            np.array([2, 2]),
-            0.2,
-            0.8,
-            oracle,
-            SamplerConfig(num_steps=1),
-            np.random.default_rng(0),
-        )
+        _denoise_step_batch(sched, z, 0.2, 0.8, oracle, SamplerConfig(num_steps=1), u)
 
 
 def test_one_step_recovery_mask_only(vocab3):
@@ -216,11 +199,10 @@ def test_one_step_recovery_mask_only(vocab3):
     rng = np.random.default_rng(0)
     hits = 0
     trials = 500
+    z = np.array([[2, 2]])
     for _ in range(trials):
-        out = denoise_step(
-            sched, np.array([2, 2]), 1 - 1e-4, 1e-4, oracle, config, rng
-        )
-        hits += int(np.array_equal(out, [0, 1]))
+        out = _denoise_step_batch(sched, z, 1 - 1e-4, 1e-4, oracle, config, rng.random(z.shape))
+        hits += int(np.array_equal(out[0], [0, 1]))
     # per-token unmask probability is (1 - 2 eps) / (1 - eps) > 1 - 1e-3
     assert hits / trials > 0.99
 
@@ -229,7 +211,7 @@ def test_ancestral_sample_single_outcome(vocab3):
     dist = ToyDistribution(vocab3, 2, (((1, 0), 1.0),))
     sched = make_schedule("mask", vocab3)
     oracle = OracleDenoiser(dist, sched)
-    out = ancestral_sample(sched, 2, oracle, SamplerConfig(num_steps=1, seed=0))
+    out = ancestral_sample_batch(sched, 2, oracle, SamplerConfig(num_steps=1, seed=0), 1)[0]
     np.testing.assert_array_equal(out, [1, 0])
 
 
@@ -554,16 +536,6 @@ def test_sample_batch_of_other_length_than_the_oracle_is_named_error(five_outcom
     oracle = OracleDenoiser(five_outcome, sched)
     with pytest.raises(ValueError, match="batch of length 4 for an oracle of length 3"):
         ancestral_sample_batch(sched, 4, oracle, SamplerConfig(num_steps=2), 8)
-
-
-@pytest.mark.parametrize("token", [-1, 5, 25])
-def test_denoise_step_rejects_tokens_outside_the_vocabulary(five_outcome, token):
-    sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.2)
-    with pytest.raises(ValueError, match="outside"):
-        denoise_step(
-            sched, [0, token, 1], 0.5, 0.4, _Untouchable(), SamplerConfig(),
-            np.random.default_rng(0),
-        )
 
 
 _FIVE = ToyDistribution(
