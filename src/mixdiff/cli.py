@@ -33,7 +33,7 @@ from .sampler import (
     derive_seeds,
     self_correct_batch,
 )
-from .schedule import DEFAULT_EPS_T, Vocab, check_count, check_seed, make_schedule
+from .schedule import DEFAULT_EPS_T, LOG_FLOOR, Vocab, check_count, check_seed, make_schedule
 
 USAGE_ERROR, DATA_ERROR, INVARIANT_FAILURE = 1, 2, 3
 
@@ -227,9 +227,8 @@ def cmd_self_correct(args, cfg: dict) -> int:
         "self_accuracy_after": float(np.mean([max(acc) for acc in accs])),
     }
     if dist is not None:
-        floor = 1e-30
-        payload["generative_nll_before"], _ = generative_nll(seqs, dist, floor=floor)
-        payload["generative_nll_after"], _ = generative_nll(corrected, dist, floor=floor)
+        payload["generative_nll_before"], _ = generative_nll(seqs, dist, floor=LOG_FLOOR)
+        payload["generative_nll_after"], _ = generative_nll(corrected, dist, floor=LOG_FLOOR)
     emit_json(payload, cfg)
     return 0
 

@@ -50,10 +50,6 @@ class NelboEstimate:
     std_error: float
     num_mc_samples: int
 
-    @property
-    def ppl(self) -> float:
-        return float(np.exp(self.mean_per_token))
-
 
 def _vocab_sum(v: np.ndarray) -> np.ndarray:
     """The sum over the first axis of v, the vocabulary, with the bits numpy

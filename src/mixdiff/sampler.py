@@ -135,39 +135,31 @@ def adapt_distribution(p: np.ndarray, temperature: float = 1.0, min_p: float = 0
     return out / totals
 
 
-def _denoise_step_batch(
-    schedule: MixingSchedule,
-    z_batch: np.ndarray,
-    t_from: float,
-    t_to: float,
-    denoiser: Denoiser,
-    config: SamplerConfig,
-    u: np.ndarray,
+def reverse_posterior(
+    schedule: MixingSchedule, z: np.ndarray, t_from: float, t_to: float, preds: np.ndarray
 ) -> np.ndarray:
-    """One reverse step for a (B, L) batch given pre-drawn uniforms (B, L),
-    each in either memory order; the draws are returned column-major.
+    """The normalised (N, L, D) posterior over z_s at t_to of the (D, L) rows z
+    at t_from, given their adapted (N, L, D) predictions, vocabulary first:
+    v(z_s) ~ q_{t_from|t_to}(z_t | z_s) q_{t_to}(z_s | x_theta).
 
-    Forms the per-position posterior
-    v(z_s) ~ q_{t_from|t_to}(z_t | z_s) q_{t_to}(z_s | x_theta) and samples it.
-    Rows that agree share their posterior, so the denoiser sees each distinct
-    row once and the posterior and its CDF are built once per distinct row.
     The closed forms at t_from are those the step before evaluated at its
     t_to, kept by the schedule, so a chain of steps evaluates each time once.
+    A position with no support is a revealed z_t that the prediction misses
+    under p_u = 0; masking never changes a revealed token, so it carries over.
     """
-    z_batch, inverse = _distinct_rows(z_batch, schedule.vocab.size)
     at_from = schedule.terms(t_from)
-    preds = denoiser.predict_batch(z_batch, t_from)
-    preds = adapt_distribution(preds, config.temperature, config.min_p).T
     at_to = schedule.terms(t_to)
     trans = at_to.to(at_from)
     q_to = at_to.alpha * preds + at_to.beta_pi[:, None, None]
     # v[:,l,d] = bp_ts[z_t] * q_to[:,l,d] with alpha_ts * q_to at z_s = z_t.
-    v = trans.beta_pi_ts[z_batch.T] * q_to
-    v += trans.alpha_ts * q_to * (z_batch.T == np.arange(len(q_to))[:, None, None])
+    v = trans.beta_pi_ts[z.T] * q_to
+    v += trans.alpha_ts * q_to * (z.T == np.arange(len(q_to))[:, None, None])
     totals = _vocab_sum(v)
-    if np.logical_or.reduce(totals <= 0.0, axis=None):
-        raise EmptySupportError("reverse-step posterior has no support")
-    return _inverse_cdf(v / totals, u.T, inverse).T
+    dead = totals <= 0.0
+    if np.logical_or.reduce(dead, axis=None):
+        v[:, dead] = z.T[dead] == np.arange(len(v))[:, None]
+        totals[dead] = 1.0
+    return v / totals
 
 
 def ancestral_sample_batch(
@@ -186,13 +178,15 @@ def ancestral_sample_batch(
     count, length = check_count("count", count), check_count("length", length)
     check_fits("schedule", schedule, "denoiser", denoiser)
     grid = config.time_grid(schedule.eps_t)
-    rows = counter_hash(config.seed, np.arange(count, dtype=np.uint64))
+    hashes = counter_hash(config.seed, np.arange(count, dtype=np.uint64))
     z = np.full((length, count), schedule.vocab.mask_id, dtype=np.int64).T
     for i in range(config.num_steps, 0, -1):
-        u = _step_uniforms(rows, i, length).T
-        z = _denoise_step_batch(
-            schedule, z, float(grid[i]), float(grid[i - 1]), denoiser, config, u
-        )
+        t_from, t_to = float(grid[i]), float(grid[i - 1])
+        rows, inverse = _distinct_rows(z, schedule.vocab.size)
+        preds = denoiser.predict_batch(rows, t_from)
+        preds = adapt_distribution(preds, config.temperature, config.min_p).T
+        post = reverse_posterior(schedule, rows, t_from, t_to, preds)
+        z = _inverse_cdf(post, _step_uniforms(hashes, i, length), inverse).T
     return np.ascontiguousarray(z)
 
 

@@ -498,6 +498,22 @@ def test_sample_mask_two_outcome(capsys, tmp_path, dist_file):
     assert (code, err) == (0, "")
 
 
+def test_sample_mask_table_carries_a_revealed_token_over(capsys, tmp_path, five_outcome):
+    """A mask-trained table whose argmax misses a revealed token left that
+    position's posterior no support, and the command exited 2 with
+    "reverse-step posterior has no support"; masking never changes a revealed
+    token, so the token carries over."""
+    dist, table, out = (str(tmp_path / name) for name in ("dist.txt", "table.txt", "out.txt"))
+    five_outcome.save(dist)
+    argv = ["train", "--dist", dist, "--schedule", "mask", "--steps", "300", "--out", table]
+    assert run(capsys, argv)[0] == 0
+    argv = ["sample", "--table", table, "--schedule", "mask", "--temperature", "1e-12",
+            "--steps", "8", "--count", "200", "--out", out]
+    code, stdout, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["mask_fraction"] == 0.0
+
+
 def test_train_then_nelbo_with_table(capsys, tmp_path, dist_file, corpus_file):
     table_path = tmp_path / "table.txt"
     code, out, _ = run(
@@ -663,6 +679,17 @@ def test_config_file_bad_value_is_data_error(capsys, tmp_path, dist_file, text, 
     assert out == ""
     line = len(text.splitlines())
     assert f"data error: line {line}: bad value for {key!r}" in err
+
+
+def test_config_file_line_without_equals_is_data_error(capsys, tmp_path, dist_file):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=1\nnum_mc 4\n")
+    code, out, err = run(
+        capsys, ["nelbo", "--corpus", dist_file, "--dist", dist_file, "--config", str(cfg)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "data error: line 2: expected key=value\n"
 
 
 def test_verify_command(capsys):

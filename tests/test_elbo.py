@@ -197,7 +197,6 @@ def test_sequence_nelbo_delta_distribution(vocab3):
     est = sequence_nelbo(sched, np.array([0, 1]), oracle, 64, seed=0)
     assert est.mean_per_token <= 1e-6
     assert est.std_error >= 0.0
-    assert est.ppl == pytest.approx(math.exp(est.mean_per_token))
 
 
 def test_sequence_nelbo_deterministic(two_outcome_oracle):

@@ -27,13 +27,13 @@ from mixdiff.errors import (
     MaskedInputError,
     OrderingError,
 )
-from mixdiff.elbo import _inverse_cdf
+from mixdiff.elbo import _inverse_cdf, _vocab_sum
 from mixdiff.sampler import (
     SelfCorrectResult,
-    _denoise_step_batch,
     counter_hash,
     counter_uniforms,
     derive_seeds,
+    reverse_posterior,
 )
 from mixdiff.schedule import Terms
 from conftest import random_prediction, transient_peak
@@ -92,41 +92,23 @@ def test_adapt_distribution_temperature_sharpens():
     assert sharp.sum() == pytest.approx(1.0)
 
 
-class _FixedPrediction(Denoiser):
-    """Denoiser stub returning the same row at every position."""
-
-    def __init__(self, row):
-        self.row = np.asarray(row, dtype=float)
-
-    def predict_batch(self, z_seqs, t):
-        return np.tile(self.row, np.shape(z_seqs) + (1,))
+def _step(sched, z, t_from, t_to, denoiser, config, u):
+    """One reverse step of the (B, L) rows z with their (B, L) uniforms, composed
+    as in ancestral_sample_batch but with no rows shared."""
+    preds = denoiser.predict_batch(z, t_from)
+    preds = adapt_distribution(preds, config.temperature, config.min_p).T
+    return _inverse_cdf(reverse_posterior(sched, z, t_from, t_to, preds), u.T).T
 
 
-def _step_probabilities(sched, z_t, t_from, t_to, denoiser, tol=1e-14):
-    """Recover the sampler's per-token categorical by bisecting the inverse CDF."""
-    config = SamplerConfig(num_steps=1)
-    n = sched.vocab.size
-
-    def draw(u):
-        z, u = np.array([[z_t]]), np.array([[u]])
-        return int(_denoise_step_batch(sched, z, t_from, t_to, denoiser, config, u)[0, 0])
-
-    boundaries = []
-    for k in range(n - 1):
-        lo, hi = 0.0, 1.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if draw(mid) <= k:
-                lo = mid
-            else:
-                hi = mid
-        boundaries.append(0.5 * (lo + hi))
-    cdf = np.array(boundaries + [1.0])
-    return np.diff(np.concatenate([[0.0], cdf]))
+def _posterior_of(sched, z, t_from, t_to, row):
+    """reverse_posterior of the (B, L) rows z with the prediction `row` at every position."""
+    z = np.asarray(z)
+    preds = np.broadcast_to(np.asarray(row, dtype=float)[:, None, None], (len(row),) + z.T.shape)
+    return reverse_posterior(sched, z, t_from, t_to, preds)
 
 
 def test_denoise_step_matches_brute_force_kernel():
-    """The sampled categorical equals the one-step backward kernel."""
+    """The posterior equals the one-step backward kernel Q_{t|s}[z_t, z_s] q_s(z_s | x_theta)."""
     rng = np.random.default_rng(17)
     vocab = Vocab(5, 4)
     for kind in ("mask", "hybrid"):
@@ -136,25 +118,20 @@ def test_denoise_step_matches_brute_force_kernel():
             x_theta = rng.random(5)
             x_theta[4] = 0.0
             x_theta /= x_theta.sum()
-            denoiser = _FixedPrediction(x_theta)
             q_to = sched.marginal_mix(t_to, x_theta)
             trans = sched.conditional_transition(t_to, t_from)
-            for z_t in range(5):
-                kernel = np.array(
-                    [trans.matrix()[z_t, z_s] * q_to[z_s] for z_s in range(5)]
-                )
-                if kernel.sum() <= 0:
-                    continue
-                kernel /= kernel.sum()
-                got = _step_probabilities(sched, z_t, float(t_from), float(t_to), denoiser)
-                np.testing.assert_allclose(got, kernel, atol=1e-12)
+            kernel = trans.matrix() * q_to
+            kernel /= kernel.sum(axis=1, keepdims=True)
+            got = _posterior_of(sched, np.arange(5)[None], float(t_from), float(t_to), x_theta)
+            np.testing.assert_allclose(got[:, :, 0].T, kernel, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [5, 9, 12])
 def test_denoise_step_draws_on_the_entries_of_the_last_axis_cdf(n):
     """With u on each entry of the posterior's CDF as the step once formed it,
     vocabulary last (numpy sums a contiguous last axis pairwise from 8
-    entries on), the draw counts that entry: the posterior keeps its bits."""
+    entries on), _inverse_cdf of reverse_posterior counts that entry: the
+    posterior keeps its bits."""
     sched = make_schedule("hybrid", Vocab(n, n - 1), p_u=0.2)
     row = random_prediction(np.random.default_rng(n), n, n - 1)
     z, t_to, t_from = np.arange(n), 0.3, 0.6
@@ -164,11 +141,9 @@ def test_denoise_step_draws_on_the_entries_of_the_last_axis_cdf(n):
     v = trans.beta_pi_ts[z][:, None] * q_to
     v += trans.alpha_ts * q_to * (z[:, None] == np.arange(n))
     cdf = np.add.accumulate((v / np.add.reduce(v, axis=-1, keepdims=True))[:, :-1], axis=-1)
-    config = SamplerConfig(num_steps=1)
+    post = _posterior_of(sched, z[None], t_from, t_to, row)
     for u in cdf.T:
-        got = _denoise_step_batch(
-            sched, z[None], t_from, t_to, _FixedPrediction(row), config, u[None]
-        )[0]
+        got = _inverse_cdf(post, u[:, None])[:, 0]
         np.testing.assert_array_equal(got, np.add.reduce(cdf <= u[:, None], axis=-1))
 
 
@@ -176,18 +151,18 @@ def test_denoise_step_no_op_when_times_equal(two_outcome):
     sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
     oracle = OracleDenoiser(two_outcome, sched)
     z = np.array([[2, 0]])
+    post = reverse_posterior(sched, z, 0.4, 0.4, oracle.predict_batch(z, 0.4).T)
+    np.testing.assert_array_equal(post[:, :, 0].T, np.eye(3)[[2, 0]])
     u = np.random.default_rng(0).random(z.shape)
-    out = _denoise_step_batch(sched, z, 0.4, 0.4, oracle, SamplerConfig(num_steps=1), u)
-    np.testing.assert_array_equal(out, z)
+    np.testing.assert_array_equal(_inverse_cdf(post, u.T).T, z)
 
 
 def test_denoise_step_ordering_error(two_outcome):
     sched = make_schedule("mask", two_outcome.vocab)
     oracle = OracleDenoiser(two_outcome, sched)
     z = np.array([[2, 2]])
-    u = np.random.default_rng(0).random(z.shape)
     with pytest.raises(OrderingError):
-        _denoise_step_batch(sched, z, 0.2, 0.8, oracle, SamplerConfig(num_steps=1), u)
+        reverse_posterior(sched, z, 0.2, 0.8, oracle.predict_batch(z, 0.2).T)
 
 
 def test_one_step_recovery_mask_only(vocab3):
@@ -201,10 +176,72 @@ def test_one_step_recovery_mask_only(vocab3):
     trials = 500
     z = np.array([[2, 2]])
     for _ in range(trials):
-        out = _denoise_step_batch(sched, z, 1 - 1e-4, 1e-4, oracle, config, rng.random(z.shape))
+        out = _step(sched, z, 1 - 1e-4, 1e-4, oracle, config, rng.random(z.shape))
         hits += int(np.array_equal(out[0], [0, 1]))
     # per-token unmask probability is (1 - 2 eps) / (1 - eps) > 1 - 1e-3
     assert hits / trials > 0.99
+
+
+def _posterior_by_hand(sched, z, t_from, t_to, preds):
+    """The (N, L, D) posterior as the fused step formed it, for bit comparisons."""
+    at_to = sched.terms(t_to)
+    trans = at_to.to(sched.terms(t_from))
+    q_to = at_to.alpha * preds + at_to.beta_pi[:, None, None]
+    v = trans.beta_pi_ts[z.T] * q_to
+    v += trans.alpha_ts * q_to * (z.T == np.arange(len(q_to))[:, None, None])
+    return v / _vocab_sum(v)
+
+
+@pytest.mark.parametrize("kind", ["mask", "hybrid"])
+def test_reverse_posterior_carries_a_revealed_token_over(kind, five_outcome):
+    """A prediction with no mass on a revealed token left the posterior no
+    support under `mask`, and the step raised EmptySupportError. Masking never
+    changes a revealed token, so the posterior is one-hot there. Under hybrid
+    noise every position has support, and the posterior keeps its bits."""
+    sched = make_schedule(kind, five_outcome.vocab, p_u=0.2 if kind == "hybrid" else 0.0)
+    z = np.array([[2, 4, 2], [0, 4, 4]])
+    preds = np.broadcast_to(np.eye(5)[:, [0]][:, :, None], (5, 3, 2))
+    post = reverse_posterior(sched, z, 0.6, 0.3, preds)
+    revealed = z.T == 2
+    if kind == "mask":
+        np.testing.assert_array_equal(post[:, revealed], np.eye(5)[:, [2, 2]])
+        with np.errstate(invalid="ignore"):
+            by_hand = _posterior_by_hand(sched, z, 0.6, 0.3, preds)
+        np.testing.assert_array_equal(post[:, ~revealed], by_hand[:, ~revealed])
+    else:
+        np.testing.assert_array_equal(post, _posterior_by_hand(sched, z, 0.6, 0.3, preds))
+        assert np.all(post[0, revealed] > 0.0)
+
+
+_PREDICTION = st.one_of(
+    st.integers(0, 4).map(lambda k: np.eye(5)[k]),
+    st.lists(st.sampled_from([0.0, 1e-300, 0.5]) | st.floats(0.0, 1.0), min_size=5, max_size=5)
+    .filter(lambda w: sum(w) > 0.0)
+    .map(lambda w: np.array(w) / sum(w)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["mask", "hybrid"]),
+    times=st.tuples(st.floats(1e-4, 1 - 1e-4), st.floats(1e-4, 1 - 1e-4)),
+    cells=st.lists(st.tuples(st.integers(0, 4), _PREDICTION), min_size=1, max_size=6),
+)
+@example(kind="mask", times=(0.3, 0.3), cells=[(0, np.eye(5)[1]), (4, np.eye(5)[1])])
+def test_reverse_posterior_never_fails(kind, times, cells):
+    """Over s <= t, rows that include the mask, and non-negative predictions
+    with zero entries and one-hots, the posterior never raises, its rows sum
+    to one, and it puts mass only where Q_{t|s}(z_t | z_s) > 0."""
+    sched = make_schedule(kind, Vocab(5, 4), p_u=0.2 if kind == "hybrid" else 0.0)
+    t_to, t_from = sorted(times)
+    z = np.array([[token for token, _ in cells] + [4]])
+    preds = np.array([pred for _, pred in cells] + [np.eye(5)[0]]).T[:, :, None]
+    post = reverse_posterior(sched, z, t_from, t_to, preds)
+    assert post.shape == preds.shape
+    np.testing.assert_allclose(post.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+    allowed = sched.conditional_transition(t_to, t_from).matrix()[z[0]].T > 0.0
+    assert np.all(post[:, :, 0][~allowed] == 0.0)
+    assert np.all(post >= 0.0)
 
 
 def test_ancestral_sample_single_outcome(vocab3):
@@ -324,7 +361,7 @@ class _Recording(Denoiser):
     """Wraps a denoiser and keeps every batch it is asked to predict."""
 
     def __init__(self, inner):
-        self.inner = inner
+        self.inner, self.vocab = inner, inner.vocab
         self.batches = []
 
     def predict_batch(self, z_seqs, t):
@@ -332,9 +369,9 @@ class _Recording(Denoiser):
         return self.inner.predict_batch(z_seqs, t)
 
 
-def _step_or_error(*args):
+def _or_error(run, *args):
     try:
-        return _denoise_step_batch(*args)
+        return run(*args)
     except (EmptySupportError, DegenerateEvidenceError) as exc:
         return type(exc)
 
@@ -345,36 +382,28 @@ def _step_or_error(*args):
     adapt=st.sampled_from(
         [(1.0, 0.0), (0.5, 0.0), (2.0, 0.0), (1e-12, 0.0), (1.0, 0.2), (0.7, 0.1)]
     ),
-    times=st.tuples(st.floats(1e-3, 0.999), st.floats(1e-3, 0.999)),
-    data=st.data(),
+    steps=st.integers(1, 6),
+    count=st.integers(1, 24),
+    seed=st.integers(0, 2**64 - 1),
 )
-def test_deduplicated_step_equals_rows_stepped_alone(kind, adapt, times, data):
-    """Rows that agree share one posterior; each row still draws with its own
-    uniforms, so the batch equals its rows stepped one at a time."""
+def test_deduplicated_step_equals_rows_stepped_alone(kind, adapt, steps, count, seed):
+    """Rows that agree share one prediction and one posterior; each row still
+    draws with its own uniforms, so the sample equals the step loop that
+    shares nothing, and the denoiser sees each step's distinct rows once."""
     outcomes = (((0, 1, 2), 0.5), ((1, 1, 0), 0.3), ((2, 0, 0), 0.2))
     dist = ToyDistribution(Vocab(4, 3), 3, outcomes)
     sched = make_schedule(kind, dist.vocab, p_u=0.2 if kind == "hybrid" else 0.0)
-    config = SamplerConfig(num_steps=1, temperature=adapt[0], min_p=adapt[1])
-    t_to, t_from = sorted(times)
-    token = st.integers(0, dist.vocab.size - 1)
-    bases = data.draw(st.lists(st.tuples(token, token, token), min_size=1, max_size=4))
-    picks = data.draw(st.lists(st.integers(0, len(bases) - 1), min_size=1, max_size=24))
-    z = np.array([bases[k] for k in picks], dtype=np.int64)
-    u = np.random.default_rng(len(picks)).random(z.shape)
-    recorder = _Recording(OracleDenoiser(dist, sched))
-    batch = _step_or_error(sched, z, t_from, t_to, recorder, config, u)
-    alone = [
-        _step_or_error(sched, z[i : i + 1], t_from, t_to, recorder.inner, config, u[i : i + 1])
-        for i in range(len(z))
-    ]
-    assert len(recorder.batches) == 1
-    (seen,) = recorder.batches
-    assert sorted(map(tuple, seen.tolist())) == sorted(set(map(tuple, z.tolist())))
-    errors = [r for r in alone if isinstance(r, type)]
-    if errors:
-        assert batch in errors
+    config = SamplerConfig(num_steps=steps, temperature=adapt[0], min_p=adapt[1], seed=seed)
+    shared, alone = _Recording(OracleDenoiser(dist, sched)), _Recording(OracleDenoiser(dist, sched))
+    batch = _or_error(ancestral_sample_batch, sched, 3, shared, config, count)
+    loop = _or_error(_sample_batch_loop, sched, 3, alone, config, count)
+    assert len(shared.batches) == len(alone.batches)
+    for seen, rows in zip(shared.batches, alone.batches):
+        np.testing.assert_array_equal(seen, np.unique(rows, axis=0))
+    if isinstance(loop, type):
+        assert batch is loop
     else:
-        np.testing.assert_array_equal(batch, np.concatenate(alone))
+        np.testing.assert_array_equal(batch, loop)
 
 
 def test_ancestral_sample_two_outcome_frequencies(two_outcome):
@@ -547,15 +576,13 @@ _FIVE = ToyDistribution(
 
 def _sample_batch_loop(schedule, length, denoiser, config, count):
     """ancestral_sample_batch's reference, as it was before the row hash was
-    hoisted out of the steps: a row-major batch, and counter_uniforms and
-    _denoise_step_batch at every step."""
+    hoisted out of the steps and the rows shared: a row-major batch, and
+    counter_uniforms and _step at every step."""
     grid = config.time_grid(schedule.eps_t)
     z = np.full((count, length), schedule.vocab.mask_id, dtype=np.int64)
     for i in range(config.num_steps, 0, -1):
-        u = np.ascontiguousarray(counter_uniforms(config.seed, i, count, length))
-        z = _denoise_step_batch(
-            schedule, z, float(grid[i]), float(grid[i - 1]), denoiser, config, u
-        )
+        u = counter_uniforms(config.seed, i, count, length)
+        z = _step(schedule, z, float(grid[i]), float(grid[i - 1]), denoiser, config, u)
     return z
 
 
