@@ -23,6 +23,7 @@ from .metrics import _probs_at, self_accuracy_from_probs
 from .schedule import (
     DEFAULT_EPS_T,
     MixingSchedule,
+    Terms,
     check_count,
     check_denoised,
     check_fits,
@@ -135,20 +136,14 @@ def adapt_distribution(p: np.ndarray, temperature: float = 1.0, min_p: float = 0
     return out / totals
 
 
-def reverse_posterior(
-    schedule: MixingSchedule, z: np.ndarray, t_from: float, t_to: float, preds: np.ndarray
-) -> np.ndarray:
-    """The normalised (N, L, D) posterior over z_s at t_to of the (D, L) rows z
-    at t_from, given their adapted (N, L, D) predictions, vocabulary first:
-    v(z_s) ~ q_{t_from|t_to}(z_t | z_s) q_{t_to}(z_s | x_theta).
+def reverse_posterior(at_from: Terms, at_to: Terms, z: np.ndarray, preds: np.ndarray) -> np.ndarray:
+    """The normalised (N, L, D) posterior over z_s at at_to.t of the (D, L)
+    rows z at at_from.t, given their adapted (N, L, D) predictions, vocabulary
+    first: v(z_s) ~ q_{t_from|t_to}(z_t | z_s) q_{t_to}(z_s | x_theta).
 
-    The closed forms at t_from are those the step before evaluated at its
-    t_to, kept by the schedule, so a chain of steps evaluates each time once.
     A position with no support is a revealed z_t that the prediction misses
     under p_u = 0; masking never changes a revealed token, so it carries over.
     """
-    at_from = schedule.terms(t_from)
-    at_to = schedule.terms(t_to)
     trans = at_to.to(at_from)
     q_to = at_to.alpha * preds + at_to.beta_pi[:, None, None]
     # v[:,l,d] = bp_ts[z_t] * q_to[:,l,d] with alpha_ts * q_to at z_s = z_t.
@@ -180,13 +175,16 @@ def ancestral_sample_batch(
     grid = config.time_grid(schedule.eps_t)
     hashes = counter_hash(config.seed, np.arange(count, dtype=np.uint64))
     z = np.full((length, count), schedule.vocab.mask_id, dtype=np.int64).T
+    at_from = schedule.terms(grid[-1])
     for i in range(config.num_steps, 0, -1):
-        t_from, t_to = float(grid[i]), float(grid[i - 1])
         rows, inverse = _distinct_rows(z, schedule.vocab.size)
-        preds = denoiser.predict_batch(rows, t_from)
+        preds = denoiser.predict_batch(rows, at_from.t)
+        # after predict_batch, whose terms(t_from) then reads the schedule's last evaluation
+        at_to = schedule.terms(grid[i - 1])
         preds = adapt_distribution(preds, config.temperature, config.min_p).T
-        post = reverse_posterior(schedule, rows, t_from, t_to, preds)
+        post = reverse_posterior(at_from, at_to, rows, preds)
         z = _inverse_cdf(post, _step_uniforms(hashes, i, length), inverse).T
+        at_from = at_to
     return np.ascontiguousarray(z)
 
 

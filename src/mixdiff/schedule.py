@@ -268,13 +268,15 @@ class Terms:
                 v.flags.writeable = False
 
     def to(self, later: Terms) -> ConditionalTransition:
-        """The kernel Q_{t|s} from these times s to the times t of `later`."""
+        """The kernel Q_{t|s} from these times s to the times t of `later`. Its beta_pi_ts
+        is clamped at 0: at times a few ulps apart it can round to -1e-17 under hybrid noise."""
         after = self.t > later.t
         if np.logical_or.reduce(after, axis=None):
             s, t = (np.broadcast_to(v.t, np.shape(after))[after].item(0) for v in (self, later))
             raise OrderingError(f"need s <= t, got s={s!r} > t={t!r}")
         a_ts = later.alpha / self.alpha
-        return ConditionalTransition(a_ts, later.beta_pi - (a_ts * self.beta_pi.T).T)
+        beta_pi_ts = later.beta_pi - (a_ts * self.beta_pi.T).T
+        return ConditionalTransition(a_ts, np.maximum(beta_pi_ts, 0.0))
 
     @property
     def alpha_prime(self) -> float | np.ndarray:

@@ -91,6 +91,27 @@ def check_column_stochasticity(seed=2, cases=200, n=6, tol=1e-12):
     return "column_stochasticity", ok and worst <= tol, f"max column-sum error {worst:.3e}"
 
 
+def check_forward_kernel_nonnegative(seed=11, cases=1000, n=6):
+    """Q_{t|s} >= 0 entrywise at random s <= t and at s one to four ulps
+    below t, and the generator R_t is >= 0 off its diagonal."""
+    rng = np.random.default_rng(seed)
+    kernel, rate, off = np.inf, np.inf, ~np.eye(n, dtype=bool)
+    for sched in _schedules(n):
+        pairs = [np.sort(_rand_times(sched, rng, (cases, 2)), axis=1).T]
+        s = t = _rand_times(sched, rng, cases)
+        for _ in range(4):
+            t = np.nextafter(t, 1.0)
+            pairs.append((s, t))
+        s, t = np.concatenate(pairs, axis=1)
+        kernel = min(kernel, float(sched.conditional_transition(s, t).matrix().min()))
+        rate = min(rate, float(sched.generator(t)[:, off].min()))
+    return (
+        "forward_kernel_nonnegative",
+        kernel >= 0.0 and rate >= 0.0,
+        f"min kernel entry {kernel:.3e}; min off-diagonal rate {rate:.3e}",
+    )
+
+
 def check_forward_rate_fd(seed=3, cases=200, n=6, delta=1e-6, rtol=1e-4):
     """Central finite differences of q_{t+d|t} match the generator."""
     rng = np.random.default_rng(seed)
@@ -301,6 +322,7 @@ ALL_CHECKS = (
     check_chapman_kolmogorov,
     check_marginal_consistency,
     check_column_stochasticity,
+    check_forward_kernel_nonnegative,
     check_forward_rate_fd,
     check_generator_rows,
     check_backward_rows,

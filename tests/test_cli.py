@@ -14,7 +14,7 @@ import pytest
 import mixdiff
 from mixdiff import ToyDistribution, Vocab
 from mixdiff.cli import main
-from mixdiff.schedule import Terms
+from mixdiff.schedule import ConditionalTransition, Terms
 
 
 def run(capsys, argv):
@@ -697,16 +697,16 @@ def test_verify_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True
-    assert len(payload["checks"]) == 15
+    assert len(payload["checks"]) == 16
     assert all(c["passed"] for c in payload["checks"])
 
 
 def test_verify_same_bytes(capsys):
-    """stdout sha256 recorded when backward_rows_sum_zero gained its backward flow reference."""
+    """stdout sha256 recorded when forward_kernel_nonnegative joined the checks."""
     code, out, _ = run(capsys, ["verify"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "f29e7ae9cd1ff325366f9d7dc19ab1744586dd1a4edf9b1048a54ffb1867009e"
+        "855b7baa1e953237704e08339b52f2f202f489b24e3ae11d040b00e6f0394c0e"
     )
 
 
@@ -723,6 +723,23 @@ def test_verify_fails_when_a_closed_form_is_off(capsys):
     failed = {c["name"] for c in payload["checks"] if not c["passed"]}
     assert {"forward_rate_fd", "generator_rows_sum_zero"} <= failed
     assert "chapman_kolmogorov" not in failed
+
+
+def test_verify_fails_when_the_forward_kernel_is_not_clamped(capsys):
+    """Without the clamp at 0 in Terms.to, beta_pi_ts rounds below 0 at times
+    a few ulps apart under hybrid noise: verify exits 3, and only
+    forward_kernel_nonnegative sees it."""
+    to = Terms.to
+
+    def unclamped(self, later):
+        a_ts = to(self, later).alpha_ts
+        return ConditionalTransition(a_ts, later.beta_pi - (a_ts * self.beta_pi.T).T)
+
+    with mock.patch.object(Terms, "to", unclamped):
+        code, out, _ = run(capsys, ["verify"])
+    assert code == 3
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == ["forward_kernel_nonnegative"]
 
 
 def test_self_correct_zero_iterations_is_usage_error(capsys, tmp_path, dist_file, corpus_file):

@@ -28,6 +28,7 @@ from mixdiff import (
     self_correct_batch,
     table_train,
     unigram_entropy,
+    verify,
 )
 from mixdiff.errors import OrderingError, TimeRangeError
 from mixdiff.elbo import stratified_times
@@ -730,6 +731,32 @@ def test_accepted_domain_is_a_diffusion(gamma, p_u, eps_t):
     assert all(np.isfinite(v).all() for v in forms)
     assert (terms.rate >= 0.0).all()
     assert (matrix >= 0.0).all()
+
+
+@pytest.mark.parametrize("eps_t", [2.0**-53, 1e-4, 0.49])
+@pytest.mark.parametrize("p_u", [0.0, 0.2, 0.999])
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 2.0])
+def test_verify_holds_at_the_corners_of_the_domain(gamma, p_u, eps_t, monkeypatch):
+    """Every verify check passes, with the mask schedule and the hybrid one at
+    a corner of the accepted domain as its pair of schedules, wherever its own
+    derivation applies: backward_rows_sum_zero's flow bound is derived for
+    gamma = 1, and its inner times and those of both finite-difference checks
+    lie in [0.01, 0.99], so those need eps_t <= 0.01."""
+
+    def schedules(n):
+        vocab = Vocab(n, n - 1)
+        hybrid = make_schedule("hybrid", vocab, p_u=p_u, gamma=gamma, eps_t=eps_t)
+        return make_schedule("mask", vocab, eps_t=eps_t), hybrid
+
+    monkeypatch.setattr(verify, "_schedules", schedules)
+    inner = eps_t <= 0.01
+    applies = {
+        verify.check_backward_rows: gamma == 1.0 and inner,
+        verify.check_forward_rate_fd: inner,
+        verify.check_backward_rate_fd: inner,
+    }
+    results = [check() for check in verify.ALL_CHECKS if applies.get(check, True)]
+    assert [(name, detail) for name, passed, detail in results if not passed] == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
