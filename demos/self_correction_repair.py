@@ -18,8 +18,9 @@ from mixdiff import (
     generative_nll,
     make_schedule,
     self_accuracy,
-    self_correct,
+    self_correct_batch,
 )
+from mixdiff.sampler import derive_seeds
 
 
 def main():
@@ -36,33 +37,27 @@ def main():
     )
     sched = make_schedule("hybrid", vocab, p_u=0.2)
     oracle = OracleDenoiser(dist, sched)
-    cfg = SelfCorrectConfig(temperature=0.1, seed=0)
+    cfg = SelfCorrectConfig(temperature=0.1)
 
     rng = np.random.default_rng(42)
-    num = 200
-    repaired = 0
-    acc_before, acc_after = [], []
-    corrupted_all, fixed_all = [], []
-    for _ in range(num):
-        clean = dist.sample(rng, 1)[0]
-        noisy = clean.copy()
-        for i in range(len(noisy)):
-            if rng.random() < 0.2:
-                others = [v for v in range(vocab.size - 1) if v != noisy[i]]
-                noisy[i] = rng.choice(others)
-        result = self_correct(noisy, oracle, cfg, vocab.mask_id)
-        corrupted_all.append(noisy)
-        fixed_all.append(result.sequence)
-        repaired += dist.prob_of(result.sequence) > 0.0
-        acc_before.append(self_accuracy(noisy, oracle, sched.eps_t))
-        acc_after.append(self_accuracy(result.sequence, oracle, sched.eps_t))
+    num, data_tokens = 200, vocab.size - 1
+    clean = dist.sample(rng, num)
+    # each token flips with probability 0.2 to one of the other data tokens, uniformly
+    flip = rng.random(clean.shape) < 0.2
+    shift = rng.integers(1, data_tokens, size=clean.shape)
+    corrupted = np.where(flip, (clean + shift) % data_tokens, clean)
+    # one stream per row, as `mixdiff self-correct` draws them
+    results = self_correct_batch(corrupted, oracle, cfg, vocab.mask_id, derive_seeds(0, num))
+    fixed = np.array([result.sequence for result in results])
+    acc_before = self_accuracy(corrupted, oracle, sched.eps_t)
+    acc_after = self_accuracy(fixed, oracle, sched.eps_t)
+    nll_before, out_before = generative_nll(corrupted, dist, floor=1e-30)
+    nll_after, out_after = generative_nll(fixed, dist, floor=1e-30)
 
     print(f"{num} corrupted sequences, Bernoulli(0.2) per-token corruption")
-    print(f"repaired to an in-support outcome: {repaired / num:.1%}")
+    print(f"repaired to an in-support outcome: {(num - out_after) / num:.1%}")
     print(f"mean self-accuracy before: {np.mean(acc_before):.3f}")
     print(f"mean self-accuracy after:  {np.mean(acc_after):.3f}")
-    nll_before, out_before = generative_nll(corrupted_all, dist, floor=1e-30)
-    nll_after, out_after = generative_nll(fixed_all, dist, floor=1e-30)
     print(f"floored per-sequence NLL before: {nll_before:.2f} ({out_before} off-support)")
     print(f"floored per-sequence NLL after:  {nll_after:.2f} ({out_after} off-support)")
 

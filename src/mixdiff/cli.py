@@ -151,14 +151,9 @@ def load_denoiser(args, cfg):
 
 
 def cmd_noise(args, cfg: dict) -> int:
+    times = [float(v) for v in args.t.split(",")]
     vocab, seqs = read_corpus(args.corpus)
     sched = build_schedule(cfg, vocab)
-    if args.t_grid:
-        times = [float(v) for v in args.t_grid.split(",")]
-    else:
-        times = [args.t]
-    if any(t is None for t in times):
-        raise CorpusFormatError("provide --t or --t-grid")
     rng = np.random.default_rng(cfg["seed"])
     # sequence j at time i is row i * len(seqs) + j: the draws of one call per time in turn
     out = noise_sequence(sched, np.tile(seqs, (len(times), 1)), np.repeat(times, len(seqs)), rng)
@@ -303,43 +298,44 @@ def cmd_weights_csv(args, cfg: dict) -> int:
     return 0
 
 
-# The flags of every command, then per command its function, its help and
-# its own flags, where a trailing "!" marks a required one. A flag takes a
-# value of its FLAG_OPTIONS type, else of its DEFAULTS type, else text.
-COMMON_FLAGS = "config schedule p-u gamma eps-t seed mode w-max"
+# Per command its function, its help and exactly the flags it reads, where a
+# trailing "!" marks a required one. A flag takes a value of its FLAG_OPTIONS
+# type, else of its DEFAULTS type, else text. A config file may also hold keys
+# that only other commands read.
+SCHEDULE = "config schedule p-u gamma eps-t"  # the keys build_schedule reads, and their file
 COMMANDS = {
-    "noise": (cmd_noise, "resample corpus tokens from the forward marginal", "corpus! t t-grid"),
-    "nelbo": (cmd_nelbo, "Monte Carlo NELBO of a corpus", "corpus! dist table num-mc"),
-    "sample": (
-        cmd_sample,
-        "ancestral sampling from an all-mask start",
-        "dist table count steps temperature min-p out!",
-    ),
-    "self-correct": (
-        cmd_self_correct,
-        "fixed-point token resampling",
-        "corpus! dist table temperature patience max-iters t-condition out!",
-    ),
-    "train": (cmd_train, "train the tabular denoiser", "dist! steps lr batch t-buckets out!"),
-    "oracle-eval": (cmd_oracle_eval, "oracle NELBO vs exact NLL", "dist! num-mc"),
+    "noise": (cmd_noise, "resample corpus tokens from the forward marginal",
+              f"{SCHEDULE} seed corpus! t!"),
+    "nelbo": (cmd_nelbo, "Monte Carlo NELBO of a corpus",
+              f"{SCHEDULE} seed mode w-max corpus! dist table num-mc"),
+    "sample": (cmd_sample, "ancestral sampling from an all-mask start",
+               f"{SCHEDULE} seed dist table count steps temperature min-p out!"),
+    "self-correct": (cmd_self_correct, "fixed-point token resampling",
+                     f"{SCHEDULE} seed corpus! dist table temperature patience max-iters"
+                     " t-condition out!"),
+    "train": (cmd_train, "train the tabular denoiser",
+              f"{SCHEDULE} seed mode w-max dist! steps lr batch t-buckets out!"),
+    "oracle-eval": (cmd_oracle_eval, "oracle NELBO vs exact NLL",
+                    f"{SCHEDULE} seed mode w-max dist! num-mc"),
     "verify": (cmd_verify, "run all invariant suites", ""),
-    "weights-csv": (cmd_weights_csv, "export loss-weight curves", "vocab-size grid-size"),
+    "weights-csv": (cmd_weights_csv, "export loss-weight curves",
+                    f"{SCHEDULE} vocab-size grid-size"),
 }
 FLAG_OPTIONS = {
     "config": {"help": "key=value config file"},
     "schedule": {"choices": ["mask", "hybrid"]},
     "mode": {"choices": ["exact", "clamp", "dynamic"]},
-    "t": {"type": float},
+    "t": {"help": "a time or comma-separated times"},
     "vocab_size": {"type": int, "default": 5},
 }
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="mixdiff", description=__doc__)
+    parser = _Parser(prog="mixdiff", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, help_text, flags) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for flag in f"{COMMON_FLAGS} {flags}".split():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
             name = flag.rstrip("!")
             dest = name.replace("-", "_")
             options = FLAG_OPTIONS.get(dest, {"type": CONFIG_KEYS.get(dest, str)})

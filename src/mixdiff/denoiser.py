@@ -397,6 +397,8 @@ class TrainingReport:
 # Examples per block of table_train: what one block holds bounds the memory
 # of a call, whatever its number of steps.
 TRAIN_BLOCK = 4096
+# The training loss is recorded at every TRAJECTORY_EVERY-th step and the last.
+TRAJECTORY_EVERY = 50
 
 
 def table_train(
@@ -407,7 +409,6 @@ def table_train(
     batch: int = 64,
     mode: WeightingMode = EXACT,
     seed: int = 0,
-    trajectory_every: int = 50,
 ) -> TrainingReport:
     """Minibatch gradient descent on the per-token loss.
 
@@ -425,12 +426,11 @@ def table_train(
     their own. Each step then runs masked_softmax's math on a vocabulary-first
     copy of its logits, model_marginal and target_grad. The loss values, at
     the table as each step began, are computed only for the steps the
-    trajectory records (every trajectory_every-th and the last). A block
+    trajectory records (every TRAJECTORY_EVERY-th and the last). A block
     raises only in loss_target or logits_for, before its first update, so
     then the table holds the updates of the blocks before it.
     """
     batch, steps = check_count("batch", batch), check_count("steps", steps, least=0)
-    trajectory_every = check_count("trajectory_every", trajectory_every)
     check_fits("schedule", schedule, "distribution", dist)
     check_fits("table", table, "distribution", dist)
     rng = np.random.default_rng(seed)
@@ -456,7 +456,7 @@ def table_train(
             work = table.logits.take(e, axis=0).transpose(2, 0, 1).copy()
             work[mask_id] = -np.inf
             model = model_marginal(part, softmax(work))
-            if step % trajectory_every == 0 or step == steps - 1:
+            if step % TRAJECTORY_EVERY == 0 or step == steps - 1:
                 w, kl, is_term = target_loss(part, model)
                 losses = (w * (kl + is_term)).sum(axis=-1)
                 trajectory.append(sum((losses / length).tolist()) / batch)

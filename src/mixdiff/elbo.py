@@ -213,11 +213,16 @@ def mdm_loss(schedule: MixingSchedule, t, z_t, x, x_theta: np.ndarray) -> float 
     return np.where(np.equal(z_t, schedule.vocab.mask_id), loss, 0.0)[()]
 
 
+def _grid_times(k, n: int, eps_t: float) -> np.ndarray:
+    """min(eps + (1 - 2 eps) k / n, 1 - eps) for k in [0, n]: for k near n the
+    sum can round one ulp past 1 - eps, a time the schedule refuses."""
+    return np.minimum(eps_t + (1.0 - 2.0 * eps_t) * k / n, 1.0 - eps_t)
+
+
 def stratified_times(num_mc: int, offset: float, eps_t: float) -> np.ndarray:
     """Low-discrepancy time grid: one shared uniform offset per batch."""
     num_mc = check_count("num_mc", num_mc)
-    idx = np.arange(num_mc, dtype=float)
-    return eps_t + (1.0 - 2.0 * eps_t) * (idx + offset) / num_mc
+    return _grid_times(np.arange(num_mc, dtype=float) + offset, num_mc, eps_t)
 
 
 def _inverse_cdf(rows: np.ndarray, u: np.ndarray, inverse=None) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import Denoiser, _distinct_rows
-from .elbo import _inverse_cdf, _vocab_sum, softmax
+from .elbo import _grid_times, _inverse_cdf, _vocab_sum, softmax
 from .errors import EmptySupportError
 from .metrics import _probs_at, self_accuracy_from_probs
 from .schedule import (
@@ -92,8 +92,7 @@ class SamplerConfig:
 
     def time_grid(self, eps_t: float) -> np.ndarray:
         """t_i = eps + (1 - 2 eps) i / T for i = 0..T, strictly increasing, <= 1 - eps."""
-        i = np.arange(self.num_steps + 1, dtype=float)
-        return np.minimum(eps_t + (1.0 - 2.0 * eps_t) * i / self.num_steps, 1.0 - eps_t)
+        return _grid_times(np.arange(self.num_steps + 1, dtype=float), self.num_steps, eps_t)
 
 
 @dataclass(frozen=True)

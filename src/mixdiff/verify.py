@@ -81,14 +81,12 @@ def check_marginal_consistency(seed=1, cases=500, n=8, tol=1e-12):
 
 def check_column_stochasticity(seed=2, cases=200, n=6, tol=1e-12):
     rng = np.random.default_rng(seed)
-    ok = True
     worst = 0.0
     for sched in _schedules(n):
         s, t = np.sort(_rand_times(sched, rng, (cases, 2)), axis=1).T
         q = sched.conditional_transition(s, t).matrix()
         worst = max(worst, float(np.abs(q.sum(axis=-2) - 1.0).max()))
-        ok = ok and bool(np.all(q >= -tol))
-    return "column_stochasticity", ok and worst <= tol, f"max column-sum error {worst:.3e}"
+    return "column_stochasticity", worst <= tol, f"max column-sum error {worst:.3e}"
 
 
 def check_forward_kernel_nonnegative(seed=11, cases=1000, n=6):

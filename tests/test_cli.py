@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import mixdiff
-from mixdiff import ToyDistribution, Vocab
+from mixdiff import ToyDistribution, Vocab, cli
 from mixdiff.cli import main
 from mixdiff.schedule import ConditionalTransition, Terms
 
@@ -80,15 +81,17 @@ def test_noise_grid_same_bytes(capsys, tmp_path, flags, digest):
     seqs = [(0, 1, 2, 3), (3, 3, 3, 3), (1, 0, 2, 2), (0, 0, 0, 1), (2, 1, 0, 3)]
     write_corpus(path, Vocab(5, 4), seqs)
     code, out, _ = run(
-        capsys, ["noise", "--corpus", str(path), "--t-grid", "0.3,0.7", "--seed", "5", *flags]
+        capsys, ["noise", "--corpus", str(path), "--t", "0.3,0.7", "--seed", "5", *flags]
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_noise_missing_time_is_data_error(capsys, corpus_file):
-    code, _, err = run(capsys, ["noise", "--corpus", corpus_file])
-    assert code == 2
+def test_noise_missing_time_is_usage_error(corpus_file):
+    """noise without --t used to exit 2, as if the corpus were at fault."""
+    with pytest.raises(SystemExit) as exc:
+        main(["noise", "--corpus", corpus_file])
+    assert exc.value.code == 1
 
 
 def test_bad_corpus_is_data_error(capsys, tmp_path):
@@ -854,6 +857,99 @@ def test_corpus_commands_same_bytes(capsys, tmp_path, pinned_inputs, case):
         hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None,
     )
     assert got == CORPUS_COMMAND_PINS[case]
+
+
+class _Reads:
+    """An object's attributes, recording the name of each one read."""
+
+    def __init__(self, target, reads):
+        self._target, self._reads = target, reads
+
+    def __getattr__(self, name):
+        self._reads.add(name)
+        return getattr(self._target, name)
+
+
+class _ReadsDict(dict):
+    """A dict recording each key read by subscript; dict.copy(...) reads without recording."""
+
+    def __init__(self, values, reads):
+        super().__init__(values)
+        self._reads = reads
+
+    def __getitem__(self, key):
+        self._reads.add(key)
+        return super().__getitem__(key)
+
+
+def _accepted_flags():
+    """{command: set of the dests of its flags} as the parser accepts them."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        command: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+        for command, p in sub.choices.items()
+    }
+
+
+def test_every_accepted_flag_is_read(capsys, tmp_path, monkeypatch, pinned_inputs):
+    """Each command reads every flag it accepts, on some valid invocation: an
+    argument of its own, or a config key outside the JSON echo of the config.
+    `--config` counts as read when the command reads a config key. `verify`
+    used to take eight flags it never read, and `sample --mode clamp` exited
+    0 reporting a mode that changed nothing."""
+    dist, table, corpus = (
+        str(pinned_inputs / f"{name}.txt") for name in ("dist", "table", "clean")
+    )
+    out = str(tmp_path / "out.txt")
+    invocations = [
+        ["noise", "--corpus", corpus, "--t", "0.5"],
+        ["nelbo", "--corpus", corpus, "--dist", dist, "--num-mc", "2"],
+        ["nelbo", "--corpus", corpus, "--table", table, "--num-mc", "2"],
+        ["sample", "--dist", dist, "--count", "2", "--steps", "2", "--out", out, *HYBRID],
+        ["sample", "--table", table, "--count", "2", "--steps", "2", "--out", out],
+        ["self-correct", "--corpus", corpus, "--dist", dist, "--out", out],
+        ["self-correct", "--corpus", corpus, "--table", table, "--out", out],
+        ["train", "--dist", dist, "--steps", "2", "--out", out],
+        ["oracle-eval", "--dist", dist, "--num-mc", "2"],
+        ["verify"],
+        ["weights-csv", "--grid-size", "3"],
+    ]
+    echo = cli.emit_json
+    monkeypatch.setattr(cli, "emit_json", lambda payload, cfg: echo(payload, dict.copy(cfg)))
+    accepted = _accepted_flags()
+    read = {command: set() for command in accepted}
+    for argv in invocations:
+        args = cli.build_parser().parse_args(argv)
+        arg_reads, cfg_reads = set(), set()
+        code = args.func(_Reads(args, arg_reads), _ReadsDict(cli.resolve_config(args), cfg_reads))
+        assert code == 0, argv
+        read[argv[0]] |= arg_reads | cfg_reads | ({"config"} if cfg_reads else set())
+    assert {command: accepted[command] - read[command] for command in accepted} == {
+        command: set() for command in accepted
+    }
+    assert sum(map(len, accepted.values())) == 78
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--dist", "d.txt", "--out", "o.txt", "--mode", "clamp"],
+        ["self-correct", "--corpus", "c.txt", "--dist", "d.txt", "--out", "o.txt", "--w-max", "2"],
+        ["weights-csv", "--grid", "3"],
+        ["weights-csv", "--seed", "3"],
+        ["verify", "--seed", "3"],
+        ["sample", "--dist", "d.txt", "--out", "o.txt", "--min", "0.1"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if a.startswith("-") or a == argv[0]),
+)
+def test_flag_a_command_does_not_read_is_usage_error(capsys, argv):
+    """A flag a command does not read, or a prefix of one it does, exits 1
+    before any file is opened: `--grid 3` used to stand for `--grid-size 3`."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error: " in capsys.readouterr().err
 
 
 def _misfit_argv(tmp_path, dist_file, command, denoiser, corpus_text):

@@ -848,9 +848,8 @@ def test_table_train_equals_step_by_step(
         path.write_text("\n".join(lines) + "\n")
         table = LogitTable.load(str(path))
     begin = {key: v.copy() for key, v in table.table.items()}
-    report = table_train(
-        dist, sched, table, steps, batch, mode, seed, trajectory_every=trajectory_every
-    )
+    with mock.patch("mixdiff.denoiser.TRAJECTORY_EVERY", trajectory_every):
+        report = table_train(dist, sched, table, steps, batch, mode, seed)
     *expect, entries = _train_step_by_step(
         dist, sched, table, steps, batch, mode, seed, trajectory_every, entries=begin
     )
@@ -900,9 +899,7 @@ def test_logit_table_validates_parameters(vocab3, kwargs, match):
         LogitTable(vocab3, 2, **kwargs)
 
 
-@pytest.mark.parametrize(
-    "kwargs", [{"batch": 0}, {"batch": -1}, {"steps": -3}, {"trajectory_every": 0}]
-)
+@pytest.mark.parametrize("kwargs", [{"batch": 0}, {"batch": -1}, {"steps": -3}])
 def test_table_train_names_bad_arguments(two_outcome, kwargs):
     sched = make_schedule("hybrid", two_outcome.vocab, p_u=0.2)
     table = LogitTable(two_outcome.vocab, 2)

@@ -157,6 +157,16 @@ def test_stratified_times_midpoints():
     assert grid[0] >= 1e-4 and grid[-1] <= 1 - 1e-4
 
 
+@pytest.mark.parametrize("num_mc, eps_t", [(5, 1e-4), (10, 1e-4), (19, 1e-4), (5, 0.01), (3, 0.3)])
+def test_stratified_times_at_the_largest_offset_stay_in_range(num_mc, eps_t):
+    """An offset of 1 - 2**-53, the largest rng.random() draw, used to put the
+    last time one ulp past 1 - eps_t (0.9999000000000001 at num_mc 5), a time
+    the schedule refuses."""
+    grid = stratified_times(num_mc, 1.0 - 2.0**-53, eps_t)
+    assert grid[-1] == 1.0 - eps_t
+    make_schedule("mask", Vocab(3, 2), eps_t=eps_t).terms(grid)
+
+
 def test_noise_sequence_marginals(hybrid_sched):
     rng = np.random.default_rng(1)
     x = np.zeros(100000, dtype=np.int64)
@@ -516,7 +526,8 @@ PINNED = {
 def test_same_seed_same_output(tmp_path, two_outcome, kind, mode):
     sched = make_schedule(kind, two_outcome.vocab, p_u=0.2 if kind == "hybrid" else 0.0)
     table = LogitTable(two_outcome.vocab, 2)
-    report = table_train(two_outcome, sched, table, 20, mode=mode, seed=3, trajectory_every=10)
+    with mock.patch("mixdiff.denoiser.TRAJECTORY_EVERY", 10):
+        report = table_train(two_outcome, sched, table, 20, mode=mode, seed=3)
     path = tmp_path / "table.txt"
     table.save(str(path))
     oracle = OracleDenoiser(two_outcome, sched)

@@ -70,7 +70,6 @@ COUNTS = {
     "LogitTable.t_buckets": ("t_buckets", 1, lambda v: LogitTable(TWO.vocab, 2, t_buckets=v)),
     "table_train.batch": ("batch", 1, lambda v: _train(batch=v)),
     "table_train.steps": ("steps", 0, lambda v: _train(steps=v)),
-    "table_train.trajectory_every": ("trajectory_every", 1, lambda v: _train(trajectory_every=v)),
     "posterior_kl_to_oracle.num_samples": (
         "num_samples",
         1,
@@ -104,7 +103,7 @@ COUNTS = {
 @pytest.mark.parametrize("entry", COUNTS)
 def test_every_count_is_checked_by_check_count(entry, value):
     """A count of 2.5 used to raise numpy's TypeError deep in the call (num_steps,
-    steps, t_buckets) or run as if rounded up (patience, trajectory_every), and
+    steps, t_buckets) or run as if rounded up (patience), and
     nan compared False; LogitTable(vocab, 0) built a table predicting (B, 0, N)."""
     name, least, call = COUNTS[entry]
     if value == "below":
