@@ -48,8 +48,9 @@ def main():
     for row in ancestral_sample_batch(sched, dist.length, oracle, cfg, count):
         key = tuple(int(v) for v in row)
         freq[key] = freq.get(key, 0) + 1
+    truth = np.append(dist.probs, 0.0)
     for key in sorted(freq):
-        print(f"  {key}: {freq[key] / count:.4f}  (truth {dist.prob_of(key):.2f})")
+        print(f"  {key}: {freq[key] / count:.4f}  (truth {truth[dist.outcome_index(key)]:.2f})")
 
 
 if __name__ == "__main__":

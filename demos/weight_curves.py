@@ -36,7 +36,8 @@ def main():
     print("recovers -alpha'(t)/alpha(t) at every t (here a 5-point spot check).")
     rng = np.random.default_rng(0)
     for t in rng.uniform(0.05, 0.95, size=5):
-        q, w, terms = sched.marginal(t, x), sched.elbo_weights(t, x), sched.terms(t)
+        q, w = sched.marginal_mix(t, np.eye(vocab.size)[x]), sched.elbo_weights(t, x)
+        terms = sched.terms(t)
         ew = sum(q[z] * w[z] for z in range(vocab.size))
         ref = -terms.alpha_prime / terms.alpha
         print(f"  t={t:.4f}  E[w]={ew:.10f}  -a'/a={ref:.10f}")

@@ -42,7 +42,6 @@ from .sampler import (
 from .schedule import (
     ConditionalTransition,
     MixingSchedule,
-    ScheduleParams,
     Vocab,
     make_schedule,
 )

@@ -135,16 +135,14 @@ def emit_json(payload: dict, cfg: dict) -> None:
 
 
 def load_denoiser(args, cfg):
-    """Returns (denoiser, vocab, length, dist-or-None, schedule)."""
-    if getattr(args, "dist", None):
+    """Returns (denoiser, vocab, length, dist-or-None, schedule) of --dist, else of --table."""
+    if args.dist is not None:
         dist = ToyDistribution.load(args.dist)
         sched = build_schedule(cfg, dist.vocab)
         return OracleDenoiser(dist, sched), dist.vocab, dist.length, dist, sched
-    if getattr(args, "table", None):
-        table = LogitTable.load(args.table)
-        sched = build_schedule(cfg, table.vocab)
-        return table, table.vocab, table.length, None, sched
-    raise CorpusFormatError("either --dist or --table is required")
+    table = LogitTable.load(args.table)
+    sched = build_schedule(cfg, table.vocab)
+    return table, table.vocab, table.length, None, sched
 
 
 # ---------------------------------------------------------------- commands
@@ -299,19 +297,19 @@ def cmd_weights_csv(args, cfg: dict) -> int:
 
 
 # Per command its function, its help and exactly the flags it reads, where a
-# trailing "!" marks a required one. A flag takes a value of its FLAG_OPTIONS
-# type, else of its DEFAULTS type, else text. A config file may also hold keys
-# that only other commands read.
+# trailing "!" marks a required one and "a|b" two of which exactly one is given.
+# A flag takes a value of its FLAG_OPTIONS type, else of its DEFAULTS type, else
+# text. A config file may also hold keys that only other commands read.
 SCHEDULE = "config schedule p-u gamma eps-t"  # the keys build_schedule reads, and their file
 COMMANDS = {
     "noise": (cmd_noise, "resample corpus tokens from the forward marginal",
               f"{SCHEDULE} seed corpus! t!"),
     "nelbo": (cmd_nelbo, "Monte Carlo NELBO of a corpus",
-              f"{SCHEDULE} seed mode w-max corpus! dist table num-mc"),
+              f"{SCHEDULE} seed mode w-max corpus! dist|table num-mc"),
     "sample": (cmd_sample, "ancestral sampling from an all-mask start",
-               f"{SCHEDULE} seed dist table count steps temperature min-p out!"),
+               f"{SCHEDULE} seed dist|table count steps temperature min-p out!"),
     "self-correct": (cmd_self_correct, "fixed-point token resampling",
-                     f"{SCHEDULE} seed corpus! dist table temperature patience max-iters"
+                     f"{SCHEDULE} seed corpus! dist|table temperature patience max-iters"
                      " t-condition out!"),
     "train": (cmd_train, "train the tabular denoiser",
               f"{SCHEDULE} seed mode w-max dist! steps lr batch t-buckets out!"),
@@ -336,10 +334,12 @@ def build_parser() -> _Parser:
     for command, (func, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for flag in flags.split():
-            name = flag.rstrip("!")
-            dest = name.replace("-", "_")
-            options = FLAG_OPTIONS.get(dest, {"type": CONFIG_KEYS.get(dest, str)})
-            p.add_argument("--" + name, dest=dest, required=flag != name, **options)
+            names = flag.rstrip("!").split("|")
+            group = p.add_mutually_exclusive_group(required=True) if len(names) > 1 else p
+            for name in names:
+                dest = name.replace("-", "_")
+                options = FLAG_OPTIONS.get(dest, {"type": CONFIG_KEYS.get(dest, str)})
+                group.add_argument("--" + name, dest=dest, required=flag == name + "!", **options)
         p.set_defaults(func=func)
     return parser
 

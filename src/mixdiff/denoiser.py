@@ -149,9 +149,6 @@ class ToyDistribution:
         at[index[:k]] = np.arange(k)
         return at[index[k:]].reshape(z.shape[:-1])
 
-    def prob_of(self, seq) -> float:
-        return float(np.append(self.probs, 0.0)[self.outcome_index(seq)])
-
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         """(count, L) outcomes: what rng.choice(K, count, p=probs) draws, from its stream."""
         return self.outcomes_at(rng.random(count))
@@ -481,7 +478,7 @@ def posterior_kl_to_oracle(
     num_samples = check_count("num_samples", num_samples)
     check_fits("schedule", schedule, "distribution", dist)
     check_fits("table", table, "distribution", dist)
-    if oracle.dist != dist or oracle.schedule.params != schedule.params:
+    if oracle.dist != dist or oracle.schedule != schedule:
         raise ValueError("oracle of another distribution or schedule than the one sampled")
     rng = np.random.default_rng(seed)
     times = stratified_times(num_samples, rng.random(), schedule.eps_t)

@@ -117,7 +117,7 @@ def loss_target(
         w = np.ones(z.shape)
         w[z == schedule.vocab.mask_id] += 1.0
         # numpy's exp, as in the closed forms: each row the bits of its time alone
-        clean = (schedule.params.B / n) * np.exp(-terms.log_snr / 2.0) - 1.0
+        clean = (schedule.B / n) * np.exp(-terms.log_snr / 2.0) - 1.0
         w = mode.w_max * (w + np.where(z == x, np.reshape(clean, (-1, 1)), 0.0))
     else:
         if np.logical_or.reduce(p_z <= 0.0, axis=None):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .denoiser import Denoiser, ToyDistribution, _check_batch, _distinct_rows
-from .schedule import check_denoised, check_fits, token_ids
+from .schedule import check_denoised, token_ids
 
 
 def self_accuracy(
@@ -79,13 +79,6 @@ def tv_distance(samples, dist: ToyDistribution) -> float:
     z = _check_batch(z, dist.length, dist.vocab, "a distribution").reshape(-1, dist.length)
     rows, index = _distinct_rows(z, dist.vocab.size)
     return _tv(rows, np.bincount(index) / len(z), dist.sequences, dist.probs, dist.vocab.size)
-
-
-def tv_distance_exact(a: ToyDistribution, b: ToyDistribution) -> float:
-    """TV between two enumerable distributions over the same vocabulary and
-    sequence length; others are a ValueError."""
-    check_fits("distribution", a, "distribution", b)
-    return _tv(a.sequences, a.probs, b.sequences, b.probs, a.vocab.size)
 
 
 def generative_nll(

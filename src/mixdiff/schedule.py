@@ -114,35 +114,6 @@ def check_eps_t(eps_t: float) -> None:
 
 
 @dataclass(frozen=True)
-class ScheduleParams:
-    """Hybrid-schedule parameters.
-
-    p_u is the peak expected fraction of uniform-noise tokens, attained at
-    t = 1/2. The derived constant B = 2^gamma * p_u / (1 - p_u) calibrates the
-    bump c_t = B t^(gamma/2) (1-t)^(gamma/2) so that exactly p_u is reached.
-    gamma lies in (0, 2]: the off-mask rate is c_t (1 + (gamma/2) (1-2t)/t)
-    over a positive factor, which goes negative near t = 1 for any gamma > 2,
-    and B <= 4 p_u / (1 - p_u) is finite for every p_u < 1.
-    """
-
-    p_u: float
-    gamma: float = 1.0
-    eps_t: float = DEFAULT_EPS_T
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_u < 1.0:
-            raise ValueError("p_u must lie in [0, 1)")
-        check_positive("gamma", self.gamma)
-        if self.gamma > 2.0:
-            raise ValueError(f"gamma={self.gamma!r} above 2 makes the off-mask rate negative")
-        check_eps_t(self.eps_t)
-
-    @property
-    def B(self) -> float:
-        return 2.0**self.gamma * self.p_u / (1.0 - self.p_u)
-
-
-@dataclass(frozen=True)
 class ConditionalTransition:
     """Markov kernel from time s to t: Q_{t|s} = alpha_ts I + beta_pi_ts 1^T, one per (B,) time."""
 
@@ -155,14 +126,20 @@ class ConditionalTransition:
         return np.multiply.outer(self.alpha_ts, eye) + self.beta_pi_ts[..., None]
 
 
+@dataclass(frozen=True)
 class MixingSchedule:
     """Mask prior with a mid-trajectory bump of uniform noise.
 
     alpha_t = (1-t)/C_t and beta_t pi_t = (t m + c_t u)/C_t with
-    c_t = B t^(gamma/2) (1-t)^(gamma/2) and C_t = 1 + c_t. The total mass on
-    the uniform component, c_t/C_t, peaks at t = 1/2 with value exactly p_u.
-    p_u = 0 gives B = 0, so c_t is exactly 0: mask-only interpolation,
-    alpha_t = 1 - t, with the same code.
+    c_t = B t^(gamma/2) (1-t)^(gamma/2) and C_t = 1 + c_t. p_u is the peak
+    expected fraction of uniform-noise tokens: B = 2^gamma p_u / (1 - p_u)
+    calibrates the bump so that the total mass on the uniform component,
+    c_t/C_t, peaks at t = 1/2 with value exactly p_u. p_u = 0 gives B = 0,
+    so c_t is exactly 0: mask-only interpolation, alpha_t = 1 - t, with the
+    same code. gamma lies in (0, 2]: the off-mask rate is
+    c_t (1 + (gamma/2) (1-2t)/t) over a positive factor, which goes negative
+    near t = 1 for any gamma > 2, and B <= 4 p_u / (1 - p_u) is finite for
+    every p_u < 1. Schedules compare by these four values.
 
     All time arguments are validated against [eps_t, 1 - eps_t]; exact
     endpoints are rejected because some derived quantities are singular there.
@@ -173,21 +150,31 @@ class MixingSchedule:
     where (B,) times give a (B,) array.
     """
 
-    def __init__(self, vocab: Vocab, params: ScheduleParams):
-        self.vocab = vocab
-        self.params = params
-        self.eps_t = float(params.eps_t)
-        self._u = 1.0 / (vocab.size - 1)
-        self._last = None
+    vocab: Vocab
+    p_u: float = 0.0
+    gamma: float = 1.0
+    eps_t: float = DEFAULT_EPS_T
+
+    def __post_init__(self):
+        if not 0.0 <= self.p_u < 1.0:
+            raise ValueError("p_u must lie in [0, 1)")
+        check_positive("gamma", self.gamma)
+        if self.gamma > 2.0:
+            raise ValueError(f"gamma={self.gamma!r} above 2 makes the off-mask rate negative")
+        check_eps_t(self.eps_t)
+        object.__setattr__(self, "eps_t", float(self.eps_t))
+        object.__setattr__(self, "B", 2.0**self.gamma * self.p_u / (1.0 - self.p_u))
+        object.__setattr__(self, "_u", 1.0 / (self.vocab.size - 1))
+        object.__setattr__(self, "_last", None)
 
     def _c(self, t):
         """c_t; exactly 0 when B is, as t^(gamma/2) (1-t)^(gamma/2) is finite."""
-        h = self.params.gamma / 2.0
-        return self.params.B * np.power(t, h) * np.power(1.0 - t, h)
+        h = self.gamma / 2.0
+        return self.B * np.power(t, h) * np.power(1.0 - t, h)
 
     def _c_prime(self, t, c):
         """dc/dt given c = _c(t)."""
-        return (self.params.gamma / 2.0) * (1.0 - 2.0 * t) / (t * (1.0 - t)) * c
+        return (self.gamma / 2.0) * (1.0 - 2.0 * t) / (t * (1.0 - t)) * c
 
     def check_time(self, t) -> np.float64 | np.ndarray:
         """t as an np.float64 (its arithmetic is 10x cheaper than a 0-d array's) or a new
@@ -211,20 +198,15 @@ class MixingSchedule:
         t = np.array(t, dtype=float)
         key, last = (t.shape, t.tobytes()), self._last
         if last is None or last[0] != key:
-            last = self._last = key, Terms(self, t)
+            last = key, Terms(self, t)
+            object.__setattr__(self, "_last", last)
         return last[1]
 
-    def marginal(self, t: float, x: int) -> np.ndarray:
-        """q_t(. | x) = alpha_t one_hot(x) + beta_t pi_t."""
-        return self.marginal_mix(t, np.eye(self.vocab.size)[self.vocab.check_tokens(x)])
-
     def marginal_mix(self, t: float, x_theta: np.ndarray) -> np.ndarray:
-        """q_t(. | x_theta): marginal with the one-hot replaced by a distribution."""
+        """q_t(. | x_theta) = alpha_t x_theta + beta_t pi_t; x_theta = one_hot(x) gives
+        the marginal q_t(. | x) of a clean token x."""
         terms = self.terms(t)
         return np.expand_dims(terms.alpha, -1) * np.asarray(x_theta, dtype=float) + terms.beta_pi
-
-    def conditional_transition(self, s: float, t: float) -> ConditionalTransition:
-        return self.terms(s).to(self.terms(t))
 
     def generator(self, t) -> np.ndarray:
         """The CTMC generator R_t, (N, N) or (B, N, N): row z_from is
@@ -247,7 +229,7 @@ class MixingSchedule:
 
     def elbo_weights(self, t, x: int) -> np.ndarray:
         """w_t(z, x) = terms(t).rate[z] / q_t(z | x) at each token z; 0.0 where q_t(z | x) = 0."""
-        q = self.marginal(t, x)
+        q = self.marginal_mix(t, np.eye(self.vocab.size)[self.vocab.check_tokens(x)])
         return np.divide(self.terms(t).rate, q, out=np.zeros_like(q), where=q > 0.0)
 
 
@@ -316,7 +298,7 @@ def make_schedule(
         for key, value, default in (("p_u", p_u, 0.0), ("gamma", gamma, 1.0)):
             if value != default:
                 raise ValueError(f"{key}={value!r} needs the hybrid schedule, not 'mask'")
-        return MixingSchedule(vocab, ScheduleParams(p_u=0.0, eps_t=eps_t))
+        return MixingSchedule(vocab, eps_t=eps_t)
     if kind == "hybrid":
-        return MixingSchedule(vocab, ScheduleParams(p_u=p_u, gamma=gamma, eps_t=eps_t))
+        return MixingSchedule(vocab, p_u, gamma, eps_t)
     raise ValueError(f"unknown schedule kind {kind!r}")

@@ -59,9 +59,9 @@ def check_chapman_kolmogorov(seed=0, triples=1000, sizes=(3, 8, 16), tol=1e-12):
     worst = 0.0
     for n in sizes:
         for sched in _schedules(n):
-            r, s, t = np.sort(_rand_times(sched, rng, (triples // len(sizes), 3)), axis=1).T
-            trans = sched.conditional_transition
-            q_sr, q_ts, q_tr = trans(r, s).matrix(), trans(s, t).matrix(), trans(r, t).matrix()
+            times = np.sort(_rand_times(sched, rng, (triples // len(sizes), 3)), axis=1).T
+            r, s, t = map(sched.terms, times)
+            q_sr, q_ts, q_tr = r.to(s).matrix(), s.to(t).matrix(), r.to(t).matrix()
             worst = max(worst, float(np.abs(q_ts @ q_sr - q_tr).max()))
     return "chapman_kolmogorov", worst <= tol, f"max abs error {worst:.3e}"
 
@@ -74,7 +74,7 @@ def check_marginal_consistency(seed=1, cases=500, n=8, tol=1e-12):
             (np.sort(_rand_times(sched, rng, 2)), rng.integers(n)) for _ in range(cases)
         )
         (s, t), one_hot = st.T, np.eye(n)[x]
-        q = sched.conditional_transition(s, t).matrix() @ sched.marginal_mix(s, one_hot)[..., None]
+        q = sched.terms(s).to(sched.terms(t)).matrix() @ sched.marginal_mix(s, one_hot)[..., None]
         worst = max(worst, float(np.abs(q[..., 0] - sched.marginal_mix(t, one_hot)).max()))
     return "marginal_consistency", worst <= tol, f"max abs error {worst:.3e}"
 
@@ -84,7 +84,7 @@ def check_column_stochasticity(seed=2, cases=200, n=6, tol=1e-12):
     worst = 0.0
     for sched in _schedules(n):
         s, t = np.sort(_rand_times(sched, rng, (cases, 2)), axis=1).T
-        q = sched.conditional_transition(s, t).matrix()
+        q = sched.terms(s).to(sched.terms(t)).matrix()
         worst = max(worst, float(np.abs(q.sum(axis=-2) - 1.0).max()))
     return "column_stochasticity", worst <= tol, f"max column-sum error {worst:.3e}"
 
@@ -101,7 +101,7 @@ def check_forward_kernel_nonnegative(seed=11, cases=1000, n=6):
             t = np.nextafter(t, 1.0)
             pairs.append((s, t))
         s, t = np.concatenate(pairs, axis=1)
-        kernel = min(kernel, float(sched.conditional_transition(s, t).matrix().min()))
+        kernel = min(kernel, float(sched.terms(s).to(sched.terms(t)).matrix().min()))
         rate = min(rate, float(sched.generator(t)[:, off].min()))
     return (
         "forward_kernel_nonnegative",
@@ -111,12 +111,14 @@ def check_forward_kernel_nonnegative(seed=11, cases=1000, n=6):
 
 
 def check_forward_rate_fd(seed=3, cases=200, n=6, delta=1e-6, rtol=1e-4):
-    """Central finite differences of q_{t+d|t} match the generator."""
+    """Finite differences of q_{t+d|t} match the generator, at times t in
+    [0.01, 0.99] whose t + d lies in the schedule's range."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for sched in _schedules(n):
-        t = 0.01 + (0.99 - 0.01) * rng.random(cases)
-        fd = (sched.conditional_transition(t, t + delta).matrix() - np.eye(n)) / delta
+        lo, hi = max(0.01, sched.eps_t), min(0.99, 1.0 - sched.eps_t - delta)
+        t = lo + (hi - lo) * rng.random(cases)
+        fd = (sched.terms(t).to(sched.terms(t + delta)).matrix() - np.eye(n)) / delta
         r = sched.generator(t)
         worst = max(worst, float((np.abs(fd.mT - r) / np.maximum(np.abs(r), 1.0)).max()))
     return "forward_rate_fd", worst <= rtol, f"max rel error {worst:.3e}"
@@ -142,9 +144,9 @@ def _flow_bound(hybrid, lo):
     so their values at t = lo bound them on the range. Mask-only noise
     (c = 0) has bound 0, below any hybrid's.
     """
-    if hybrid.params.gamma != 1.0:
-        raise ValueError(f"the flow bound is derived for gamma = 1, got {hybrid.params.gamma!r}")
-    b, s, ds = hybrid.params.B, lo * (1.0 - lo), 1.0 - 2.0 * lo
+    if hybrid.gamma != 1.0:
+        raise ValueError(f"the flow bound is derived for gamma = 1, got {hybrid.gamma!r}")
+    b, s, ds = hybrid.B, lo * (1.0 - lo), 1.0 - 2.0 * lo
     c1 = b * ds / (2.0 * s**0.5)
     c2 = -b * (1.0 / s**0.5 + ds**2 / (4.0 * s**1.5))
     c3 = b * (3.0 * ds / (2.0 * s**1.5) + 3.0 * ds**3 / (8.0 * s**2.5))
@@ -154,7 +156,8 @@ def _flow_bound(hybrid, lo):
 def check_backward_rows(seed=5, cases=100, n=6, delta=1e-6, lo=0.01, row_tol=1e-10):
     """The backward generator R^_t = backward_generator(t, x_theta) has rows
     summing to zero at times t in [eps_t, 1 - eps_t], and at times in
-    [lo, 1 - lo] runs the marginal q_t = q_t(. | x_theta) backwards:
+    [lo, 1 - lo], with lo raised to eps_t + delta where that is larger, runs
+    the marginal q_t = q_t(. | x_theta) backwards:
     q_t R^_t = -dq_t/dt. The reference dq_t/dt is the central difference of
     marginal_mix over t +- delta, which reads no rate.
 
@@ -164,6 +167,7 @@ def check_backward_rows(seed=5, cases=100, n=6, delta=1e-6, lo=0.01, row_tol=1e-
     """
     rng = np.random.default_rng(seed)
     mask, hybrid = _schedules(n)
+    lo = max(lo, mask.eps_t + delta, hybrid.eps_t + delta)
     tol = delta**2 / 6.0 * _flow_bound(hybrid, lo) + 16.0 * 2.0**-52 / (2.0 * delta)
     rows, flow = 0.0, 0.0
     for sched in (mask, hybrid):
@@ -188,18 +192,20 @@ def check_backward_rows(seed=5, cases=100, n=6, delta=1e-6, lo=0.01, row_tol=1e-
 def check_backward_rate_fd(seed=6, cases=50, n=5, delta=1e-6, rtol=1e-4):
     """Normalized one-step backward kernel = identity + rate * delta + O(delta^2).
 
-    Times stay away from the clamp boundary: rates grow like 1/t there, so the
-    first-order Taylor error rate*delta alone would exceed the tolerance.
+    Times t lie in [0.01, 0.99], and t - delta in the schedule's range: rates
+    grow like 1/t towards t = 0, so there the first-order Taylor error
+    rate*delta alone would exceed the tolerance.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for sched in _schedules(n):
+        lo, hi = max(0.01, sched.eps_t + delta), min(0.99, 1.0 - sched.eps_t)
         t, x_theta = _columns(
-            (0.01 + (0.99 - 0.01) * rng.random(), _rand_prediction(rng, n)) for _ in range(cases)
+            (lo + (hi - lo) * rng.random(), _rand_prediction(rng, n)) for _ in range(cases)
         )
         q_t, q_s = sched.marginal_mix(t, x_theta), sched.marginal_mix(t - delta, x_theta)
         # kernel[z_t, z_s]; every q_t(z_t | x_theta) > 0, as x_theta > 0 off the mask
-        trans = sched.conditional_transition(t - delta, t).matrix()
+        trans = sched.terms(t - delta).to(sched.terms(t)).matrix()
         kernel = trans * q_s[:, None] / q_t[..., None]
         rate = sched.backward_generator(t, x_theta)
         scale = np.maximum(np.abs(rate) * delta, delta)
@@ -212,7 +218,7 @@ def check_weight_expectation(grid=100, n=5, tol=1e-10):
     worst = 0.0
     for sched in _schedules(n):
         times = np.linspace(sched.eps_t, 1.0 - sched.eps_t, grid)
-        mean_w = (sched.marginal(times, 0) * sched.elbo_weights(times, 0)).sum(axis=-1)
+        mean_w = (sched.marginal_mix(times, np.eye(n)[0]) * sched.elbo_weights(times, 0)).sum(-1)
         terms = sched.terms(times)
         target = -terms.alpha_prime / terms.alpha
         err = np.abs(mean_w - target) / np.maximum(np.abs(target), 1.0)
@@ -258,7 +264,7 @@ def check_pu_zero_collapse(seed=7, cases=200, n=6, tol=1e-14):
         (terms.beta_pi / terms.beta_pi.sum(axis=-1, keepdims=True), m),
         (terms.rate, m / (1.0 - t[:, None])),
         (hyb.marginal_mix(t, np.eye(n)[x]), q),
-        (hyb.conditional_transition(s, t).alpha_ts, (1.0 - t) / (1.0 - s)),
+        (hyb.terms(s).to(hyb.terms(t)).alpha_ts, (1.0 - t) / (1.0 - s)),
         (w[:, 0], m[z[on]] / (1.0 - t[on]) / q[rows, z][on]),
     ]
     worst = max(float(np.abs(np.subtract(got, ref)).max()) for got, ref in pairs)

@@ -110,15 +110,13 @@ def test_criterion_02_markov_chain_algebra():
         for sched in (make_schedule("mask", vocab), make_schedule("hybrid", vocab, p_u=0.2)):
             for _ in range(1000 // 6 + 1):
                 r, s, t = np.sort(_times(rng, 3))
-                q_sr = sched.conditional_transition(r, s).matrix()
-                q_ts = sched.conditional_transition(s, t).matrix()
-                q_tr = sched.conditional_transition(r, t).matrix()
+                q_sr = sched.terms(r).to(sched.terms(s)).matrix()
+                q_ts = sched.terms(s).to(sched.terms(t)).matrix()
+                q_tr = sched.terms(r).to(sched.terms(t)).matrix()
                 worst = max(worst, float(np.abs(q_ts @ q_sr - q_tr).max()))
-                x = int(rng.integers(n))
-                worst = max(
-                    worst,
-                    float(np.abs(q_tr @ sched.marginal(r, x) - sched.marginal(t, x)).max()),
-                )
+                one_hot = np.eye(n)[int(rng.integers(n))]
+                q_r, q_t = sched.marginal_mix(r, one_hot), sched.marginal_mix(t, one_hot)
+                worst = max(worst, float(np.abs(q_tr @ q_r - q_t).max()))
     elapsed = time.time() - start
     report(
         2,
@@ -139,7 +137,7 @@ def test_criterion_03_rate_checks():
     for sched in (make_schedule("mask", vocab), make_schedule("hybrid", vocab, p_u=0.2)):
         for _ in range(60):
             t = 0.01 + 0.98 * rng.random()
-            fd = (sched.conditional_transition(t, t + delta).matrix() - np.eye(5)) / delta
+            fd = (sched.terms(t).to(sched.terms(t + delta)).matrix() - np.eye(5)) / delta
             rates = sched.generator(t)
             for z_from in range(5):
                 row = rates[z_from]
@@ -150,7 +148,7 @@ def test_criterion_03_rate_checks():
             x_theta = _random_pred(rng, 5, 4)
             q_t = sched.marginal_mix(t, x_theta)
             q_s = sched.marginal_mix(t - delta, x_theta)
-            trans = sched.conditional_transition(t - delta, t)
+            trans = sched.terms(t - delta).to(sched.terms(t))
             back = sched.backward_generator(t, x_theta)
             for z_t in range(5):
                 if q_t[z_t] <= 0:
@@ -177,7 +175,8 @@ def test_criterion_04_weight_identities():
     worst = 0.0
     for sched in (make_schedule("mask", vocab), make_schedule("hybrid", vocab, p_u=0.2)):
         for t in np.linspace(EPS, 1 - EPS, 100):
-            q, w, terms = sched.marginal(t, 0), sched.elbo_weights(t, 0), sched.terms(t)
+            q, w = sched.marginal_mix(t, np.eye(5)[0]), sched.elbo_weights(t, 0)
+            terms = sched.terms(t)
             mean_w = sum(q[z] * w[z] for z in range(5) if q[z] > 0)
             target = -terms.alpha_prime / terms.alpha
             worst = max(worst, abs(mean_w - target) / max(abs(target), 1.0))
@@ -231,7 +230,7 @@ def test_criterion_06_global_minimum():
         t = float(_times(rng, 1)[0])
         x = int(rng.integers(4))
         x_theta = _random_pred(rng, 5, 4)
-        q = s.marginal(t, x)
+        q = s.marginal_mix(t, np.eye(5)[x])
         z_t = int(rng.choice(np.flatnonzero(q > 0)))
         w, kl, is_term, _ = loss_and_grad(s, t, [z_t], [x], [x_theta], mode)
         nonneg = nonneg and (w * (kl + is_term))[0] >= 0.0
@@ -252,7 +251,7 @@ def test_criterion_07_gradient_correctness():
         mode = modes[i % 3]
         t = 0.02 + 0.96 * rng.random()
         x = int(rng.integers(4))
-        q = sched.marginal(t, x)
+        q = sched.marginal_mix(t, np.eye(5)[x])
         z_t = int(rng.choice(np.flatnonzero(q > 0)))
         logits = rng.normal(size=5)
         probs = softmax(np.array(logits, dtype=float))

@@ -421,8 +421,10 @@ def test_nelbo_reports_config(capsys, corpus_file, dist_file):
 
 
 def test_nelbo_requires_denoiser(capsys, corpus_file):
-    code, _, _ = run(capsys, ["nelbo", "--corpus", corpus_file])
-    assert code == 2
+    """A missing denoiser is a usage error, as a missing --corpus is; it was a data error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["nelbo", "--corpus", corpus_file])
+    assert exc.value.code == 1
 
 
 def test_sample_round_trip(capsys, tmp_path, dist_file):
@@ -940,12 +942,19 @@ def test_every_accepted_flag_is_read(capsys, tmp_path, monkeypatch, pinned_input
         ["weights-csv", "--seed", "3"],
         ["verify", "--seed", "3"],
         ["sample", "--dist", "d.txt", "--out", "o.txt", "--min", "0.1"],
+        ["nelbo", "--corpus", "c.txt", "--dist", "d.txt", "--table", "t.txt"],
+        ["sample", "--dist", "d.txt", "--table", "t.txt", "--out", "o.txt"],
+        ["self-correct", "--corpus", "c.txt", "--dist", "d.txt", "--table", "t.txt", "--out", "o"],
+        ["sample", "--out", "o.txt"],
+        ["self-correct", "--corpus", "c.txt", "--out", "o.txt"],
     ],
     ids=lambda argv: " ".join(a for a in argv if a.startswith("-") or a == argv[0]),
 )
 def test_flag_a_command_does_not_read_is_usage_error(capsys, argv):
-    """A flag a command does not read, or a prefix of one it does, exits 1
-    before any file is opened: `--grid 3` used to stand for `--grid-size 3`."""
+    """A flag a command does not read, a prefix of one it does, or other than
+    exactly one of --dist and --table, exits 1 before any file is opened:
+    `--grid 3` used to stand for `--grid-size 3`, `nelbo` with both scored with
+    the oracle and never read the table, and with neither exited 2."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1

@@ -51,8 +51,7 @@ def test_toy_distribution_validation(vocab3):
 
 
 def test_toy_distribution_queries(two_outcome):
-    assert two_outcome.prob_of((0, 0)) == 0.5
-    assert two_outcome.prob_of((0, 1)) == 0.0
+    assert two_outcome.outcome_index([(0, 0), (0, 1)]).tolist() == [0, 2]
     assert two_outcome.entropy() == pytest.approx(np.log(2))
     rng = np.random.default_rng(0)
     draws = two_outcome.sample(rng, 2000)
@@ -81,11 +80,13 @@ def test_sample_is_generator_choice(weights, count, seed):
 
 
 def test_prob_of_lookup(vocab3):
-    """prob_of is outcome_index's one-row view; it takes any integer type."""
+    """An outcome's probability is its entry of probs, read at outcome_index,
+    and 0 outside the support; rows of any integer type."""
     dist = ToyDistribution(vocab3, 2, (((0, 0), 0.2), ((1, 1), 0.8)))
-    assert dist.prob_of((0, 0)) == 0.2
-    assert dist.prob_of(np.array([1, 1])) == 0.8
-    assert dist.prob_of([1, 0]) == 0.0
+    probs = np.append(dist.probs, 0.0)
+    assert probs[dist.outcome_index((0, 0))] == 0.2
+    assert probs[dist.outcome_index(np.array([1, 1], dtype=np.uint8))] == 0.8
+    assert probs[dist.outcome_index([1, 0])] == 0.0
 
 
 def test_outcome_index(vocab3):
@@ -110,12 +111,12 @@ def test_outcome_index_named_errors(vocab3):
     with pytest.raises(ValueError, match=r"token id 3 outside \[0, 3\)"):
         dist.outcome_index([(0, 0), (0, 3)])
     with pytest.raises(ValueError, match=r"token id -1 outside \[0, 3\)"):
-        dist.prob_of((-1, 0))
+        dist.outcome_index((-1, 0))
 
 
 def test_toy_distribution_rejects_repeated_outcome(vocab3, tmp_path):
-    """prob_of would read one listing of a repeated outcome while sampling and
-    the oracle use both, so a repeated outcome is refused."""
+    """outcome_index would find one listing of a repeated outcome while sampling
+    and the oracle use both, so a repeated outcome is refused."""
     with pytest.raises(ValueError, match="listed twice"):
         ToyDistribution(vocab3, 2, (((0, 0), 0.2), ((1, 1), 0.5), ((0, 0), 0.3)))
     path = tmp_path / "twice.txt"
@@ -559,6 +560,10 @@ def test_posterior_kl_refuses_what_does_not_fit_its_distribution(two_outcome, mi
             other = ToyDistribution(vocab, 2, (((0, 1), 0.5), ((1, 0), 0.5)))
             oracle = OracleDenoiser(other, sched)
         else:
+            # schedules compare by value: an oracle on an equal schedule object scores alike
+            twin = OracleDenoiser(two_outcome, make_schedule("hybrid", vocab, p_u=0.2))
+            kls = [posterior_kl_to_oracle(two_outcome, sched, o, table, 50) for o in (oracle, twin)]
+            assert kls[0] == kls[1] > 0.0
             oracle = OracleDenoiser(two_outcome, make_schedule("mask", vocab))
         msg = "oracle of another distribution or schedule than the one sampled"
     with pytest.raises(ValueError, match=msg):

@@ -104,7 +104,7 @@ def test_mask_only_loss_hand_value(mask_sched):
 
 def test_dynamic_weight_hand_value(hybrid_sched):
     lam = hybrid_sched.terms(0.5).log_snr
-    expected = (hybrid_sched.params.B / 5) * math.exp(-lam / 2)
+    expected = (hybrid_sched.B / 5) * math.exp(-lam / 2)
     assert expected == pytest.approx(0.1224744871, abs=1e-9)
     w = loss_and_grad(hybrid_sched, 0.5, [0, 4], [0, 0], np.zeros((2, 5)), DYNAMIC)[0]
     assert w[0] == pytest.approx(expected, abs=1e-12)
@@ -353,7 +353,7 @@ def test_gradient_matches_finite_differences(mask_sched, hybrid_sched):
             for _ in range(30):
                 t = 0.05 + 0.9 * rng.random()
                 x = int(rng.integers(4))
-                q = sched.marginal(t, x)
+                q = sched.marginal_mix(t, np.eye(5)[x])
                 z_t = int(rng.choice(np.flatnonzero(q > 0)))
                 logits = rng.normal(size=5)
                 probs = softmax(np.array(logits, dtype=float))
@@ -393,7 +393,7 @@ def test_loss_and_grad_matches_per_position_formulas(kind, mode, length, t, seed
     sched = make_schedule(kind, vocab, p_u=0.2 if kind == "hybrid" else 0.0)
     rng = np.random.default_rng(seed)
     x = rng.integers(4, size=length)
-    z = np.array([rng.choice(np.flatnonzero(sched.marginal(t, xi) > 0)) for xi in x])
+    z = np.array([rng.choice(np.flatnonzero(q > 0)) for q in sched.marginal_mix(t, np.eye(5)[x])])
     probs = np.stack([random_prediction(rng, 5, 4) for _ in range(length)])
     w, kl, is_term, grad = loss_and_grad(sched, t, z, x, probs, mode)
     assert grad.shape == (length, 5)
@@ -402,13 +402,13 @@ def test_loss_and_grad_matches_per_position_formulas(kind, mode, length, t, seed
             lam = sched.terms(t).log_snr
             w_ref = 1.0 + (z[i] == 4)
             if z[i] == x[i]:
-                w_ref += (sched.params.B / 5) * math.exp(-lam / 2) - 1.0
+                w_ref += (sched.B / 5) * math.exp(-lam / 2) - 1.0
             w_ref *= mode.w_max
         else:
             w_ref = min(sched.elbo_weights(t, x[i])[z[i]], DEFAULT_WEIGHT_CLIP)
             if mode.kind == "clamp":
                 w_ref = min(w_ref, mode.w_max)
-        p = sched.marginal(t, x[i])
+        p = sched.marginal_mix(t, np.eye(5)[x[i]])
         q = sched.marginal_mix(t, probs[i])
         kl_ref = sum(pj * math.log(pj / qj) for pj, qj in zip(p, q) if pj > 0)
         r = p[z[i]] / q[z[i]]
@@ -828,7 +828,7 @@ def _loss_and_grad_last_axis(schedule, t, z, x, probs, mode):
     if mode.kind == "dynamic":
         w = np.ones(z.shape)
         w[z == schedule.vocab.mask_id] += 1.0
-        clean = (schedule.params.B / n) * np.exp(-terms.log_snr / 2.0) - 1.0
+        clean = (schedule.B / n) * np.exp(-terms.log_snr / 2.0) - 1.0
         w = mode.w_max * (w + np.where(z == x, np.reshape(clean, (-1, 1)), 0.0))
     else:
         rate = np.reshape(terms.rate, (-1, n))[np.arange(len(a))[:, None], z]

@@ -17,7 +17,7 @@ from mixdiff import (
     tv_distance,
     unigram_entropy,
 )
-from mixdiff.metrics import tv_distance_exact
+from mixdiff.metrics import _tv
 from mixdiff.denoiser import Denoiser
 from mixdiff.errors import MaskedInputError
 
@@ -134,7 +134,8 @@ def test_tv_triangle_sanity(data):
     samples = data.draw(
         st.lists(st.sampled_from([(0,), (1,)]), min_size=1, max_size=20)
     )
-    assert tv_distance(samples, a) <= tv_distance(samples, b) + tv_distance_exact(b, a) + 1e-12
+    exact = _tv(b.sequences, b.probs, a.sequences, a.probs, vocab.size)
+    assert tv_distance(samples, a) <= tv_distance(samples, b) + exact + 1e-12
 
 
 def test_generative_nll(two_outcome):
@@ -216,32 +217,6 @@ def test_sample_metrics_reject_rows_outside_the_vocabulary(two_outcome):
             metric([(0, 0, 0)], two_outcome)
     with pytest.raises(ValueError, match="need at least one sample"):
         tv_distance([], two_outcome)
-
-
-def test_tv_distance_exact():
-    vocab = Vocab(4, 3)
-    a = ToyDistribution(vocab, 2, (((0, 0), 0.5), ((1, 2), 0.5)))
-    b = ToyDistribution(vocab, 2, (((1, 2), 0.25), ((2, 2), 0.75)))
-    assert tv_distance_exact(a, b) == tv_distance_exact(b, a) == 0.75
-    assert tv_distance_exact(a, a) == 0.0
-
-
-def test_tv_distance_exact_needs_one_sample_space():
-    """Different lengths raised numpy's concatenate message, and different mask
-    ids keyed both laws alike: these two gave 0.5."""
-    a = ToyDistribution(Vocab(4, 3), 1, (((0,), 0.5), ((1,), 0.5)))
-    for b in (
-        ToyDistribution(Vocab(4, 3), 2, (((0, 0), 1.0),)),
-        ToyDistribution(Vocab(4, 1), 1, (((0,), 1.0),)),
-        ToyDistribution(Vocab(5, 4), 1, (((0,), 1.0),)),
-    ):
-        for x, y in ((a, b), (b, a)):
-            message = (
-                f"distribution of length {x.length} over {x.vocab!r} does not fit the "
-                f"distribution of length {y.length} over {y.vocab!r}"
-            )
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                tv_distance_exact(x, y)
 
 
 def test_generative_nll_delta():

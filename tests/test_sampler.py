@@ -120,7 +120,7 @@ def test_denoise_step_matches_brute_force_kernel():
             x_theta[4] = 0.0
             x_theta /= x_theta.sum()
             q_to = sched.marginal_mix(t_to, x_theta)
-            trans = sched.conditional_transition(t_to, t_from)
+            trans = sched.terms(t_to).to(sched.terms(t_from))
             kernel = trans.matrix() * q_to
             kernel /= kernel.sum(axis=1, keepdims=True)
             got = _posterior_of(sched, np.arange(5)[None], float(t_from), float(t_to), x_theta)
@@ -240,7 +240,7 @@ def test_reverse_posterior_never_fails(kind, times, cells):
     post = reverse_posterior(sched.terms(t_from), sched.terms(t_to), z, preds)
     assert post.shape == preds.shape
     np.testing.assert_allclose(post.sum(axis=0), 1.0, rtol=0, atol=1e-12)
-    allowed = sched.conditional_transition(t_to, t_from).matrix()[z[0]].T > 0.0
+    allowed = sched.terms(t_to).to(sched.terms(t_from)).matrix()[z[0]].T > 0.0
     assert np.all(post[:, :, 0][~allowed] == 0.0)
     assert np.all(post >= 0.0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 from mixdiff import (
     Denoiser,
     LogitTable,
+    MixingSchedule,
     OracleDenoiser,
     SamplerConfig,
-    ScheduleParams,
     SelfCorrectConfig,
     ToyDistribution,
     Vocab,
@@ -244,20 +245,35 @@ def test_vocab_validation():
 def test_eps_t_range_has_one_message():
     for bad in (0.0, 0.5, math.nan):
         with pytest.raises(ValueError, match=r"eps_t must lie in \(0, 0.5\), got"):
-            ScheduleParams(p_u=0.2, eps_t=bad)
+            MixingSchedule(Vocab(5, 4), p_u=0.2, eps_t=bad)
 
 
 def test_schedule_params():
-    p = ScheduleParams(p_u=0.2, gamma=1.0)
+    """A schedule is the value of its vocabulary, p_u, gamma and eps_t: equal
+    values make equal schedules, and its fields cannot be reassigned, as the
+    terms memo is keyed on them."""
+    vocab = Vocab(5, 4)
+    p = MixingSchedule(vocab, p_u=0.2, gamma=1.0)
     assert math.isclose(p.B, 2.0 * 0.2 / 0.8)
-    assert ScheduleParams(p_u=0.0).B == 0.0
+    assert MixingSchedule(vocab, p_u=0.0).B == 0.0
+    assert make_schedule("hybrid", vocab, p_u=0.2) == p == MixingSchedule(Vocab(5, 4), 0.2)
+    for other in (
+        MixingSchedule(Vocab(6, 5), p_u=0.2),
+        MixingSchedule(vocab, p_u=0.3),
+        MixingSchedule(vocab, p_u=0.2, gamma=1.5),
+        MixingSchedule(vocab, p_u=0.2, eps_t=1e-3),
+    ):
+        assert other != p
+    for field in ("vocab", "p_u", "gamma", "eps_t", "B"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, field, getattr(p, field))
     with pytest.raises(ValueError):
-        ScheduleParams(p_u=1.0)
+        MixingSchedule(vocab, p_u=1.0)
     with pytest.raises(ValueError):
-        ScheduleParams(p_u=0.1, gamma=0.0)
+        MixingSchedule(vocab, p_u=0.1, gamma=0.0)
     for eps_t in (0.0, 0.5, 0.7, -1e-4):
         with pytest.raises(ValueError, match="eps_t"):
-            ScheduleParams(p_u=0.2, eps_t=eps_t)
+            MixingSchedule(vocab, p_u=0.2, eps_t=eps_t)
 
 
 def test_time_validation(mask_sched):
@@ -291,27 +307,27 @@ def test_check_time_names_times_of_more_than_one_axis(mask_sched, shape):
 
 def test_hybrid_marginal_hand_values(hybrid_sched):
     # t = 0.5: c = 0.25, C = 1.25, alpha = 0.4, mask mass 0.4, uniform 0.05 each
-    q = hybrid_sched.marginal(0.5, 0)
+    q = hybrid_sched.marginal_mix(0.5, np.eye(5)[0])
     np.testing.assert_allclose(q, [0.45, 0.05, 0.05, 0.05, 0.40], atol=1e-12)
     assert math.isclose(hybrid_sched.terms(0.5).uniform_mass, 0.2, abs_tol=1e-15)
 
 
 def test_marginal_limits(hybrid_sched):
-    near_data = hybrid_sched.marginal(EPS, 2)
+    near_data = hybrid_sched.marginal_mix(EPS, np.eye(5)[2])
     assert near_data[2] > 0.99
-    near_prior = hybrid_sched.marginal(1.0 - EPS, 2)
+    near_prior = hybrid_sched.marginal_mix(1.0 - EPS, np.eye(5)[2])
     assert near_prior[4] > 0.99
 
 
 def test_conditional_transition_identity(mask_sched, hybrid_sched):
     for sched in (mask_sched, hybrid_sched):
-        trans = sched.conditional_transition(0.3, 0.3)
+        trans = sched.terms(0.3).to(sched.terms(0.3))
         assert math.isclose(trans.alpha_ts, 1.0)
         np.testing.assert_allclose(trans.beta_pi_ts, 0.0, atol=1e-15)
 
 
 def test_mask_only_transition_hand_values(mask_sched):
-    trans = mask_sched.conditional_transition(0.25, 0.5)
+    trans = mask_sched.terms(0.25).to(mask_sched.terms(0.5))
     assert math.isclose(trans.alpha_ts, 2.0 / 3.0)
     assert math.isclose(trans.beta_pi_ts[4], 1.0 / 3.0)
     assert math.isclose(trans.alpha_ts + trans.beta_pi_ts.sum(), 1.0, abs_tol=1e-12)
@@ -319,9 +335,9 @@ def test_mask_only_transition_hand_values(mask_sched):
 
 def test_transition_ordering_error(mask_sched):
     with pytest.raises(OrderingError):
-        mask_sched.conditional_transition(0.6, 0.4)
+        mask_sched.terms(0.6).to(mask_sched.terms(0.4))
     with pytest.raises(OrderingError, match=r"s=0\.6 > t=0\.4"):
-        mask_sched.conditional_transition(np.array([0.1, 0.6]), np.array([0.2, 0.4]))
+        mask_sched.terms(np.array([0.1, 0.6])).to(mask_sched.terms(np.array([0.2, 0.4])))
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,9 +345,9 @@ def test_transition_ordering_error(mask_sched):
 def test_transition_composition(ts, kind):
     sched = make_schedule(kind, Vocab(6, 5), p_u=0.2 if kind == "hybrid" else 0.0)
     r, s, t = sorted(ts)
-    q_sr = sched.conditional_transition(r, s).matrix()
-    q_ts = sched.conditional_transition(s, t).matrix()
-    q_tr = sched.conditional_transition(r, t).matrix()
+    q_sr = sched.terms(r).to(sched.terms(s)).matrix()
+    q_ts = sched.terms(s).to(sched.terms(t)).matrix()
+    q_tr = sched.terms(r).to(sched.terms(t)).matrix()
     np.testing.assert_allclose(q_ts @ q_sr, q_tr, atol=1e-12)
 
 
@@ -340,12 +356,13 @@ def test_transition_composition(ts, kind):
 def test_marginal_consistency(ts, x, kind):
     sched = make_schedule(kind, Vocab(6, 5), p_u=0.15 if kind == "hybrid" else 0.0)
     s, t = sorted(ts)
-    q = sched.conditional_transition(s, t).matrix()
-    np.testing.assert_allclose(q @ sched.marginal(s, x), sched.marginal(t, x), atol=1e-12)
+    q = sched.terms(s).to(sched.terms(t)).matrix()
+    q_s, q_t = (sched.marginal_mix(v, np.eye(6)[x]) for v in (s, t))
+    np.testing.assert_allclose(q @ q_s, q_t, atol=1e-12)
 
 
 def test_columns_are_distributions(hybrid_sched):
-    q = hybrid_sched.conditional_transition(0.2, 0.8).matrix()
+    q = hybrid_sched.terms(0.2).to(hybrid_sched.terms(0.8)).matrix()
     assert np.all(q >= -1e-12)
     np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-12)
 
@@ -367,7 +384,7 @@ def test_forward_rate_finite_difference(hybrid_sched):
     rng = np.random.default_rng(11)
     for _ in range(50):
         t = 0.05 + 0.9 * rng.random()
-        fd = (hybrid_sched.conditional_transition(t, t + delta).matrix() - np.eye(5)) / delta
+        fd = (hybrid_sched.terms(t).to(hybrid_sched.terms(t + delta)).matrix() - np.eye(5)) / delta
         rates = hybrid_sched.generator(t)
         for z_from in range(5):
             for z_to in range(5):
@@ -421,7 +438,7 @@ def test_backward_kernel_small_delta(hybrid_sched):
     s = t - delta
     q_t = hybrid_sched.marginal_mix(t, x_theta)
     q_s = hybrid_sched.marginal_mix(s, x_theta)
-    trans = hybrid_sched.conditional_transition(s, t)
+    trans = hybrid_sched.terms(s).to(hybrid_sched.terms(t))
     back = hybrid_sched.backward_generator(t, x_theta)
     for z_t in range(5):
         for z_s in range(5):
@@ -446,7 +463,7 @@ def test_elbo_weight_hand_values(hybrid_sched, mask_sched):
 @given(t=times, kind=st.sampled_from(["mask", "hybrid"]))
 def test_weight_expectation_identity(t, kind):
     sched = make_schedule(kind, Vocab(5, 4), p_u=0.2 if kind == "hybrid" else 0.0)
-    q, w, terms = sched.marginal(t, 0), sched.elbo_weights(t, 0), sched.terms(t)
+    q, w, terms = sched.marginal_mix(t, np.eye(5)[0]), sched.elbo_weights(t, 0), sched.terms(t)
     mean_w = sum(q[z] * w[z] for z in range(5) if q[z] > 0)
     target = -terms.alpha_prime / terms.alpha
     assert abs(mean_w - target) <= 1e-10 * max(abs(target), 1.0)
@@ -487,8 +504,8 @@ def test_pu_zero_collapses_to_mask_only():
             assert np.array_equal(terms.beta_pi, t * m)
             assert np.array_equal(terms.beta_pi / terms.beta_pi.sum(-1, keepdims=True), m)
             assert np.array_equal(terms.rate, m / (1.0 - t))
-            assert np.array_equal(sched.marginal(t, x), q)
-            assert sched.conditional_transition(s, t).alpha_ts == (1.0 - t) / (1.0 - s)
+            assert np.array_equal(sched.marginal_mix(t, np.eye(6)[x]), q)
+            assert sched.terms(s).to(sched.terms(t)).alpha_ts == (1.0 - t) / (1.0 - s)
             if q[z] > 0:
                 assert sched.elbo_weights(t, x)[z] == m[z] / (1.0 - t) / q[z]
 
@@ -509,7 +526,7 @@ def test_hybrid_closed_forms_same_bits(p_u, n):
     grid = np.linspace(sched.eps_t, 1.0 - sched.eps_t, 1001)
     h = hashlib.sha256()
     for s, t in zip(grid[:-1], grid[1:]):
-        trans = sched.conditional_transition(s, t)
+        trans = sched.terms(s).to(sched.terms(t))
         terms = sched.terms(t)
         for v in (
             terms.alpha,
@@ -547,7 +564,7 @@ def test_mask_closed_forms_same_bits(n):
         terms.beta_pi,
         terms.rate,
         terms.uniform_mass,
-        sched.conditional_transition(grid[:-1], grid[1:]).matrix(),
+        sched.terms(grid[:-1]).to(sched.terms(grid[1:])).matrix(),
     ):
         h.update(np.asarray(v, dtype=float).tobytes())
     assert h.hexdigest() == MASK_CLOSED_FORMS_SHA256[n]
@@ -582,7 +599,7 @@ def test_array_closed_forms_equal_scalar_ones(p_u, gamma):
 
     def transition(t):
         # from halfway between eps_t and t, so that s <= t
-        return sched.conditional_transition(sched.eps_t + (t - sched.eps_t) / 2.0, t)
+        return sched.terms(sched.eps_t + (t - sched.eps_t) / 2.0).to(sched.terms(t))
 
     forms.update(
         check_time=sched.check_time,
@@ -591,7 +608,7 @@ def test_array_closed_forms_equal_scalar_ones(p_u, gamma):
         alpha_ts=lambda t: transition(t).alpha_ts,
         beta_pi_ts=lambda t: transition(t).beta_pi_ts,
         transition_matrix=lambda t: transition(t).matrix(),
-        marginal=lambda t: sched.marginal(t, 2),
+        marginal=lambda t: sched.marginal_mix(t, np.eye(5)[2]),
         marginal_mix=lambda t: sched.marginal_mix(t, x_theta),
         backward_generator=lambda t: sched.backward_generator(t, x_theta),
     )
@@ -605,8 +622,8 @@ def test_array_closed_forms_equal_scalar_ones(p_u, gamma):
 def _closed_forms(sched, t):
     """Reference alpha, beta_pi, rate and log_snr at one time, each
     closed form on its own with numpy's power, log and log1p."""
-    n, h = sched.vocab.size, sched.params.gamma / 2.0
-    c = sched.params.B * np.power(t, h) * np.power(1.0 - t, h)
+    n, h = sched.vocab.size, sched.gamma / 2.0
+    c = sched.B * np.power(t, h) * np.power(1.0 - t, h)
     c_prime = h * (1.0 - 2.0 * t) / (t * (1.0 - t)) * c
     alpha = (1.0 - t) / (1.0 + c)
     d = (1.0 + c) * (1.0 - t)
@@ -656,7 +673,7 @@ def test_closed_forms_are_accurate(gamma):
         for p_u in (0.01, 0.2):
             sched = make_schedule("hybrid", Vocab(5, 4), p_u=p_u, gamma=gamma)
             terms = sched.terms(t)
-            b = Decimal(sched.params.B)
+            b = Decimal(sched.B)
             for c, a, ref in zip(terms._c.tolist(), terms.alpha.tolist(), t_h):
                 assert _ulps(c, b * ref) < 4.0, c
                 assert _ulps(np.log(a), Decimal(a).ln()) <= 1.0, a
@@ -675,7 +692,7 @@ def test_make_schedule_mask_takes_no_uniform_noise():
     for kwargs, text in (({"p_u": 0.2, "gamma": 3.0}, "p_u=0.2"), ({"gamma": 3.0}, "gamma=3.0")):
         with pytest.raises(ValueError, match=rf"^{text} needs the hybrid schedule, not 'mask'$"):
             make_schedule("mask", vocab, **kwargs)
-    assert make_schedule("mask", vocab, p_u=0.0, gamma=1.0).params == ScheduleParams(p_u=0.0)
+    assert make_schedule("mask", vocab, p_u=0.0, gamma=1.0) == MixingSchedule(vocab)
 
 
 @pytest.mark.parametrize("gamma", [1024.0, 1100.0, 1e300])
@@ -684,7 +701,7 @@ def test_schedule_params_reject_a_gamma_that_overflows(gamma):
     msg = f"gamma={gamma!r} above 2 makes the off-mask rate negative"
     for p_u in (0.2, 0.0):
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-            ScheduleParams(p_u=p_u, gamma=gamma)
+            MixingSchedule(Vocab(5, 4), p_u=p_u, gamma=gamma)
 
 
 def test_largest_whole_gamma_still_builds():
@@ -693,7 +710,7 @@ def test_largest_whole_gamma_still_builds():
     sched = make_schedule("hybrid", Vocab(5, 4), p_u=0.2, gamma=2.0)
     assert math.isclose(sched.terms(0.5).uniform_mass, 0.2, abs_tol=1e-15)
     with pytest.raises(ValueError, match=r"^gamma=2\.0000000000000004 above 2"):
-        ScheduleParams(p_u=0.2, gamma=math.nextafter(2.0, 3.0))
+        MixingSchedule(Vocab(5, 4), p_u=0.2, gamma=math.nextafter(2.0, 3.0))
 
 
 def test_eps_t_floor_is_where_one_minus_eps_t_rounds_to_one():
@@ -701,22 +718,22 @@ def test_eps_t_floor_is_where_one_minus_eps_t_rounds_to_one():
     weights-csv printed w_mask = inf."""
     msg = "eps_t=5.551115123125783e-17 is at most 2**-54, so 1 - eps_t rounds to 1"
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-        ScheduleParams(p_u=0.2, eps_t=2.0**-54)
+        MixingSchedule(Vocab(5, 4), p_u=0.2, eps_t=2.0**-54)
     above = math.nextafter(2.0**-54, 1.0)
-    assert 1.0 - above < 1.0 and ScheduleParams(p_u=0.2, eps_t=above).eps_t == above
+    assert 1.0 - above < 1.0 and MixingSchedule(Vocab(5, 4), p_u=0.2, eps_t=above).eps_t == above
 
 
 @pytest.mark.parametrize("eps_t", [6e-17, 1e-4, 0.49, 1e-100])
 @pytest.mark.parametrize("p_u", [0.0, 0.2, 0.999])
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 2.0, 2.01, 3.0])
 def test_accepted_domain_is_a_diffusion(gamma, p_u, eps_t):
-    """ScheduleParams refuses gamma > 2 and an eps_t with 1 - eps_t == 1, and
+    """MixingSchedule refuses gamma > 2 and an eps_t with 1 - eps_t == 1, and
     every schedule it accepts is a diffusion on its whole time range, with
     warnings as errors: finite closed forms, off-mask rates >= 0 and
     transition matrices >= 0 between every pair of grid times s <= t."""
     if gamma > 2.0 or 1.0 - eps_t == 1.0:
         with pytest.raises(ValueError):
-            ScheduleParams(p_u=p_u, gamma=gamma, eps_t=eps_t)
+            MixingSchedule(Vocab(5, 4), p_u=p_u, gamma=gamma, eps_t=eps_t)
         return
     sched = make_schedule("hybrid", Vocab(5, 4), p_u=p_u, gamma=gamma, eps_t=eps_t)
     grid = np.linspace(sched.eps_t, 1.0 - sched.eps_t, 65)
@@ -726,7 +743,7 @@ def test_accepted_domain_is_a_diffusion(gamma, p_u, eps_t):
         terms = sched.terms(grid)
         names = ("alpha", "alpha_prime", "beta_pi", "rate", "log_snr", "uniform_mass")
         forms = [getattr(terms, name) for name in names]
-        matrix = sched.conditional_transition(s, t).matrix()
+        matrix = sched.terms(s).to(sched.terms(t)).matrix()
     assert all(np.isfinite(v).all() for v in forms)
     assert (terms.rate >= 0.0).all()
     assert (matrix >= 0.0).all()
@@ -739,8 +756,8 @@ def test_verify_holds_at_the_corners_of_the_domain(gamma, p_u, eps_t, monkeypatc
     """Every verify check passes, with the mask schedule and the hybrid one at
     a corner of the accepted domain as its pair of schedules, wherever its own
     derivation applies: backward_rows_sum_zero's flow bound is derived for
-    gamma = 1, and its inner times and those of both finite-difference checks
-    lie in [0.01, 0.99], so those need eps_t <= 0.01."""
+    gamma = 1. The finite-difference checks draw their times from the
+    schedule's own range; at eps_t = 0.49 they raised TimeRangeError."""
 
     def schedules(n):
         vocab = Vocab(n, n - 1)
@@ -748,12 +765,7 @@ def test_verify_holds_at_the_corners_of_the_domain(gamma, p_u, eps_t, monkeypatc
         return make_schedule("mask", vocab, eps_t=eps_t), hybrid
 
     monkeypatch.setattr(verify, "_schedules", schedules)
-    inner = eps_t <= 0.01
-    applies = {
-        verify.check_backward_rows: gamma == 1.0 and inner,
-        verify.check_forward_rate_fd: inner,
-        verify.check_backward_rate_fd: inner,
-    }
+    applies = {verify.check_backward_rows: gamma == 1.0}
     results = [check() for check in verify.ALL_CHECKS if applies.get(check, True)]
     assert [(name, detail) for name, passed, detail in results if not passed] == []
 
@@ -762,7 +774,7 @@ def test_verify_holds_at_the_corners_of_the_domain(gamma, p_u, eps_t, monkeypatc
 def test_schedule_params_reject_non_finite_gamma(bad):
     """gamma = nan used to construct and make every closed form NaN."""
     with pytest.raises(ValueError, match="gamma must be finite and > 0"):
-        ScheduleParams(p_u=0.2, gamma=bad)
+        MixingSchedule(Vocab(5, 4), p_u=0.2, gamma=bad)
 
 
 _TERMS_FIELDS = ("alpha", "alpha_prime", "beta_pi", "rate", "log_snr")
@@ -780,7 +792,7 @@ def test_terms_of_equal_times_from_other_objects_have_the_same_bits(kind):
     sched = make_schedule(kind, vocab, p_u=0.2 if kind == "hybrid" else 0.0)
     t = np.linspace(0.1, 0.9, 17)
     for first, second in ((t, t.copy()), (0.3, np.float64(0.3)), (np.float64(0.7), 0.7)):
-        fresh = _fields(make_schedule(kind, vocab, p_u=sched.params.p_u).terms(first))
+        fresh = _fields(make_schedule(kind, vocab, p_u=sched.p_u).terms(first))
         assert _fields(sched.terms(first)) == fresh
         assert _fields(sched.terms(second)) == fresh
 
