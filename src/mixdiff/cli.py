@@ -55,12 +55,12 @@ DEFAULTS = {
     "min_p": 0.0,
     "patience": 32,
     "max_iters": 256,
-    "t_condition": DEFAULT_EPS_T,
     "grid_size": 101,
 }
 
-# keys accepted in a key=value config file and their types; CLI flags override file values
-CONFIG_KEYS = {key: type(value) for key, value in DEFAULTS.items()}
+# keys accepted in a key=value config file and their types; CLI flags override file
+# values. t_condition has no fixed default: resolve_config sets it to eps_t when unset.
+CONFIG_KEYS = {key: type(value) for key, value in DEFAULTS.items()} | {"t_condition": float}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,6 +113,7 @@ def resolve_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    cfg.setdefault("t_condition", cfg["eps_t"])
     check_seed(cfg["seed"])
     return cfg
 
@@ -298,7 +299,7 @@ def cmd_weights_csv(args, cfg: dict) -> int:
 
 # Per command its function, its help and exactly the flags it reads, where a
 # trailing "!" marks a required one and "a|b" two of which exactly one is given.
-# A flag takes a value of its FLAG_OPTIONS type, else of its DEFAULTS type, else
+# A flag takes a value of its FLAG_OPTIONS type, else of its CONFIG_KEYS type, else
 # text. A config file may also hold keys that only other commands read.
 SCHEDULE = "config schedule p-u gamma eps-t"  # the keys build_schedule reads, and their file
 COMMANDS = {

@@ -165,9 +165,14 @@ def ancestral_sample_batch(
 ) -> np.ndarray:
     """Sample `count` sequences from all-mask starts; returns (count, L).
 
-    Row i draws only the uniforms counter_uniforms gives row i under
-    config.seed, so the first k rows of a batch equal a k-row batch. The
-    batch is held column-major between steps and returned C-contiguous.
+    Reverse step i runs from grid time t_i to t_{i-1} with counter step i.
+    A position still masked at t_0 = eps_t, about eps_t of all positions, then
+    draws from the adapted prediction at t_0 with counter step 0, in one more
+    denoiser call on the distinct rows that hold one; every other position
+    keeps its token. Row i draws only the uniforms counter_uniforms gives
+    row i under config.seed, so the first k rows of a batch equal a k-row
+    batch. The batch is held column-major between steps and returned
+    C-contiguous.
     """
     count, length = check_count("count", count), check_count("length", length)
     check_fits("schedule", schedule, "denoiser", denoiser)
@@ -184,6 +189,14 @@ def ancestral_sample_batch(
         post = reverse_posterior(at_from, at_to, rows, preds)
         z = _inverse_cdf(post, _step_uniforms(hashes, i, length), inverse).T
         at_from = at_to
+    (held,) = np.logical_or.reduce(z == schedule.vocab.mask_id, axis=1).nonzero()
+    if len(held):
+        last = z[held]
+        rows, inverse = _distinct_rows(last, schedule.vocab.size)
+        preds = denoiser.predict_batch(rows, at_from.t)
+        preds = adapt_distribution(preds, config.temperature, config.min_p).T
+        draw = _inverse_cdf(preds, _step_uniforms(hashes[held], 0, length), inverse).T
+        z[held] = np.where(last == schedule.vocab.mask_id, draw, last)
     return np.ascontiguousarray(z)
 
 

@@ -600,6 +600,44 @@ def test_self_correct_command(capsys, tmp_path, vocab3):
     assert lines[1:] == ["0 0 0 0", "1 1 1 1"]
 
 
+@pytest.mark.parametrize(
+    "flags, t_condition",
+    [([], 0.01), (["--t-condition", "0.3"], 0.3), (["--config", "t_condition=0.2"], 0.2)],
+    ids=["eps-t", "flag", "file"],
+)
+def test_self_correct_t_condition_defaults_to_the_schedules_eps_t(
+    capsys, tmp_path, pinned_inputs, flags, t_condition
+):
+    """With neither a flag nor the config file setting it, t_condition is the
+    schedule's eps_t. It was a fixed 1e-4, so `--eps-t 0.01` exited 2 with
+    "t=0.0001 outside [0.01, 0.99]", even on a clean corpus."""
+    if flags[:1] == ["--config"]:
+        (tmp_path / "run.cfg").write_text(flags[1] + "\n")
+        flags = ["--config", str(tmp_path / "run.cfg")]
+    argv = ["self-correct", "--dist", str(pinned_inputs / "dist.txt"), "--eps-t", "0.01",
+            "--corpus", str(pinned_inputs / "clean.txt"), "--out", str(tmp_path / "o.txt")]
+    code, out, err = run(capsys, argv + flags)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]["t_condition"] == t_condition
+
+
+def test_sample_then_self_correct_pipeline(capsys, tmp_path, pinned_inputs):
+    """The paper's pipeline: sample, then self-correct the sample, under one
+    schedule. The sample held 10 masked rows, which self-correct refused with
+    exit 2; with those drawn at t_0, it still exited 2 on its t_condition."""
+    schedule = ["--schedule", "hybrid", "--p-u", "0.2", "--eps-t", "0.01"]
+    dist, samples = str(pinned_inputs / "dist.txt"), str(tmp_path / "s.txt")
+    argv = ["sample", "--dist", dist, *schedule, "--count", "400", "--steps", "8",
+            "--out", samples]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["mask_fraction"] == 0.0
+    argv = ["self-correct", "--dist", dist, *schedule, "--corpus", samples,
+            "--out", str(tmp_path / "o.txt")]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+
+
 def test_oracle_eval(capsys, dist_file):
     code, out, _ = run(
         capsys,

@@ -26,6 +26,7 @@ from mixdiff.errors import (
     EmptySupportError,
     MaskedInputError,
     OrderingError,
+    TimeRangeError,
 )
 from mixdiff.elbo import _inverse_cdf, _vocab_sum
 from mixdiff.sampler import (
@@ -509,13 +510,14 @@ def test_sample_batch_same_bits(two_outcome, five_outcome):
     assert hashlib.sha256(z.tobytes()).hexdigest() == digest
 
     # Criterion 9's size, where a step keys its rows by marking the key space
-    # rather than sorting; recorded before that keying and the token-major draw.
+    # rather than sorting; recorded before that keying and the token-major draw,
+    # and again when the positions still masked at t_0 began to draw there.
     sched = make_schedule("hybrid", five_outcome.vocab, p_u=0.01)
     z = ancestral_sample_batch(
         sched, 3, OracleDenoiser(five_outcome, sched), SamplerConfig(num_steps=8, seed=4), 20000
     )
     assert z.dtype == np.int64 and z.shape == (20000, 3)
-    digest = "b2c7a559e1489e65f155202787f1c9d994e8bb2e7de05c206c7e5aad5d540a3c"
+    digest = "3c6320cc70118be2c63bcb69d556baa020849bdc742b14f72bc52aa298c145d4"
     assert hashlib.sha256(z.tobytes()).hexdigest() == digest
 
 
@@ -527,13 +529,14 @@ def _wide_distribution(n):
 
 # sha256 of draws over vocabularies of 9 and 12 tokens, where the sums over
 # the vocabulary run pairwise; recorded before the reverse step built its
-# posterior vocabulary first.
+# posterior vocabulary first, and the samples' again when the positions still
+# masked at t_0 began to draw there.
 WIDE_VOCAB_PINS = {
-    (9, "temperature"): "10639ba8c86d6922246ed5b1e2cdbaa29f8f2261ba5c0d0be4fc84f405cb9c0d",
-    (9, "min_p"): "e8643d281826284bab83bd4afad4f79deb98e049b403830b11bb38eb0f7e091a",
+    (9, "temperature"): "4c26bedb64c2c3b03ed34fbd5cbb7d768e72505b99baf52eb3796bc3163da14c",
+    (9, "min_p"): "d3a75eb96455a60f5f64a9ca4e979fa27fce018f13b37a3d6548edb0b826eb0d",
     (9, "noise"): "729d0febb632b1934387933de59644a5d9c44ead1df56c301e8cab531feaa152",
-    (12, "temperature"): "3a041b8386984b36926127f7e16f887fe22df23c5e1539afb66a06799e567a09",
-    (12, "min_p"): "94b7e5a5e82a71662964099fc1236dadf672523a978671f145a864a771922d72",
+    (12, "temperature"): "322e70cae1b84358e0d4d04c4a899ce50cb79db29c89cfb4fd5ef1fc8bc6c858",
+    (12, "min_p"): "6a5244838fb96fb448742e5887465dbcf3ba07cd9dddee4515a3ab2ec47e3d3f",
     (12, "noise"): "bf7c66947c200ce068a9f9b154e1aa49ec24aa8fe79a17958ed9f2d12d6e8404",
 }
 
@@ -604,12 +607,21 @@ _FIVE = ToyDistribution(
 def _sample_batch_loop(schedule, length, denoiser, config, count):
     """ancestral_sample_batch's reference, as it was before the row hash was
     hoisted out of the steps and the rows shared: a row-major batch, and
-    counter_uniforms and _step at every step."""
+    counter_uniforms and _step at every step; then each position still masked
+    draws from the prediction at t_0 with step 0's uniforms."""
     grid = config.time_grid(schedule.eps_t)
     z = np.full((count, length), schedule.vocab.mask_id, dtype=np.int64)
     for i in range(config.num_steps, 0, -1):
         u = counter_uniforms(config.seed, i, count, length)
         z = _step(schedule, z, float(grid[i]), float(grid[i - 1]), denoiser, config, u)
+    masked = z == schedule.vocab.mask_id
+    held = masked.any(axis=1)
+    if held.any():
+        probs = denoiser.predict_batch(z[held], float(grid[0]))
+        probs = adapt_distribution(probs, config.temperature, config.min_p)
+        u = counter_uniforms(config.seed, 0, count, length)[held]
+        draw = _inverse_cdf(probs.transpose(2, 0, 1), u)
+        z[held] = np.where(masked[held], draw, z[held])
     return z
 
 
@@ -631,6 +643,48 @@ def test_sample_batch_equals_step_loop(seed, count, steps, p_u):
     z = ancestral_sample_batch(sched, 3, oracle, config, count)
     assert z.dtype == np.int64 and z.flags.c_contiguous and z.shape == (count, 3)
     np.testing.assert_array_equal(z, _sample_batch_loop(sched, 3, oracle, config, count))
+
+
+@pytest.mark.parametrize("p_u", [0.01, 0.2])
+def test_sample_batch_leaves_no_mask(p_u):
+    """No sampled row holds the mask id. The last reverse step left about
+    eps_t of the positions masked, about 60 of 2000 rows at eps_t = 0.01, and
+    `self-correct` refused the sample; those positions now draw from the
+    prediction at t_0, in one more denoiser call on the distinct rows that
+    still hold the mask, with the bits of the step loop's reference."""
+    sched = make_schedule("hybrid", _FIVE.vocab, p_u=p_u, eps_t=0.01)
+    oracle, calls = OracleDenoiser(_FIVE, sched), []
+    predict = oracle.predict_batch
+    oracle.predict_batch = lambda z, t: calls.append((z.copy(), t)) or predict(z, t)
+    config = SamplerConfig(num_steps=8, seed=1)
+    z = ancestral_sample_batch(sched, 3, oracle, config, 2000)
+    assert not np.logical_or.reduce(z == _FIVE.vocab.mask_id, axis=None)
+    assert len(calls) == 9
+    reference = _sample_batch_loop(sched, 3, OracleDenoiser(_FIVE, sched), config, 2000)
+    np.testing.assert_array_equal(z, reference)
+    held, t = calls[-1]
+    assert t == sched.eps_t
+    assert np.all(np.any(held == _FIVE.vocab.mask_id, axis=1))
+    assert len(np.unique(held, axis=0)) == len(held)
+
+
+def test_sample_batch_with_no_mask_left_makes_no_final_call():
+    """When the reverse steps leave no mask, the denoiser is called once per step."""
+    sched = make_schedule("hybrid", _FIVE.vocab, p_u=0.2)
+    oracle, calls = OracleDenoiser(_FIVE, sched), []
+    predict = oracle.predict_batch
+    oracle.predict_batch = lambda z, t: calls.append(t) or predict(z, t)
+    z = ancestral_sample_batch(sched, 3, oracle, SamplerConfig(num_steps=8, seed=1), 20)
+    assert not np.logical_or.reduce(z == _FIVE.vocab.mask_id, axis=None)
+    assert len(calls) == 8
+
+
+def test_self_correct_library_default_is_outside_a_wider_range():
+    """SelfCorrectConfig's t_condition stays the default eps_t, so on a
+    schedule of larger eps_t it fails as a named TimeRangeError."""
+    sched = make_schedule("hybrid", _FIVE.vocab, p_u=0.2, eps_t=0.01)
+    with pytest.raises(TimeRangeError, match=r"^t=0\.0001 outside \[0\.01, 0\.99\]$"):
+        self_correct([0, 1, 2], OracleDenoiser(_FIVE, sched), SelfCorrectConfig(), 4)
 
 
 def _self_correct_alone(z_seq, denoiser, config, mask_id):

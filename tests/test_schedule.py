@@ -754,20 +754,81 @@ def test_accepted_domain_is_a_diffusion(gamma, p_u, eps_t):
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 2.0])
 def test_verify_holds_at_the_corners_of_the_domain(gamma, p_u, eps_t, monkeypatch):
     """Every verify check passes, with the mask schedule and the hybrid one at
-    a corner of the accepted domain as its pair of schedules, wherever its own
-    derivation applies: backward_rows_sum_zero's flow bound is derived for
-    gamma = 1. The finite-difference checks draw their times from the
-    schedule's own range; at eps_t = 0.49 they raised TimeRangeError."""
+    a corner of the accepted domain as its pair of schedules. The
+    finite-difference checks draw their times from the schedule's own range;
+    at eps_t = 0.49 they raised TimeRangeError. backward_rows_sum_zero's flow
+    bound held only at gamma = 1, and raised ValueError at the others."""
+    monkeypatch.setattr(verify, "_schedules", _corner(p_u, gamma, eps_t))
+    results = [check() for check in verify.ALL_CHECKS]
+    assert len(results) == 16
+    assert [(name, detail) for name, passed, detail in results if not passed] == []
+
+
+def _corner(p_u, gamma, eps_t=EPS):
+    """A stand-in for verify._schedules: the mask schedule and the hybrid one
+    at (p_u, gamma, eps_t)."""
 
     def schedules(n):
         vocab = Vocab(n, n - 1)
         hybrid = make_schedule("hybrid", vocab, p_u=p_u, gamma=gamma, eps_t=eps_t)
         return make_schedule("mask", vocab, eps_t=eps_t), hybrid
 
-    monkeypatch.setattr(verify, "_schedules", schedules)
-    applies = {verify.check_backward_rows: gamma == 1.0}
-    results = [check() for check in verify.ALL_CHECKS if applies.get(check, True)]
-    assert [(name, detail) for name, passed, detail in results if not passed] == []
+    return schedules
+
+
+def test_verify_takes_its_schedules_from_one_place(monkeypatch):
+    """Every check but two reads its schedules from verify._schedules, so
+    swapping it moves them; mdm_equivalence and pu_zero_collapse used to build
+    their own. uniform_calibration sweeps p_u and weight_blowup needs the small
+    default eps_t, so those two keep fixed settings."""
+    schedules, called = verify._schedules, []
+
+    def counted(n):
+        called.append(n)
+        return schedules(n)
+
+    monkeypatch.setattr(verify, "_schedules", counted)
+    readers = set()
+    for check in verify.ALL_CHECKS:
+        called.clear()
+        check()
+        if called:
+            readers.add(check)
+    fixed = {verify.check_uniform_calibration, verify.check_weight_blowup}
+    assert readers == set(verify.ALL_CHECKS) - fixed
+
+
+FLOW_GAMMAS = [1e-3, 0.5, 1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("gamma", FLOW_GAMMAS)
+def test_flow_bound_holds_the_third_derivative_of_the_marginal(gamma):
+    """_flow_bound(hybrid, lo) is at least |d^3/dt^3 q_t(. | x)| on a grid over
+    [lo, 1 - lo], by a central difference whose stencil stays in the range,
+    for every one-hot x (q_t is linear in x_theta). It held only at gamma = 1,
+    and raised ValueError at any other gamma."""
+    n, lo, d = 6, 0.01, 1e-4
+    hybrid = make_schedule("hybrid", Vocab(n, n - 1), p_u=0.2, gamma=gamma)
+    t = np.linspace(lo + 2.0 * d, 1.0 - lo - 2.0 * d, 2001)
+    worst = 0.0
+    for x in np.eye(n):
+        f = [hybrid.marginal_mix(t + k * d, x) for k in (-2, -1, 1, 2)]
+        third = (f[3] - 2.0 * f[2] + 2.0 * f[1] - f[0]) / (2.0 * d**3)
+        worst = max(worst, float(np.abs(third).max()))
+    assert 0.0 < worst <= verify._flow_bound(hybrid, lo)
+
+
+@pytest.mark.parametrize("gamma", FLOW_GAMMAS)
+def test_backward_rows_check_fails_on_a_wrong_rate_vector_at_every_gamma(gamma, monkeypatch):
+    """With the rate vector 0.1% too large, backward_rows_sum_zero fails
+    whatever the hybrid's gamma, and passes without it."""
+    monkeypatch.setattr(verify, "_schedules", _corner(0.2, gamma))
+    assert check_backward_rows()[1]
+    fget = Terms.rate.fget
+    with mock.patch.object(Terms, "rate", property(lambda terms: 1.001 * fget(terms))):
+        name, passed, detail = check_backward_rows()
+    assert name == "backward_rows_sum_zero"
+    assert not passed, detail
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
